@@ -40,7 +40,7 @@ from repro.core.pvnc.compiler import (
     build_middleboxes,
     compile_pvnc,
 )
-from repro.errors import ReproError
+from repro.errors import AdmissionError, ReproError
 from repro.middleboxes.classifier import CLASS_KEY
 from repro.netproto.dhcp import DhcpServer
 from repro.netsim.packet import Packet
@@ -58,6 +58,12 @@ from repro.sdn.actions import Output, ToChain
 from repro.sdn.controller import Controller
 
 _deployment_numbers = itertools.count(1)
+
+#: The n-th deployment of a manager's lifetime (n from 1) gets
+#: ``10.<200 + n // 256>.<n % 256>.0/24``: 10.200.1.0 ... 10.200.255.0,
+#: then 10.201.0.0 and on, stopping short of 10.250 (the addresses
+#: ``PhysicalTopology.instantiate`` synthesises for hosts): n <= 12 799.
+_PVN_SUBNETS = (250 - 200) * 256 - 1
 
 
 def _phase_span(tracer, name: str, now: float):
@@ -694,7 +700,7 @@ class DeploymentManager:
         self.store_factories = store_factories or {}
         self.store_capabilities = store_capabilities or {}
         self.deployments: dict[str, Deployment] = {}
-        self._subnet_counter = itertools.count(1)
+        self._subnets_assigned = 0
         # Control-plane fast path: memoized compiles (process-wide by
         # default; pass compile_cache=None for the uncached baseline)
         # and snapshot-validated placement memoization.
@@ -794,6 +800,12 @@ class DeploymentManager:
         trusted_execution: bool,
     ) -> Deployment:
         user = request.pvnc.user
+        if self._subnets_assigned >= _PVN_SUBNETS:
+            # Refuse before anything is launched or installed.
+            raise AdmissionError(
+                f"{self.provider} has no PVN subnet left "
+                f"({self._subnets_assigned} assigned)"
+            )
         deployment_id = self.allocate_deployment_id(user)
 
         # 1. Launch a container per non-reused chain element; they start
@@ -878,7 +890,9 @@ class DeploymentManager:
             )
 
         # 5. PVN-scoped addresses for the post-ACK DHCP refresh.
-        subnet = f"10.200.{next(self._subnet_counter)}.0/24"
+        self._subnets_assigned += 1
+        n = self._subnets_assigned
+        subnet = f"10.{200 + n // 256}.{n % 256}.0/24"
         if self.dhcp is not None:
             self.dhcp.register_pvn_subnet(deployment_id, subnet)
 

@@ -20,6 +20,7 @@ Concretely a :class:`Pvnc` holds:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 
@@ -211,6 +212,12 @@ class Pvnc:
 
     def digest(self) -> bytes:
         """A stable content hash; attestations sign this."""
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> bytes:
+        # Once per instance: the fields are frozen, and
+        # ``dataclasses.replace`` builds a new instance (new digest).
         blob = json.dumps(
             {
                 "user": self.user,

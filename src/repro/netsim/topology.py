@@ -31,6 +31,11 @@ from repro.units import transmission_delay
 NODE_KINDS = {"host", "ap", "switch", "nfv", "gateway", "server", "middlebox"}
 
 
+def _usable_latency(a: str, b: str, data: dict) -> float | None:
+    """Routing weight: a link taken down is invisible (``None``)."""
+    return None if data.get("down") else data["latency"]
+
+
 class PhysicalTopology:
     """An annotated undirected graph of the physical network."""
 
@@ -41,6 +46,20 @@ class PhysicalTopology:
         #: link up/down).  Embedding caches validate against it so a
         #: memoized placement can never survive a topology change.
         self.version = 0
+        # The route table: answers computed at ``_table_version``,
+        # dropped wholesale the first time a query sees ``version``
+        # has moved.  Nothing is ever carried across a bump — even a
+        # new leaf can change networkx's pick among equal-cost paths
+        # between *other* nodes (DESIGN.md §9).
+        self._table_version = 0
+        self._routes: dict[tuple[str, str], tuple[str, ...]] = {}
+        self._kinds: dict[tuple[str, bool], tuple[str, ...]] = {}
+
+    def _sync_tables(self) -> None:
+        if self._table_version != self.version:
+            self._routes = {}
+            self._kinds = {}
+            self._table_version = self.version
 
     # -- construction ------------------------------------------------------
 
@@ -78,11 +97,16 @@ class PhysicalTopology:
                       ) -> list[str]:
         """Nodes of ``kind``; ``include_wide_area=False`` restricts to
         the access network proper (excludes cloud/home NFV sites)."""
-        return sorted(
-            n for n, data in self.graph.nodes(data=True)
-            if data["kind"] == kind
-            and (include_wide_area or not data.get("wide_area"))
-        )
+        self._sync_tables()
+        key = (kind, include_wide_area)
+        names = self._kinds.get(key)
+        if names is None:
+            names = self._kinds[key] = tuple(sorted(
+                n for n, data in self.graph.nodes(data=True)
+                if data["kind"] == kind
+                and (include_wide_area or not data.get("wide_area"))
+            ))
+        return list(names)
 
     def shortest_path(self, src: str, dst: str) -> list[str]:
         """Latency-weighted shortest path (node names, inclusive).
@@ -90,18 +114,25 @@ class PhysicalTopology:
         Links taken down by fault injection (:meth:`set_link_down`) are
         invisible to routing; a partition raises
         :class:`~repro.errors.ConfigurationError`.
-        """
-        def usable_latency(a: str, b: str, data: dict) -> float | None:
-            return None if data.get("down") else data["latency"]
 
-        try:
-            return nx.shortest_path(self.graph, src, dst,
-                                    weight=usable_latency)
-        except nx.NetworkXNoPath:
-            raise ConfigurationError(
-                f"no usable path {src!r} -> {dst!r} "
-                "(network partitioned by down links)"
-            ) from None
+        Answered from the route table: one Dijkstra per ``(src, dst)``
+        per :attr:`version`, exactly what a fresh ``nx.shortest_path``
+        returns on the current graph.  Failures are not remembered, and
+        the caller owns the returned list.
+        """
+        self._sync_tables()
+        path = self._routes.get((src, dst))
+        if path is None:
+            try:
+                path = tuple(nx.shortest_path(self.graph, src, dst,
+                                              weight=_usable_latency))
+            except nx.NetworkXNoPath:
+                raise ConfigurationError(
+                    f"no usable path {src!r} -> {dst!r} "
+                    "(network partitioned by down links)"
+                ) from None
+            self._routes[(src, dst)] = path
+        return list(path)
 
     # -- fault state -------------------------------------------------------
 
@@ -142,9 +173,15 @@ class PhysicalTopology:
         edge["loss_rate"] = float(loss_rate)
         return previous
 
-    def path_latency(self, path: list[str], size_bytes: int = 40) -> float:
-        """One-way delay along ``path`` for a packet of ``size_bytes``."""
-        total = 0.0
+    def path_latency(self, path: list[str], size_bytes: int = 40,
+                     start: float = 0.0) -> float:
+        """One-way delay along ``path`` for a packet of ``size_bytes``.
+
+        ``start`` continues the left-to-right sum of a path walked leg
+        by leg: the total over ``a + b`` is bit-for-bit
+        ``path_latency(b, start=path_latency(a))``.
+        """
+        total = start
         for a, b in zip(path, path[1:]):
             edge = self.graph.edges[a, b]
             total += edge["latency"] + transmission_delay(

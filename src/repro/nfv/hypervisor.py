@@ -52,6 +52,9 @@ class NfvHost:
             raise CapacityError("per-owner fraction must be in (0,1]")
         self.per_owner_memory_fraction = per_owner_memory_fraction
         self._containers: dict[int, Container] = {}
+        # owner -> ids of its admitted containers, in admission order
+        # (an insertion-ordered set), so a teardown touches only its own.
+        self._ids_of_owner: dict[str, dict[int, None]] = {}
         self.launches = 0
         self.rejections = 0
         self.alive = True
@@ -164,6 +167,8 @@ class NfvHost:
                 f"cpu {self.cpu_in_use:.1f}/{self.capacity.cpu_cores}"
             )
         self._containers[container.container_id] = container
+        self._ids_of_owner.setdefault(container.owner, {})[
+            container.container_id] = None
         container._host = self
         if container.state is not ContainerState.STOPPED:
             # Admitted live (CREATED/CRASHED): the reservation starts
@@ -180,6 +185,10 @@ class NfvHost:
         container = self._containers.pop(container_id, None)
         if container is None:
             return False
+        owned = self._ids_of_owner[container.owner]
+        del owned[container_id]
+        if not owned:
+            del self._ids_of_owner[container.owner]
         if container.state is not ContainerState.STOPPED:
             self._charge(container, -1)
         container._host = None
@@ -188,9 +197,7 @@ class NfvHost:
 
     def terminate_owner(self, owner: str) -> int:
         """Stop every container belonging to ``owner`` (PVN teardown)."""
-        doomed = [
-            cid for cid, c in self._containers.items() if c.owner == owner
-        ]
+        doomed = list(self._ids_of_owner.get(owner, ()))
         for cid in doomed:
             self.terminate(cid)
         return len(doomed)
@@ -246,6 +253,7 @@ class NfvHost:
                 evicted += 1
             container._host = None
         self._containers.clear()
+        self._ids_of_owner.clear()
         return evicted
 
     def recover(self) -> None:

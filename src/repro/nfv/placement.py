@@ -20,7 +20,7 @@ import dataclasses
 from repro.errors import EmbeddingError
 from repro.netsim.topology import PhysicalTopology
 from repro.nfv.hypervisor import NfvHost
-from repro.sdn.routing import path_stretch, waypointed_path
+from repro.sdn.routing import StretchWalk, waypointed_path
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,7 +107,7 @@ def place_chain(
     Raises :class:`EmbeddingError` when some middlebox fits nowhere.
     """
     decisions: list[PlacementDecision] = []
-    waypoints: list[str] = []
+    walk = StretchWalk(topo, src, dst)
     for request in requests:
         if prefer_reuse and request.allow_physical_reuse:
             physical = _physical_box_for(topo, request.service)
@@ -116,7 +116,7 @@ def place_chain(
                     PlacementDecision(request.service, physical,
                                       reused_physical=True)
                 )
-                waypoints.append(physical)
+                walk.push(physical)
                 continue
         # Only hosts the provider actually operates (passed in) count;
         # the topology may also know about wide-area NFV sites.
@@ -128,17 +128,14 @@ def place_chain(
             raise EmbeddingError(
                 f"no NFV host can fit middlebox {request.service!r}"
             )
-        best = min(
-            candidates,
-            key=lambda node: path_stretch(topo, src, dst, waypoints + [node]),
-        )
+        best = min(candidates, key=walk.stretch)
         decisions.append(
             PlacementDecision(request.service, best, reused_physical=False)
         )
-        waypoints.append(best)
+        walk.push(best)
 
-    path = waypointed_path(topo, src, dst, waypoints)
-    stretch = path_stretch(topo, src, dst, waypoints) if waypoints else 1.0
+    path = waypointed_path(topo, src, dst, walk.waypoints)
+    stretch = walk.stretch() if walk.waypoints else 1.0
     return PlacementPlan(
         decisions=tuple(decisions), path=tuple(path), stretch=stretch
     )

@@ -45,6 +45,61 @@ def waypointed_path(
     return full
 
 
+class StretchWalk:
+    """Latency stretch of ``src -> waypoints... -> dst``, incrementally.
+
+    Greedy placement scores every candidate host by the stretch of the
+    path through the waypoints chosen so far, then the candidate, then
+    ``dst``.  All candidates of a request share the direct path and
+    the prefix up to the last chosen waypoint; this holds both, so a
+    candidate costs the two legs it adds.  The latency is the same
+    left-to-right sum :meth:`PhysicalTopology.path_latency` takes over
+    the whole :func:`waypointed_path` — continued from the prefix
+    total, never re-associated — so every stretch is bit-identical to
+    evaluating the full path from scratch.
+    """
+
+    def __init__(self, topo: PhysicalTopology, src: str, dst: str,
+                 waypoints: list[str] | tuple[str, ...] = ()) -> None:
+        self.topo = topo
+        self.src = src
+        self.dst = dst
+        #: Stops committed so far, in order (:meth:`push` appends).
+        self.waypoints = list(waypoints)
+        self._direct: float | None = None
+        self._folded = 0        # waypoints[:_folded] are in the prefix
+        self._at = src          # where the prefix ends
+        self._latency = 0.0     # one-way latency src -> _at
+
+    def push(self, waypoint: str) -> None:
+        """Commit ``waypoint`` as the next stop."""
+        self.waypoints.append(waypoint)
+
+    def _advance(self, at: str, total: float, stops) -> float:
+        for stop in stops:
+            total = self.topo.path_latency(
+                shortest_path(self.topo, at, stop), start=total
+            )
+            at = stop
+        return total
+
+    def stretch(self, *extra: str) -> float:
+        """Stretch of the path via :attr:`waypoints`, then ``extra``."""
+        if self._direct is None:
+            self._direct = self.topo.path_latency(
+                shortest_path(self.topo, self.src, self.dst)
+            )
+        if self._folded < len(self.waypoints):
+            self._latency = self._advance(self._at, self._latency,
+                                          self.waypoints[self._folded:])
+            self._at = self.waypoints[-1]
+            self._folded = len(self.waypoints)
+        via = self._advance(self._at, self._latency, (*extra, self.dst))
+        if self._direct <= 0:
+            return 1.0
+        return via / self._direct
+
+
 def path_stretch(
     topo: PhysicalTopology, src: str, dst: str, waypoints: list[str]
 ) -> float:
@@ -54,11 +109,7 @@ def path_stretch(
     test flags deployments whose measured stretch exceeds what the
     offered topology implies.
     """
-    direct = topo.path_latency(shortest_path(topo, src, dst))
-    via = topo.path_latency(waypointed_path(topo, src, dst, waypoints))
-    if direct <= 0:
-        return 1.0
-    return via / direct
+    return StretchWalk(topo, src, dst, waypoints).stretch()
 
 
 def install_path_rules(

@@ -182,6 +182,47 @@ class TestDeploymentManager:
         assert all(h.container_count == 0 for h in hosts.values())
         manager.teardown(ack.deployment_id)  # idempotent
 
+    def test_subnets_outlive_the_256th_deployment(self, world):
+        """10.200.<n>.0/24 for the first 255 lifetime deployments, then
+        the next second octet — not an AddressError on 10.200.256.0."""
+        sim, _, hosts, dhcp, manager = world
+        env = make_env()
+        subnets = []
+        for _ in range(300):
+            ack = manager.deploy(make_request(), env, "dev_alice",
+                                 now=sim.now)
+            assert isinstance(ack, DeploymentAck), ack
+            subnets.append(ack.pvn_subnet)
+            manager.teardown(ack.deployment_id)
+        assert subnets[:255] == [f"10.200.{n}.0/24" for n in range(1, 256)]
+        assert subnets[255:258] == [
+            "10.201.0.0/24", "10.201.1.0/24", "10.201.2.0/24"]
+        assert len(set(subnets)) == 300
+        assert all(h.container_count == 0 for h in hosts.values())
+        # The refresh still lands inside the spilled block.
+        ack = manager.deploy(make_request(), env, "dev_alice", now=sim.now)
+        client = DhcpClient("aa:bb:cc:00:00:01")
+        client.run_exchange(dhcp, now=sim.now)
+        lease = refresh_address(manager, dhcp, ack.deployment_id,
+                                client.mac, now=sim.now)
+        assert lease.ip.startswith("10.201.45.")
+
+    def test_subnet_exhaustion_is_a_typed_nack(self, world, monkeypatch):
+        from repro.core.deployment import manager as manager_module
+
+        sim, _, hosts, _, manager = world
+        monkeypatch.setattr(manager_module, "_PVN_SUBNETS", 2)
+        env = make_env()
+        for _ in range(2):
+            ack = manager.deploy(make_request(), env, "dev_alice",
+                                 now=sim.now)
+            manager.teardown(ack.deployment_id)
+        nack = manager.deploy(make_request(), env, "dev_alice", now=sim.now)
+        assert isinstance(nack, DeploymentNack)
+        assert nack.reason.startswith("AdmissionError")
+        # Refused before anything was launched.
+        assert all(h.container_count == 0 for h in hosts.values())
+
     def test_two_users_coexist(self, world):
         sim, topo, _, _, manager = world
         attach_device(topo, "dev_bob", ap="ap1")

@@ -64,6 +64,11 @@ def rescan(host: NfvHost) -> dict:
             owner: sum(c.spec.memory_bytes for c in live if c.owner == owner)
             for owner in owners
         },
+        "owner_ids": {
+            owner: [cid for cid, c in host._containers.items()
+                    if c.owner == owner]
+            for owner in owners
+        },
     }
 
 
@@ -74,6 +79,9 @@ def assert_host_consistent(host: NfvHost) -> None:
     assert host.container_count == expected["count"]
     for owner, memory in expected["owner_memory"].items():
         assert host.memory_of_owner(owner) == memory
+    # terminate_owner's index: same ids, same order as a table scan.
+    assert {owner: list(ids) for owner, ids
+            in host._ids_of_owner.items()} == expected["owner_ids"]
 
 
 # -- hypothesis: arbitrary container lifecycle sequences --------------------

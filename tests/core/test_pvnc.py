@@ -1,5 +1,7 @@
 """Tests for the PVNC model, DSL, validation, and compiler."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.pvnc import (
@@ -91,6 +93,17 @@ class TestModel:
         assert a.digest() != c.digest()
         d = a.without_services({"transcoder"})
         assert a.digest() != d.digest()
+
+    def test_digest_computed_once_per_instance(self):
+        pvnc = simple_pvnc()
+        assert pvnc.digest() is pvnc.digest()
+        # replace() builds a new instance, which must not inherit it.
+        other = dataclasses.replace(pvnc, user="mallory")
+        assert other.digest() != pvnc.digest()
+        assert other.digest() == simple_pvnc(user="mallory").digest()
+        assert dataclasses.replace(other, user=pvnc.user).digest() == (
+            pvnc.digest())
+        assert other == dataclasses.replace(pvnc, user="mallory")
 
     def test_tunnel_endpoints_collected(self):
         pvnc = simple_pvnc(class_rules=(

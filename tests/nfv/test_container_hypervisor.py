@@ -138,6 +138,40 @@ class TestNfvHost:
         assert host.terminate_owner("alice") == 3
         assert host.container_count == 1
 
+    def test_terminate_owner_matches_a_table_scan(self):
+        """The per-owner id index answers what scanning the whole
+        container table did: same ids, same (admission) order, through
+        interleaved launches, single terminations and a crash."""
+        host = NfvHost("nfv0", HostCapacity(memory_bytes=10**12,
+                                            cpu_cores=10**6))
+        terminated = []
+        terminate = host.terminate
+        host.terminate = lambda cid: terminated.append(cid) or terminate(cid)
+
+        def scan(owner):
+            return [c.container_id for c in host.containers()
+                    if c.owner == owner]
+
+        launched = [
+            host.launch(Container(Middlebox("m"), owner=f"u{i % 3}"), now=0.0)
+            for i in range(12)
+        ]
+        host.terminate(launched[3].container_id)       # one of u0's
+        host.launch(launched[3], now=0.0)              # ... re-admitted last
+        terminated.clear()
+        expected = scan("u0")
+        assert expected[-1] == launched[3].container_id
+        assert host.terminate_owner("u0") == len(expected) == 4
+        assert terminated == expected
+        assert scan("u0") == [] and host.terminate_owner("u0") == 0
+        assert len(scan("u1")) == len(scan("u2")) == 4
+        host.crash(now=1.0)
+        assert host.terminate_owner("u1") == 0
+        host.recover()
+        host.launch(Container(Middlebox("m"), owner="u1"), now=2.0)
+        assert host.terminate_owner("u1") == 1
+        assert host.container_count == 0
+
     def test_paper_scalability_claim_many_users_per_host(self):
         """With 6 MB per container an 8 GB host fits >1000 subscribers —
         the §3.3 feasibility argument."""
