@@ -56,6 +56,55 @@ def test_bench_micro_event_loop_with_cancellations(benchmark):
     assert sim.cancelled_pending == 0
 
 
+def test_bench_micro_event_loop_steady_depth(benchmark):
+    """20k events through a heap held at 512 pending, each event
+    rescheduling itself: the depth and shape ``steady_mix`` runs at
+    (a preloaded heap that only drains never sifts this deep)."""
+    depth, total = 512, 20_000
+
+    def run():
+        sim = Simulator()
+        left = [total - depth]
+
+        def tick():
+            if left[0] > 0:
+                left[0] -= 1
+                sim.schedule(1e-3, tick)
+
+        for i in range(depth):
+            sim.schedule(i * 1e-6, tick)
+        assert sim.pending_events == depth
+        sim.run()
+        return sim.processed_events
+
+    assert benchmark(run) == total
+
+
+def test_event_heap_orders_without_python_comparisons(monkeypatch):
+    """A 10k-event run makes no Python-level comparison: the heap holds
+    tuples the C ``heapq`` orders natively, and the unique sequence
+    number settles every tie before the ``Event`` handle is reached."""
+    import collections
+
+    from repro.netsim.events import Event
+
+    calls = collections.Counter()
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__"):
+        def hook(self, other, _name=name, _inherited=getattr(Event, name)):
+            calls[_name] += 1
+            return _inherited(self, other)
+
+        monkeypatch.setattr(Event, name, hook)
+
+    sim = Simulator()
+    for i in range(10_000):
+        # Eight instants and two priorities: ties all the way down.
+        sim.schedule((i % 8) * 1e-3, lambda: None, priority=i % 2)
+    sim.run()
+    assert sim.processed_events == 10_000
+    assert not calls, dict(calls)
+
+
 def test_netsim_hot_structures_are_slotted():
     """The per-event allocation guard: Event and Packet carry no
     per-instance ``__dict__`` (reduced allocation, fixed layout)."""
@@ -69,8 +118,15 @@ def test_netsim_hot_structures_are_slotted():
         assert not hasattr(hot, "__dict__"), type(hot).__name__
         with pytest.raises(AttributeError):
             hot.not_a_field = 1
-    # Slotting must not have broken heap ordering or copy helpers.
-    assert Event(0.0, 0, 0, lambda: None) < Event(0.0, 1, 1, lambda: None)
+    # What the heap really holds: a plain tuple keyed ahead of the
+    # handle, ordered by the C tuple comparison.
+    sim = Simulator()
+    data = sim.schedule(0.0, lambda: None, priority=1)
+    ctrl = sim.schedule(0.0, lambda: None, priority=0)
+    entries = sorted(sim._queue)
+    assert all(type(entry) is tuple for entry in entries)
+    assert [entry[3] for entry in entries] == [ctrl, data]
+    assert entries[0][:3] == (ctrl.time, ctrl.priority, ctrl.sequence)
     assert packet.copy().five_tuple() == packet.five_tuple()
 
 

@@ -1,8 +1,15 @@
 """Event records for the discrete-event simulator.
 
-Events are ordered by (time, priority, sequence).  The sequence number
-makes ordering total and deterministic: two events scheduled for the
-same instant fire in the order they were scheduled.
+Events fire in ``(time, priority, sequence)`` order.  The sequence
+number makes ordering total and deterministic: two events scheduled for
+the same instant fire in the order they were scheduled.
+
+The simulator's heap does not hold :class:`Event` objects directly but
+``(time, priority, sequence, event)`` tuples, which the C ``heapq``
+orders without calling back into Python.  ``sequence`` is unique per
+simulator, so a tuple comparison is always decided by the third element
+at the latest and never reaches the handle: :class:`Event` defines no
+ordering, and its ``callback``/``args`` payloads need not be comparable.
 """
 
 from __future__ import annotations
@@ -25,12 +32,13 @@ class EventPriority(enum.IntEnum):
     BACKGROUND = 2
 
 
-@dataclasses.dataclass(order=True, slots=True)
+@dataclasses.dataclass(eq=False, slots=True)
 class Event:
-    """A single scheduled callback.
+    """The handle to a single scheduled callback.
 
-    Comparison uses only ``(time, priority, sequence)`` so events are
-    heap-orderable regardless of their callback payloads.  The class is
+    ``time``, ``priority`` and ``sequence`` record where the event sits
+    in the firing order; the simulator orders its heap on a tuple of
+    the same three values, never on the handle itself.  The class is
     slotted: events are the hottest allocation in the simulator, and a
     fixed layout drops the per-event ``__dict__``.
     """
@@ -38,13 +46,13 @@ class Event:
     time: float
     priority: int
     sequence: int
-    callback: Callable[..., None] = dataclasses.field(compare=False)
-    args: tuple[Any, ...] = dataclasses.field(compare=False, default=())
-    cancelled: bool = dataclasses.field(compare=False, default=False)
+    callback: Callable[..., None]
+    args: tuple[Any, ...] = ()
+    cancelled: bool = False
     #: Set by the owning simulator so it can count live tombstones and
     #: trigger heap compaction (see ``Simulator.queue_compaction``).
     on_cancel: Callable[["Event"], None] | None = dataclasses.field(
-        compare=False, default=None, repr=False,
+        default=None, repr=False,
     )
 
     def cancel(self) -> None:
@@ -54,7 +62,3 @@ class Event:
         self.cancelled = True
         if self.on_cancel is not None:
             self.on_cancel(self)
-
-    def fire(self) -> None:
-        """Invoke the callback (the simulator calls this)."""
-        self.callback(*self.args)

@@ -36,11 +36,15 @@ class LinkStats:
 
 
 class _Direction:
-    """Serialisation state for one direction of a link."""
+    """One direction of a link: where it delivers and its serialisation
+    state.  Built once per link so the per-packet path resolves nothing."""
 
-    def __init__(self) -> None:
-        self.busy_until = 0.0
+    __slots__ = ("peer", "stats", "busy_until", "shaper")
+
+    def __init__(self, peer: "Node") -> None:
+        self.peer = peer
         self.stats = LinkStats()
+        self.busy_until = 0.0
         self.shaper: TokenBucket | None = None
 
 
@@ -83,6 +87,13 @@ class Link:
             raise ConfigurationError(f"loss_rate must be in [0,1), got {loss_rate}")
         if max_queue_delay is not None and max_queue_delay < 0:
             raise ConfigurationError("max_queue_delay must be >= 0")
+        if a is b or a.name == b.name:
+            # Nodes index their links by peer name; two ends that share
+            # one would also share a direction's queue and counters.
+            raise ConfigurationError(
+                f"a link needs two distinctly named endpoints, got "
+                f"{a.name!r} twice"
+            )
         self.a = a
         self.b = b
         self.latency = float(latency)
@@ -92,27 +103,34 @@ class Link:
         self.max_queue_delay = max_queue_delay
         self.name = name or f"{a.name}<->{b.name}"
         self.up = True
-        self._directions = {a.name: _Direction(), b.name: _Direction()}
+        self._from_a = _Direction(peer=b)
+        self._from_b = _Direction(peer=a)
         a.attach_link(self)
         b.attach_link(self)
 
     # -- wiring ----------------------------------------------------------
 
+    def _direction(self, from_node: "Node") -> _Direction:
+        """The direction leaving ``from_node``, matched by identity."""
+        if from_node is self.a:
+            return self._from_a
+        if from_node is self.b:
+            return self._from_b
+        raise ConfigurationError(
+            f"{from_node.name} is not attached to {self.name}"
+        )
+
     def other_end(self, node: "Node") -> "Node":
         """The peer of ``node`` on this link."""
-        if node is self.a:
-            return self.b
-        if node is self.b:
-            return self.a
-        raise ConfigurationError(f"{node.name} is not attached to {self.name}")
+        return self._direction(node).peer
 
     def set_shaper(self, from_node: "Node", shaper: TokenBucket | None) -> None:
         """Install (or clear) a shaper on the ``from_node`` -> peer direction."""
-        self._directions[from_node.name].shaper = shaper
+        self._direction(from_node).shaper = shaper
 
     def stats_from(self, node: "Node") -> LinkStats:
         """Delivery counters for the direction leaving ``node``."""
-        return self._directions[node.name].stats
+        return self._direction(node).stats
 
     def take_down(self) -> None:
         """Fail the link: every in-flight transmit attempt is lost."""
@@ -142,44 +160,53 @@ class Link:
         direction's ``busy_until``), propagation, then random loss.
         Delivery schedules ``peer.receive(packet, self)``.
         """
-        sim = from_node.sim
-        peer = self.other_end(from_node)
-        direction = self._directions[from_node.name]
-        direction.stats.sent += 1
+        if from_node is self.a:
+            direction = self._from_a
+        elif from_node is self.b:
+            direction = self._from_b
+        else:
+            direction = self._direction(from_node)  # raises the typed error
+        stats = direction.stats
+        stats.sent += 1
 
         if not self.up:
-            direction.stats.lost += 1
+            stats.lost += 1
             packet.mark_dropped(f"link {self.name} is down")
             return
 
+        sim = from_node.sim
+        now = sim.now
+        busy_until = direction.busy_until
+
         # Drop-tail on bounded buffers: a packet that would wait longer
         # than the buffer holds is dropped at enqueue time.
-        if self.max_queue_delay is not None:
-            backlog = direction.busy_until - sim.now
-            if backlog > self.max_queue_delay:
-                direction.stats.lost += 1
-                packet.mark_dropped(f"buffer overflow on {self.name}")
-                return
+        if (self.max_queue_delay is not None
+                and busy_until - now > self.max_queue_delay):
+            stats.lost += 1
+            packet.mark_dropped(f"buffer overflow on {self.name}")
+            return
 
-        start = max(sim.now, direction.busy_until)
+        start = busy_until if busy_until > now else now
         if direction.shaper is not None:
             start += direction.shaper.delay_for(packet.size, start)
-        tx_done = start + transmission_delay(packet.size, self.bandwidth_bps)
+        # Same expression as ``units.transmission_delay``, minus its
+        # re-check of a bandwidth the constructor already validated.
+        tx_done = start + (packet.size * 8.0) / self.bandwidth_bps
         direction.busy_until = tx_done
 
         if self.loss_rate > 0 and self._loss_rng.random() < self.loss_rate:
-            direction.stats.lost += 1
+            stats.lost += 1
             packet.mark_dropped(f"loss on {self.name}")
             return
 
-        arrival = tx_done + self.latency
+        sim.schedule_at(tx_done + self.latency, self._deliver,
+                        stats, direction.peer, packet)
 
-        def _deliver() -> None:
-            direction.stats.delivered += 1
-            direction.stats.bytes_delivered += packet.size
-            peer.receive(packet, self)
-
-        sim.schedule_at(arrival, _deliver)
+    def _deliver(self, stats: LinkStats, peer: "Node", packet: Packet) -> None:
+        """Arrival at the far end of one direction."""
+        stats.delivered += 1
+        stats.bytes_delivered += packet.size
+        peer.receive(packet, self)
 
 
 def link_rtt(path_links: list[Link], size_bytes: int = 40) -> float:

@@ -26,6 +26,17 @@ from repro.errors import SchedulingInPastError, SimulationError
 from repro.netsim.events import Event, EventPriority
 
 
+#: One heap entry.  The C ``heapq`` compares these tuples natively; the
+#: unique ``sequence`` decides every tie before the handle is reached.
+#: Both ``schedule`` methods build their entry in line, and pass the
+#: handle's fields positionally: a shared helper or a keyword call
+#: costs a tenth of an event's whole schedule-to-fire time.
+_Entry = tuple[float, int, int, Event]
+
+_INF = float("inf")
+_NORMAL = int(EventPriority.NORMAL)
+
+
 class Simulator:
     """A deterministic discrete-event simulator.
 
@@ -41,7 +52,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: list[Event] = []
+        self._queue: list[_Entry] = []
         self._sequence = 0
         self._running = False
         self._processed = 0
@@ -77,37 +88,51 @@ class Simulator:
         delay: float,
         callback: Callable[..., None],
         *args: Any,
-        priority: int = EventPriority.NORMAL,
+        priority: int = _NORMAL,
     ) -> Event:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now.
 
         Returns the :class:`Event`, whose :meth:`~Event.cancel` method
         can be used to retract it before it fires.
         """
-        if delay < 0:
-            raise SchedulingInPastError(
-                f"negative delay {delay!r} at t={self._now}"
-            )
-        return self.schedule_at(self._now + delay, callback, *args,
-                                priority=priority)
+        # One chained comparison rejects negative, NaN and infinite
+        # delays alike (every comparison with NaN is false).
+        if not 0 <= delay < _INF:
+            if delay < 0:
+                raise SchedulingInPastError(
+                    f"negative delay {delay!r} at t={self._now}"
+                )
+            raise SimulationError(f"non-finite delay {delay!r}")
+        time = float(self._now + delay)
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        priority = int(priority)
+        event = Event(time, priority, sequence, callback, args, False,
+                      self._note_cancel)
+        heapq.heappush(self._queue, (time, priority, sequence, event))
+        return event
 
     def schedule_at(
         self,
         time: float,
         callback: Callable[..., None],
         *args: Any,
-        priority: int = EventPriority.NORMAL,
+        priority: int = _NORMAL,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
-        if time < self._now:
-            raise SchedulingInPastError(
-                f"cannot schedule at t={time} (now is t={self._now})"
-            )
-        event = Event(time=float(time), priority=int(priority),
-                      sequence=self._sequence, callback=callback, args=args,
-                      on_cancel=self._note_cancel)
-        self._sequence += 1
-        heapq.heappush(self._queue, event)
+        if not self._now <= time < _INF:
+            if time < self._now:
+                raise SchedulingInPastError(
+                    f"cannot schedule at t={time} (now is t={self._now})"
+                )
+            raise SimulationError(f"non-finite event time {time!r}")
+        time = float(time)
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        priority = int(priority)
+        event = Event(time, priority, sequence, callback, args, False,
+                      self._note_cancel)
+        heapq.heappush(self._queue, (time, priority, sequence, event))
         return event
 
     # -- tombstone management ---------------------------------------------
@@ -115,11 +140,11 @@ class Simulator:
     def _note_cancel(self, event: Event) -> None:
         """Account one cancellation; compact when tombstones dominate.
 
-        Long chaos runs retract far more events than they fire (retry
-        timers, lease renewals); without a bound the heap would grow
-        with every *cancelled* event too.  Compaction triggers lazily
-        when over half the heap is tombstones, so the amortized cost
-        per cancellation stays O(log n).
+        Without a bound the heap would grow with every *cancelled*
+        event too.  Compaction triggers lazily when over half the heap
+        is tombstones, so the amortized cost per cancellation stays
+        O(log n).  (Nothing under ``src/`` cancels an event today; the
+        path is exercised by the tests and the micro-benchmarks.)
         """
         self._cancelled_pending += 1
         if (len(self._queue) >= self.COMPACTION_FLOOR
@@ -131,9 +156,12 @@ class Simulator:
 
         Event ordering is total — ``(time, priority, sequence)`` — so
         re-heapifying the survivors preserves the exact firing order.
+        The heap list is *rebound*, not edited in place: a loop that
+        pops from it must re-read ``self._queue`` every turn.
         """
         before = len(self._queue)
-        self._queue = [e for e in self._queue if not e.cancelled]
+        self._queue = [entry for entry in self._queue
+                       if not entry[3].cancelled]
         heapq.heapify(self._queue)
         removed = before - len(self._queue)
         self._cancelled_pending = 0
@@ -146,13 +174,13 @@ class Simulator:
     def step(self) -> bool:
         """Fire the next pending event.  Returns False if none remain."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[3]
             if event.cancelled:
                 self._cancelled_pending -= 1
                 continue
             self._now = event.time
             self._processed += 1
-            event.fire()
+            event.callback(*event.args)
             return True
         return False
 
@@ -167,20 +195,37 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
         self._running = True
-        fired = 0
         try:
+            if until is None and max_events is None:
+                # The drain loop: one turn per event.  A callback may
+                # cancel events and so trigger a compaction, which
+                # rebinds ``self._queue`` -- hence no local alias.
+                pop = heapq.heappop
+                while self._queue:
+                    event = pop(self._queue)[3]
+                    if event.cancelled:
+                        self._cancelled_pending -= 1
+                        continue
+                    self._now = event.time
+                    self._processed += 1
+                    event.callback(*event.args)
+                return
+            fired = 0
             while self._queue:
                 if max_events is not None and fired >= max_events:
                     return
-                head = self._queue[0]
-                if head.cancelled:
+                time, _, _, event = self._queue[0]
+                if event.cancelled:
                     heapq.heappop(self._queue)
                     self._cancelled_pending -= 1
                     continue
-                if until is not None and head.time > until:
+                if until is not None and time > until:
                     break
-                self.step()
+                heapq.heappop(self._queue)
+                self._now = time
+                self._processed += 1
                 fired += 1
+                event.callback(*event.args)
             if until is not None and until > self._now:
                 self._now = until
         finally:
