@@ -22,7 +22,10 @@ import datetime
 import json
 import os
 import pathlib
+import platform
 import sys
+
+import numpy
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -61,11 +64,13 @@ def main() -> int:
     document = {
         "experiment": "E23",
         "recorded": datetime.date.today().isoformat(),
-        "host_note": (
-            f"single-process numbers; os.cpu_count()=={os.cpu_count()} "
-            "container. Wall-clock rows vary run to run; the bench "
-            "suite asserts ratios and shape, not absolutes."
-        ),
+        # Single-process numbers.  Wall-clock rows vary run to run;
+        # the bench suite asserts ratios and shape, not absolutes.
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+        },
         "parity_10k": {
             "devices": 10_000,
             "digests_match": parity["digests_match"],

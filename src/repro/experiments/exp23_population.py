@@ -33,7 +33,10 @@ protocol — not just disjoint worlds — is partition-independent.
 Fluid rates also feed the closed observability loop:
 :meth:`repro.core.deployment.telemetry.TelemetryFeed.watch_fluid`
 samples per-cell carried rates into ``optimizer.report_load`` exactly
-like datapath packet taps.
+like datapath packet taps.  Each measured run ends with one
+:meth:`~repro.netsim.fluid.HybridPopulationEngine.publish`, which folds
+the engine's lifetime counters and flow-table occupancy into the
+``repro.obs`` registry when observability is on.
 """
 
 from __future__ import annotations
@@ -125,6 +128,8 @@ def measure_mode(
     start = time.perf_counter()
     engine.run(spec.horizon)
     wall = time.perf_counter() - start
+    # Outside the timed region; a no-op unless observability is on.
+    engine.publish(engine.sim.now)
     device_seconds = spec.devices * spec.horizon
     out = {
         "mode": mode,

@@ -12,9 +12,17 @@ epochs + policy packets) instead of O(packets).
 
 Flow state lives in a struct-of-array table
 (:class:`~repro.netsim.soa.SoaTable`): rate, byte carry, remaining
-packets, owning cell, and device are parallel ``numpy`` columns, so a
-tick advances the whole population with vector arithmetic instead of
-per-packet object churn.
+packets, owning cell, device, and destination are parallel ``numpy``
+columns, so a tick advances the whole population with vector
+arithmetic instead of per-packet object churn.  Flows also *enter and
+leave* the table a tick at a time: the workload hands over a
+:class:`FlowBatch` of columns, admitted with one
+:meth:`~repro.netsim.soa.SoaTable.allocate_many`, and a tick's
+finished flows are retired with one
+:meth:`~repro.netsim.soa.SoaTable.release_many`.  A
+:class:`HybridFlow` object exists only for the flows something reads
+it from: leaky flows (their leak positions), and every flow when the
+run materializes packets (``MODE_PACKET`` or a ``punt_hook``).
 
 Two modes share **identical progress arithmetic** (the same vectorized
 per-tick budget/emission computation), so their policy-relevant
@@ -54,7 +62,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,6 +72,7 @@ from repro.netsim.events import EventPriority
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.soa import SoaTable
+from repro.obs import runtime as obs_runtime
 
 MODE_FLUID = "fluid"
 MODE_PACKET = "packet"
@@ -96,6 +105,56 @@ class HybridFlow:
     leak_types: tuple[str, ...] = ()
     dst_device: int = -1
     host: str = "app.example.com"
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class FlowBatch:
+    """Flows to admit together, as parallel columns.
+
+    The columns are what admission writes into the flow table;
+    ``flow_at(i)`` builds row ``i``'s full :class:`HybridFlow` for the
+    consumers that need the object, and must agree with the columns
+    (``leaky[i]`` is whether that flow has any ``leak_packets``).
+    Iterating yields those objects, and two batches are equal when
+    they yield equal flows.
+    """
+
+    device: np.ndarray
+    seq: np.ndarray
+    n_packets: np.ndarray
+    cap_bps: np.ndarray
+    https: np.ndarray
+    leaky: np.ndarray
+    dst_device: np.ndarray
+    flow_at: Callable[[int], HybridFlow]
+
+    @classmethod
+    def of(cls, flows: Sequence[HybridFlow]) -> "FlowBatch":
+        """The batch that admits ``flows``, in order."""
+        return cls(
+            device=np.array([f.device for f in flows], dtype=np.int64),
+            seq=np.array([f.seq for f in flows], dtype=np.int64),
+            n_packets=np.array([f.n_packets for f in flows],
+                               dtype=np.int64),
+            cap_bps=np.array([f.cap_bps for f in flows], dtype=np.float64),
+            https=np.array([f.https for f in flows], dtype=np.bool_),
+            leaky=np.array([bool(f.leak_packets) for f in flows],
+                           dtype=np.bool_),
+            dst_device=np.array([f.dst_device for f in flows],
+                                dtype=np.int64),
+            flow_at=flows.__getitem__,
+        )
+
+    def __len__(self) -> int:
+        return len(self.device)
+
+    def __iter__(self) -> Iterator[HybridFlow]:
+        return map(self.flow_at, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FlowBatch):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 # -- max-min fair shares ------------------------------------------------------
@@ -172,8 +231,15 @@ class PolicyLedger:
         self.records: list[tuple] | None = [] if keep_records else None
 
     def bump(self, kind: str, n: int = 1) -> None:
-        """Count ``n`` events of ``kind`` without a record."""
-        self.counts[kind] = self.counts.get(kind, 0) + n
+        """Count ``n`` events of ``kind`` without a record.
+
+        ``n == 0`` creates no key: a batch with no event of a kind
+        leaves ``counts`` as if it had never been asked.
+        """
+        if n < 0:
+            raise ValueError("cannot count a negative number of events")
+        if n:
+            self.counts[kind] = self.counts.get(kind, 0) + n
 
     def record(self, kind: str, *fields) -> None:
         """Account one event; fields must be plain ints/strs (no times)."""
@@ -274,8 +340,9 @@ class HybridPopulationEngine:
         self.flows = SoaTable({
             "rate": "f8", "carry": "f8", "cap": "f8",
             "remaining": "i8", "emitted": "i8",
-            "cell": "i8", "device": "i8", "seq": "i8",
+            "cell": "i8", "device": "i8", "seq": "i8", "dst": "i8",
             "next_leak": "i8", "leak_pos": "i8",
+            # The HybridFlow, or None for a flow nothing reads it from.
             "spec": "obj",
         })
         self.cell_count = np.zeros(self.n_cells, dtype=np.int64)
@@ -325,18 +392,29 @@ class HybridPopulationEngine:
 
     def detach(self, device: int, k: int = 0) -> None:
         """Detach a device, aborting its live flows (epoch for its cell)."""
-        device = int(device)
-        if not self._attached[device]:
-            self.ledger.bump("detach_noop")
-            return
-        self._attached[device] = False
-        self.ledger.record("detach", device, int(k))
-        emitted = self.flows.col("emitted")
-        for slot in sorted(self._device_flows.get(device, ())):
-            spec = self.flows.col("spec")[slot]
-            self.ledger.record("flow_abort", device, spec.seq,
-                               int(emitted[slot]))
-            self._close_flow(slot, spec, completed=False)
+        self.detach_many([(device, k)])
+
+    def detach_many(self, detaches: Iterable[tuple[int, int]]) -> None:
+        """Detach ``(device, k)`` pairs in order.
+
+        The live flows of all of them are aborted as one batch.
+        """
+        seq_col = self.flows.col("seq")
+        emitted_col = self.flows.col("emitted")
+        aborted: list[int] = []
+        for device, k in detaches:
+            device = int(device)
+            if not self._attached[device]:
+                self.ledger.bump("detach_noop")
+                continue
+            self._attached[device] = False
+            self.ledger.record("detach", device, int(k))
+            for slot in sorted(self._device_flows.get(device, ())):
+                self.ledger.record("flow_abort", device, int(seq_col[slot]),
+                                   int(emitted_col[slot]))
+                aborted.append(slot)
+        if aborted:
+            self._retire(np.array(aborted, dtype=np.int64), completed=False)
 
     def migrate(self, device: int, new_cell: int, k: int = 0) -> None:
         """Move a device (and its live flows) to another cell."""
@@ -362,35 +440,74 @@ class HybridPopulationEngine:
 
     def open_flow(self, spec: HybridFlow) -> int | None:
         """Admit one flow; returns its slot (None if device detached)."""
-        device = int(spec.device)
-        if not self._attached[device]:
-            self.ledger.record("flow_refused", device, spec.seq)
-            return None
-        cell = int(self._device_cell[device])
-        slot = self.flows.allocate(
-            rate=0.0, carry=0.0, cap=spec.cap_bps / 8.0,
-            remaining=spec.n_packets, emitted=0,
-            cell=cell, device=device, seq=spec.seq,
-            next_leak=spec.leak_packets[0] if spec.leak_packets else NO_LEAK,
-            leak_pos=0, spec=spec,
+        slots = self.admit(FlowBatch.of([spec]))
+        return int(slots[0]) if slots.size else None
+
+    def admit(self, batch: FlowBatch) -> np.ndarray:
+        """Admit a batch of flows column to column; returns their slots.
+
+        A flow whose device is not attached is refused (one
+        ``flow_refused`` record, no slot).
+        """
+        n = len(batch)
+        device = batch.device
+        if not self._attached[device].all():
+            if n == 1:
+                self.ledger.record("flow_refused", int(device[0]),
+                                   int(batch.seq[0]))
+                return np.zeros(0, dtype=np.int64)
+            # The compiled schedule never opens a flow on a detached
+            # device; a hand-built batch that does goes one by one.
+            return np.concatenate(
+                [self.admit(FlowBatch.of([spec])) for spec in batch])
+        if n == 0:
+            return np.zeros(0, dtype=np.int64)
+        punt = self.punt_hook
+        leaky = np.nonzero(batch.leaky)[0].tolist()
+        if punt is not None or self.mode == MODE_PACKET:
+            # Every flow is materialized as packets: all need the object.
+            specs = list(batch)
+        else:
+            # Only a leaky flow's object is read (its leak positions).
+            specs = [None] * n
+            for i in leaky:
+                specs[i] = batch.flow_at(i)
+        next_leak = np.full(n, NO_LEAK, dtype=np.int64)
+        if leaky:
+            next_leak[leaky] = [specs[i].leak_packets[0] for i in leaky]
+        cell = self._device_cell[device]
+        slots = self.flows.allocate_many(
+            n, rate=0.0, carry=0.0, cap=batch.cap_bps / 8.0,
+            remaining=batch.n_packets, emitted=0,
+            cell=cell, device=device, seq=batch.seq, dst=batch.dst_device,
+            next_leak=next_leak, leak_pos=0, spec=specs,
         )
-        self.cell_count[cell] += 1
+        self.cell_count += np.bincount(cell, minlength=self.n_cells)
         self.cell_dirty[cell] = True
-        self._device_flows.setdefault(device, set()).add(slot)
-        self.flows_opened += 1
-        self.ledger.record("flow_open", device, spec.seq,
-                           spec.n_packets, cell)
-        if spec.https:
-            # The TLS handshake is policy-relevant: materialize it.
-            self.ledger.record("tls", device, spec.seq)
-            self.policy_packets += 1
-            if self.punt_hook is not None:
-                self.punt_hook(self._materialize(spec, 0, handshake=True))
-        elif self.punt_hook is not None:
-            # First packet of a new five-tuple: the megaflow miss that
-            # punts to the full pipeline.
-            self.punt_hook(self._materialize(spec, 0))
-        return slot
+        device_flows = self._device_flows
+        for owner, slot in zip(device.tolist(), slots.tolist()):
+            device_flows.setdefault(owner, set()).add(slot)
+        self.flows_opened += n
+        # The TLS handshake is policy-relevant: one packet per flow.
+        handshakes = int(np.count_nonzero(batch.https))
+        self.policy_packets += handshakes
+        if self.ledger.keep_records or punt is not None:
+            for i, (owner, seq, n_packets, home, https) in enumerate(zip(
+                    device.tolist(), batch.seq.tolist(),
+                    batch.n_packets.tolist(), cell.tolist(),
+                    batch.https.tolist())):
+                self.ledger.record("flow_open", owner, seq, n_packets, home)
+                if https:
+                    self.ledger.record("tls", owner, seq)
+                if punt is not None:
+                    # First packet of a new five-tuple: the megaflow
+                    # miss that punts to the full pipeline (for HTTPS,
+                    # the handshake).
+                    punt(self._materialize(specs[i], 0, handshake=https))
+        else:
+            self.ledger.bump("flow_open", n)
+            self.ledger.bump("tls", handshakes)
+        return slots
 
     def audit_probe(self, device: int, k: int = 0) -> None:
         """One auditor probe through the device's cell (event-simulated)."""
@@ -470,14 +587,12 @@ class HybridPopulationEngine:
         (so a same-tick flow still opens before its device leaves).
         """
         self.attach_many(batch.attach_devices, batch.attach_cells)
-        for spec in batch.flows:
-            self.open_flow(spec)
+        self.admit(batch.flows)
         for device, new_cell, k in batch.migrates:
             self.migrate(device, new_cell, k)
         for device, k in batch.probes:
             self.audit_probe(device, k)
-        for device, k in batch.detaches:
-            self.detach(device, k)
+        self.detach_many(batch.detaches)
 
     # -- the per-tick core -------------------------------------------------
 
@@ -564,8 +679,8 @@ class HybridPopulationEngine:
         """Materialize leak packets whose byte offset was crossed.
 
         Only flows whose next pending leak index dropped below the new
-        emitted count are touched — a vectorized select, then a short
-        Python loop over the (rare) hits.
+        emitted count are touched — a vectorized select, then a Python
+        loop over the hits (leaky flows only, ≈8 % of the bench mix).
         """
         next_leak = self.flows.col("next_leak")
         emitted_after = emit_b + n
@@ -598,24 +713,30 @@ class HybridPopulationEngine:
 
     def _complete_fluid(self, now, boundary, live, n, carry_b, r,
                         finished):
+        """Retire the flows that finished this tick, as one batch."""
         done = np.nonzero(finished)[0]
         if done.size == 0:
             return
-        specs = self.flows.col("spec")
-        for i in done.tolist():
-            slot = int(live[i])
-            spec = specs[slot]
-            self.ledger.record("flow_complete", spec.device, spec.seq,
-                               spec.n_packets)
-            if self.ledger.keep_records:
-                # Clamp to the boundary float exactly like the packet
-                # path clamps its last-packet event, or the two modes'
-                # completion instants diverge by 1 ULP on flows that
-                # finish precisely at a tick edge.
-                instant = min(now + float(
-                    (n[i] * self._mtu_f - carry_b[i]) / r[i]), boundary)
-                self.completion_times[(spec.device, spec.seq)] = instant
-            self._close_flow(slot, spec, completed=True)
+        slots = live[done]
+        if self.ledger.keep_records:
+            # Clamp to the boundary float exactly like the packet
+            # path clamps its last-packet event, or the two modes'
+            # completion instants diverge by 1 ULP on flows that
+            # finish precisely at a tick edge.
+            instants = np.minimum(
+                now + (n[done] * self._mtu_f - carry_b[done]) / r[done],
+                boundary)
+            # A finished flow has emitted all its packets.
+            for device, seq, n_packets, instant in zip(
+                    self.flows.col("device")[slots].tolist(),
+                    self.flows.col("seq")[slots].tolist(),
+                    self.flows.col("emitted")[slots].tolist(),
+                    instants.tolist()):
+                self.ledger.record("flow_complete", device, seq, n_packets)
+                self.completion_times[(device, seq)] = instant
+        else:
+            self.ledger.bump("flow_complete", done.size)
+        self._retire(slots, completed=True)
 
     def _policy_packet(self, spec: HybridFlow, pkt_index: int,
                        leak_type: str) -> None:
@@ -671,7 +792,8 @@ class HybridPopulationEngine:
             if self.ledger.keep_records:
                 self.completion_times[(spec.device, spec.seq)] = self.sim.now
             if self.flows.is_current(slot, generation):
-                self._close_flow(slot, spec, completed=True)
+                self._retire(np.array([slot], dtype=np.int64),
+                             completed=True)
 
     # -- shared plumbing ---------------------------------------------------
 
@@ -720,25 +842,40 @@ class HybridPopulationEngine:
         if violation:
             self.ledger.bump("pii_violation")
 
-    def _close_flow(self, slot: int, spec: HybridFlow,
-                    completed: bool) -> None:
-        cell = int(self.flows.col("cell")[slot])
-        self.cell_count[cell] -= 1
+    def _retire(self, slots: np.ndarray, completed: bool) -> None:
+        """Take live flows out of the table (completed or aborted)."""
+        table = self.flows
+        cell = table.col("cell")[slots]
+        self.cell_count -= np.bincount(cell, minlength=self.n_cells)
         self.cell_dirty[cell] = True
-        flows = self._device_flows.get(spec.device)
-        if flows is not None:
-            flows.discard(slot)
-            if not flows:
-                del self._device_flows[spec.device]
-        self.flows.release(slot)
+        device = table.col("device")[slots]
+        device_flows = self._device_flows
+        for owner, slot in zip(device.tolist(), slots.tolist()):
+            owned = device_flows[owner]
+            owned.discard(slot)
+            if not owned:
+                del device_flows[owner]
         if completed:
-            self.flows_completed += 1
-            if spec.dst_device >= 0:
-                self.outbox.append((spec.dst_device, (
-                    "xflow", spec.device, spec.dst_device, spec.seq,
-                    spec.n_packets, len(spec.leak_packets))))
+            self.flows_completed += slots.size
+            dst = table.col("dst")[slots]
+            cross = dst >= 0
+            if cross.any():
+                crossing = slots[cross]
+                specs = table.col("spec")
+                # A completed flow has emitted all its packets, and a
+                # flow without an object has no leaks.
+                for slot, src, to, seq, n_packets in zip(
+                        crossing.tolist(), device[cross].tolist(),
+                        dst[cross].tolist(),
+                        table.col("seq")[crossing].tolist(),
+                        table.col("emitted")[crossing].tolist()):
+                    spec = specs[slot]
+                    self.outbox.append((to, (
+                        "xflow", src, to, seq, n_packets,
+                        len(spec.leak_packets) if spec is not None else 0)))
         else:
-            self.flows_aborted += 1
+            self.flows_aborted += slots.size
+        table.release_many(slots)
 
     # -- telemetry taps ----------------------------------------------------
 
@@ -767,3 +904,31 @@ class HybridPopulationEngine:
             "packets_total": self.packets_total,
             "active_flows": len(self.flows),
         }
+
+    def publish(self, now: float = 0.0) -> None:
+        """Fold the counters and flow-table occupancy into ``repro.obs``.
+
+        Called at the end of a run, never per tick; with observability
+        off it does nothing.  Table occupancy is published here rather
+        than added to :meth:`counters`, whose key set is hashed into
+        recorded digests.
+        """
+        obs = obs_runtime.current()
+        if obs is None:
+            return
+        totals = self.counters()
+        active = totals.pop("active_flows")
+        obs.metrics.fold_totals(
+            "repro_fluid_events", "Fluid-engine lifetime totals",
+            ("mode",), {"mode": self.mode}, totals, extra_label="event")
+        table = self.flows
+        for name, help_text, value in (
+                ("repro_fluid_active_flows", "Live flows", active),
+                ("repro_fluid_table_high_water",
+                 "Peak live flows in the flow table", table.high_water),
+                ("repro_fluid_table_capacity",
+                 "Allocated flow-table rows", table.capacity),
+                ("repro_fluid_table_grows",
+                 "Times the flow table doubled", table.grows)):
+            obs.metrics.gauge(name, help_text, ("mode",)).labels(
+                mode=self.mode).set(float(value))

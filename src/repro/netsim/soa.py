@@ -17,8 +17,17 @@ consumers (e.g. an in-flight packet event firing after its flow was
 torn down) capture ``(slot, generation)`` and check
 :meth:`~SoaTable.is_current` before touching columns.
 
+Rows also come and go a batch at a time:
+:meth:`~SoaTable.allocate_many` claims ``n`` slots and fills each
+column from a vector, :meth:`~SoaTable.release_many` returns a vector
+of slots.  Both are defined by the scalar calls — ``allocate_many(n)``
+returns the slots ``n`` successive ``allocate()`` calls would, and
+leaves the free list, generations and growth exactly as they would —
+so slot numbering never depends on which form admitted a row.  Both
+are all-or-nothing: a bad argument raises before anything changes.
+
 Columns grow by doubling; callers must re-read column references via
-:meth:`~SoaTable.col` after any ``allocate`` that may have grown the
+:meth:`~SoaTable.col` after any allocation that may have grown the
 table (the engine reads columns once per tick, which is safe because
 the population only changes at tick boundaries).
 """
@@ -67,6 +76,8 @@ class SoaTable:
         self._free: list[int] = list(range(self._capacity - 1, -1, -1))
         self._live = 0
         self.high_water = 0
+        #: Times the columns were doubled (a capacity-planning signal).
+        self.grows = 0
 
     # -- shape -----------------------------------------------------------
 
@@ -94,6 +105,7 @@ class SoaTable:
         self._generation = generation
         self._free.extend(range(new - 1, old - 1, -1))
         self._capacity = new
+        self.grows += 1
 
     # -- row lifecycle ---------------------------------------------------
 
@@ -125,6 +137,79 @@ class SoaTable:
         for column in self._objects.values():
             column[slot] = None
         self._free.append(slot)
+
+    def allocate_many(self, n: int, **columns) -> np.ndarray:
+        """Claim ``n`` slots, filling each named column from a vector.
+
+        A numeric column takes a length-``n`` array or a scalar
+        (broadcast); an object column takes a length-``n`` sequence.
+        Returns the slots in the order ``n`` successive
+        :meth:`allocate` calls would have returned them.
+        """
+        if n < 0:
+            raise ValueError("cannot allocate a negative number of rows")
+        for name, values in columns.items():
+            if name in self._numeric:
+                if np.ndim(values) == 0:
+                    continue
+            elif name not in self._objects:
+                raise KeyError(f"no column {name!r}")
+            if len(values) != n:
+                raise ValueError(
+                    f"column {name!r} has {len(values)} values for {n} rows")
+        free = self._free
+        if n <= len(free):
+            taken = free[len(free) - n:]
+            del free[len(free) - n:]
+            taken.reverse()
+        else:
+            # Scalar allocation drains the free list, then each growth
+            # hands out its new slots in ascending order.
+            taken = free[::-1]
+            first_new = self._capacity
+            fresh = n - len(taken)
+            while self._capacity < first_new + fresh:
+                self._grow()
+            taken.extend(range(first_new, first_new + fresh))
+            free[:] = range(self._capacity - 1, first_new + fresh - 1, -1)
+        slots = np.array(taken, dtype=np.int64)
+        self._alive[slots] = True
+        self._live += n
+        self.high_water = max(self.high_water, self._live)
+        for name, values in columns.items():
+            if name in self._numeric:
+                self._numeric[name][slots] = values
+            else:
+                column = self._objects[name]
+                for slot, value in zip(taken, values):
+                    column[slot] = value
+        return slots
+
+    def release_many(self, slots) -> None:
+        """Return ``slots`` to the free list, in argument order."""
+        slots = np.asarray(slots, dtype=np.int64)
+        if slots.ndim != 1:
+            raise ValueError("slots must be one-dimensional")
+        if slots.size == 0:
+            return
+        ordered = np.sort(slots)
+        if ordered[0] < 0 or ordered[-1] >= self._capacity:
+            raise KeyError(
+                f"slots {int(ordered[0])}..{int(ordered[-1])} out of range")
+        if not self._alive[slots].all():
+            dead = int(slots[~self._alive[slots]][0])
+            raise KeyError(f"slot {dead} is not live")
+        if (ordered[1:] == ordered[:-1]).any():
+            # One slot twice on the free list would later alias two rows.
+            raise KeyError("duplicate slot in one release")
+        self._alive[slots] = False
+        self._generation[slots] += 1
+        self._live -= slots.size
+        released = slots.tolist()
+        for column in self._objects.values():
+            for slot in released:
+                column[slot] = None
+        self._free.extend(released)
 
     def generation(self, slot: int) -> int:
         """The slot's current generation (captured by async consumers)."""

@@ -22,9 +22,13 @@ randomness:
   ``(tick, device, k)``; :meth:`PopulationWorkload.tick_events` is a
   pair of ``searchsorted`` slices per tick.
 
-Flow *contents* (size, kind, PII leaks, cross-shard destination) are
-derived lazily per flow from the same keyed hash, so the 10^6-device
-sweep never materializes specs for flows that a shard doesn't own.
+Flow *contents* (size, kind, HTTPS, leak gate, cross-shard
+destination) are derived from the same keyed hash as bulk columns, for
+the flows this shard owns; a tick's flows reach the engine as a
+:class:`~repro.netsim.fluid.FlowBatch` of slices of those columns.
+Only the variable-length leak details, and the
+:class:`~repro.netsim.fluid.HybridFlow` object itself, are derived
+lazily — for the flows whose object something reads.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import math
 
 import numpy as np
 
-from repro.netsim.fluid import PII_TYPES, HybridFlow
+from repro.netsim.fluid import PII_TYPES, FlowBatch, HybridFlow
 from repro.netsim.randomness import derive_seed
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -110,7 +114,7 @@ class TickBatch:
 
     attach_devices: np.ndarray
     attach_cells: np.ndarray
-    flows: list
+    flows: FlowBatch
     migrates: list[tuple[int, int, int]]
     probes: list[tuple[int, int]]
     detaches: list[tuple[int, int]]
@@ -356,11 +360,16 @@ class PopulationWorkload:
         probe_devices, probe_ks = self._slice(self._probes, index)
         detach_devices, detach_ks = self._slice(self._detaches, index)
         cells = self.spec.cells
+        flows = slice(flow_lo, flow_hi)
         return TickBatch(
             attach_devices=attach_devices,
             attach_cells=self.cells[attach_devices],
-            flows=[self._flow_at(position)
-                   for position in range(flow_lo, flow_hi)],
+            flows=FlowBatch(
+                device=self._flows[1][flows], seq=self._flows[2][flows],
+                n_packets=self._n_packets[flows], cap_bps=self._cap[flows],
+                https=self._https[flows], leaky=self._leaky[flows],
+                dst_device=self._dst[flows],
+                flow_at=lambda i: self._flow_at(flow_lo + i)),
             migrates=[
                 (int(d), int(_mix_int(self._flow_base ^ (d * _WEYL + k))
                              % max(1, cells)), int(k))

@@ -10,21 +10,27 @@ completion agreement is exact, not approximate; the asserted tolerance
 (one tick) is the documented contract, the measured gap is 0.0.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
+from repro.experiments.exp23_population import measure_mode
 from repro.netsim import Simulator
 from repro.netsim.fluid import (
     MODE_FLUID,
     MODE_PACKET,
     NO_LEAK,
+    FlowBatch,
     HybridFlow,
     HybridPopulationEngine,
     PolicyLedger,
     max_min_fair_share,
     waterfill,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.workloads.population import PopulationSpec, PopulationWorkload
 
 TICK = 0.1
@@ -116,6 +122,34 @@ class TestPolicyLedger:
         with pytest.raises(ValueError):
             ledger.digest()
 
+    def test_bump_of_zero_mints_no_key_and_negative_is_refused(self):
+        ledger = PolicyLedger(keep_records=False)
+        ledger.bump("tls", 0)
+        assert ledger.counts == {}
+        ledger.bump("tls", 2)
+        ledger.bump("tls", 0)
+        assert ledger.counts == {"tls": 2}
+        with pytest.raises(ValueError):
+            ledger.bump("tls", -1)
+        assert ledger.counts == {"tls": 2}
+
+    @settings(max_examples=50, deadline=None)
+    @given(ticks=st.lists(st.lists(st.booleans(), max_size=6), max_size=8))
+    def test_batch_driven_counts_equal_flow_by_flow_counts(self, ticks):
+        # Each inner list is one tick's flows (True = HTTPS); ticks
+        # with no flow, or no HTTPS flow, must leave no zero-valued key.
+        batched = PolicyLedger(keep_records=False)
+        scalar = PolicyLedger(keep_records=False)
+        for flows in ticks:
+            batched.bump("flow_open", len(flows))
+            batched.bump("tls", sum(flows))
+            for https in flows:
+                scalar.record("flow_open", 0, 0, 1, 0)
+                if https:
+                    scalar.record("tls", 0, 0)
+        assert batched.counts == scalar.counts
+        assert list(batched.counts) == list(scalar.counts)
+
 
 # -- engine unit behavior -----------------------------------------------------
 
@@ -125,11 +159,73 @@ def flow(device=0, seq=0, n_packets=4, cap_bps=1e6, **kwargs):
                       cap_bps=cap_bps, **kwargs)
 
 
+class TestFlowBatch:
+    def test_of_round_trips_flows_and_their_columns(self):
+        flows = [flow(device=2, seq=1, https=True, dst_device=5),
+                 flow(device=0, seq=4, n_packets=9, cap_bps=32e3,
+                      leak_packets=(3,), leak_types=("email",))]
+        batch = FlowBatch.of(flows)
+        assert len(batch) == 2
+        assert list(batch) == flows
+        assert batch.device.tolist() == [2, 0]
+        assert batch.seq.tolist() == [1, 4]
+        assert batch.n_packets.tolist() == [4, 9]
+        assert batch.cap_bps.tolist() == [1e6, 32e3]
+        assert batch.https.tolist() == [True, False]
+        assert batch.leaky.tolist() == [False, True]
+        assert batch.dst_device.tolist() == [5, -1]
+
+    def test_equality_is_by_the_flows_denoted(self):
+        flows = [flow(device=1), flow(device=2, https=True)]
+        assert FlowBatch.of(flows) == FlowBatch.of(list(flows))
+        assert FlowBatch.of(flows) != FlowBatch.of(flows[:1])
+        assert FlowBatch.of(flows) != FlowBatch.of(flows[::-1])
+        assert FlowBatch.of([]) == FlowBatch.of([])
+        assert FlowBatch.of(flows) != flows
+
+
 class TestEngineLifecycle:
     def test_flow_refused_for_detached_device(self):
         engine = make_engine()
         assert engine.open_flow(flow(device=3)) is None
         assert engine.ledger.count("flow_refused") == 1
+
+    def test_batch_with_a_detached_device_refuses_only_that_flow(self):
+        engine = make_engine()
+        engine.attach_many(np.array([1, 2]), np.array([0, 1]))
+        slots = engine.admit(FlowBatch.of([
+            flow(device=1), flow(device=5, seq=3), flow(device=2)]))
+        assert len(slots) == engine.active_flows == 2
+        assert engine.ledger.records.count(("flow_refused", 5, 3)) == 1
+        assert engine.counters()["flows_opened"] == 2
+        assert engine.flows.col("device")[slots].tolist() == [1, 2]
+
+    def test_object_kept_only_for_flows_something_reads_it_from(self):
+        plain = flow(device=0, seq=0)
+        leaky = flow(device=1, seq=0, leak_packets=(2,),
+                     leak_types=("email",))
+        for kwargs, keeps_plain in (({}, False),
+                                    ({"mode": MODE_PACKET}, True),
+                                    ({"punt_hook": lambda p: None}, True)):
+            engine = make_engine(**kwargs)
+            attach_all(engine)
+            a, b = engine.admit(FlowBatch.of([plain, leaky])).tolist()
+            specs = engine.flows.col("spec")
+            assert specs[b] == leaky
+            assert specs[a] == (plain if keeps_plain else None)
+
+    def test_detach_many_retires_all_aborted_flows_in_order(self):
+        engine = make_engine()
+        attach_all(engine)
+        slots = engine.admit(FlowBatch.of(
+            [flow(device=d, seq=d, n_packets=10**6) for d in (3, 1, 3)]))
+        engine.detach_many([(3, 0), (6, 0), (1, 0), (3, 1)])
+        assert engine.active_flows == 0
+        assert engine.flows._free[-3:] == sorted(
+            slots[[0, 2]].tolist()) + [int(slots[1])]
+        assert engine.counters()["flows_aborted"] == 3
+        assert engine.ledger.count("detach") == 3
+        assert engine.ledger.count("detach_noop") == 1
 
     def test_detach_aborts_live_flows_with_emitted_count(self):
         engine = make_engine()
@@ -198,6 +294,55 @@ class TestEngineLifecycle:
 
     def test_no_leak_sentinel_sorts_after_any_packet_index(self):
         assert NO_LEAK > 10**9
+
+
+class TestPublish:
+    def run_small(self):
+        engine = run_mode(MODE_FLUID, churn_spec(devices=40), 3)
+        engine.publish(engine.sim.now)
+        return engine
+
+    def test_folds_counters_and_table_occupancy_into_the_registry(self):
+        with obs.enabled() as handle:
+            engine = self.run_small()
+            metrics = handle.metrics
+            counters = engine.counters()
+            assert counters["flows_opened"] > 0
+            for event in ("ticks", "epochs", "flows_opened",
+                          "flows_completed", "policy_packets"):
+                assert metrics.value(
+                    "repro_fluid_events", mode=MODE_FLUID,
+                    event=event) == counters[event]
+            table = engine.flows
+            for name, expected in (
+                    ("repro_fluid_active_flows", len(table)),
+                    ("repro_fluid_table_high_water", table.high_water),
+                    ("repro_fluid_table_capacity", table.capacity),
+                    ("repro_fluid_table_grows", table.grows)):
+                assert metrics.value(name, mode=MODE_FLUID) == expected
+            assert table.high_water > 0
+        # Occupancy went to the registry, not into the digested dict.
+        assert "high_water" not in counters and "grows" not in counters
+
+    def test_e23_publishes_each_measured_run(self):
+        with obs.enabled() as handle:
+            measured = measure_mode(churn_spec(devices=40), 3, MODE_FLUID)
+            assert handle.metrics.value(
+                "repro_fluid_events", mode=MODE_FLUID,
+                event="ticks") == measured["counters"]["ticks"] > 0
+
+    def test_observability_off_publishes_and_imports_nothing(
+            self, monkeypatch):
+        assert obs.current() is None
+        touched = []
+        for name in ("fold_totals", "gauge", "counter"):
+            monkeypatch.setattr(
+                MetricsRegistry, name,
+                lambda *args, **kwargs: touched.append(args))
+        modules = set(sys.modules)
+        self.run_small()
+        assert not touched
+        assert set(sys.modules) == modules
 
 
 class TestFluidCompletion:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.netsim.fluid import PII_TYPES
+from repro.netsim.fluid import PII_TYPES, FlowBatch
 from repro.workloads.population import (
     FLOW_KINDS,
     PopulationSpec,
@@ -41,6 +41,21 @@ def all_batches(workload):
 def all_flows(workload):
     return [flow for batch in all_batches(workload)
             for flow in batch.flows]
+
+
+#: The columns of a FlowBatch and the HybridFlow field each one carries.
+FLOW_COLUMNS = {
+    "device": lambda f: f.device, "seq": lambda f: f.seq,
+    "n_packets": lambda f: f.n_packets, "cap_bps": lambda f: f.cap_bps,
+    "https": lambda f: f.https, "leaky": lambda f: bool(f.leak_packets),
+    "dst_device": lambda f: f.dst_device,
+}
+
+
+def flow_rows(batch):
+    """A FlowBatch's columns as one tuple per flow."""
+    return list(zip(*(getattr(batch, name).tolist()
+                      for name in FLOW_COLUMNS)))
 
 
 class TestDeterminism:
@@ -82,6 +97,24 @@ class TestScalarVectorAgreement:
             reference = workload.flow_spec(flow.device, flow.seq)
             assert dataclasses.astuple(flow) == (
                 dataclasses.astuple(reference))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_batch_columns_carry_what_the_flow_objects_say(self, seed):
+        # The engine admits from the columns and builds the object only
+        # for some flows, so the two must never disagree.
+        workload = PopulationWorkload(spec(devices=60), seed=seed,
+                                      tick=TICK)
+        for batch in all_batches(workload):
+            flows = list(batch.flows)
+            assert isinstance(batch.flows, FlowBatch)
+            assert len(batch.flows) == len(flows)
+            assert flows == [batch.flows.flow_at(i)
+                             for i in range(len(flows))]
+            assert flow_rows(batch.flows) == [
+                tuple(field(flow) for field in FLOW_COLUMNS.values())
+                for flow in flows]
+            assert batch.flows == FlowBatch.of(flows)
 
     def test_flow_attribute_domains(self):
         workload = PopulationWorkload(spec(), seed=5, tick=TICK)
@@ -126,6 +159,9 @@ class TestShardInvariance:
             assert sorted(
                 merged, key=lambda f: (f.device, f.seq)) == sorted(
                 batch.flows, key=lambda f: (f.device, f.seq))
+            assert sorted(row for part in parts
+                          for row in flow_rows(part.flows)) == sorted(
+                flow_rows(batch.flows))
             assert sorted(m for part in parts
                           for m in part.migrates) == sorted(
                 batch.migrates)
