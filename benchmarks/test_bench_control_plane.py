@@ -13,7 +13,11 @@ of the 1k/5k/10k sweep plus the shard speedup, seeding the perf
 trajectory.
 """
 
+from repro.core.device import Device
+from repro.core.provider import AccessProvider
+from repro.core.session import PvnSession, default_pvnc
 from repro.experiments import exp18_control_plane
+from repro.nfv.hypervisor import HostCapacity
 
 
 def test_bench_e18_control_plane(run_once):
@@ -52,3 +56,27 @@ def test_cached_attach_throughput_flat_in_occupancy():
     # Generous noise allowance: 40x more devices may cost at most 3x
     # throughput; the baseline degrades ~26x over the same range.
     assert large >= small / 3.0, result.metrics
+
+
+def _route_searches_for(devices: int) -> int:
+    """Dijkstra runs while ``devices`` real clients join one provider."""
+    env = PvnSession.build(seed=0).device.env
+    provider = AccessProvider(
+        "isp", seed=0,
+        nfv_capacity=HostCapacity(memory_bytes=10**12, cpu_cores=10**6))
+    for i in range(devices):
+        device = Device(f"u{i}", f"aa:bb:cc:00:00:{i:02x}", env)
+        device.attach(provider, ap=f"ap{i % 2}")
+        device.establish_pvn([provider], default_pvnc(f"u{i}"))
+    return provider.topo.searches
+
+
+def test_attach_runs_no_graph_search():
+    """A device is a pendant node: its routes are its AP's plus one
+    hop, and attaching it leaves the route table standing (DESIGN.md
+    §9).  So the searches an access network ever runs are set by its
+    core, not by how many devices joined — a deterministic count, where
+    the throughput bars above are wall-clock."""
+    few, many = _route_searches_for(20), _route_searches_for(200)
+    assert few == many, (few, many)
+    assert many <= 40

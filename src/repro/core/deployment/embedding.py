@@ -80,6 +80,7 @@ class EmbeddingIndex:
         self.hits = 0
         self.misses = 0
         self._memo: dict[tuple, tuple[tuple, PlacementPlan]] = {}
+        self._memo_version = topo.version
 
     def _feasible(self, memory_bytes: int, cpu_share: float) -> frozenset[str]:
         probe = PlacementRequest(
@@ -114,6 +115,12 @@ class EmbeddingIndex:
         dst: str,
         prefer_reuse: bool,
     ) -> PlacementPlan:
+        if self._memo_version != self.topo.version:
+            # Every snapshot holds the version it was taken at, so no
+            # entry from an older one can validate again: without this
+            # the memo gains one dead entry per attached device.
+            self._memo.clear()
+            self._memo_version = self.topo.version
         key = (src, dst, prefer_reuse, requests)
         snapshot = self._snapshot(requests)
         entry = self._memo.get(key)

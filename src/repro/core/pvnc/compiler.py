@@ -259,26 +259,7 @@ def policy_digest(pvnc: Pvnc) -> bytes:
     and because the cache must also key on constraints, which shape
     validation.
     """
-    blob = json.dumps(
-        {
-            "modules": [
-                [m.service, list(m.params), m.source, m.allow_physical_reuse]
-                for m in pvnc.modules
-            ],
-            "rules": [
-                [r.traffic_class, list(r.pipeline), r.terminal]
-                for r in pvnc.class_rules
-            ],
-            "constraints": [
-                list(pvnc.constraints.required_services),
-                list(pvnc.constraints.preferred_services),
-                pvnc.constraints.max_price,
-                pvnc.constraints.max_added_latency,
-            ],
-        },
-        sort_keys=True,
-    ).encode()
-    return hashlib.sha256(blob).digest()
+    return pvnc.policy_digest
 
 
 def _count_cache(result: str) -> None:

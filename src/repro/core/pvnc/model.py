@@ -185,7 +185,11 @@ class Pvnc:
 
         Pipelines, module declarations, and constraint references are
         all trimmed consistently, so the result revalidates cleanly.
+        Nothing dropped is this same frozen instance, digests and all:
+        the provider then compiles the object the device compiled.
         """
+        if not dropped:
+            return self
         modules = tuple(m for m in self.modules if m.service not in dropped)
         rules = tuple(
             dataclasses.replace(
@@ -214,22 +218,44 @@ class Pvnc:
         """A stable content hash; attestations sign this."""
         return self._digest
 
+    def _content(self) -> dict:
+        """What both digests cover: the modules and the class rules."""
+        return {
+            "modules": [
+                [m.service, list(m.params), m.source, m.allow_physical_reuse]
+                for m in self.modules
+            ],
+            "rules": [
+                [r.traffic_class, list(r.pipeline), r.terminal]
+                for r in self.class_rules
+            ],
+        }
+
     @functools.cached_property
     def _digest(self) -> bytes:
         # Once per instance: the fields are frozen, and
         # ``dataclasses.replace`` builds a new instance (new digest).
         blob = json.dumps(
+            {"user": self.user, "name": self.name, **self._content()},
+            sort_keys=True,
+        ).encode()
+        return hashlib.sha256(blob).digest()
+
+    @functools.cached_property
+    def policy_digest(self) -> bytes:
+        """Content hash of everything but the user, constraints
+        included: the compile cache's sharing key
+        (:func:`~repro.core.pvnc.compiler.policy_digest`).  Once per
+        instance, like the attestation digest."""
+        constraints = self.constraints
+        blob = json.dumps(
             {
-                "user": self.user,
-                "name": self.name,
-                "modules": [
-                    [m.service, list(m.params), m.source,
-                     m.allow_physical_reuse]
-                    for m in self.modules
-                ],
-                "rules": [
-                    [r.traffic_class, list(r.pipeline), r.terminal]
-                    for r in self.class_rules
+                **self._content(),
+                "constraints": [
+                    list(constraints.required_services),
+                    list(constraints.preferred_services),
+                    constraints.max_price,
+                    constraints.max_added_latency,
                 ],
             },
             sort_keys=True,

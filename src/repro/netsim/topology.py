@@ -18,6 +18,8 @@ tunneling baselines.
 from __future__ import annotations
 
 import dataclasses
+from heapq import heappop, heappush
+from math import inf
 from typing import Iterable
 
 import networkx as nx
@@ -31,9 +33,11 @@ from repro.units import transmission_delay
 NODE_KINDS = {"host", "ap", "switch", "nfv", "gateway", "server", "middlebox"}
 
 
-def _usable_latency(a: str, b: str, data: dict) -> float | None:
-    """Routing weight: a link taken down is invisible (``None``)."""
-    return None if data.get("down") else data["latency"]
+def _partitioned(ends: tuple[str, str]) -> ConfigurationError:
+    return ConfigurationError(
+        f"no usable path {ends[0]!r} -> {ends[1]!r} "
+        "(network partitioned by down links)"
+    )
 
 
 class PhysicalTopology:
@@ -46,20 +50,14 @@ class PhysicalTopology:
         #: link up/down).  Embedding caches validate against it so a
         #: memoized placement can never survive a topology change.
         self.version = 0
-        # The route table: answers computed at ``_table_version``,
-        # dropped wholesale the first time a query sees ``version``
-        # has moved.  Nothing is ever carried across a bump — even a
-        # new leaf can change networkx's pick among equal-cost paths
-        # between *other* nodes (DESIGN.md §9).
-        self._table_version = 0
+        #: Dijkstra runs so far: one per route-table miss.
+        self.searches = 0
+        # The route table holds routes between nodes of degree >= 2
+        # only.  Such a route ignores pendant nodes (DESIGN.md §9), so
+        # it survives a fresh node and that node's first link; every
+        # other routing-affecting mutation drops the table.
         self._routes: dict[tuple[str, str], tuple[str, ...]] = {}
         self._kinds: dict[tuple[str, bool], tuple[str, ...]] = {}
-
-    def _sync_tables(self) -> None:
-        if self._table_version != self.version:
-            self._routes = {}
-            self._kinds = {}
-            self._table_version = self.version
 
     # -- construction ------------------------------------------------------
 
@@ -68,6 +66,12 @@ class PhysicalTopology:
             raise ConfigurationError(
                 f"unknown node kind {kind!r}; expected one of {sorted(NODE_KINDS)}"
             )
+        if name in self.graph:          # may change kind: drop it all
+            self._routes.clear()
+            self._kinds.clear()
+        else:
+            self._kinds.pop((kind, True), None)
+            self._kinds.pop((kind, False), None)
         self.graph.add_node(name, kind=kind, **attrs)
         self.version += 1
 
@@ -82,6 +86,10 @@ class PhysicalTopology:
         for endpoint in (a, b):
             if endpoint not in self.graph:
                 raise ConfigurationError(f"unknown node {endpoint!r}")
+        if a == b:
+            raise ConfigurationError(f"link {a!r} <-> {b!r} is a self-loop")
+        if self.graph.adj[a] and self.graph.adj[b]:
+            self._routes.clear()        # not an isolated node's first link
         self.graph.add_edge(
             a, b, latency=latency, bandwidth_bps=bandwidth_bps,
             loss_rate=loss_rate,
@@ -97,7 +105,6 @@ class PhysicalTopology:
                       ) -> list[str]:
         """Nodes of ``kind``; ``include_wide_area=False`` restricts to
         the access network proper (excludes cloud/home NFV sites)."""
-        self._sync_tables()
         key = (kind, include_wide_area)
         names = self._kinds.get(key)
         if names is None:
@@ -112,27 +119,74 @@ class PhysicalTopology:
         """Latency-weighted shortest path (node names, inclusive).
 
         Links taken down by fault injection (:meth:`set_link_down`) are
-        invisible to routing; a partition raises
+        invisible to routing; a partition or an unknown node raises
         :class:`~repro.errors.ConfigurationError`.
 
-        Answered from the route table: one Dijkstra per ``(src, dst)``
-        per :attr:`version`, exactly what a fresh ``nx.shortest_path``
-        returns on the current graph.  Failures are not remembered, and
-        the caller owns the returned list.
+        A degree-1 endpoint is stripped to its neighbour and the route
+        between the remaining endpoints answered from the route table,
+        one :meth:`_search` per miss: exactly what a topology rebuilt
+        from scratch answers, and what networkx answers wherever the
+        shortest path is unique.  Failures are not remembered, and the
+        caller owns the returned list.
         """
-        self._sync_tables()
+        adj = self.graph._adj           # the dict itself: no view per lookup
+        for name in (src, dst):
+            if name not in adj:
+                raise ConfigurationError(f"unknown node {name!r}")
+        ends = (src, dst)
+        head: list[str] = []
+        tail: list[str] = []
+        if src != dst and len(adj[src]) == 1:
+            head, src = [src], self._sole_neighbour(adj[src], ends)
+        if src != dst and len(adj[dst]) == 1:
+            tail, dst = [dst], self._sole_neighbour(adj[dst], ends)
+        if src == dst:
+            return head + [src] + tail
         path = self._routes.get((src, dst))
         if path is None:
-            try:
-                path = tuple(nx.shortest_path(self.graph, src, dst,
-                                              weight=_usable_latency))
-            except nx.NetworkXNoPath:
-                raise ConfigurationError(
-                    f"no usable path {src!r} -> {dst!r} "
-                    "(network partitioned by down links)"
-                ) from None
-            self._routes[(src, dst)] = path
-        return list(path)
+            path = self._routes[(src, dst)] = self._search(src, dst, ends)
+        return head + list(path) + tail
+
+    @staticmethod
+    def _sole_neighbour(links: dict, ends: tuple[str, str]) -> str:
+        (neighbour, link), = links.items()
+        if link.get("down"):
+            raise _partitioned(ends)
+        return neighbour
+
+    def _search(self, src: str, dst: str,
+                ends: tuple[str, str]) -> tuple[str, ...]:
+        """One Dijkstra run, ties broken by the graph alone: relax on
+        strict ``<``, pop equal distances first-pushed-first, scan
+        neighbours in adjacency order.  A pendant node other than
+        ``src``/``dst`` is pushed once and relaxes nothing, so it
+        cannot change the answer."""
+        self.searches += 1
+        adj = self.graph._adj
+        dist = {src: 0.0}
+        pred: dict[str, str] = {}
+        heap = [(0.0, 0, src)]
+        pushed = 1
+        while heap:
+            d, _, node = heappop(heap)
+            if node == dst:
+                path = [dst]
+                while node != src:
+                    node = pred[node]
+                    path.append(node)
+                return tuple(reversed(path))
+            if d > dist[node]:
+                continue                # superseded by a shorter push
+            for neighbour, link in adj[node].items():
+                if link.get("down"):
+                    continue
+                reach = d + link["latency"]
+                if reach < dist.get(neighbour, inf):
+                    dist[neighbour] = reach
+                    pred[neighbour] = node
+                    heappush(heap, (reach, pushed, neighbour))
+                    pushed += 1
+        raise _partitioned(ends)
 
     # -- fault state -------------------------------------------------------
 
@@ -145,10 +199,12 @@ class PhysicalTopology:
     def set_link_down(self, a: str, b: str) -> None:
         """Mark a link failed: routing and embedding avoid it."""
         self._edge(a, b)["down"] = True
+        self._routes.clear()
         self.version += 1
 
     def set_link_up(self, a: str, b: str) -> None:
         self._edge(a, b)["down"] = False
+        self._routes.clear()
         self.version += 1
 
     def link_is_down(self, a: str, b: str) -> bool:

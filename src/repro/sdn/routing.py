@@ -8,9 +8,6 @@ paths that visit the NFV host carrying a PVN's middlebox chain.
 
 from __future__ import annotations
 
-import networkx as nx
-
-from repro.errors import ConfigurationError
 from repro.netsim.topology import PhysicalTopology
 from repro.sdn.actions import Output
 from repro.sdn.controller import Controller
@@ -23,10 +20,7 @@ def shortest_path(topo: PhysicalTopology, src: str, dst: str) -> list[str]:
     Delegates to :meth:`PhysicalTopology.shortest_path` so links taken
     down by fault injection are avoided by routing and placement alike.
     """
-    try:
-        return topo.shortest_path(src, dst)
-    except nx.NodeNotFound as exc:
-        raise ConfigurationError(f"no path {src} -> {dst}: {exc}") from exc
+    return topo.shortest_path(src, dst)
 
 
 def waypointed_path(

@@ -116,6 +116,23 @@ class TestMutationMisses:
                      cache=cache)
         assert cache.misses == 2
 
+    def test_replaced_constraint_gets_its_own_digest(self):
+        """The digest is held on the frozen instance, and
+        ``dataclasses.replace`` builds a new instance: a replaced
+        constraint must not inherit the digest already computed."""
+        cache = CompileCache()
+        original = policy()
+        key = cache.key(original, None, None, None)
+        assert policy_digest(original) is policy_digest(original)
+        replaced = dataclasses.replace(
+            original, constraints=dataclasses.replace(
+                original.constraints, max_price=10.001))
+        assert policy_digest(replaced) != policy_digest(original)
+        assert cache.key(replaced, None, None, None) != key
+        assert cache.key(original, None, None, None) == key
+        same = dataclasses.replace(original, user="bob")
+        assert cache.key(same, None, None, None) == key
+
     def test_class_rule_change_misses(self):
         cache = CompileCache()
         compile_pvnc(policy(), cache=cache)

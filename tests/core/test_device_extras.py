@@ -4,8 +4,10 @@ import pytest
 
 from repro.core import PvnSession, default_pvnc
 from repro.core.device import Device
+from repro.core.provider import AccessProvider
 from repro.core.pvnc import UserEnvironment
 from repro.errors import NegotiationError
+from repro.nfv.hypervisor import HostCapacity
 
 
 class TestRankProviders:
@@ -44,6 +46,27 @@ class TestRankProviders:
     def test_audit_without_connection(self):
         with pytest.raises(NegotiationError):
             self.make_device().audit()
+
+
+class TestAttachPath:
+    def test_embedding_memo_does_not_grow_per_device(self):
+        """Each device is its own topology node, so its memo entry is
+        keyed on a name no later lookup repeats and snapshotted at a
+        ``topo.version`` the next attach leaves behind: dead on
+        arrival.  The index must shed such entries, not keep one per
+        device for the life of the provider."""
+        env = PvnSession.build(seed=0).device.env
+        provider = AccessProvider(
+            "isp", seed=0,
+            nfv_capacity=HostCapacity(memory_bytes=10**12, cpu_cores=10**6))
+        for i in range(300):
+            device = Device(f"u{i}", f"aa:bb:cc:00:{i >> 8:02x}:{i & 255:02x}",
+                            env)
+            device.attach(provider, ap=f"ap{i % 2}")
+            device.establish_pvn([provider], default_pvnc(f"u{i}"))
+        stats = provider.manager.embedding_index.stats()
+        assert stats["entries"] <= 2
+        assert (stats["hits"], stats["misses"]) == (0, 300)
 
 
 class TestSessionFallback:

@@ -84,6 +84,9 @@ class TestModel:
         trimmed = pvnc.without_services({"transcoder"})
         assert trimmed.services == ("pii_detector",)
         assert trimmed.rule_for("video_image").pipeline == ()
+        # Nothing to drop: the same frozen instance, so the provider
+        # compiles (and attests) the object the device already hashed.
+        assert pvnc.without_services(set()) is pvnc
 
     def test_digest_stable_and_sensitive(self):
         a = simple_pvnc()

@@ -1,12 +1,15 @@
-"""The version-scoped route table == a fresh computation, always.
+"""The route table == a cold recomputation, always.
 
-``PhysicalTopology.shortest_path`` and ``nodes_of_kind`` answer from
-tables dropped whenever ``topo.version`` moves.  They are pure
+``PhysicalTopology.shortest_path`` answers routes between nodes of
+degree >= 2 from a table that survives pendant attaches, and
+``nodes_of_kind`` from one dropped per kind added.  Both are pure
 optimisations: after *any* sequence of mutations, for every node pair,
-the answer must be exactly what a fresh ``nx.shortest_path`` / node
-scan returns on the same graph.  Latencies here are small integers so
-equal-cost ties — where a stale or carried-over entry would show —
-are the common case.
+the answer must be exactly what a cold topology rebuilt from the same
+mutation history gives — and ``nx.shortest_path`` (the bidirectional
+search ``src/`` no longer calls) wherever the shortest path is unique.
+Latencies here are small integers, so sums are exact and equal-cost
+ties — where a stale entry, or a tie-break that looks at pendant nodes,
+would show — are the common case.
 
 The second half pins placement: ``place_chain`` scores candidates with
 an incremental :class:`~repro.sdn.routing.StretchWalk`; the
@@ -46,14 +49,69 @@ MAX_NODES = 9
 # -- the oracle: nothing remembered, everything from the graph ---------------
 
 
-def fresh_path(topo: PhysicalTopology, src: str, dst: str) -> list[str]:
-    def weight(a, b, data):
-        return None if data.get("down") else data["latency"]
+def _recorded(name):
+    def mutator(self, *args, **kwargs):
+        result = getattr(PhysicalTopology, name)(self, *args, **kwargs)
+        self.history.append((name, args, kwargs))
+        return result
+    return mutator
 
+
+class RecordedTopology(PhysicalTopology):
+    """A topology that remembers how it was built, so a cold twin —
+    same graph, same adjacency order, empty tables — can be replayed."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.history = []
+
+    add_node = _recorded("add_node")
+    add_link = _recorded("add_link")
+    set_link_down = _recorded("set_link_down")
+    set_link_up = _recorded("set_link_up")
+    set_link_loss = _recorded("set_link_loss")
+
+    def cold(self) -> PhysicalTopology:
+        twin = PhysicalTopology()
+        for name, args, kwargs in self.history:
+            getattr(twin, name)(*args, **kwargs)
+        return twin
+
+
+def cold_twin(topo: PhysicalTopology) -> PhysicalTopology:
+    if isinstance(topo, RecordedTopology):
+        return topo.cold()
+    # No history to replay: share the graph object itself, because a
+    # ``graph.copy()`` may reorder adjacency, which breaks ties.
+    twin = PhysicalTopology()
+    twin.graph = topo.graph
+    return twin
+
+
+def usable_latency(a, b, data):
+    return None if data.get("down") else data["latency"]
+
+
+def fresh_path(topo: PhysicalTopology, src: str, dst: str) -> list[str]:
+    return cold_twin(topo).shortest_path(src, dst)
+
+
+def assert_networkx_agrees(topo: PhysicalTopology, src: str, dst: str,
+                           path: list[str] | None) -> None:
+    """``path`` is one of the shortest paths, and where there is only
+    one it is what the bidirectional search picks too.  For integer
+    latencies only: float sums that tie under one association and not
+    under another make "unique" depend on which end a search starts."""
     try:
-        return nx.shortest_path(topo.graph, src, dst, weight=weight)
+        tied = list(nx.all_shortest_paths(
+            topo.graph, src, dst, weight=usable_latency))
     except nx.NetworkXNoPath:
-        raise ConfigurationError(f"partitioned {src} {dst}") from None
+        assert path is None
+        return
+    assert path in tied
+    if len(tied) == 1:
+        assert path == nx.shortest_path(
+            topo.graph, src, dst, weight=usable_latency)
 
 
 def fresh_nodes_of_kind(topo: PhysicalTopology, kind: str,
@@ -65,16 +123,29 @@ def fresh_nodes_of_kind(topo: PhysicalTopology, kind: str,
     )
 
 
+def all_routes(topo: PhysicalTopology) -> dict:
+    routes = {}
+    for src in topo.graph.nodes:
+        for dst in topo.graph.nodes:
+            try:
+                routes[src, dst] = topo.shortest_path(src, dst)
+            except ConfigurationError:
+                routes[src, dst] = None
+    return routes
+
+
 def assert_tables_fresh(topo: PhysicalTopology) -> None:
     """Every pair and every kind, asked twice (the second answer comes
     from the table), vandalising each returned list in between."""
+    cold = cold_twin(topo)
     nodes = list(topo.graph.nodes)
     for src in nodes:
         for dst in nodes:
             try:
-                expected = fresh_path(topo, src, dst)
+                expected = cold.shortest_path(src, dst)
             except ConfigurationError:
                 expected = None
+            assert_networkx_agrees(topo, src, dst, expected)
             for _ in range(2):
                 if expected is None:
                     with pytest.raises(ConfigurationError):
@@ -104,7 +175,7 @@ tie_latency = st.integers(min_value=1, max_value=3)
 class RouteTableMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
-        self.topo = PhysicalTopology()
+        self.topo = RecordedTopology()
         self.topo.add_node("s0", kind="switch")
         self.topo.add_node("ap0", kind="ap")
         self.topo.add_link("s0", "ap0", 1, 1e9)
@@ -133,6 +204,11 @@ class RouteTableMachine(RuleBasedStateMachine):
         self.topo.add_node(self._fresh_name("n"), kind=kind, **attrs)
         assert self.topo.version > before
 
+    @rule(i=index, kind=st.sampled_from(KINDS), wide=st.booleans())
+    def re_add_node(self, i, kind, wide):
+        # An existing name: its kind (and wide_area flag) may change.
+        self.topo.add_node(self._node(i), kind=kind, wide_area=wide)
+
     @rule(a=index, b=index, latency=tie_latency)
     def add_link(self, a, b, latency):
         a, b = self._node(a), self._node(b)
@@ -145,9 +221,9 @@ class RouteTableMachine(RuleBasedStateMachine):
     @precondition(_room)
     @rule(i=index, latency=tie_latency)
     def attach_device(self, i, latency):
-        aps = self.topo.nodes_of_kind("ap")
+        # Anywhere, not just APs: onto a leaf, an island, a core node.
         attach_device(self.topo, self._fresh_name("dev"),
-                      ap=aps[i % len(aps)], latency=latency)
+                      ap=self._node(i), latency=latency)
 
     @rule(i=index)
     def set_link_down(self, i):
@@ -169,7 +245,7 @@ class RouteTableMachine(RuleBasedStateMachine):
         assert self.topo.version == before
 
     @invariant()
-    def tables_equal_a_fresh_computation(self):
+    def tables_equal_a_cold_computation(self):
         assert_tables_fresh(self.topo)
 
 
@@ -182,9 +258,9 @@ TestRouteTableMachine = RouteTableMachine.TestCase
 # -- units -------------------------------------------------------------------
 
 
-def tie_graph() -> PhysicalTopology:
+def tie_graph() -> RecordedTopology:
     """Two equal-cost n0 -> n3 routes (via n5 and via n1, both 5)."""
-    topo = PhysicalTopology()
+    topo = RecordedTopology()
     for i in range(6):
         topo.add_node(f"n{i}", kind="ap")
     for a, b, latency in (("n0", "n2", 2), ("n3", "n5", 2), ("n2", "n5", 1),
@@ -193,24 +269,182 @@ def tie_graph() -> PhysicalTopology:
     return topo
 
 
+def access_tree() -> RecordedTopology:
+    """core -- ap, with devices d0 and d1 on the AP; core has a second
+    link (to gw) so it is not pendant itself."""
+    topo = RecordedTopology()
+    topo.add_node("core", kind="switch")
+    topo.add_node("gw", kind="gateway")
+    topo.add_node("ap", kind="ap")
+    topo.add_link("core", "gw", 2, 1e9)
+    topo.add_link("ap", "core", 2, 1e9)
+    for name in ("d0", "d1"):
+        attach_device(topo, name, ap="ap", latency=1)
+    return topo
+
+
+@st.composite
+def tie_worlds(draw):
+    """A random graph with small-integer latencies, some links down."""
+    topo = RecordedTopology()
+    n = draw(st.integers(2, 7))
+    for i in range(n):
+        topo.add_node(f"n{i}", kind=draw(st.sampled_from(KINDS)))
+    for _ in range(draw(st.integers(0, 12))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if a != b:
+            topo.add_link(f"n{a}", f"n{b}", draw(tie_latency), 1e9)
+    links = sorted(topo.graph.edges)
+    if links:
+        for a, b in draw(st.lists(st.sampled_from(links), max_size=2)):
+            topo.set_link_down(a, b)
+    return topo
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_worlds(), st.lists(st.tuples(index, tie_latency),
+                              min_size=1, max_size=6))
+def test_leaf_attaches_move_no_existing_route(topo, leaves):
+    """Attach k leaves anywhere — onto core nodes, islands, other
+    leaves: every pre-existing pair keeps its route (or its partition),
+    and pairs that were in the table cost no new search."""
+    before = all_routes(topo)
+    tabled = [pair for pair in topo._routes]
+    for k, (i, latency) in enumerate(leaves):
+        nodes = list(topo.graph.nodes)
+        attach_device(topo, f"leaf{k}", ap=nodes[i % len(nodes)],
+                      latency=latency)
+    searches = topo.searches
+    for src, dst in tabled:
+        assert topo.shortest_path(src, dst) == before[src, dst]
+    assert topo.searches == searches
+    after = all_routes(topo)
+    assert {pair: after[pair] for pair in before} == before
+    assert_tables_fresh(topo)
+
+
 class TestRouteTable:
-    def test_leaf_attach_may_reroute_other_pairs(self):
-        """Why no entry outlives a version, not even across a leaf
-        attach: the new leaf's extra fringe push shifts networkx's
-        tie-break between the two equal-cost n0 -> n3 routes."""
+    def test_leaf_attach_moves_no_existing_route(self):
+        """PR 13's pinned graph, where a leaf on n0 flipped the
+        bidirectional search's pick between the two equal-cost
+        n0 -> n3 routes.  The owned search never looks past a pendant
+        node, so the route stands, table entry and all."""
         topo = tie_graph()
-        assert_tables_fresh(topo)       # every pair is in the table
+        assert_tables_fresh(topo)       # every core pair is in the table
         before = topo.shortest_path("n0", "n3")
+        assert before in (["n0", "n2", "n5", "n3"], ["n0", "n2", "n1", "n3"])
+        everything = all_routes(topo)
         attach_device(topo, "leaf", ap="n0", latency=1)
-        after = topo.shortest_path("n0", "n3")
-        assert after == fresh_path(topo, "n0", "n3")
+        searches = topo.searches
+        assert topo.shortest_path("n2", "n3") == before[1:]
+        assert topo.searches == searches            # answered from the table
+        # n0 was pendant itself (n2 -> n3 plus a hop); with the leaf it
+        # has degree 2 and is searched from — to the same route.
+        assert topo.shortest_path("n0", "n3") == before
+        assert topo.searches == searches + 1
+        assert topo.cold().shortest_path("n0", "n3") == before
+        assert topo.shortest_path("leaf", "n3") == ["leaf"] + before
+        assert topo.searches == searches + 1        # never stored per device
+        after = all_routes(topo)
+        assert {pair: after[pair] for pair in everything} == everything
         assert_tables_fresh(topo)
-        if after == before:
-            pytest.skip("this networkx breaks the tie the same way "
-                        "with and without the leaf")
-        assert {tuple(before), tuple(after)} == {
-            ("n0", "n2", "n5", "n3"), ("n0", "n2", "n1", "n3"),
-        }
+
+    @pytest.mark.parametrize("latency", [1, 0])
+    def test_equal_cost_tie_goes_to_the_first_found_route(self, latency):
+        """The tie-break is the graph's own: of two equal-cost routes
+        the one through the earlier-linked neighbour stands (FIFO pops
+        it first, strict ``<`` keeps it) — zero-latency links included,
+        where ``<=`` would walk back into a settled node."""
+        topo = RecordedTopology()
+        for name in "abcd":
+            topo.add_node(name, kind="switch")
+        for a, b in (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")):
+            topo.add_link(a, b, latency, 1e9)
+        assert topo.shortest_path("a", "d") == ["a", "b", "d"]
+        assert topo.shortest_path("d", "a") == ["d", "b", "a"]
+        attach_device(topo, "leaf", ap="c", latency=latency)
+        assert topo.shortest_path("d", "a") == ["d", "b", "a"]
+        assert topo.cold().shortest_path("a", "d") == ["a", "b", "d"]
+
+    def test_pendant_endpoints_are_stripped(self):
+        topo = access_tree()
+        core_route = topo.shortest_path("ap", "gw")
+        assert core_route == ["ap", "core", "gw"]
+        searches = topo.searches
+        assert topo.shortest_path("d0", "gw") == ["d0"] + core_route
+        assert topo.shortest_path("gw", "d0") == ["gw", "core", "ap", "d0"]
+        assert topo.shortest_path("d0", "d1") == ["d0", "ap", "d1"]
+        assert topo.shortest_path("d0", "ap") == ["d0", "ap"]
+        assert topo.shortest_path("ap", "d0") == ["ap", "d0"]
+        assert topo.shortest_path("d0", "d0") == ["d0"]
+        # gw is pendant too: gw -> d0 is core -> ap between two strips,
+        # so the only search since was that one.
+        assert topo.searches == searches + 1
+        assert not any("d0" in pair or "d1" in pair for pair in topo._routes)
+        assert_tables_fresh(topo)
+
+    def test_two_node_component(self):
+        """Each other's only neighbour: the strip must not recurse."""
+        topo = access_tree()
+        topo.add_node("x", kind="switch")
+        topo.add_node("y", kind="switch")
+        topo.add_link("x", "y", 1, 1e9)
+        assert topo.shortest_path("x", "y") == ["x", "y"]
+        assert topo.shortest_path("y", "x") == ["y", "x"]
+        for lost in ("gw", "d0", "ap"):
+            for _ in range(2):
+                with pytest.raises(ConfigurationError, match="partitioned"):
+                    topo.shortest_path("x", lost)
+                with pytest.raises(ConfigurationError, match="partitioned"):
+                    topo.shortest_path(lost, "y")
+        topo.set_link_down("x", "y")
+        with pytest.raises(ConfigurationError, match="partitioned"):
+            topo.shortest_path("x", "y")
+        assert_tables_fresh(topo)
+
+    def test_down_access_link_partitions_the_device(self):
+        topo = access_tree()
+        assert topo.shortest_path("d0", "gw")[0:2] == ["d0", "ap"]
+        topo.set_link_down("d0", "ap")
+        for src, dst in (("d0", "gw"), ("gw", "d0"), ("d0", "d1"),
+                         ("d0", "ap"), ("ap", "d0")):
+            with pytest.raises(ConfigurationError, match="partitioned"):
+                topo.shortest_path(src, dst)
+        assert topo.shortest_path("d1", "gw") == ["d1", "ap", "core", "gw"]
+        topo.set_link_up("d0", "ap")
+        assert topo.shortest_path("d0", "d1") == ["d0", "ap", "d1"]
+        assert_tables_fresh(topo)
+
+    def test_leaf_gaining_a_second_link_flushes(self):
+        topo = tie_graph()
+        attach_device(topo, "leaf", ap="n0", latency=1)
+        assert len(topo.shortest_path("n0", "n3")) == 4
+        topo.add_link("leaf", "n3", 1, 1e9)     # no longer a leaf: a shortcut
+        assert topo.shortest_path("n0", "n3") == ["n0", "leaf", "n3"]
+        assert topo.shortest_path("leaf", "n5") == ["leaf", "n3", "n5"]
+        assert_tables_fresh(topo)
+
+    def test_add_node_on_an_existing_name_flushes(self):
+        topo = tie_graph()
+        assert_tables_fresh(topo)
+        assert topo.nodes_of_kind("ap") == [f"n{i}" for i in range(6)]
+        searches = topo.searches
+        topo.add_node("n4", kind="switch")          # n4 changes kind
+        assert topo.nodes_of_kind("ap") == ["n0", "n1", "n2", "n3", "n5"]
+        assert topo.nodes_of_kind("switch") == ["n4"]
+        topo.shortest_path("n0", "n3")
+        assert topo.searches == searches + 1
+        assert_tables_fresh(topo)
+
+    def test_nodes_of_kind_dropped_per_kind_added(self):
+        topo = tie_graph()
+        assert topo.nodes_of_kind("nfv") == []
+        topo.add_node("cloud", kind="nfv", wide_area=True)
+        assert topo.nodes_of_kind("nfv") == ["cloud"]
+        assert topo.nodes_of_kind("nfv", include_wide_area=False) == []
+        topo.add_node("nfv0", kind="nfv")
+        assert topo.nodes_of_kind("nfv") == ["cloud", "nfv0"]
+        assert topo.nodes_of_kind("nfv", include_wide_area=False) == ["nfv0"]
 
     def test_failures_are_not_remembered(self):
         topo = tie_graph()
@@ -218,10 +452,20 @@ class TestRouteTable:
         for _ in range(2):
             with pytest.raises(ConfigurationError, match="partitioned"):
                 topo.shortest_path("n0", "island")
-            with pytest.raises(nx.NodeNotFound):
+            with pytest.raises(ConfigurationError, match="unknown node"):
                 topo.shortest_path("n0", "ghost")
+            with pytest.raises(ConfigurationError, match="unknown node"):
+                topo.shortest_path("ghost", "n0")
         topo.add_link("island", "n3", 1, 1e9)
         assert topo.shortest_path("n0", "island")[-2:] == ["n3", "island"]
+        topo.add_node("ghost", kind="host")
+        topo.add_link("ghost", "n0", 1, 1e9)
+        assert topo.shortest_path("ghost", "n2") == ["ghost", "n0", "n2"]
+
+    def test_self_loop_is_rejected(self):
+        topo = tie_graph()
+        with pytest.raises(ConfigurationError, match="self-loop"):
+            topo.add_link("n4", "n4", 1, 1e9)
 
     def test_link_flap_invalidates(self):
         topo = tie_graph()
