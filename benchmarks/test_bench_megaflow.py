@@ -102,3 +102,52 @@ def test_bench_megaflow_matches_recorded_baseline():
             )
     assert (m["batch_speedup_at_32"]
             >= recorded["batch_speedup_at_32"] / 3.0)
+
+
+def test_cold_classification_does_not_grow_with_rules(monkeypatch):
+    """The cold path as counts, so the bar holds on any host.
+
+    One ``owner=`` rule per subscriber plus a default route — the
+    table ``churn_reconfig`` rewrites — classifies in the same number
+    of stage probes at 100, 1 000 and 5 000 subscribers, and an
+    ``install`` evaluates one sort key (its own): no re-sort of the
+    table, whatever its size.
+    """
+    from repro.netsim.packet import Packet
+    from repro.sdn.actions import Output
+    from repro.sdn.flowtable import FlowRule, FlowTable
+    from repro.sdn.match import Match
+
+    key_evaluations = 0
+    sort_key = FlowRule.sort_key
+
+    def counted(rule):
+        nonlocal key_evaluations
+        key_evaluations += 1
+        return sort_key(rule)
+
+    monkeypatch.setattr(FlowRule, "sort_key", counted)
+
+    probes_per_classify = {}
+    for subscribers in (100, 1000, 5000):
+        table = FlowTable()
+        table.install(FlowRule(Match(dst_cidr="0.0.0.0/0"),
+                               (Output("core"),), priority=1))
+        for i in range(subscribers):
+            before = key_evaluations
+            table.install(FlowRule(
+                Match(owner=f"u{i}"), (Output("core"),), priority=200,
+                pvn_id=f"u{i}/pvn"))
+            assert key_evaluations - before <= 1
+        # First, middle and last subscriber, and a stranger who falls
+        # through to the default route.
+        owners = ["u0", f"u{subscribers // 2}", f"u{subscribers - 1}",
+                  "stranger"]
+        for owner in owners:
+            winner, _ = table.classify(Packet(
+                src="10.0.0.1", dst="198.51.100.9", owner=owner))
+            assert winner is not None
+            assert (winner.match.owner or "stranger") == owner
+        probes_per_classify[subscribers] = table.stage_probes / len(owners)
+    assert len(set(probes_per_classify.values())) == 1, probes_per_classify
+    assert probes_per_classify[5000] <= 2

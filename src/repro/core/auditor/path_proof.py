@@ -26,7 +26,8 @@ PROOF_KEY = "path_proof"
 
 
 def _mac(key: bytes, payload: bytes) -> bytes:
-    return hmac.new(key, payload, hashlib.sha256).digest()[:16]
+    # One-shot C HMAC: the bytes of hmac.new(key, payload, sha256).digest().
+    return hmac.digest(key, payload, "sha256")[:16]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,13 +64,16 @@ def make_keyring(deployment_id: str, waypoints: list[str]) -> ProofKeyring:
 
 def stamp(packet: Packet, waypoint: str, keyring: ProofKeyring) -> None:
     """Called by the data path as the packet traverses ``waypoint``."""
+    stamp_keyed(packet, waypoint, keyring.key_for(waypoint))
+
+
+def stamp_keyed(packet: Packet, waypoint: str, key: bytes) -> None:
+    """:func:`stamp` for a hop that resolved its proof key when it was
+    compiled (``key == keyring.key_for(waypoint)``)."""
     proofs: list[tuple[str, bytes]] = packet.metadata.setdefault(PROOF_KEY, [])
     previous = proofs[-1][1] if proofs else b""
-    mac = _mac(
-        keyring.key_for(waypoint),
-        str(packet.packet_id).encode() + previous,
-    )
-    proofs.append((waypoint, mac))
+    proofs.append(
+        (waypoint, _mac(key, str(packet.packet_id).encode() + previous)))
 
 
 def verify_path(packet: Packet, keyring: ProofKeyring,

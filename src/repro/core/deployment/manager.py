@@ -21,7 +21,11 @@ import itertools
 from typing import Callable
 
 from repro.core.auditor.attestation import Attestation, TrustedPlatform
-from repro.core.auditor.path_proof import ProofKeyring, make_keyring, stamp
+from repro.core.auditor.path_proof import (
+    ProofKeyring,
+    make_keyring,
+    stamp_keyed,
+)
 from repro.core.deployment.embedding import (
     EmbeddingIndex,
     EmbeddingResult,
@@ -152,9 +156,10 @@ class PvnDataPath:
         self.lineage = ""
         self._epoch = 0
         self.stale_rejections = 0
-        # Compiled fast path: per-traffic-class pipelines, a compiled
-        # classifier runner, redirect pipelines, one pooled context.
-        self._pipelines: dict[str, Pipeline] = {}
+        # Compiled fast path: per traffic class its pipeline and
+        # resolved terminal (action, tunnel endpoint); a compiled
+        # classifier hop, redirect pipelines, one pooled context.
+        self._pipelines: dict[str, tuple[Pipeline, str, str]] = {}
         self._classifier_runner = None
         self._redirect_pipeline: Pipeline | None = None
         self._pooled_context: ProcessingContext | None = None
@@ -223,16 +228,15 @@ class PvnDataPath:
             return pooled
         return pooled.reset(now, packet.owner)
 
-    def _resolve_runner(self, service: str):
-        """The pre-bound per-packet callable for one service."""
-        sandbox = self.sandboxes.get(service)
-        if sandbox is not None:
-            return sandbox.process
-        return self.middleboxes[service].process
-
     def _make_step(self, service: str) -> PipelineStep:
-        keyring = self.keyring
-        runner = self._resolve_runner(service)
+        """Compile one hop: everything that is constant for the life
+        of the pipeline — the sandboxed runner, the waypoint's proof
+        key (a missing key is an :class:`AuditError` here, once, not
+        per packet), the per-hop delay — is resolved now."""
+        key = self.keyring.key_for(service)
+        sandbox = self.sandboxes.get(service)
+        runner = (sandbox.process if sandbox is not None
+                  else self.middleboxes[service].process)
         containers = self.containers
         crashed = labeled_verdict(
             Verdict.dropped(f"middlebox {service} crashed"), "crashed",
@@ -250,7 +254,7 @@ class PvnDataPath:
             return None
 
         def run(packet: Packet, context: ProcessingContext):
-            stamp(packet, service, keyring)
+            stamp_keyed(packet, service, key)
             return runner(packet, context)
 
         return PipelineStep(
@@ -258,9 +262,18 @@ class PvnDataPath:
             delay=self.container_spec.per_packet_delay, precheck=precheck,
         )
 
-    def _pipeline_for(self, traffic_class: str) -> Pipeline:
-        pipeline = self._pipelines.get(traffic_class)
-        if pipeline is None:
+    def _classifier(self):
+        """The compiled classifier hop (stamp + sandboxed runner)."""
+        runner = self._classifier_runner
+        if runner is None:
+            runner = self._make_step("classifier").runner
+            self._classifier_runner = runner
+        return runner
+
+    def _compiled_for(self, traffic_class: str) -> tuple[Pipeline, str, str]:
+        """``(pipeline, terminal action, tunnel endpoint)`` of a class."""
+        compiled = self._pipelines.get(traffic_class)
+        if compiled is None:
             steps = tuple(
                 self._make_step(service)
                 for service in self.compiled.pipeline_for(traffic_class)
@@ -270,9 +283,17 @@ class PvnDataPath:
                 f"{self.deployment_id}/{traffic_class}", steps,
                 drop_suffix=f" (pvn {self.deployment_id})",
             )
-            self._pipelines[traffic_class] = pipeline
+            terminal = self.compiled.terminal_for(traffic_class)
+            if terminal == "drop":
+                compiled = (pipeline, ACTION_DROP, "")
+            elif terminal.startswith("tunnel:"):
+                compiled = (pipeline, ACTION_TUNNEL,
+                            terminal.split(":", 1)[1])
+            else:
+                compiled = (pipeline, ACTION_FORWARD, "")
+            self._pipelines[traffic_class] = compiled
             self.pipeline_compiles += 1
-        return pipeline
+        return compiled
 
     def _service_down(self, service: str) -> bool:
         """A service is down when its container crashed (or stopped)
@@ -282,15 +303,6 @@ class PvnDataPath:
         return container is not None and container.state in (
             ContainerState.CRASHED, ContainerState.STOPPED,
         )
-
-    def _run_service(
-        self, service: str, packet: Packet, context: ProcessingContext
-    ):
-        stamp(packet, service, self.keyring)
-        sandbox = self.sandboxes.get(service)
-        if sandbox is not None:
-            return sandbox.process(packet, context)
-        return self.middleboxes[service].process(packet, context)
 
     def _redirect(self, endpoint: str, label: str,
                   packet: Packet, now: float) -> DataPathOutcome:
@@ -311,9 +323,8 @@ class PvnDataPath:
 
     # -- per-packet span synthesis -------------------------------------------
 
-    def _record_packet_spans(self, packet: Packet, now: float,
-                             outcome: DataPathOutcome,
-                             hop_labels: tuple[str, ...]) -> None:
+    def _record_packet_spans(self, obs, packet: Packet, now: float,
+                             outcome: DataPathOutcome) -> None:
         """Synthesize the per-hop span tree for one *traced* packet.
 
         Only packets carrying a :class:`~repro.obs.spans.SpanContext`
@@ -324,12 +335,12 @@ class PvnDataPath:
         datapath span, whose total length is the outcome's
         ``added_delay``.
         """
-        obs = obs_runtime.current()
-        if obs is None or not obs.trace_spans:
-            return
         parent = obs_spans.extract(packet.metadata)
         if parent is None:
             return
+        hop_labels = outcome.verdict_reasons
+        if outcome.traffic_class and "classifier" not in self.skip_services:
+            hop_labels = ("classifier:pass", *hop_labels)
         tracer = obs.spans
         end = now + outcome.added_delay
         root = tracer.record_span(
@@ -356,15 +367,11 @@ class PvnDataPath:
     def process(self, packet: Packet, now: float) -> DataPathOutcome:
         """Run one packet through the full PVN pipeline."""
         outcome = self._process(packet, now)
-        # Span synthesis is outside the fast path proper: untraced
-        # packets exit on the first None check inside.
-        classifier_ran = bool(outcome.traffic_class) and (
-            "classifier" not in self.skip_services)
-        self._record_packet_spans(
-            packet, now, outcome,
-            (("classifier:pass",) if classifier_ran else ())
-            + tuple(outcome.verdict_reasons),
-        )
+        # Span synthesis is outside the fast path proper: its
+        # arguments are only evaluated while spans are being traced.
+        obs = obs_runtime.current()
+        if obs is not None and obs.trace_spans:
+            self._record_packet_spans(obs, packet, now, outcome)
         return outcome
 
     def process_batch(self, packets: list[Packet],
@@ -408,12 +415,7 @@ class PvnDataPath:
                 now=now, owner="", tracer=self.tracer,
                 trusted_execution=self.trusted_execution,
             ))
-        runner = None
-        if classify:
-            runner = self._classifier_runner
-            if runner is None:
-                runner = self._resolve_runner("classifier")
-                self._classifier_runner = runner
+        runner = self._classifier() if classify else None
         classifier_delay = self.container_spec.per_packet_delay if classify \
             else 0.0
         groups: dict[str, tuple[list[int], list[Packet], list]] = {}
@@ -421,7 +423,6 @@ class PvnDataPath:
             packet = packets[i]
             context = pool[slot].reset(now, packet.owner)
             if runner is not None:
-                stamp(packet, "classifier", self.keyring)
                 runner(packet, context)
             traffic_class = packet.metadata.get(CLASS_KEY, "other")
             group = groups.get(traffic_class)
@@ -433,43 +434,24 @@ class PvnDataPath:
                 group[2].append(context)
         for traffic_class, (indices, group_packets, contexts) in \
                 groups.items():
-            batch = self._pipeline_for(traffic_class).run_batch(
-                group_packets, contexts,
-            )
-            terminal = self.compiled.terminal_for(traffic_class)
+            pipeline, action, endpoint = self._compiled_for(traffic_class)
+            batch = pipeline.run_batch(group_packets, contexts)
             for k, i in enumerate(indices):
                 delay = classifier_delay + batch.added_delays[k]
                 kind = batch.terminal_kinds[k]
+                fate, via = action, endpoint
                 if kind is VerdictKind.DROP:
-                    outcomes[i] = DataPathOutcome(
-                        action=ACTION_DROP, added_delay=delay,
-                        traffic_class=traffic_class,
-                    )
+                    fate, via = ACTION_DROP, ""
                 elif kind is VerdictKind.TUNNEL:
-                    outcomes[i] = DataPathOutcome(
-                        action=ACTION_TUNNEL,
-                        tunnel_endpoint=batch.tunnel_endpoints[k],
-                        added_delay=delay, traffic_class=traffic_class,
-                    )
-                elif terminal == "drop":
+                    fate, via = ACTION_TUNNEL, batch.tunnel_endpoints[k]
+                elif action == ACTION_DROP:
                     group_packets[k].mark_dropped(
                         f"policy drop (pvn {self.deployment_id})"
                     )
-                    outcomes[i] = DataPathOutcome(
-                        action=ACTION_DROP, added_delay=delay,
-                        traffic_class=traffic_class,
-                    )
-                elif terminal.startswith("tunnel:"):
-                    outcomes[i] = DataPathOutcome(
-                        action=ACTION_TUNNEL,
-                        tunnel_endpoint=terminal.split(":", 1)[1],
-                        added_delay=delay, traffic_class=traffic_class,
-                    )
-                else:
-                    outcomes[i] = DataPathOutcome(
-                        action=ACTION_FORWARD, added_delay=delay,
-                        traffic_class=traffic_class,
-                    )
+                outcomes[i] = DataPathOutcome(
+                    action=fate, tunnel_endpoint=via,
+                    added_delay=delay, traffic_class=traffic_class,
+                )
         return outcomes
 
     def _process(self, packet: Packet, now: float) -> DataPathOutcome:
@@ -514,49 +496,21 @@ class PvnDataPath:
                     action=ACTION_DROP,
                     verdict_reasons=("classifier:crashed",),
                 )
-            runner = self._classifier_runner
-            if runner is None:
-                runner = self._resolve_runner("classifier")
-                self._classifier_runner = runner
-            delay += self.container_spec.per_packet_delay
-            stamp(packet, "classifier", self.keyring)
-            runner(packet, context)
+            delay = self.container_spec.per_packet_delay
+            self._classifier()(packet, context)
         traffic_class = packet.metadata.get(CLASS_KEY, "other")
 
-        result = self._pipeline_for(traffic_class).run(packet, context)
+        pipeline, action, endpoint = self._compiled_for(traffic_class)
+        result = pipeline.run(packet, context)
         delay += result.added_delay
         if result.terminal_kind is VerdictKind.DROP:
-            return DataPathOutcome(
-                action=ACTION_DROP, added_delay=delay,
-                traffic_class=traffic_class,
-                verdict_reasons=result.labels,
-            )
-        if result.terminal_kind is VerdictKind.TUNNEL:
-            return DataPathOutcome(
-                action=ACTION_TUNNEL,
-                tunnel_endpoint=result.tunnel_endpoint,
-                added_delay=delay,
-                traffic_class=traffic_class,
-                verdict_reasons=result.labels,
-            )
-
-        terminal = self.compiled.terminal_for(traffic_class)
-        if terminal == "drop":
+            action, endpoint = ACTION_DROP, ""
+        elif result.terminal_kind is VerdictKind.TUNNEL:
+            action, endpoint = ACTION_TUNNEL, result.tunnel_endpoint
+        elif action == ACTION_DROP:
             packet.mark_dropped(f"policy drop (pvn {self.deployment_id})")
-            return DataPathOutcome(
-                action=ACTION_DROP, added_delay=delay,
-                traffic_class=traffic_class, verdict_reasons=result.labels,
-            )
-        if terminal.startswith("tunnel:"):
-            return DataPathOutcome(
-                action=ACTION_TUNNEL,
-                tunnel_endpoint=terminal.split(":", 1)[1],
-                added_delay=delay,
-                traffic_class=traffic_class,
-                verdict_reasons=result.labels,
-            )
         return DataPathOutcome(
-            action=ACTION_FORWARD, added_delay=delay,
+            action=action, tunnel_endpoint=endpoint, added_delay=delay,
             traffic_class=traffic_class, verdict_reasons=result.labels,
         )
 
@@ -576,8 +530,8 @@ class PvnDataPath:
             "pipeline_compiles": self.pipeline_compiles,
             "pipeline_invalidations": self.pipeline_invalidations,
         }
-        for traffic_class, pipeline in sorted(self._pipelines.items()):
-            counts[f"{traffic_class}_packets"] = pipeline.packets_in
+        for traffic_class, compiled in sorted(self._pipelines.items()):
+            counts[f"{traffic_class}_packets"] = compiled[0].packets_in
         return counts
 
     def publish_counters(self, now: float,
@@ -605,7 +559,7 @@ class PvnDataPath:
             # Registry-only for the per-class pipelines (they carry no
             # Tracer, so the "datapath" category stays byte-identical
             # to the pre-registry publish path).
-            pipelines = list(self._pipelines.values())
+            pipelines = [compiled[0] for compiled in self._pipelines.values()]
             if self._redirect_pipeline is not None:
                 pipelines.append(self._redirect_pipeline)
             for pipeline in pipelines:

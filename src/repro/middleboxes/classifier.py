@@ -54,6 +54,14 @@ def classify(packet: Packet) -> str:
     return CLASS_OTHER
 
 
+#: One verdict per class, built once: the verdict is a function of the
+#: class alone.
+_VERDICTS = {
+    cls: Verdict.rewritten("classified", traffic_class=cls)
+    for cls in ALL_CLASSES
+}
+
+
 class TrafficClassifier(Middlebox):
     """Annotates packets with their Fig. 1(a) traffic class."""
 
@@ -67,7 +75,7 @@ class TrafficClassifier(Middlebox):
         traffic_class = classify(packet)
         packet.metadata[CLASS_KEY] = traffic_class
         self.class_counts[traffic_class] += 1
-        return Verdict.rewritten("classified", traffic_class=traffic_class)
+        return _VERDICTS[traffic_class]
 
     def export_state(self) -> dict:
         state = super().export_state()

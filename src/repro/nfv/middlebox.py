@@ -124,11 +124,12 @@ class Middlebox:
         verdict = self.inspect(packet, context)
         self.stats["processed"] += 1
         self.stats[_STAT_FOR_KIND[verdict.kind]] += 1
-        context.emit(
-            "middlebox", self.name,
-            verdict=verdict.kind.value, reason=verdict.reason,
-            packet_id=packet.packet_id,
-        )
+        if context.tracer is not None:
+            context.emit(
+                "middlebox", self.name,
+                verdict=verdict.kind.value, reason=verdict.reason,
+                packet_id=packet.packet_id,
+            )
         return verdict
 
 

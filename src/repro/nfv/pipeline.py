@@ -31,6 +31,7 @@ under category ``"pipeline"``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from typing import Callable
 
@@ -54,11 +55,11 @@ def labeled_verdict(verdict: Verdict, label: str) -> Verdict:
     )
 
 
-def _label_of(name: str, verdict: Verdict) -> str:
+def _label_of(step: "PipelineStep", verdict: Verdict) -> str:
     for key, value in verdict.annotations:
         if key == LABEL_ANNOTATION:
-            return f"{name}:{value}" if name else str(value)
-    return f"{name}:{verdict.kind.value}"
+            return f"{step.name}:{value}" if step.name else str(value)
+    return step.plain_labels[verdict.kind]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,6 +77,11 @@ class PipelineStep:
     runner: StepRunner
     delay: float = 0.0
     precheck: StepPrecheck | None = None
+
+    @functools.cached_property
+    def plain_labels(self) -> dict[VerdictKind, str]:
+        """The ``"{name}:{verdict-kind}"`` label per kind, built once."""
+        return {kind: f"{self.name}:{kind.value}" for kind in VerdictKind}
 
 
 @dataclasses.dataclass
@@ -251,7 +257,7 @@ class Pipeline:
                 aborted = step.precheck(packet, context)
                 if aborted is not None:
                     verdicts.append(aborted)
-                    labels.append(_label_of(step.name, aborted))
+                    labels.append(_label_of(step, aborted))
                     return self._terminate(
                         packet, aborted, verdicts, labels, delay)
             delay += step.delay
@@ -262,7 +268,7 @@ class Pipeline:
                 verdict = step.runner(packet, context)
                 handles[index].observe(time.perf_counter() - wall_start)
             verdicts.append(verdict)
-            labels.append(_label_of(step.name, verdict))
+            labels.append(_label_of(step, verdict))
             if verdict.kind in (VerdictKind.DROP, VerdictKind.TUNNEL):
                 return self._terminate(packet, verdict, verdicts, labels,
                                        delay)

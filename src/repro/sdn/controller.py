@@ -33,7 +33,8 @@ class Controller:
     def __init__(self, name: str = "controller") -> None:
         self.name = name
         self._switches: dict[str, SdnSwitch] = {}
-        self._installed: list[InstalledRule] = []
+        # Rules pushed, per PVN ("" = non-PVN), in install order.
+        self._installed: dict[str, list[InstalledRule]] = {}
         self.packet_ins = 0
         self.default_drop = True
 
@@ -89,7 +90,7 @@ class Controller:
         # bypass the controller are still fenced lazily by the table's
         # generation counter.)
         switch.invalidate_cache(f"install rule {rule.rule_id}")
-        self._installed.append(
+        self._installed.setdefault(pvn_id, []).append(
             InstalledRule(switch_name=switch_name, rule_id=rule.rule_id,
                           pvn_id=pvn_id)
         )
@@ -103,11 +104,11 @@ class Controller:
             if count:
                 switch.invalidate_cache(f"remove_pvn {pvn_id}")
             removed += count
-        self._installed = [r for r in self._installed if r.pvn_id != pvn_id]
+        self._installed.pop(pvn_id, None)
         return removed
 
     def rules_for_pvn(self, pvn_id: str) -> list[InstalledRule]:
-        return [r for r in self._installed if r.pvn_id == pvn_id]
+        return list(self._installed.get(pvn_id, ()))
 
     # -- default forwarding ------------------------------------------------------
 

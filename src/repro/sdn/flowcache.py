@@ -3,7 +3,7 @@
 A :class:`FlowCache` memoizes, per exact packet key (five-tuple +
 ``owner`` + ingress), the *winning* :class:`~repro.sdn.flowtable.FlowRule`
 of a priority flow table together with its pre-resolved action closure.
-The first packet of a flow pays the linear table scan and the action
+The first packet of a flow pays the table classification and the action
 compilation; every later packet of the same flow is a dict hit plus a
 direct closure call, so per-packet cost no longer grows with the total
 number of installed PVN rules (§4's "can access ISPs afford a virtual
@@ -15,8 +15,8 @@ Instead of one entry per microflow it holds one entry per
 ``(wildcard mask, masked key)`` — the minimal match superset derived
 by rule cross-producting (:meth:`~repro.sdn.flowtable.FlowTable.classify`).
 Under flow churn (new ports per connection) every new microflow whose
-masked fields are unchanged hits the megaflow tier and never pays the
-linear scan; the switch's lookup order is microflow -> megaflow ->
+masked fields are unchanged hits the megaflow tier and never pays a
+classification; the switch's lookup order is microflow -> megaflow ->
 full classification.  Soundness of serving any megaflow hit comes from
 the mask derivation: two packets with equal masked keys provably take
 the identical accept/reject path through the rule table, so whichever
@@ -153,7 +153,14 @@ class FlowCache:
 
     def get(self, packet: Packet, generation: int, ingress: str = "",
             now: float = 0.0) -> CacheEntry | None:
-        """The memoized entry for ``packet``, or None on a cache miss.
+        """The memoized entry for ``packet``, or None on a cache miss."""
+        return self.lookup(self.key_for(packet, ingress), generation, now)
+
+    def lookup(self, key: tuple, generation: int,
+               now: float = 0.0) -> CacheEntry | None:
+        """:meth:`get` for a caller that already holds the exact-match
+        key (the switch builds it once per packet, for the lookup and
+        for the :meth:`store` that follows a miss).
 
         Checks the table-generation fence first, so a stale cache never
         answers.
@@ -161,7 +168,6 @@ class FlowCache:
         if not self.enabled:
             return None
         self.ensure_generation(generation, now=now)
-        key = self.key_for(packet, ingress)
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -183,13 +189,19 @@ class FlowCache:
     ) -> CacheEntry:
         """Memoize one lookup result (evicting least-recently-used)."""
         entry = CacheEntry(rule=rule, closure=closure, generation=generation)
+        self.store(self.key_for(packet, ingress), entry)
+        return entry
+
+    def store(self, key: tuple, entry: CacheEntry) -> None:
+        """Memoize ``entry`` under an exact-match key; the switch
+        shares the megaflow tier's entry object rather than allocating
+        one per microflow."""
         if self.enabled:
             while len(self._entries) >= self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-            self._entries[self.key_for(packet, ingress)] = entry
+            self._entries[key] = entry
             self.insertions += 1
-        return entry
 
     # -- observability ------------------------------------------------------
 
@@ -242,12 +254,12 @@ class MegaflowCache:
 
     Entries are produced by :meth:`~repro.sdn.flowtable.FlowTable.classify`
     — the winner plus the minimal mask whose bits pin the whole
-    accept/reject path of the linear scan — so a hit under *any*
-    stored mask is guaranteed to yield the same winner the full scan
-    would.  Lookup probes each distinct mask of the mask list (the
-    OVS datapath's mask list); the number of distinct masks tracks the
-    number of distinct field-combinations the rule table examines,
-    which is small in practice and reported as a gauge.
+    accept/reject path through the rule order — so a hit under *any*
+    stored mask is guaranteed to yield the same winner a full
+    classification would.  Lookup probes each distinct mask of the
+    mask list (the OVS datapath's mask list); the number of distinct
+    masks tracks the number of distinct field-combinations the rule
+    table examines, which is small in practice and reported as a gauge.
 
     The mask list is kept sorted by *observed hit frequency*: every
     ``resort_interval`` lookups it is re-sorted by descending

@@ -37,15 +37,20 @@ def _mask_ip(ip: str, prefix_len: int) -> int:
     return ip_to_int(ip) & mask
 
 
+#: The exact (non-prefix) match fields, in the order both
+#: :meth:`Match.matches` tests them and :class:`MatchMask` declares them.
+EXACT_FIELDS = ("protocol", "src_port", "dst_port", "owner")
+
+
 @dataclasses.dataclass(frozen=True)
 class MatchMask:
     """Which classification fields a decision depended on.
 
     IP fields carry a prefix length (0 = fully wildcarded); exact
-    fields are boolean (examined or not).  Masks form a join
-    semilattice under :meth:`union` — the megaflow derivation unions
-    the contribution of every rule a linear scan examined, yielding
-    the *minimal* set of bits that pins the scan's outcome.
+    fields are boolean (examined or not).  The megaflow derivation
+    joins the contribution of every rule ordered before the winner
+    with the winner's own, yielding the *minimal* set of bits that
+    pins the classification's outcome.
     """
 
     src_plen: int = 0
@@ -54,17 +59,6 @@ class MatchMask:
     src_port: bool = False
     dst_port: bool = False
     owner: bool = False
-
-    def union(self, other: "MatchMask") -> "MatchMask":
-        """The least mask at least as specific as both operands."""
-        return MatchMask(
-            src_plen=max(self.src_plen, other.src_plen),
-            dst_plen=max(self.dst_plen, other.dst_plen),
-            protocol=self.protocol or other.protocol,
-            src_port=self.src_port or other.src_port,
-            dst_port=self.dst_port or other.dst_port,
-            owner=self.owner or other.owner,
-        )
 
     def key_for(self, packet: Packet) -> tuple:
         """``packet`` projected onto this mask's fields.

@@ -11,7 +11,7 @@ The data plane is a three-tier fast path: an exact-match
 its pre-compiled action closure per microflow, and a wildcard
 :class:`~repro.sdn.flowcache.MegaflowCache` behind it memoizes the
 minimal match superset per classification decision, so even the first
-packet of a *new* flow usually skips the linear table scan (lookup
+packet of a *new* flow usually skips the table classification (lookup
 order: microflow -> megaflow -> full classification).  Entries in both
 tiers are fenced on the table's generation counter (every
 install/remove invalidates) and on the migration epoch token
@@ -86,7 +86,7 @@ class SdnSwitch(Node):
         self.packets_punted = 0     # table misses handed to the controller
         self.packets_consumed = 0   # left the pipeline via chain/tunnel
         # Classifications that fell through both cache tiers to the
-        # linear rule scan (E21's headline metric).
+        # rule table (E21's headline metric).
         self.full_classifications = 0
         self.batches_processed = 0
         self.batch_packets = 0
@@ -165,37 +165,39 @@ class SdnSwitch(Node):
         table = self.table
         micro = self.flow_cache
         mega = self.megaflow_cache
+        generation = table.generation
         now = self.sim.now
+        key = None
         if micro.enabled:
-            entry = micro.get(packet, table.generation, now=now)
+            key = micro.key_for(packet)
+            entry = micro.lookup(key, generation, now)
             if entry is not None:
                 return entry
         elif not mega.enabled:
             return None
         if mega.enabled:
-            entry = mega.get(packet, table.generation, now=now)
+            entry = mega.get(packet, generation, now=now)
             if entry is None:
                 rule, mask = table.classify(packet)
                 self.full_classifications += 1
                 closure = (self._punt if rule is None
                            else self._compile_actions(rule.actions))
-                entry = mega.put(packet, mask, rule, closure,
-                                 table.generation)
+                entry = mega.put(packet, mask, rule, closure, generation)
         else:
             rule = table.lookup(packet, record=False)
             self.full_classifications += 1
             closure = (self._punt if rule is None
                        else self._compile_actions(rule.actions))
             entry = CacheEntry(rule=rule, closure=closure,
-                               generation=table.generation)
-        if micro.enabled:
-            micro.put(packet, entry.rule, entry.closure, table.generation)
+                               generation=generation)
+        if key is not None:
+            micro.store(key, entry)
         return entry
 
     def process(self, packet: Packet) -> None:
         """Run ``packet`` through the table and apply the winning rule.
 
-        With the caches enabled (the default) the table scan and
+        With the caches enabled (the default) classification and
         action compilation happen once per megaflow; every packet —
         cached or not — is charged against the winning rule's match
         statistics exactly once.
