@@ -13,13 +13,21 @@ Parity is asserted at *zero* tolerance: both modes share the same
 packet-quantized per-tick progress arithmetic, so completion times
 are exactly equal, not merely close.
 
-The fluid side of that ratio admits and retires flows as columns; the
-last test pins the count of ``HybridFlow`` objects a run builds, which
-is what the per-flow Python cost scales with.
+The fluid side of that ratio admits and retires flows as columns and
+keeps them in canonical order instead of sorting each epoch; the last
+tests pin, as counts that hold on any host, what its per-flow Python
+cost scales with on the ``python -m bench`` population: ``HybridFlow``
+objects built, sorts run and scalar leak derivations.
 """
+
+import functools
+
+import numpy as np
+import pytest
 
 from repro.experiments import exp23_population
 from repro.netsim.fluid import MODE_FLUID, HybridFlow
+from repro.workloads.population import PopulationWorkload
 
 SPEEDUP_BAR = 50.0
 
@@ -57,22 +65,51 @@ def test_fluid_cost_scales_with_churn_not_population():
             >= small["device_seconds_per_sec"] / 3.0)
 
 
-def test_fluid_run_builds_objects_only_for_leaky_flows(monkeypatch):
-    """The `python -m bench` population (50k devices x 30 s, seed 0):
-    64 764 flows opened, 5 229 of them leaky — and exactly that many
-    ``HybridFlow`` objects built, not one per flow."""
-    built = []
-    init = HybridFlow.__init__
+@functools.cache
+def _bench_population_run():
+    """Run the `python -m bench` population (50k devices x 30 s, seed
+    0) once, counting calls to what the per-flow cost scales with."""
+    calls = {"HybridFlow": 0, "lexsort": 0, "_leak_details": 0}
 
-    def counting(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(HybridFlow, "__init__", counting)
     spec = exp23_population._spec(50_000, 30.0)
-    engine = exp23_population.build_population(
-        spec, seed=0, mode=MODE_FLUID, keep_records=False)
-    engine.run(spec.horizon)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(HybridFlow, "__init__",
+                      counting("HybridFlow", HybridFlow.__init__))
+        patch.setattr(PopulationWorkload, "_leak_details", counting(
+            "_leak_details", PopulationWorkload._leak_details))
+        engine = exp23_population.build_population(
+            spec, seed=0, mode=MODE_FLUID, keep_records=False)
+        # Compiling the schedule sorts it once; the run must not sort.
+        patch.setattr(np, "lexsort", counting("lexsort", np.lexsort))
+        engine.run(spec.horizon)
+    return engine, calls
+
+
+def test_fluid_run_builds_objects_only_for_leaky_flows():
+    """64 764 flows opened, 5 229 of them leaky — and exactly that many
+    ``HybridFlow`` objects built, not one per flow."""
+    engine, calls = _bench_population_run()
     assert engine.flows_opened == 64_764
     assert int(engine.workload._leaky.sum()) == 5_229
-    assert len(built) == 5_229
+    assert calls["HybridFlow"] == 5_229
+
+
+def test_fluid_run_sorts_nothing_per_epoch():
+    """300 epochs read the flows in canonical order off the index: no
+    ``np.lexsort`` during the run (one per epoch before the index)."""
+    engine, calls = _bench_population_run()
+    assert engine.epochs == 300
+    assert calls["lexsort"] == 0
+
+
+def test_leak_details_are_compiled_not_derived_per_flow():
+    """The 5 229 leaky flows read their leak positions and types off
+    compiled columns: the scalar hash chain runs for none of them."""
+    _, calls = _bench_population_run()
+    assert calls["_leak_details"] == 0

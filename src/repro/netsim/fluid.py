@@ -24,6 +24,14 @@ finished flows are retired with one
 it from: leaky flows (their leak positions), and every flow when the
 run materializes packets (``MODE_PACKET`` or a ``punt_hook``).
 
+Beside the table the engine keeps the live flows in canonical
+``(device, seq)`` order — a sorted array of packed identities and the
+slot of each — updated as flows are admitted and retired.  The epoch
+step reads its flows from it in that order without sorting, and a
+device's live flows are one contiguous slice of it, so ``(device,
+seq)`` is an enforced identity: admitting one that is already live is
+an error.
+
 Two modes share **identical progress arithmetic** (the same vectorized
 per-tick budget/emission computation), so their policy-relevant
 accounting is comparable record for record:
@@ -66,6 +74,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.middleboxes.pii_detector import PII_PATTERNS
 from repro.netproto.http import HttpRequest
 from repro.netsim.events import EventPriority
@@ -82,6 +91,35 @@ NO_LEAK = 2 ** 62
 
 #: The PII types the policy path can emit (keys of the detector library).
 PII_TYPES = tuple(sorted(PII_PATTERNS))
+
+#: A live flow's identity packs into one int64 as ``device << 32 | seq``.
+_SEQ_BITS = 32
+
+
+def _check_range(values: np.ndarray, bound: int, what: str) -> None:
+    """Raise unless every value is in ``[0, bound)``.
+
+    Without it numpy would read a negative device as one counted from
+    the end of the array, and a too-large one as a bare ``IndexError``.
+    """
+    if values.size and (values.min() < 0 or values.max() >= bound):
+        bad = values[(values < 0) | (values >= bound)][0]
+        raise ConfigurationError(f"{what} {int(bad)} outside [0, {bound})")
+
+
+def _splice(column: np.ndarray, taken: np.ndarray,
+            values: np.ndarray) -> np.ndarray:
+    """``column`` with ``values`` inserted so they land at ``taken``.
+
+    ``taken`` is ascending and indexes the result; ``column`` fills the
+    other positions in order.
+    """
+    out = np.empty(column.size + values.size, dtype=column.dtype)
+    kept = np.ones(out.size, dtype=np.bool_)
+    kept[taken] = False
+    out[taken] = values
+    out[kept] = column
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -320,6 +358,8 @@ class HybridPopulationEngine:
             raise ValueError("tick must be positive")
         self.sim = sim
         self.n_devices = int(n_devices)
+        if self.n_devices >= 2 ** (63 - _SEQ_BITS):
+            raise ConfigurationError("too many devices for a flow identity")
         self.n_cells = int(n_cells)
         # Rates enter in bits/s but all internal arithmetic is in
         # bytes (budgets are divided by the MTU in bytes), so convert
@@ -350,7 +390,10 @@ class HybridPopulationEngine:
         self._cell_bytes = np.zeros(self.n_cells, dtype=np.float64)
         self._attached = np.zeros(self.n_devices, dtype=np.bool_)
         self._device_cell = np.zeros(self.n_devices, dtype=np.int64)
-        self._device_flows: dict[int, set[int]] = {}
+        # The canonical flow index: every live flow's identity
+        # ``device << 32 | seq`` in ascending order, and its slot.
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._order = np.zeros(0, dtype=np.int64)
 
         #: Cross-shard messages produced this round: (dst_device, payload).
         self.outbox: list[tuple[int, tuple]] = []
@@ -378,14 +421,17 @@ class HybridPopulationEngine:
         """Vectorized attach of a device batch to their cells."""
         if len(devices) == 0:
             return
+        devices = np.asarray(devices, dtype=np.int64)
+        cells = np.asarray(cells)
+        _check_range(devices, self.n_devices, "device")
+        _check_range(cells, self.n_cells, "cell")
         self._attached[devices] = True
         self._device_cell[devices] = cells
         if self.ledger.keep_records:
             ks_list = ([0] * len(devices) if ks is None
                        else np.asarray(ks).tolist())
-            for device, cell, k in zip(
-                    np.asarray(devices).tolist(),
-                    np.asarray(cells).tolist(), ks_list):
+            for device, cell, k in zip(devices.tolist(), cells.tolist(),
+                                       ks_list):
                 self.ledger.record("attach", device, k, cell)
         else:
             self.ledger.bump("attach", len(devices))
@@ -397,19 +443,24 @@ class HybridPopulationEngine:
     def detach_many(self, detaches: Iterable[tuple[int, int]]) -> None:
         """Detach ``(device, k)`` pairs in order.
 
-        The live flows of all of them are aborted as one batch.
+        The live flows of all of them are aborted as one batch, each
+        device's in ascending slot order.
         """
+        detaches = [(int(device), int(k)) for device, k in detaches]
+        if not detaches:
+            return
+        starts, ends = self._device_spans(
+            np.array(detaches, dtype=np.int64)[:, 0])
         seq_col = self.flows.col("seq")
         emitted_col = self.flows.col("emitted")
         aborted: list[int] = []
-        for device, k in detaches:
-            device = int(device)
+        for (device, k), start, end in zip(detaches, starts, ends):
             if not self._attached[device]:
                 self.ledger.bump("detach_noop")
                 continue
             self._attached[device] = False
-            self.ledger.record("detach", device, int(k))
-            for slot in sorted(self._device_flows.get(device, ())):
+            self.ledger.record("detach", device, k)
+            for slot in sorted(self._order[start:end].tolist()):
                 self.ledger.record("flow_abort", device, int(seq_col[slot]),
                                    int(emitted_col[slot]))
                 aborted.append(slot)
@@ -418,39 +469,91 @@ class HybridPopulationEngine:
 
     def migrate(self, device: int, new_cell: int, k: int = 0) -> None:
         """Move a device (and its live flows) to another cell."""
-        device, new_cell = int(device), int(new_cell)
-        if not self._attached[device]:
-            self.ledger.bump("migrate_skipped")
+        self.migrate_many([(device, new_cell, k)])
+
+    def migrate_many(self, migrates: Iterable[tuple[int, int, int]]) -> None:
+        """Apply ``(device, new_cell, k)`` migrations in order.
+
+        A device that moves twice in one call moves from where the
+        first move left it.
+        """
+        migrates = [(int(device), int(new_cell), int(k))
+                    for device, new_cell, k in migrates]
+        if not migrates:
             return
-        old_cell = int(self._device_cell[device])
-        self._device_cell[device] = new_cell
-        self.ledger.record("migrate", device, int(k), old_cell, new_cell)
-        slots = self._device_flows.get(device, ())
-        if slots and new_cell != old_cell:
-            cell_col = self.flows.col("cell")
-            for slot in slots:
-                cell_col[slot] = new_cell
-            moved = len(slots)
-            self.cell_count[old_cell] -= moved
-            self.cell_count[new_cell] += moved
-        # Route change is an epoch even with no live flows: the next
-        # flow this device opens lands in the new cell.
-        self.cell_dirty[old_cell] = True
-        self.cell_dirty[new_cell] = True
+        columns = np.array(migrates, dtype=np.int64)
+        _check_range(columns[:, 1], self.n_cells, "cell")
+        starts, ends = self._device_spans(columns[:, 0])
+        cell_col = self.flows.col("cell")
+        for (device, new_cell, k), start, end in zip(migrates, starts, ends):
+            if not self._attached[device]:
+                self.ledger.bump("migrate_skipped")
+                continue
+            old_cell = int(self._device_cell[device])
+            self._device_cell[device] = new_cell
+            self.ledger.record("migrate", device, k, old_cell, new_cell)
+            if end > start and new_cell != old_cell:
+                cell_col[self._order[start:end]] = new_cell
+                self.cell_count[old_cell] -= end - start
+                self.cell_count[new_cell] += end - start
+            # Route change is an epoch even with no live flows: the next
+            # flow this device opens lands in the new cell.
+            self.cell_dirty[old_cell] = True
+            self.cell_dirty[new_cell] = True
+
+    def _device_spans(self, devices: np.ndarray) -> tuple[list, list]:
+        """Each device's live flows, as ``_order[start:end]`` bounds.
+
+        A device's identities are the key range ``[d << 32,
+        (d + 1) << 32)``, so one ``searchsorted`` resolves them all.
+        """
+        _check_range(devices, self.n_devices, "device")
+        first = devices << _SEQ_BITS
+        bounds = np.searchsorted(
+            self._keys, np.concatenate((first, first + (1 << _SEQ_BITS))))
+        return bounds[:devices.size].tolist(), bounds[devices.size:].tolist()
 
     def open_flow(self, spec: HybridFlow) -> int | None:
         """Admit one flow; returns its slot (None if device detached)."""
         slots = self.admit(FlowBatch.of([spec]))
         return int(slots[0]) if slots.size else None
 
+    def _placement(self, device: np.ndarray, seq: np.ndarray) -> tuple:
+        """The index's keys with a batch's identities merged in.
+
+        Returns the merged keys, the batch's order by identity, and the
+        merged positions its identities take in that order.  Raises,
+        before anything changes, for a device or ``seq`` out of range
+        and for an identity already live or repeated in the batch (the
+        merged keys would not be strictly increasing).
+        """
+        _check_range(device, self.n_devices, "device")
+        _check_range(seq, 1 << _SEQ_BITS, "seq")
+        keys = device.astype(np.int64) << _SEQ_BITS | seq
+        by_key = np.argsort(keys)
+        keys = keys[by_key]
+        taken = np.searchsorted(self._keys, keys) + np.arange(keys.size)
+        merged = _splice(self._keys, taken, keys)
+        clash = merged[1:] == merged[:-1]
+        if clash.any():
+            device_seq = divmod(int(merged[1:][clash][0]), 1 << _SEQ_BITS)
+            raise ConfigurationError(f"flow (device, seq) = {device_seq} "
+                                     "is already live or repeated")
+        return merged, by_key, taken
+
     def admit(self, batch: FlowBatch) -> np.ndarray:
         """Admit a batch of flows column to column; returns their slots.
 
         A flow whose device is not attached is refused (one
-        ``flow_refused`` record, no slot).
+        ``flow_refused`` record, no slot).  A malformed batch — see
+        :meth:`_placement` — is refused whole with a
+        :class:`~repro.errors.ConfigurationError`.
         """
         n = len(batch)
+        if n == 0:
+            return np.zeros(0, dtype=np.int64)
         device = batch.device
+        keys, by_key, taken = self._placement(device, batch.seq)
         if not self._attached[device].all():
             if n == 1:
                 self.ledger.record("flow_refused", int(device[0]),
@@ -460,8 +563,6 @@ class HybridPopulationEngine:
             # device; a hand-built batch that does goes one by one.
             return np.concatenate(
                 [self.admit(FlowBatch.of([spec])) for spec in batch])
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
         punt = self.punt_hook
         leaky = np.nonzero(batch.leaky)[0].tolist()
         if punt is not None or self.mode == MODE_PACKET:
@@ -484,9 +585,8 @@ class HybridPopulationEngine:
         )
         self.cell_count += np.bincount(cell, minlength=self.n_cells)
         self.cell_dirty[cell] = True
-        device_flows = self._device_flows
-        for owner, slot in zip(device.tolist(), slots.tolist()):
-            device_flows.setdefault(owner, set()).add(slot)
+        self._keys = keys
+        self._order = _splice(self._order, taken, slots[by_key])
         self.flows_opened += n
         # The TLS handshake is policy-relevant: one packet per flow.
         handshakes = int(np.count_nonzero(batch.https))
@@ -512,6 +612,9 @@ class HybridPopulationEngine:
     def audit_probe(self, device: int, k: int = 0) -> None:
         """One auditor probe through the device's cell (event-simulated)."""
         device = int(device)
+        if not 0 <= device < self.n_devices:
+            raise ConfigurationError(
+                f"device {device} outside [0, {self.n_devices})")
         if not self._attached[device]:
             self.ledger.bump("audit_skipped")
             return
@@ -588,8 +691,7 @@ class HybridPopulationEngine:
         """
         self.attach_many(batch.attach_devices, batch.attach_cells)
         self.admit(batch.flows)
-        for device, new_cell, k in batch.migrates:
-            self.migrate(device, new_cell, k)
+        self.migrate_many(batch.migrates)
         for device, k in batch.probes:
             self.audit_probe(device, k)
         self.detach_many(batch.detaches)
@@ -602,27 +704,21 @@ class HybridPopulationEngine:
             return
         self.epochs += 1
         self.cells_recomputed += int(self.cell_dirty.sum())
-        live = self.flows.live_slots()
-        if live.size:
-            cell_col = self.flows.col("cell")
-            in_dirty = self.cell_dirty[cell_col[live]]
-            if in_dirty.any():
-                sub = live[in_dirty]
-                # Canonical (device, seq) order: the two modes close
-                # flows in different orders (event time vs slot scan),
-                # so the LIFO free list hands the same flows different
-                # slots.  The waterfill's bincount reductions sum in
-                # array order, and a permuted sum can differ in the
-                # last ULP — enough to break exact cross-mode
-                # completion-time equality.  Sorting by flow identity
-                # makes the fair level a function of the flow *set*.
-                order = np.lexsort((self.flows.col("seq")[sub],
-                                    self.flows.col("device")[sub]))
-                sub = sub[order]
-                caps = self.flows.col("cap")[sub]
-                cells = cell_col[sub]
-                fair = waterfill(caps, cells, self.cell_capacity)
-                self.flows.col("rate")[sub] = np.minimum(caps, fair[cells])
+        # The dirty cells' flows in canonical (device, seq) order, read
+        # off the index.  Slot order would not do: the two modes close
+        # flows in different orders (event time vs slot scan), so the
+        # LIFO free list hands the same flows different slots.  The
+        # waterfill's bincount reductions sum in array order, and a
+        # permuted sum can differ in the last ULP — enough to break
+        # exact cross-mode completion-time equality.  Identity order
+        # makes the fair level a function of the flow *set*.
+        cell_col = self.flows.col("cell")
+        sub = self._order[self.cell_dirty[cell_col[self._order]]]
+        if sub.size:
+            caps = self.flows.col("cap")[sub]
+            cells = cell_col[sub]
+            fair = waterfill(caps, cells, self.cell_capacity)
+            self.flows.col("rate")[sub] = np.minimum(caps, fair[cells])
         self.cell_dirty[:] = False
 
     def _advance(self, now: float, boundary: float) -> None:
@@ -849,12 +945,11 @@ class HybridPopulationEngine:
         self.cell_count -= np.bincount(cell, minlength=self.n_cells)
         self.cell_dirty[cell] = True
         device = table.col("device")[slots]
-        device_flows = self._device_flows
-        for owner, slot in zip(device.tolist(), slots.tolist()):
-            owned = device_flows[owner]
-            owned.discard(slot)
-            if not owned:
-                del device_flows[owner]
+        keep = np.ones(self._keys.size, dtype=np.bool_)
+        keep[np.searchsorted(
+            self._keys, device << _SEQ_BITS | table.col("seq")[slots])] = False
+        self._keys = self._keys[keep]
+        self._order = self._order[keep]
         if completed:
             self.flows_completed += slots.size
             dst = table.col("dst")[slots]

@@ -23,12 +23,12 @@ randomness:
   pair of ``searchsorted`` slices per tick.
 
 Flow *contents* (size, kind, HTTPS, leak gate, cross-shard
-destination) are derived from the same keyed hash as bulk columns, for
-the flows this shard owns; a tick's flows reach the engine as a
+destination, and the variable-length leak positions and types) are
+derived from the same keyed hash as bulk columns, for the flows this
+shard owns; a tick's flows reach the engine as a
 :class:`~repro.netsim.fluid.FlowBatch` of slices of those columns.
-Only the variable-length leak details, and the
-:class:`~repro.netsim.fluid.HybridFlow` object itself, are derived
-lazily — for the flows whose object something reads.
+Only the :class:`~repro.netsim.fluid.HybridFlow` object itself is
+built lazily — for the flows whose object something reads.
 """
 
 from __future__ import annotations
@@ -196,6 +196,13 @@ class PopulationWorkload:
             "flows", attach_t, detach_t, spec.flows_per_device_s, mine)
         self._migrates = self._bucket_chain(
             "migrates", attach_t, detach_t, spec.migrate_rate, mine)
+        # Each migration's target cell, keyed like the flow attributes.
+        _, devices, ks = self._migrates
+        self._migrates += ((_mix(
+            np.uint64(self._flow_base)
+            ^ (devices.astype(np.uint64) * np.uint64(_WEYL)
+               + ks.astype(np.uint64)))
+            % np.uint64(max(1, spec.cells))).astype(np.int64),)
         self._probes = self._bucket_chain(
             "probes", attach_t, detach_t, spec.audit_rate, mine)
         self._compile_flow_attrs()
@@ -225,9 +232,9 @@ class PopulationWorkload:
 
     @staticmethod
     def _slice(bucketed, index):
-        ticks, devices, ks = bucketed
+        ticks, *columns = bucketed
         lo, hi = np.searchsorted(ticks, [index, index + 1])
-        return devices[lo:hi], ks[lo:hi]
+        return [column[lo:hi] for column in columns]
 
     # -- per-flow attributes (vectorized, keyed) ---------------------------
 
@@ -237,9 +244,10 @@ class PopulationWorkload:
         The draw schedule is FIXED (seven keyed draws per flow, in
         order: kind, size, https, third-party, leak gate, cross gate,
         destination) so the whole table vectorizes; the variable-length
-        leak details continue the same hash chain lazily, only for the
-        (rare) leaky flows.  :meth:`flow_spec` is the scalar reference
-        for the identical derivation — the tests assert equality.
+        leak details continue the same hash chain, only for the (rare)
+        leaky flows (:meth:`_compile_leaks`).  :meth:`flow_spec` is the
+        scalar reference for the identical derivation — the tests
+        assert equality.
         """
         spec = self.spec
         _, devices, ks = self._flows
@@ -271,11 +279,49 @@ class PopulationWorkload:
             us[5] < spec.cross_fraction,
             (draws[6] % np.uint64(max(1, spec.devices))).astype(np.int64),
             np.int64(-1)) if n else np.zeros(0, dtype=np.int64)
-        self._leak_seed = draws[6]
+        self._compile_leaks(draws[6])
+
+    def _compile_leaks(self, seeds: np.ndarray) -> None:
+        """Every leaky flow's leak positions and types, as flat columns.
+
+        :meth:`_leak_details` over all leaky flows at once: the chain
+        continues from the flow's last draw with ``n_leaks = 1 + h1 %
+        3``, positions ``h2 .. h(1 + n_leaks)`` mod ``n_packets``
+        (sorted, deduplicated), then one type draw per unique position.
+        Flow ``i``'s leaks are ``_leak_packets[_leak_ptr[i]:_leak_ptr[i
+        + 1]]``, index-aligned with ``_leak_types`` (empty if it has
+        none).
+        """
+        leaky = np.nonzero(self._leaky)[0]
+        # One count draw, at most three position and three type draws.
+        chain = np.empty((leaky.size, 7), dtype=np.uint64)
+        h = seeds[leaky]
+        for j in range(7):
+            h = _mix(h)
+            chain[:, j] = h
+        n_leaks = 1 + (chain[:, 0] % np.uint64(3)).astype(np.int64)
+        drawn = (chain[:, 1:4] % self._n_packets[leaky, None].astype(
+            np.uint64)).astype(np.int64)
+        # Draws past a flow's n_leaks become a sentinel that sorts last.
+        unused = np.iinfo(np.int64).max
+        drawn[np.arange(3) >= n_leaks[:, None]] = unused
+        drawn.sort(axis=1)
+        first = drawn != unused
+        first[:, 1:] &= drawn[:, 1:] != drawn[:, :-1]
+        rows, _ = np.nonzero(first)
+        rank = (np.cumsum(first, axis=1) - 1)[first]
+        type_draws = chain[rows, 1 + n_leaks[rows] + rank]
+        self._leak_packets = drawn[first]
+        self._leak_types = np.asarray(PII_TYPES)[
+            (type_draws % np.uint64(len(PII_TYPES))).astype(np.int64)]
+        per_flow = np.zeros(len(self._leaky), dtype=np.int64)
+        per_flow[leaky] = first.sum(axis=1)
+        self._leak_ptr = np.concatenate(([0], np.cumsum(per_flow)))
 
     def _leak_details(self, h: int,
                       n_packets: int) -> tuple[tuple, tuple]:
-        """Leak positions/types: lazy continuation of the flow's chain."""
+        """Leak positions/types: scalar continuation of the flow's chain
+        (the reference :meth:`_compile_leaks` must match)."""
         def draw() -> int:
             nonlocal h
             h = _mix_int(h)
@@ -289,19 +335,16 @@ class PopulationWorkload:
     def _flow_at(self, position: int) -> HybridFlow:
         """Materialize the flow at one schedule position."""
         _, devices, ks = self._flows
-        n_packets = int(self._n_packets[position])
-        leak_packets: tuple[int, ...] = ()
-        leak_types: tuple[str, ...] = ()
-        if self._leaky[position]:
-            leak_packets, leak_types = self._leak_details(
-                int(self._leak_seed[position]), n_packets)
+        start, end = self._leak_ptr[position:position + 2].tolist()
         third_party = bool(self._third_party[position])
         return HybridFlow(
             device=int(devices[position]), seq=int(ks[position]),
-            n_packets=n_packets, cap_bps=float(self._cap[position]),
+            n_packets=int(self._n_packets[position]),
+            cap_bps=float(self._cap[position]),
             kind=FLOW_KINDS[self._kind_idx[position]][0],
             https=bool(self._https[position]), third_party=third_party,
-            leak_packets=leak_packets, leak_types=leak_types,
+            leak_packets=tuple(self._leak_packets[start:end].tolist()),
+            leak_types=tuple(self._leak_types[start:end].tolist()),
             dst_device=int(self._dst[position]),
             host="tracker.example.net" if third_party
                  else "app.example.com",
@@ -356,10 +399,10 @@ class PopulationWorkload:
         attach_devices, _ = self._slice(self._attaches, index)
         flow_lo, flow_hi = np.searchsorted(self._flows[0],
                                            [index, index + 1])
-        migrate_devices, migrate_ks = self._slice(self._migrates, index)
+        migrate_devices, migrate_ks, migrate_cells = self._slice(
+            self._migrates, index)
         probe_devices, probe_ks = self._slice(self._probes, index)
         detach_devices, detach_ks = self._slice(self._detaches, index)
-        cells = self.spec.cells
         flows = slice(flow_lo, flow_hi)
         return TickBatch(
             attach_devices=attach_devices,
@@ -370,11 +413,8 @@ class PopulationWorkload:
                 https=self._https[flows], leaky=self._leaky[flows],
                 dst_device=self._dst[flows],
                 flow_at=lambda i: self._flow_at(flow_lo + i)),
-            migrates=[
-                (int(d), int(_mix_int(self._flow_base ^ (d * _WEYL + k))
-                             % max(1, cells)), int(k))
-                for d, k in zip(migrate_devices.tolist(),
-                                migrate_ks.tolist())],
+            migrates=list(zip(migrate_devices.tolist(),
+                              migrate_cells.tolist(), migrate_ks.tolist())),
             probes=list(zip(probe_devices.tolist(), probe_ks.tolist())),
             detaches=list(zip(detach_devices.tolist(),
                               detach_ks.tolist())),

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
+from repro.errors import ConfigurationError
 from repro.experiments.exp23_population import measure_mode
 from repro.netsim import Simulator
 from repro.netsim.fluid import (
@@ -218,7 +219,8 @@ class TestEngineLifecycle:
         engine = make_engine()
         attach_all(engine)
         slots = engine.admit(FlowBatch.of(
-            [flow(device=d, seq=d, n_packets=10**6) for d in (3, 1, 3)]))
+            [flow(device=d, seq=s, n_packets=10**6)
+             for d, s in ((3, 3), (1, 1), (3, 4))]))
         engine.detach_many([(3, 0), (6, 0), (1, 0), (3, 1)])
         assert engine.active_flows == 0
         assert engine.flows._free[-3:] == sorted(
@@ -284,6 +286,17 @@ class TestEngineLifecycle:
         with pytest.raises(ValueError):
             HybridPopulationEngine(Simulator(), 4, 1, -5.0)
 
+    def test_migrate_many_moves_a_device_from_where_its_last_move_left_it(
+            self):
+        engine = make_engine(n_cells=3)
+        attach_all(engine, cell=0)
+        engine.open_flow(flow(device=1, n_packets=10**6))
+        engine.migrate_many([(1, 2, 0), (5, 1, 0), (1, 1, 1)])
+        assert engine.cell_count.tolist() == [0, 1, 0]
+        assert engine.ledger.records[-3:] == [
+            ("migrate", 1, 0, 0, 2), ("migrate", 5, 0, 0, 1),
+            ("migrate", 1, 1, 2, 1)]
+
     def test_end_time_is_the_exact_last_boundary_float(self):
         # end_time must be the same float expression the sub-tick
         # events clamp to — (index + 1) * tick — or boundary events
@@ -294,6 +307,105 @@ class TestEngineLifecycle:
 
     def test_no_leak_sentinel_sorts_after_any_packet_index(self):
         assert NO_LEAK > 10**9
+
+
+class TestInputBoundary:
+    """Malformed population input raises ConfigurationError before
+    anything changes; numpy never reads a negative device from the end
+    of an array."""
+
+    def engine(self):
+        engine = make_engine()
+        attach_all(engine)
+        engine.open_flow(flow(device=2, seq=0, n_packets=10**6))
+        return engine
+
+    def unchanged(self, engine, call):
+        before = (list(engine.ledger.records), engine.counters(),
+                  engine._attached.tolist(), engine._device_cell.tolist(),
+                  engine.cell_count.tolist(), engine._keys.tolist(),
+                  engine._order.tolist(), list(engine.flows._free))
+        with pytest.raises(ConfigurationError):
+            call()
+        assert before == (list(engine.ledger.records), engine.counters(),
+                          engine._attached.tolist(),
+                          engine._device_cell.tolist(),
+                          engine.cell_count.tolist(), engine._keys.tolist(),
+                          engine._order.tolist(), list(engine.flows._free))
+
+    def test_open_flow_on_a_negative_device(self):
+        engine = self.engine()
+        self.unchanged(engine, lambda: engine.open_flow(flow(device=-1)))
+
+    def test_admit_with_one_device_out_of_range(self):
+        engine = self.engine()
+        self.unchanged(engine, lambda: engine.admit(FlowBatch.of(
+            [flow(device=1), flow(device=8)])))
+
+    @pytest.mark.parametrize("seq", [-1, 2 ** 32])
+    def test_admit_with_a_seq_out_of_range(self, seq):
+        engine = self.engine()
+        self.unchanged(engine, lambda: engine.admit(FlowBatch.of(
+            [flow(device=1), flow(device=3, seq=seq)])))
+
+    def test_admit_of_an_identity_already_live(self):
+        engine = self.engine()
+        self.unchanged(engine, lambda: engine.admit(FlowBatch.of(
+            [flow(device=1), flow(device=2, seq=0)])))
+
+    def test_admit_of_an_identity_repeated_in_the_batch(self):
+        engine = self.engine()
+        self.unchanged(engine, lambda: engine.admit(FlowBatch.of(
+            [flow(device=4, seq=1), flow(device=1), flow(device=4, seq=1)])))
+
+    def test_repeated_identity_on_a_detached_device(self):
+        # Checked for the whole batch before any flow is refused.
+        engine = self.engine()
+        engine.detach(5)
+        self.unchanged(engine, lambda: engine.admit(FlowBatch.of(
+            [flow(device=5, seq=1), flow(device=1), flow(device=5, seq=1)])))
+
+    def test_attach_many_device_out_of_range(self):
+        engine = make_engine()
+        self.unchanged(engine, lambda: engine.attach_many(
+            np.array([1, 8]), np.array([0, 0])))
+
+    def test_attach_many_cell_out_of_range(self):
+        engine = make_engine()
+        self.unchanged(engine, lambda: engine.attach_many(
+            np.array([2]), np.array([5])))
+        self.unchanged(engine, lambda: engine.attach_many(
+            np.array([2]), np.array([-1])))
+
+    def test_detach_of_a_device_out_of_range(self):
+        engine = self.engine()
+        self.unchanged(engine, lambda: engine.detach(99))
+        self.unchanged(engine, lambda: engine.detach_many([(2, 0), (-1, 0)]))
+
+    def test_migrate_many_device_out_of_range(self):
+        engine = self.engine()
+        self.unchanged(engine, lambda: engine.migrate_many(
+            [(2, 1, 0), (8, 1, 0)]))
+
+    def test_migrate_many_cell_out_of_range(self):
+        engine = self.engine()
+        self.unchanged(engine, lambda: engine.migrate_many(
+            [(2, 1, 0), (3, 2, 0)]))
+        self.unchanged(engine, lambda: engine.migrate(2, -1))
+
+    def test_audit_probe_of_a_device_out_of_range(self):
+        engine = self.engine()
+        self.unchanged(engine, lambda: engine.audit_probe(-1))
+
+    def test_population_too_large_for_a_flow_identity(self):
+        with pytest.raises(ConfigurationError):
+            HybridPopulationEngine(Simulator(), 2 ** 31, 1, 1e6)
+
+    def test_a_retired_identity_can_be_admitted_again(self):
+        engine = self.engine()
+        engine.detach(2)
+        engine.attach_many(np.array([2]), np.array([1]))
+        assert engine.open_flow(flow(device=2, seq=0)) is not None
 
 
 class TestPublish:

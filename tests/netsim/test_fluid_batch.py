@@ -2,14 +2,19 @@
 
 ``HybridPopulationEngine`` admits a tick's flows with one
 ``allocate_many`` and retires a tick's finished or aborted flows with
-one ``release_many``.  :class:`PerFlowEngine` below is the loop that
-used to live in ``src/`` — one ``HybridFlow`` object, one
-``SoaTable.allocate`` and one ``release`` per flow — kept here as the
-oracle.  Both are driven tick by tick over the same compiled workload
-and must agree on everything a later tick, a digest or a shard peer can
-observe: ledger records and counts, counters, completion instants
-(``==``), outbox order, and the flow table down to slot numbering,
-generations and the free list.
+one ``release_many``; it keeps the live flows in a sorted ``(device,
+seq)`` index that the epoch step reads without sorting and that
+resolves a device's flows as one slice.  :class:`PerFlowEngine` below
+is what used to live in ``src/`` — one ``HybridFlow`` object, one
+``SoaTable.allocate`` and one ``release`` per flow, a dict of slot
+sets per device, and a ``lexsort`` of the dirty cells' flows every
+epoch — kept here as the oracle.  Both are driven tick by tick over
+the same compiled workload and must agree on everything a later tick,
+a digest or a shard peer can observe: ledger records and counts,
+counters, completion instants (``==``), outbox order, and the flow
+table down to every rate bit, slot numbering, generations and the free
+list.  After every tick the engine's index must also equal the sort it
+replaced.
 """
 
 import dataclasses
@@ -27,6 +32,7 @@ from repro.netsim.fluid import (
     HybridFlow,
     HybridPopulationEngine,
     PolicyLedger,
+    waterfill,
 )
 from repro.workloads.population import (
     PopulationSpec,
@@ -40,6 +46,48 @@ CELL_CAPACITY_BPS = 3e6
 
 class PerFlowEngine(HybridPopulationEngine):
     """The engine with flows opened and closed one object at a time."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._device_flows = {}
+
+    def _recompute(self):
+        if not self.cell_dirty.any():
+            return
+        self.epochs += 1
+        self.cells_recomputed += int(self.cell_dirty.sum())
+        live = self.flows.live_slots()
+        if live.size:
+            cell_col = self.flows.col("cell")
+            in_dirty = self.cell_dirty[cell_col[live]]
+            if in_dirty.any():
+                sub = live[in_dirty]
+                order = np.lexsort((self.flows.col("seq")[sub],
+                                    self.flows.col("device")[sub]))
+                sub = sub[order]
+                caps = self.flows.col("cap")[sub]
+                cells = cell_col[sub]
+                fair = waterfill(caps, cells, self.cell_capacity)
+                self.flows.col("rate")[sub] = np.minimum(caps, fair[cells])
+        self.cell_dirty[:] = False
+
+    def migrate(self, device, new_cell, k=0):
+        device, new_cell = int(device), int(new_cell)
+        if not self._attached[device]:
+            self.ledger.bump("migrate_skipped")
+            return
+        old_cell = int(self._device_cell[device])
+        self._device_cell[device] = new_cell
+        self.ledger.record("migrate", device, int(k), old_cell, new_cell)
+        slots = self._device_flows.get(device, ())
+        if slots and new_cell != old_cell:
+            cell_col = self.flows.col("cell")
+            for slot in slots:
+                cell_col[slot] = new_cell
+            self.cell_count[old_cell] -= len(slots)
+            self.cell_count[new_cell] += len(slots)
+        self.cell_dirty[old_cell] = True
+        self.cell_dirty[new_cell] = True
 
     def _apply(self, batch):
         self.attach_many(batch.attach_devices, batch.attach_cells)
@@ -159,10 +207,21 @@ def observable(engine):
         "cell_dirty": engine.cell_dirty.tolist(),
         "attached": engine._attached.tolist(),
         "device_cell": engine._device_cell.tolist(),
-        "device_flows": engine._device_flows,
         "events": engine.sim.processed_events,
         "bytes": engine.bytes_total,
     }
+
+
+def assert_index_is_the_sort(engine):
+    """The engine's flow index equals the ``lexsort`` it replaced."""
+    live = engine.flows.live_slots()
+    device = engine.flows.col("device")[live]
+    seq = engine.flows.col("seq")[live]
+    assert engine._order.tolist() == live[np.lexsort((seq, device))].tolist()
+    keys = engine._keys
+    assert (keys[1:] > keys[:-1]).all()
+    assert keys.tolist() == ((engine.flows.col("device")[engine._order] << 32)
+                             | engine.flows.col("seq")[engine._order]).tolist()
 
 
 def wire(packet):
@@ -215,6 +274,7 @@ def lockstep(spec, seed, mode=MODE_FLUID, keep_records=True, punt=False):
             # The boundary float every engine event clamps to.
             each.sim.run(until=(index + 1) * TICK)
         assert observable(engine) == observable(oracle), f"tick {index}"
+        assert_index_is_the_sort(engine)
         assert_objects_are_the_oracles(engine, oracle)
         assert list(map(wire, punted[0])) == list(map(wire, punted[1]))
         if len(oracle.outbox) > sent:
@@ -364,6 +424,7 @@ class TestHandBuiltBatches:
         for each in (engine, oracle):
             each._apply(self.batch(flows, detaches=[(1, 0), (6, 0)]))
         assert observable(engine) == observable(oracle)
+        assert_index_is_the_sort(engine)
         assert engine.ledger.count("flow_refused") == 2
         assert engine.active_flows == 2
 
@@ -377,6 +438,44 @@ class TestHandBuiltBatches:
         engine.detach(2)
         oracle.detach(2)
         assert observable(engine) == observable(oracle)
+        assert_index_is_the_sort(engine)
+
+    def test_neighbouring_devices_stay_out_of_each_others_slice(self):
+        # Device 2's flows sit between device 1's last and device 3's
+        # seq 0 in the index; a detach or a migration of 2 touches
+        # neither neighbour.  The admission order is not the key order.
+        engine, oracle = self.pair()
+        opened = [flow(3, 0), flow(2, 5), flow(1, 2 ** 32 - 1), flow(2, 0),
+                  flow(1, 0)]
+        for each in (engine, oracle):
+            each._apply(self.batch(opened))
+            each.migrate(2, 1)
+            each.migrate(2, 0, 1)
+            each.migrate(2, 1, 2)
+            each._recompute()
+            each.detach(2)
+        assert observable(engine) == observable(oracle)
+        assert_index_is_the_sort(engine)
+        assert engine.active_flows == 3
+        assert engine.cell_count.tolist() == [0, 3]
+
+
+class TestCompiledLeaks:
+    @settings(max_examples=30, deadline=None)
+    @given(spec=specs, seed=st.integers(0, 10_000))
+    def test_leak_columns_equal_the_scalar_reference(self, spec, seed):
+        workload = PopulationWorkload(spec, seed=seed, tick=TICK)
+        _, devices, ks = workload._flows
+        bounds = workload._leak_ptr.tolist()
+        packets = workload._leak_packets.tolist()
+        types = workload._leak_types.tolist()
+        assert bounds[-1] == len(packets) == len(types)
+        for i, (device, k) in enumerate(zip(devices.tolist(), ks.tolist())):
+            reference = workload.flow_spec(device, k)
+            start, end = bounds[i], bounds[i + 1]
+            assert bool(workload._leaky[i]) == (end > start)
+            assert tuple(packets[start:end]) == reference.leak_packets
+            assert tuple(types[start:end]) == reference.leak_types
 
 
 class TestObjectsBuilt:

@@ -16,9 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.netsim.fluid import PII_TYPES, FlowBatch
 from repro.workloads.population import (
+    _WEYL,
     FLOW_KINDS,
     PopulationSpec,
     PopulationWorkload,
+    _mix_int,
 )
 
 TICK = 0.1
@@ -115,6 +117,20 @@ class TestScalarVectorAgreement:
                 tuple(field(flow) for field in FLOW_COLUMNS.values())
                 for flow in flows]
             assert batch.flows == FlowBatch.of(flows)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), cells=st.integers(1, 40))
+    def test_compiled_migration_cells_match_the_scalar_hash(self, seed,
+                                                            cells):
+        workload = PopulationWorkload(
+            spec(devices=60, cells=cells, migrate_rate=0.5), seed=seed,
+            tick=TICK)
+        migrates = [m for batch in all_batches(workload)
+                    for m in batch.migrates]
+        assert migrates
+        for device, cell, k in migrates:
+            assert cell == _mix_int(
+                workload._flow_base ^ (device * _WEYL + k)) % cells
 
     def test_flow_attribute_domains(self):
         workload = PopulationWorkload(spec(), seed=5, tick=TICK)
