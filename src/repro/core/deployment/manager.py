@@ -163,7 +163,6 @@ class PvnDataPath:
         self._classifier_runner = None
         self._redirect_pipeline: Pipeline | None = None
         self._pooled_context: ProcessingContext | None = None
-        self._context_pool: list[ProcessingContext] = []
         self.pipeline_compiles = 0
         self.pipeline_invalidations = 0
 
@@ -373,86 +372,6 @@ class PvnDataPath:
         if obs is not None and obs.trace_spans:
             self._record_packet_spans(obs, packet, now, outcome)
         return outcome
-
-    def process_batch(self, packets: list[Packet],
-                      now: float) -> list[DataPathOutcome]:
-        """Run a burst through the PVN pipeline as vectors.
-
-        Packets are classified per slot (sharing one context per slot
-        between the classifier and that packet's chain, exactly like
-        the scalar path), grouped by traffic class, and each group
-        executes through its compiled pipeline's
-        :meth:`~repro.nfv.pipeline.Pipeline.run_batch`.  Rare states —
-        stale epoch, migration bridge, degradation, crashed classifier
-        — and span-traced packets fall back to scalar :meth:`process`
-        so their per-packet semantics (fence evidence, span synthesis,
-        verdict labels) are untouched; batched outcomes carry empty
-        ``verdict_reasons`` (the throughput/introspection trade
-        :class:`~repro.nfv.pipeline.BatchResult` documents).
-        """
-        classify = "classifier" not in self.skip_services
-        if (self._bridging_to or self._degraded_to
-                or (classify and self._service_down("classifier"))
-                or (self.fencing is not None
-                    and not self.fencing.is_current(self.lineage,
-                                                    self.epoch))):
-            return [self.process(packet, now) for packet in packets]
-        obs = obs_runtime.current()
-        tracing = obs is not None and obs.trace_spans
-        outcomes: list[DataPathOutcome | None] = [None] * len(packets)
-        vector: list[int] = []
-        for i, packet in enumerate(packets):
-            if tracing and obs_spans.extract(packet.metadata) is not None:
-                outcomes[i] = self.process(packet, now)
-            else:
-                vector.append(i)
-        if not vector:
-            return outcomes
-        self.packets_processed += len(vector)
-        pool = self._context_pool
-        while len(pool) < len(vector):
-            pool.append(ProcessingContext(
-                now=now, owner="", tracer=self.tracer,
-                trusted_execution=self.trusted_execution,
-            ))
-        runner = self._classifier() if classify else None
-        classifier_delay = self.container_spec.per_packet_delay if classify \
-            else 0.0
-        groups: dict[str, tuple[list[int], list[Packet], list]] = {}
-        for slot, i in enumerate(vector):
-            packet = packets[i]
-            context = pool[slot].reset(now, packet.owner)
-            if runner is not None:
-                runner(packet, context)
-            traffic_class = packet.metadata.get(CLASS_KEY, "other")
-            group = groups.get(traffic_class)
-            if group is None:
-                groups[traffic_class] = ([i], [packet], [context])
-            else:
-                group[0].append(i)
-                group[1].append(packet)
-                group[2].append(context)
-        for traffic_class, (indices, group_packets, contexts) in \
-                groups.items():
-            pipeline, action, endpoint = self._compiled_for(traffic_class)
-            batch = pipeline.run_batch(group_packets, contexts)
-            for k, i in enumerate(indices):
-                delay = classifier_delay + batch.added_delays[k]
-                kind = batch.terminal_kinds[k]
-                fate, via = action, endpoint
-                if kind is VerdictKind.DROP:
-                    fate, via = ACTION_DROP, ""
-                elif kind is VerdictKind.TUNNEL:
-                    fate, via = ACTION_TUNNEL, batch.tunnel_endpoints[k]
-                elif action == ACTION_DROP:
-                    group_packets[k].mark_dropped(
-                        f"policy drop (pvn {self.deployment_id})"
-                    )
-                outcomes[i] = DataPathOutcome(
-                    action=fate, tunnel_endpoint=via,
-                    added_delay=delay, traffic_class=traffic_class,
-                )
-        return outcomes
 
     def _process(self, packet: Packet, now: float) -> DataPathOutcome:
         if (self.fencing is not None
@@ -828,12 +747,6 @@ class DeploymentManager:
                     datapath, packet, detour
                 ),
             )
-            switch.bind_chain_batch(
-                deployment_id,
-                lambda packets, chain_id: self._chain_batch_executor(
-                    datapath, packets, detour
-                ),
-            )
             next_hop = self._next_hop_toward_gateway()
             self.controller.install(
                 self.ingress_switch,
@@ -894,24 +807,6 @@ class DeploymentManager:
         # switch to charge before resuming the packet.
         packet.metadata["chain_delay"] = outcome.added_delay + detour_delay
         return packet
-
-    def _chain_batch_executor(self, datapath: PvnDataPath,
-                              packets: list[Packet],
-                              detour_delay: float = 0.0):
-        """Vector counterpart of :meth:`_chain_executor` — one datapath
-        batch per burst, per-packet outcome handling unchanged."""
-        now = self.sim.now if self.sim is not None else 0.0
-        outcomes = datapath.process_batch(packets, now)
-        results: list[Packet | None] = []
-        for packet, outcome in zip(packets, outcomes):
-            if outcome.action != ACTION_FORWARD:
-                results.append(None)
-            else:
-                packet.metadata["chain_delay"] = (
-                    outcome.added_delay + detour_delay
-                )
-                results.append(packet)
-        return results
 
     def _detour_delay(self, embedding: EmbeddingResult) -> float:
         """One-way extra latency of the waypointed path vs direct."""

@@ -82,26 +82,3 @@ class SelectiveRedirector:
     def redirect_fraction(self) -> float:
         total = self.redirected + self.kept_local
         return self.redirected / total if total else 0.0
-
-    def as_pipeline_step(self, name: str = "selective_redirect"):
-        """This redirector as one compiled pipeline step.
-
-        Packets matching a redirect rule yield a TUNNEL verdict toward
-        the rule's endpoint (short-circuiting the pipeline exactly like
-        a middlebox tunnel verdict); everything else passes and stays
-        on the in-network fast path.  Traffic accounting
-        (``redirected`` / ``kept_local`` / per-rule counts) is charged
-        by :meth:`route` as usual.
-        """
-        from repro.nfv.middlebox import Verdict
-        from repro.nfv.pipeline import PipelineStep
-
-        def runner(packet: Packet, context) -> Verdict:
-            endpoint = self.route(packet)
-            if endpoint is None:
-                return Verdict.passed()
-            return Verdict.tunneled(
-                endpoint, reason=packet.metadata.get("redirected_via", ""),
-            )
-
-        return PipelineStep(name=name, runner=runner)

@@ -1,4 +1,4 @@
-"""E21 — megaflow wildcard classification + batched datapath.
+"""E21 — megaflow wildcard classification.
 
 E16 showed the microflow cache makes *steady-state* per-packet cost
 O(1) in the installed-PVN count.  Its blind spot is flow churn: every
@@ -12,23 +12,21 @@ flows of one subscriber collapse onto one cached megaflow and only the
 *first* packet per subscriber ever scans the table.
 
 This experiment replays a churning open-loop schedule (every packet a
-fresh source port) at a sweep of installed-PVN counts through four
-datapath configurations — linear (both tiers off), microflow-only,
-microflow+megaflow, and megaflow+batched execution — and reports:
+fresh source port) at a sweep of installed-PVN counts through three
+datapath configurations — linear (both tiers off), microflow-only and
+microflow+megaflow — and reports:
 
 * full classifications (linear scans) per configuration; the headline
   claim is a >= 10x cut for the megaflow tier vs microflow-only at
   1000 installed PVNs,
 * wall-clock packets/sec per configuration,
-* the batched-execution speedup of :meth:`Pipeline.run_batch` over
-  per-packet :meth:`Pipeline.run` at batch size 32,
 * a sha256 equivalence digest over every packet-observable output
   (winner match stats, table misses, conservation counters) proving
-  all four configurations classify identically.
+  all three configurations classify identically.
 
 Timing rows are wall-clock measurements and vary run to run; the
-*shape* (classification cut, digest equality, batch speedup) is what
-the bench suite asserts.
+*shape* (classification cut, digest equality) is what the bench suite
+asserts.
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ from repro.experiments.harness import ExperimentResult, main
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.trace import Tracer
-from repro.nfv.middlebox import ProcessingContext, Verdict
-from repro.nfv.pipeline import Pipeline, PipelineStep
 from repro.sdn.actions import Drop
 from repro.sdn.flowtable import FlowRule
 from repro.sdn.match import Match
@@ -51,8 +47,6 @@ from repro.sdn.switch import SdnSwitch
 #: packet is a fresh microflow, so this is also the megaflow tier's
 #: best-case classification cut (>= the 10x bar).
 CHURN_FACTOR = 16
-#: Batch size for the vectored-execution legs (the acceptance bar's).
-BATCH = 32
 
 
 def _build_switch(n_rules: int, tracer: Tracer | None = None) -> SdnSwitch:
@@ -85,18 +79,12 @@ def _configure(switch: SdnSwitch, micro: bool, mega: bool) -> None:
     switch.megaflow_cache.enabled = mega
 
 
-def _replay(switch: SdnSwitch, packets: list[Packet],
-            batch: int = 0) -> float:
-    """Wall-clock packets/sec for one replay (vectored when ``batch``)."""
+def _replay(switch: SdnSwitch, packets: list[Packet]) -> float:
+    """Wall-clock packets/sec for one replay."""
     start = time.perf_counter()
-    if batch:
-        process_batch = switch.process_batch
-        for i in range(0, len(packets), batch):
-            process_batch(packets[i:i + batch])
-    else:
-        process = switch.process
-        for packet in packets:
-            process(packet)
+    process = switch.process
+    for packet in packets:
+        process(packet)
     elapsed = time.perf_counter() - start
     return len(packets) / elapsed if elapsed > 0 else float("inf")
 
@@ -106,8 +94,7 @@ def _digest(switch: SdnSwitch) -> str:
 
     Covers the winner decisions (per-rule match stats), the table miss
     counter, and the switch conservation counters — the byte-identical
-    bar the megaflow and batch tiers must clear against the linear
-    scan.
+    bar the cache tiers must clear against the linear scan.
     """
     # Keyed on pvn_id, not rule_id: rule ids come from a process-global
     # counter, so equivalent switches built in sequence differ on them.
@@ -120,77 +107,28 @@ def _digest(switch: SdnSwitch) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-#: Verdicts are frozen, so a trivial middlebox may return one shared
-#: instance; this keeps the bench runner from measuring allocation of
-#: its own return value instead of the execution engines under test.
-_PASS = Verdict.passed()
-
-
-def _pipeline(n_steps: int = 3) -> Pipeline:
-    """A chain-shaped pipeline of cheap PASS hops (batch-overhead probe)."""
-    def runner(packet: Packet, context: ProcessingContext) -> Verdict:
-        return _PASS
-
-    return Pipeline(
-        "bench/chain",
-        tuple(PipelineStep(name=f"mbox{i}", runner=runner, delay=45e-6)
-              for i in range(n_steps)),
-    )
-
-
-def _batch_speedup(n_packets: int, repeats: int) -> float:
-    """pps of Pipeline.run_batch at BATCH vs per-packet Pipeline.run."""
-    packets = [
-        Packet(src="10.0.0.1", dst="198.51.100.5", src_port=1024 + i,
-               dst_port=443, owner="user0")
-        for i in range(n_packets)
-    ]
-    scalar = _pipeline()
-    best_scalar = 0.0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for packet in packets:
-            scalar.run(packet, scalar.context(0.0, packet.owner))
-        best_scalar = max(best_scalar,
-                          n_packets / (time.perf_counter() - start))
-    vector = _pipeline()
-    best_vector = 0.0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for i in range(0, n_packets, BATCH):
-            chunk = packets[i:i + BATCH]
-            vector.run_batch(chunk, vector.batch_contexts(chunk, 0.0))
-        best_vector = max(best_vector,
-                          n_packets / (time.perf_counter() - start))
-    return best_vector / best_scalar if best_scalar else float("inf")
-
-
 def run(
     seed: int = 0,
     rule_counts: tuple[int, ...] = (100, 1000),
-    repeats: int = 3,
-    batch_packets: int = 4096,
 ) -> ExperimentResult:
     rows = []
     metrics: dict[str, float] = {}
     configs = (
-        ("linear", False, False, 0),
-        ("micro", True, False, 0),
-        ("micro+mega", True, True, 0),
-        ("mega+batch", True, True, BATCH),
+        ("linear", False, False),
+        ("micro", True, False),
+        ("micro+mega", True, True),
     )
     for n_rules in rule_counts:
         n_packets = CHURN_FACTOR * n_rules
         digests: dict[str, str] = {}
         scans: dict[str, int] = {}
-        for label, micro, mega, batch in configs:
+        for label, micro, mega in configs:
             switch = _build_switch(n_rules, Tracer())
             _configure(switch, micro, mega)
             # One replay serves both the timing and the digest: fresh
             # packet objects per configuration, since replays mutate
             # drop state and match statistics.
-            pps = _replay(switch, _churn_schedule(n_rules, n_packets),
-                          batch)
+            pps = _replay(switch, _churn_schedule(n_rules, n_packets))
             switch.publish_counters(switch.sim.now)
             digests[label] = _digest(switch)
             scans[label] = switch.full_classifications
@@ -213,10 +151,9 @@ def run(
         metrics[f"digest_match_at_{n_rules}"] = float(
             len(set(digests.values())) == 1
         )
-    metrics["batch_speedup_at_32"] = _batch_speedup(batch_packets, repeats)
     return ExperimentResult(
         experiment_id="E21",
-        title="§4 fast path completed: megaflow classification + batching",
+        title="§4 fast path completed: megaflow classification",
         columns=["installed PVN rules", "datapath", "pkts/s",
                  "full classifications", "micro hit rate", "mega hit rate",
                  "digest"],
@@ -228,14 +165,11 @@ def run(
             "subscriber's churning flows onto one wildcard entry, so "
             "full classifications drop from one-per-packet to "
             "one-per-subscriber",
-            "identical digests across all four configurations: winner "
+            "identical digests across all three configurations: winner "
             "decisions, match statistics, and conservation counters are "
             "byte-identical to the uncached linear scan",
-            "batch speedup compares Pipeline.run_batch at batch size "
-            f"{BATCH} against per-packet Pipeline.run on a 3-hop chain",
             "timing rows are wall-clock and vary run to run; the bench "
-            "suite asserts the shape (cut >= 10x at 1000 PVNs, batch "
-            ">= 2x)",
+            "suite asserts the shape (cut >= 10x at 1000 PVNs)",
         ],
     )
 

@@ -12,7 +12,6 @@ Public surface:
   over :class:`SoaTable` vectorized flow state.
 """
 
-from repro.netsim.batching import TickBatcher
 from repro.netsim.events import Event, EventPriority
 from repro.netsim.fluid import (
     MODE_FLUID,
@@ -77,7 +76,6 @@ __all__ = [
     "Simulator",
     "SoaTable",
     "TcpParams",
-    "TickBatcher",
     "TokenBucket",
     "Tracer",
     "TransferResult",

@@ -210,13 +210,6 @@ class PhysicalTopology:
     def link_is_down(self, a: str, b: str) -> bool:
         return bool(self._edge(a, b).get("down", False))
 
-    def down_links(self) -> list[tuple[str, str]]:
-        return sorted(
-            (min(a, b), max(a, b))
-            for a, b, data in self.graph.edges(data=True)
-            if data.get("down")
-        )
-
     def set_link_loss(self, a: str, b: str, loss_rate: float) -> float:
         """Override a link's loss rate; returns the previous rate so
         burst injections can restore it."""

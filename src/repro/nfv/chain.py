@@ -23,7 +23,7 @@ from repro.errors import ConfigurationError
 from repro.netsim.packet import Packet
 from repro.nfv.container import Container
 from repro.nfv.middlebox import ProcessingContext, Verdict, VerdictKind
-from repro.nfv.pipeline import BatchResult, Pipeline, PipelineStep
+from repro.nfv.pipeline import Pipeline, PipelineStep
 from repro.nfv.sandbox import Sandbox
 
 TunnelCallback = Callable[[Packet, str], None]
@@ -129,48 +129,6 @@ class ServiceChain:
                 self.tunnel_callback(packet, result.tunnel_endpoint)
         return ChainResult(result.packet, result.verdicts,
                            result.added_delay, result.terminal_kind)
-
-    def process_batch(self, packets: list[Packet],
-                      now: float = 0.0) -> BatchResult:
-        """Run a burst through the chain as one pipeline vector.
-
-        Chain-level accounting (``packets_in`` / dropped / tunneled
-        counts, ``tunneled_to`` metadata, the tunnel callback) matches
-        calling :meth:`process` per packet in order; execution happens
-        through :meth:`~repro.nfv.pipeline.Pipeline.run_batch` with one
-        pooled context per slot.
-        """
-        self.packets_in += len(packets)
-        pipeline = self.compile()
-        batch = pipeline.run_batch(
-            packets, pipeline.batch_contexts(packets, now),
-        )
-        for i, kind in enumerate(batch.terminal_kinds):
-            if batch.packets[i] is not None:
-                continue
-            if kind is VerdictKind.DROP:
-                self.packets_dropped += 1
-            else:
-                self.packets_tunneled += 1
-                endpoint = batch.tunnel_endpoints[i]
-                packets[i].metadata["tunneled_to"] = endpoint
-                if self.tunnel_callback is not None:
-                    self.tunnel_callback(packets[i], endpoint)
-        return batch
-
-    def as_batch_executor(
-        self,
-        clock: Callable[[], float] | None = None,
-    ) -> Callable[[list[Packet], str], list[Packet | None]]:
-        """Adapt this chain to the switch's vector ToChain executor API
-        (:meth:`repro.sdn.switch.SdnSwitch.bind_chain_batch`)."""
-
-        def executor(packets: list[Packet],
-                     chain_id: str) -> list[Packet | None]:
-            now = clock() if clock is not None else 0.0
-            return self.process_batch(packets, now=now).packets
-
-        return executor
 
     def as_executor(
         self,

@@ -207,14 +207,6 @@ class NfvHost:
 
     # -- fault injection -------------------------------------------------------
 
-    def crash_container(self, container_id: int, now: float = 0.0) -> bool:
-        """Crash one container in place (it stays admitted for repair)."""
-        container = self._containers.get(container_id)
-        if container is None or container.state is ContainerState.STOPPED:
-            return False
-        container.crash(now)
-        return True
-
     def fail(self, now: float = 0.0) -> int:
         """The whole host dies: every live container crashes, and
         admission refuses new work until :meth:`recover`."""

@@ -9,8 +9,8 @@ and none shared counters.
 
 A :class:`Pipeline` is the compiled form: a flat tuple of
 :class:`PipelineStep` whose runners are pre-resolved bound callables
-and whose per-hop delays are pre-summed into prefix totals, plus a
-reusable pooled context.  ``ServiceChain.compile()``, the PVN datapath
+and whose per-hop delays are resolved at compile time, plus a reusable
+pooled context.  ``ServiceChain.compile()``, the PVN datapath
 (one pipeline per traffic class), and the degraded/bridged tunnel paths
 (:meth:`Pipeline.tunnel`) all execute through :meth:`Pipeline.run`.
 
@@ -96,26 +96,6 @@ class PipelineResult:
     tunnel_endpoint: str = ""
 
 
-@dataclasses.dataclass
-class BatchResult:
-    """What one :meth:`Pipeline.run_batch` did to a vector of packets.
-
-    All fields are parallel arrays indexed by input position.  Batched
-    execution trades per-step introspection for throughput: verdict and
-    label lists are not collected (callers that need them — e.g. span
-    synthesis for traced packets — route those packets through
-    :meth:`Pipeline.run` instead).  Packet-observable effects (drop
-    reasons, rewrites, charged delays, terminal kinds, throughput
-    counters) are identical to running each packet through
-    :meth:`Pipeline.run` in order.
-    """
-
-    packets: list[Packet | None]       # None where dropped or tunneled
-    terminal_kinds: list[VerdictKind]
-    added_delays: list[float]
-    tunnel_endpoints: list[str]        # "" except where tunneled
-
-
 class Pipeline:
     """A compiled flat list of steps with one pooled context."""
 
@@ -132,19 +112,11 @@ class Pipeline:
         self.tracer = tracer
         #: Full-traversal latency (every step's delay, pre-summed).
         self.total_delay = sum(step.delay for step in self.steps)
-        # Prefix sums for batched execution: _delay_prefix[k] is the
-        # delay charged by steps 0..k-1, so a slot terminating at step
-        # k reads one float instead of accumulating per step.
-        prefix = [0.0]
-        for step in self.steps:
-            prefix.append(prefix[-1] + step.delay)
-        self._delay_prefix = tuple(prefix)
         self.packets_in = 0
         self.packets_forwarded = 0
         self.packets_dropped = 0
         self.packets_tunneled = 0
         self._pooled_context: ProcessingContext | None = None
-        self._context_pool: list[ProcessingContext] = []
         # Per-middlebox wall-time profiling handles, resolved once per
         # Observability instance (label lookup off the per-packet path).
         self._profile_obs: object | None = None
@@ -193,34 +165,6 @@ class Pipeline:
         pooled.tracer = tracer
         pooled.trusted_execution = trusted_execution
         return pooled.reset(now, owner)
-
-    def batch_contexts(
-        self,
-        packets: list[Packet],
-        now: float,
-        tracer: Tracer | None = None,
-        trusted_execution: bool = False,
-    ) -> list[ProcessingContext]:
-        """One pooled context per batch slot, each reset for its packet.
-
-        A single shared context would be wrong for stage-major batch
-        execution: ``extras`` must persist across *steps* for one
-        packet while staying invisible to its neighbours, so each slot
-        owns a context.  The pool grows to the largest batch seen and
-        is reused across batches.
-        """
-        pool = self._context_pool
-        while len(pool) < len(packets):
-            pool.append(ProcessingContext(
-                now=now, owner="", tracer=tracer,
-                trusted_execution=trusted_execution,
-            ))
-        contexts = pool[: len(packets)]
-        for context, packet in zip(contexts, packets):
-            context.tracer = tracer
-            context.trusted_execution = trusted_execution
-            context.reset(now, packet.owner)
-        return contexts
 
     # -- execution ----------------------------------------------------------
 
@@ -301,102 +245,6 @@ class Pipeline:
             packet=None, verdicts=verdicts, labels=tuple(labels),
             added_delay=delay, terminal_kind=VerdictKind.TUNNEL,
             tunnel_endpoint=verdict.tunnel_endpoint,
-        )
-
-    def run_batch(
-        self,
-        packets: list[Packet],
-        contexts: list[ProcessingContext],
-    ) -> BatchResult:
-        """Run a vector of packets through the steps, stage-major.
-
-        Per-packet semantics are exactly :meth:`run`'s — prechecks
-        before the step's delay is charged, DROP/TUNNEL short-circuits
-        a slot, drop reasons carry ``drop_suffix`` — but execution is
-        stage-major: each step's attributes (runner, delay, precheck)
-        are resolved once per *batch* instead of once per packet, and
-        no per-packet verdict/label/result objects are allocated.
-        That amortization is the batched datapath's throughput win;
-        callers needing per-step introspection use :meth:`run`.
-
-        ``contexts`` is parallel to ``packets`` — one context per slot
-        (see :meth:`batch_contexts`), because ``extras`` must persist
-        across steps for one packet without leaking to its neighbours.
-        """
-        n = len(packets)
-        self.packets_in += n
-        handles = self._profiling_handles()
-        out: list[Packet | None] = list(packets)
-        kinds = [VerdictKind.PASS] * n
-        delays = [0.0] * n
-        endpoints = [""] * n
-        live = list(range(n))
-        suffix = self.drop_suffix
-        prefix = self._delay_prefix
-        last = len(self.steps) - 1
-        DROP = VerdictKind.DROP
-        TUNNEL = VerdictKind.TUNNEL
-        REWRITE = VerdictKind.REWRITE
-        PASS = VerdictKind.PASS
-        for index, step in enumerate(self.steps):
-            if not live:
-                break
-            runner = step.runner
-            precheck = step.precheck
-            handle = handles[index] if handles is not None else None
-            uncharged = prefix[index]       # precheck aborts skip the step
-            charged = prefix[index + 1]
-            survivors: list[int] = []
-            keep = survivors.append
-            for i in live:
-                packet = packets[i]
-                context = contexts[i]
-                if precheck is not None:
-                    aborted = precheck(packet, context)
-                    if aborted is not None:
-                        # Terminal without charging this step's delay
-                        # (the crashed-container gate's contract).
-                        kinds[i] = aborted.kind
-                        delays[i] = uncharged
-                        out[i] = None
-                        if aborted.kind is DROP:
-                            self.packets_dropped += 1
-                            packet.mark_dropped(f"{aborted.reason}{suffix}")
-                        else:
-                            self.packets_tunneled += 1
-                            endpoints[i] = aborted.tunnel_endpoint
-                        continue
-                if handle is None:
-                    verdict = runner(packet, context)
-                else:
-                    wall_start = time.perf_counter()
-                    verdict = runner(packet, context)
-                    handle.observe(time.perf_counter() - wall_start)
-                kind = verdict.kind
-                if kind is DROP:
-                    self.packets_dropped += 1
-                    packet.mark_dropped(f"{verdict.reason}{suffix}")
-                    kinds[i] = DROP
-                    delays[i] = charged
-                    out[i] = None
-                elif kind is TUNNEL:
-                    self.packets_tunneled += 1
-                    endpoints[i] = verdict.tunnel_endpoint
-                    kinds[i] = TUNNEL
-                    delays[i] = charged
-                    out[i] = None
-                else:
-                    keep(i)
-                    if index == last:
-                        kinds[i] = PASS if kind is REWRITE else kind
-            live = survivors
-        total = prefix[-1]
-        for i in live:
-            delays[i] = total
-        self.packets_forwarded += len(live)
-        return BatchResult(
-            packets=out, terminal_kinds=kinds,
-            added_delays=delays, tunnel_endpoints=endpoints,
         )
 
     # -- observability ------------------------------------------------------

@@ -109,6 +109,7 @@ class TestSwitchForwarding:
 
         def executor(packet, chain_id):
             seen.append((packet.packet_id, chain_id))
+            packet.metadata["chain_delay"] = 0.5
             return packet
 
         sw1.bind_chain("c1", executor)
@@ -119,7 +120,10 @@ class TestSwitchForwarding:
         a.originate(packet, via="sw1")
         sim.run()
         assert seen == [(packet.packet_id, "c1")]
-        assert packet.delivered_at is not None
+        # The resume waited out the chain delay the executor reported.
+        assert packet.delivered_at > 0.5
+        assert "chain_delay" not in packet.metadata
+        assert sw1.packets_forwarded == 1
 
     def test_chain_consuming_packet_stops_forwarding(self, fabric):
         sim, a, b, sw1, sw2, ctrl = fabric

@@ -28,7 +28,7 @@ FAST_PARAMS = {
     "F1C": dict(n_flows=100, fractions=(0.0, 0.5, 1.0)),
     "E19": dict(sweep=((40, 6.0), (80, 8.0)), flash_crowd_users=12,
                 autoscale_ticks=6),
-    "E21": dict(rule_counts=(50,), repeats=1, batch_packets=512),
+    "E21": dict(rule_counts=(50,)),
     "E22": dict(parity_users=32, parity_flash=8, parity_ticks=4,
                 incident_users=48, surge_tick=5, surge_factor=8.0,
                 incident_horizon=16),
