@@ -21,13 +21,19 @@ import hmac
 from repro.errors import AuditError
 from repro.netsim.packet import Packet
 
+try:
+    # The C function ``hmac.digest`` dispatches to: one call, no Python
+    # frame.  Same bytes as ``hmac.new(key, payload, sha256).digest()``.
+    from _hashlib import hmac_digest as _hmac_digest
+except ImportError:  # pragma: no cover - Python built without OpenSSL
+    _hmac_digest = hmac.digest
+
 #: Metadata key under which proofs accumulate on a packet.
 PROOF_KEY = "path_proof"
 
 
 def _mac(key: bytes, payload: bytes) -> bytes:
-    # One-shot C HMAC: the bytes of hmac.new(key, payload, sha256).digest().
-    return hmac.digest(key, payload, "sha256")[:16]
+    return _hmac_digest(key, payload, "sha256")[:16]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,8 +78,9 @@ def stamp_keyed(packet: Packet, waypoint: str, key: bytes) -> None:
     compiled (``key == keyring.key_for(waypoint)``)."""
     proofs: list[tuple[str, bytes]] = packet.metadata.setdefault(PROOF_KEY, [])
     previous = proofs[-1][1] if proofs else b""
-    proofs.append(
-        (waypoint, _mac(key, str(packet.packet_id).encode() + previous)))
+    # ``_mac`` in line: this runs once per hop of every packet.
+    proofs.append((waypoint, _hmac_digest(
+        key, str(packet.packet_id).encode() + previous, "sha256")[:16]))
 
 
 def verify_path(packet: Packet, keyring: ProofKeyring,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import enum
+import functools
 import itertools
 from typing import Callable
 
@@ -68,6 +69,11 @@ _deployment_numbers = itertools.count(1)
 #: then 10.201.0.0 and on, stopping short of 10.250 (the addresses
 #: ``PhysicalTopology.instantiate`` synthesises for hosts): n <= 12 799.
 _PVN_SUBNETS = (250 - 200) * 256 - 1
+
+#: Container states in which a service is down: crashed (or stopped)
+#: and not repaired yet.  Services without containers (reused physical
+#: middleboxes) never go down this way.
+_SERVICE_DOWN = (ContainerState.CRASHED, ContainerState.STOPPED)
 
 
 def _phase_span(tracer, name: str, now: float):
@@ -247,8 +253,7 @@ class PvnDataPath:
             # layer repairs the chain or degrades to tunneling.
             # Checked at run time so repairs apply without a flush.
             container = containers.get(service)
-            if container is not None and container.state in (
-                    ContainerState.CRASHED, ContainerState.STOPPED):
+            if container is not None and container.state in _SERVICE_DOWN:
                 return crashed
             return None
 
@@ -261,47 +266,28 @@ class PvnDataPath:
             delay=self.container_spec.per_packet_delay, precheck=precheck,
         )
 
-    def _classifier(self):
-        """The compiled classifier hop (stamp + sandboxed runner)."""
-        runner = self._classifier_runner
-        if runner is None:
-            runner = self._make_step("classifier").runner
-            self._classifier_runner = runner
-        return runner
-
-    def _compiled_for(self, traffic_class: str) -> tuple[Pipeline, str, str]:
-        """``(pipeline, terminal action, tunnel endpoint)`` of a class."""
-        compiled = self._pipelines.get(traffic_class)
-        if compiled is None:
-            steps = tuple(
-                self._make_step(service)
-                for service in self.compiled.pipeline_for(traffic_class)
-                if service not in self.skip_services
-            )
-            pipeline = Pipeline(
-                f"{self.deployment_id}/{traffic_class}", steps,
-                drop_suffix=f" (pvn {self.deployment_id})",
-            )
-            terminal = self.compiled.terminal_for(traffic_class)
-            if terminal == "drop":
-                compiled = (pipeline, ACTION_DROP, "")
-            elif terminal.startswith("tunnel:"):
-                compiled = (pipeline, ACTION_TUNNEL,
-                            terminal.split(":", 1)[1])
-            else:
-                compiled = (pipeline, ACTION_FORWARD, "")
-            self._pipelines[traffic_class] = compiled
-            self.pipeline_compiles += 1
-        return compiled
-
-    def _service_down(self, service: str) -> bool:
-        """A service is down when its container crashed (or stopped)
-        and has not been repaired yet; services without containers
-        (reused physical middleboxes) never crash this way."""
-        container = self.containers.get(service)
-        return container is not None and container.state in (
-            ContainerState.CRASHED, ContainerState.STOPPED,
+    def _compile_class(self, traffic_class: str) -> tuple[Pipeline, str, str]:
+        """Compile and cache ``(pipeline, terminal action, tunnel
+        endpoint)`` for a traffic class."""
+        steps = tuple(
+            self._make_step(service)
+            for service in self.compiled.pipeline_for(traffic_class)
+            if service not in self.skip_services
         )
+        pipeline = Pipeline(
+            f"{self.deployment_id}/{traffic_class}", steps,
+            drop_suffix=f" (pvn {self.deployment_id})",
+        )
+        terminal = self.compiled.terminal_for(traffic_class)
+        if terminal == "drop":
+            compiled = (pipeline, ACTION_DROP, "")
+        elif terminal.startswith("tunnel:"):
+            compiled = (pipeline, ACTION_TUNNEL, terminal.split(":", 1)[1])
+        else:
+            compiled = (pipeline, ACTION_FORWARD, "")
+        self._pipelines[traffic_class] = compiled
+        self.pipeline_compiles += 1
+        return compiled
 
     def _redirect(self, endpoint: str, label: str,
                   packet: Packet, now: float) -> DataPathOutcome:
@@ -403,11 +389,16 @@ class PvnDataPath:
             # traffic continues end-to-end through the VPN tunnel.
             return self._redirect(self._degraded_to, "degraded:tunnel",
                                   packet, now)
-        context = self._context(packet, now)
+        # The hit path reads the pooled context, the classifier hop and
+        # the class pipeline directly; helpers run only to fill them.
+        pooled = self._pooled_context
+        context = (self._context(packet, now) if pooled is None
+                   else pooled.reset(now, packet.owner))
         delay = 0.0
 
         if "classifier" not in self.skip_services:
-            if self._service_down("classifier"):
+            container = self.containers.get("classifier")
+            if container is not None and container.state in _SERVICE_DOWN:
                 packet.mark_dropped(
                     f"classifier crashed (pvn {self.deployment_id})"
                 )
@@ -416,10 +407,17 @@ class PvnDataPath:
                     verdict_reasons=("classifier:crashed",),
                 )
             delay = self.container_spec.per_packet_delay
-            self._classifier()(packet, context)
+            classify = self._classifier_runner
+            if classify is None:
+                classify = self._classifier_runner = (
+                    self._make_step("classifier").runner)
+            classify(packet, context)
         traffic_class = packet.metadata.get(CLASS_KEY, "other")
 
-        pipeline, action, endpoint = self._compiled_for(traffic_class)
+        compiled = self._pipelines.get(traffic_class)
+        if compiled is None:
+            compiled = self._compile_class(traffic_class)
+        pipeline, action, endpoint = compiled
         result = pipeline.run(packet, context)
         delay += result.added_delay
         if result.terminal_kind is VerdictKind.DROP:
@@ -741,12 +739,8 @@ class DeploymentManager:
         if self.controller is not None:
             switch = self.controller.switch(self.ingress_switch)
             detour = self._detour_delay(embedding)
-            switch.bind_chain(
-                deployment_id,
-                lambda packet, chain_id: self._chain_executor(
-                    datapath, packet, detour
-                ),
-            )
+            switch.bind_chain(deployment_id,
+                              self.chain_executor(datapath, detour))
             next_hop = self._next_hop_toward_gateway()
             self.controller.install(
                 self.ingress_switch,
@@ -796,8 +790,14 @@ class DeploymentManager:
             env=env,
         )
 
-    def _chain_executor(self, datapath: PvnDataPath, packet: Packet,
-                        detour_delay: float = 0.0):
+    def chain_executor(self, datapath: PvnDataPath, detour_delay: float):
+        """The switch-side executor of ``datapath``'s chain: a C partial
+        over :meth:`_chain_executor`, so binding adds no Python frame
+        per packet."""
+        return functools.partial(self._chain_executor, datapath, detour_delay)
+
+    def _chain_executor(self, datapath: PvnDataPath, detour_delay: float,
+                        packet: Packet, chain_id: str):
         now = self.sim.now if self.sim is not None else 0.0
         outcome = datapath.process(packet, now)
         if outcome.action != ACTION_FORWARD:

@@ -580,13 +580,9 @@ class MigrationTransaction:
         if manager.controller is not None:
             switch = manager.controller.switch(manager.ingress_switch)
             detour = manager._detour_delay(self.target_embedding)
-            datapath = self.target_datapath
             switch.bind_chain(
                 self.target_id,
-                lambda packet, chain_id: manager._chain_executor(
-                    datapath, packet, detour
-                ),
-            )
+                manager.chain_executor(self.target_datapath, detour))
             from repro.sdn.actions import ToChain
 
             manager.controller.install(

@@ -175,7 +175,7 @@ class Link:
             return
 
         sim = from_node.sim
-        now = sim.now
+        now = sim._now
         busy_until = direction.busy_until
 
         # Drop-tail on bounded buffers: a packet that would wait longer

@@ -54,7 +54,10 @@ class Node:
 
     def send(self, packet: Packet, via: str) -> None:
         """Transmit ``packet`` over the link to neighbor ``via``."""
-        self.link_to(via).transmit(packet, self)
+        link = self.links.get(via)
+        if link is None:
+            link = self.link_to(via)        # raises the typed error
+        link.transmit(packet, self)
 
     def receive(self, packet: Packet, link: "Link") -> None:
         """Handle an arriving packet.  Subclasses override."""
@@ -84,8 +87,10 @@ class Host(Node):
         self._default_handler = handler
 
     def receive(self, packet: Packet, link: "Link") -> None:
-        super().receive(packet, link)
-        packet.delivered_at = self.sim.now
+        # Node.receive's bookkeeping, in line: this is a packet's last hop.
+        self.packets_seen += 1
+        packet.trail.append(self.name)
+        packet.delivered_at = self.sim._now
         self.delivered.append(packet)
         handler = self._handlers.get(packet.dst_port, self._default_handler)
         if handler is not None:
@@ -93,8 +98,8 @@ class Host(Node):
 
     def originate(self, packet: Packet, via: str) -> None:
         """Stamp creation time/hop and transmit toward ``via``."""
-        packet.created_at = self.sim.now
-        packet.record_hop(self.name)
+        packet.created_at = self.sim._now
+        packet.trail.append(self.name)
         self.send(packet, via)
 
 

@@ -143,13 +143,36 @@ class Simulator:
         Without a bound the heap would grow with every *cancelled*
         event too.  Compaction triggers lazily when over half the heap
         is tombstones, so the amortized cost per cancellation stays
-        O(log n).  (Nothing under ``src/`` cancels an event today; the
-        path is exercised by the tests and the micro-benchmarks.)
+        O(log n).  Cancelling an event that already fired is a counter
+        no-op: it has no heap slot left to reclaim.  (Nothing under
+        ``src/`` cancels an event today; the path is exercised by the
+        tests and the micro-benchmarks.)
         """
+        if not self._in_queue(event):
+            return
         self._cancelled_pending += 1
         if (len(self._queue) >= self.COMPACTION_FLOOR
                 and self._cancelled_pending * 2 > len(self._queue)):
             self.queue_compaction()
+
+    def _in_queue(self, event: Event) -> bool:
+        """Whether ``event`` still holds a heap slot, found without
+        touching the drain loop: the clock passes an event's time only
+        by popping it, so only a same-instant event needs a look at the
+        heap, and the heap property bounds that look to the entries
+        ordered at or before it."""
+        if event.time != self._now:
+            return event.time > self._now
+        queue = self._queue
+        key = (event.time, event.priority, event.sequence)
+        stack = [0]
+        while stack:
+            index = stack.pop()
+            if index < len(queue) and queue[index][:3] <= key:
+                if queue[index][3] is event:
+                    return True
+                stack += (2 * index + 1, 2 * index + 2)
+        return False
 
     def queue_compaction(self) -> int:
         """Drop every cancelled event from the heap; returns how many.

@@ -25,6 +25,12 @@ class VerdictKind(enum.Enum):
     REWRITE = "rewrite"        # packet modified in place, forward it
     TUNNEL = "tunnel"          # send via the named tunnel endpoint
 
+    # Members are singletons that compare by identity, so the identity
+    # hash agrees with ``==`` and runs in C; ``Enum.__hash__`` is a
+    # Python call, paid per packet by every dict keyed by a kind
+    # (middlebox stats, step labels).
+    __hash__ = object.__hash__
+
 
 @dataclasses.dataclass(frozen=True)
 class Verdict:

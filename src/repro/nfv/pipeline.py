@@ -21,7 +21,11 @@ short-circuits, PASS and REWRITE continue.  A step may carry a
 crashed-container gate).  Per-step reason labels default to
 ``"{name}:{verdict-kind}"``; a verdict can override its label through
 the ``pipeline_label`` annotation (how a crashed-container drop stays
-``"{service}:crashed"``).
+``"{service}:crashed"``).  :meth:`Pipeline.run` calls no helper per
+step beyond the step's own callables: an unannotated verdict's label is
+read from the step's cached ``plain_labels``, the terminal test is by
+identity, and profiling handles are resolved only while observability
+is enabled.
 
 Per-pipeline throughput counters (``packets_in`` and per-terminal
 counts) publish through the existing :class:`~repro.netsim.trace.Tracer`
@@ -45,6 +49,10 @@ LABEL_ANNOTATION = "pipeline_label"
 
 StepRunner = Callable[[Packet, ProcessingContext], Verdict]
 StepPrecheck = Callable[[Packet, ProcessingContext], Verdict | None]
+
+#: ``(kind, kind.value)`` per verdict kind, read once (``Enum.value``
+#: is a Python-level property and every compiled step builds labels).
+_KIND_VALUES = tuple((kind, kind.value) for kind in VerdictKind)
 
 
 def labeled_verdict(verdict: Verdict, label: str) -> Verdict:
@@ -81,7 +89,7 @@ class PipelineStep:
     @functools.cached_property
     def plain_labels(self) -> dict[VerdictKind, str]:
         """The ``"{name}:{verdict-kind}"`` label per kind, built once."""
-        return {kind: f"{self.name}:{kind.value}" for kind in VerdictKind}
+        return {kind: f"{self.name}:{value}" for kind, value in _KIND_VALUES}
 
 
 @dataclasses.dataclass
@@ -168,12 +176,12 @@ class Pipeline:
 
     # -- execution ----------------------------------------------------------
 
-    def _profiling_handles(self):
-        """Per-step wall-time histogram handles, or None when profiling
-        is off.  Resolved once per Observability instance so the
-        per-packet cost is an index plus one ``observe``."""
-        obs = obs_runtime.current()
-        if obs is None or not obs.profile_middleboxes:
+    def _profiling_handles(self, obs):
+        """Per-step wall-time histogram handles under ``obs``, or None
+        when it does not profile middleboxes.  Resolved once per
+        Observability instance so the per-packet cost is an index plus
+        one ``observe``."""
+        if not obs.profile_middleboxes:
             return None
         if self._profile_obs is not obs:
             histogram = obs.metrics.histogram(
@@ -192,11 +200,12 @@ class Pipeline:
         """Run ``packet`` through every step, short-circuiting on the
         first DROP or TUNNEL verdict."""
         self.packets_in += 1
-        handles = self._profiling_handles()
+        obs = obs_runtime.current()
+        handles = None if obs is None else self._profiling_handles(obs)
         verdicts: list[Verdict] = []
         labels: list[str] = []
         delay = 0.0
-        for index, step in enumerate(self.steps):
+        for step in self.steps:
             if step.precheck is not None:
                 aborted = step.precheck(packet, context)
                 if aborted is not None:
@@ -210,10 +219,14 @@ class Pipeline:
             else:
                 wall_start = time.perf_counter()
                 verdict = step.runner(packet, context)
-                handles[index].observe(time.perf_counter() - wall_start)
+                # One verdict per step reached so far: this step's index.
+                handles[len(verdicts)].observe(
+                    time.perf_counter() - wall_start)
             verdicts.append(verdict)
-            labels.append(_label_of(step, verdict))
-            if verdict.kind in (VerdictKind.DROP, VerdictKind.TUNNEL):
+            kind = verdict.kind
+            labels.append(_label_of(step, verdict) if verdict.annotations
+                          else step.plain_labels[kind])
+            if kind is VerdictKind.DROP or kind is VerdictKind.TUNNEL:
                 return self._terminate(packet, verdict, verdicts, labels,
                                        delay)
         self.packets_forwarded += 1

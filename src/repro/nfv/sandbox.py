@@ -35,6 +35,11 @@ class Capability(enum.Flag):
     REWRITE = enum.auto()     # modify packets
     TUNNEL = enum.auto()      # redirect into tunnels
 
+    # Combined values are cached singletons too, so the identity hash
+    # agrees with ``==``; it keeps the per-packet ``_PERMITTED_KINDS``
+    # lookup in C (see ``VerdictKind.__hash__``).
+    __hash__ = object.__hash__
+
     @classmethod
     def all(cls) -> "Capability":
         return cls.OBSERVE | cls.BLOCK | cls.REWRITE | cls.TUNNEL

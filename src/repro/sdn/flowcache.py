@@ -1,8 +1,9 @@
 """Flow caches for the SDN fast path (OVS-style): microflow + megaflow.
 
-A :class:`FlowCache` memoizes, per exact packet key (five-tuple +
-``owner`` + ingress), the *winning* :class:`~repro.sdn.flowtable.FlowRule`
-of a priority flow table together with its pre-resolved action closure.
+A :class:`FlowCache` memoizes, per exact packet key
+(:meth:`~repro.netsim.packet.Packet.flow_key`: five-tuple + ``owner``),
+the *winning* :class:`~repro.sdn.flowtable.FlowRule` of a priority flow
+table together with its pre-resolved action closure.
 The first packet of a flow pays the table classification and the action
 compilation; every later packet of the same flow is a dict hit plus a
 direct closure call, so per-packet cost no longer grows with the total
@@ -109,11 +110,6 @@ class FlowCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @staticmethod
-    def key_for(packet: Packet, ingress: str = "") -> tuple:
-        """The exact-match key: five-tuple + owner + ingress port."""
-        return (*packet.flow_key(), ingress)
-
     # -- invalidation fences ------------------------------------------------
 
     def ensure_generation(self, generation: int, now: float = 0.0) -> None:
@@ -151,10 +147,10 @@ class FlowCache:
 
     # -- the fast path ------------------------------------------------------
 
-    def get(self, packet: Packet, generation: int, ingress: str = "",
+    def get(self, packet: Packet, generation: int,
             now: float = 0.0) -> CacheEntry | None:
         """The memoized entry for ``packet``, or None on a cache miss."""
-        return self.lookup(self.key_for(packet, ingress), generation, now)
+        return self.lookup(packet.flow_key(), generation, now)
 
     def lookup(self, key: tuple, generation: int,
                now: float = 0.0) -> CacheEntry | None:
@@ -167,7 +163,8 @@ class FlowCache:
         """
         if not self.enabled:
             return None
-        self.ensure_generation(generation, now=now)
+        if generation != self._generation:
+            self.ensure_generation(generation, now=now)
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -185,11 +182,10 @@ class FlowCache:
         rule: FlowRule | None,
         closure: ActionClosure,
         generation: int,
-        ingress: str = "",
     ) -> CacheEntry:
         """Memoize one lookup result (evicting least-recently-used)."""
         entry = CacheEntry(rule=rule, closure=closure, generation=generation)
-        self.store(self.key_for(packet, ingress), entry)
+        self.store(packet.flow_key(), entry)
         return entry
 
     def store(self, key: tuple, entry: CacheEntry) -> None:
@@ -373,7 +369,8 @@ class MegaflowCache:
         """
         if not self.enabled:
             return None
-        self.ensure_generation(generation, now=now)
+        if generation != self._generation:
+            self.ensure_generation(generation, now=now)
         self._lookups_since_resort += 1
         if self._lookups_since_resort >= self.resort_interval:
             self._resort_masks(now=now)

@@ -15,7 +15,9 @@ packet of a *new* flow usually skips the table classification (lookup
 order: microflow -> megaflow -> full classification).  Entries in both
 tiers are fenced on the table's generation counter (every
 install/remove invalidates) and on the migration epoch token
-(:meth:`SdnSwitch.fence`) so cached winners can never go stale.
+(:meth:`SdnSwitch.fence`) so cached winners can never go stale.  The
+microflow key is :meth:`~repro.netsim.packet.Packet.flow_key`, built
+once per packet for the lookup and the store after a miss.
 
 Packet accounting is conservative by construction::
 
@@ -109,7 +111,9 @@ class SdnSwitch(Node):
     # -- data plane ----------------------------------------------------------
 
     def receive(self, packet: Packet, link: "Link") -> None:
-        super().receive(packet, link)
+        # Node.receive's bookkeeping, in line (one call fewer per hop).
+        self.packets_seen += 1
+        packet.trail.append(self.name)
         self.process(packet)
 
     def _classify(self, packet: Packet) -> CacheEntry | None:
@@ -127,7 +131,7 @@ class SdnSwitch(Node):
         now = self.sim.now
         key = None
         if micro.enabled:
-            key = micro.key_for(packet)
+            key = packet.flow_key()
             entry = micro.lookup(key, generation, now)
             if entry is not None:
                 return entry
@@ -189,7 +193,9 @@ class SdnSwitch(Node):
         per packet.  Compilation stops at the first terminal action
         (anything after it was unreachable in the interpreted loop
         too); a list with no terminal compiles to a loud failure, not a
-        silent blackhole.
+        silent blackhole.  A one-action list (a PVN's ``ToChain``, a
+        default route's ``Output``) compiles to that action's step
+        itself, so a cached packet makes no wrapper call.
         """
         steps: list[Callable[[Packet], bool]] = []
         terminated = False
@@ -217,12 +223,7 @@ class SdnSwitch(Node):
         if not terminated:
             steps.append(self._non_terminating)
         if len(steps) == 1:
-            only = steps[0]
-
-            def run_one(packet: Packet) -> None:
-                only(packet)
-
-            return run_one
+            return steps[0]     # its "terminated" return is ignored
 
         def run(packet: Packet) -> None:
             for step in steps:

@@ -43,7 +43,9 @@ class RefEvent:
     def cancel(self):
         if not self.cancelled:
             self.cancelled = True
-            self.sim.note_cancel()
+            # A fired event left ``pending``: nothing to account.
+            if self in self.sim.pending:
+                self.sim.note_cancel()
 
 
 class RefSimulator:
@@ -155,6 +157,7 @@ OPS = st.one_of(
     st.tuples(st.just("burst"), st.integers(2, 12), DELAYS, PRIORITIES),
     st.tuples(st.just("cancel"), st.integers(0, 200)),
     st.tuples(st.just("cancel_many"), st.integers(0, 200), st.integers(2, 12)),
+    st.tuples(st.just("cancel_fired"), st.integers(0, 200)),
     st.tuples(st.just("compact")),
     st.tuples(st.just("run")),
     st.tuples(st.just("run_until"), DELAYS),
@@ -194,10 +197,17 @@ class World:
         ))
 
     def _cancel(self, index):
-        # Only events that have not fired: retracting a spent handle is
-        # outside the contract under test.
+        # Only events that have not fired (``cancel_fired`` retracts
+        # spent handles).
         if self.handles and index % len(self.handles) not in self.done:
             self.handles[index % len(self.handles)].cancel()
+
+    def _cancel_fired(self, index):
+        # Cancel after fire: a counter no-op, whether the event fired
+        # at an earlier instant or at ``now`` beside pending ties.
+        if self.done:
+            fired = sorted(self.done)
+            self.handles[fired[index % len(fired)]].cancel()
 
     def apply(self, op):
         sim = self.sim
@@ -217,6 +227,8 @@ class World:
             first, count = rest
             for index in range(first, first + count):
                 self._cancel(index)
+        elif kind == "cancel_fired":
+            self._cancel_fired(rest[0])
         elif kind == "compact":
             self.log.append(("removed", sim.queue_compaction()))
         elif kind == "run":
@@ -317,6 +329,27 @@ class TestOrderingOracle:
         assert sim.compactions >= 1
         assert fired == ["child", "a", "b", "c"]
         assert sim.pending_events == 0 and sim.cancelled_pending == 0
+
+    def test_cancel_after_fire_leaves_no_tombstone(self):
+        """A handler cancelling its own (spent) handle, beside a pending
+        same-instant event, and a late cancel of an earlier event."""
+        sim = Simulator()
+        handles = {}
+
+        def cancel_self():
+            handles["self"].cancel()
+
+        handles["early"] = sim.schedule(0.5, lambda: None)
+        handles["self"] = sim.schedule(1.0, cancel_self)
+        handles["tie"] = sim.schedule(1.0, lambda: None)
+        sim.run(max_events=2)
+        assert sim.cancelled_pending == 0
+        handles["early"].cancel()
+        assert sim.cancelled_pending == 0
+        handles["tie"].cancel()
+        assert sim.cancelled_pending == 1 and sim.pending_events == 1
+        sim.run()
+        assert sim.cancelled_pending == 0 and sim.processed_events == 2
 
     def test_handles_are_never_compared(self):
         sim = Simulator()
