@@ -1,68 +1,102 @@
-"""Datapath call budget: Python-level calls per forwarded packet.
+"""Call budgets: Python-level calls per forwarded packet and per attach.
 
-A host-independent gate on the per-packet path (link, switch, PVN
-datapath, pipeline, sandbox, middlebox bodies): it counts the ``call``
-events ``sys.setprofile`` sees while a benchmark world's traffic runs,
-divided by the packets that world emits.  The count is a pure function
-of the code and the seed, so it holds on any machine of the same Python
-minor version; a change that re-adds a wrapper or a property read to
-the hot path moves it.
+A host-independent gate on the two paths the benchmark times: it counts
+the ``call`` events ``sys.setprofile`` sees while a benchmark world
+runs.  The count is a pure function of the code and the seed, so it
+holds on any machine of the same Python minor version; a change that
+re-adds a wrapper or a property read to a hot path moves it.
 
 Measured with Python 3.11 at seed 0, scale 0.05, after one warm-up run
 (builtins and C functions raise ``c_call``, not ``call``, and are not
-counted).  Before the per-packet call cuts this bar came with, the
-same count read ``steady_mix`` 111.57 calls per packet and
-``churn_reconfig`` 112.41; after them, 74.01 and 79.54.  Each figure
-covers the whole run, so ``churn_reconfig``'s includes the
-teardown/redeploy work of its reconfiguration timer, amortised over
-its packets.
+counted).
+
+* **Per packet** (link, switch, PVN datapath, pipeline, sandbox,
+  middlebox bodies): the calls of the whole run over the packets the
+  world emits.  Before the per-packet call cuts this bar came with,
+  ``steady_mix`` read 111.57 calls per packet and ``churn_reconfig``
+  112.41; after them, 74.01 and 79.54.  ``churn_reconfig``'s figure
+  includes the teardown/redeploy work of its reconfiguration timer,
+  amortised over its packets.
+* **Per device** on ``attach_storm`` (``Device.attach`` +
+  ``establish_pvn``: DHCP, discovery and negotiation, compile, embed,
+  install, attest; then one audit and a teardown): the calls of the
+  whole run over its devices.  Before placement read hop costs from the
+  route table, a device cost 1 022.2 calls (attach 827.6, audit 155.2,
+  teardown 35.1); after the attach-path cuts, 666.7 (attach 482.0,
+  audit 145.2, teardown 35.1).  The attach phase has its own bar.
 
     PYTHONPATH=src python -m pytest -q benchmarks/test_bench_call_budget.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import sys
 
 import pytest
 
 from bench.harness import Probe
-from bench.workloads import churn_reconfig, steady_mix
+from bench.workloads import attach_storm, churn_reconfig, steady_mix
 
 SEED = 0
 SCALE = 0.05
 
 #: Upper bounds, calls per packet.
-BUDGET = {
+PACKET_BUDGET = {
     steady_mix: 78,
     churn_reconfig: 85,
 }
+#: Upper bounds on ``attach_storm``, calls per device: over the whole
+#: run, and in the attach phase alone.
+DEVICE_BUDGET = 680
+ATTACH_BUDGET = 491
 
 
-def calls_per_packet(workload) -> float:
-    """Python ``call`` events per packet over one run of ``workload``."""
+def profiled_run(workload):
+    """One run of ``workload`` on a fresh world, after a warm-up run:
+    the world, its Python ``call`` events, and their split by phase."""
     workload.run(workload.build(SEED, SCALE), Probe())   # warm-up
     world = workload.build(SEED, SCALE)
-    net = getattr(world, "net", world)
     calls = 0
+    by_phase: dict[str, int] = {}
 
     def count(frame, event, arg) -> None:
         nonlocal calls
         if event == "call":
             calls += 1
 
+    class PhaseProbe(Probe):
+        @contextlib.contextmanager
+        def phase(self, name: str):
+            before = calls
+            with super().phase(name):
+                yield
+            by_phase[name] = calls - before
+
     sys.setprofile(count)
     try:
-        workload.run(world, Probe())
+        workload.run(world, PhaseProbe())
     finally:
         sys.setprofile(None)
-    return calls / len(net.packets)
+    return world, calls, by_phase
 
 
-@pytest.mark.parametrize("workload", list(BUDGET),
+@pytest.mark.parametrize("workload", list(PACKET_BUDGET),
                          ids=lambda workload: workload.NAME)
 def test_calls_per_packet_within_budget(workload):
-    measured = calls_per_packet(workload)
-    assert measured <= BUDGET[workload], (
+    world, calls, _ = profiled_run(workload)
+    measured = calls / len(getattr(world, "net", world).packets)
+    assert measured <= PACKET_BUDGET[workload], (
         f"{workload.NAME}: {measured:.2f} calls/packet, "
-        f"budget {BUDGET[workload]}")
+        f"budget {PACKET_BUDGET[workload]}")
+
+
+def test_calls_per_attach_within_budget():
+    world, calls, by_phase = profiled_run(attach_storm)
+    devices = len(world.plan)
+    per_phase = {name: round(n / devices, 1) for name, n in by_phase.items()}
+    assert calls / devices <= DEVICE_BUDGET, (
+        f"{calls / devices:.1f} calls/device {per_phase}, "
+        f"budget {DEVICE_BUDGET}")
+    assert by_phase["attach"] / devices <= ATTACH_BUDGET, (
+        f"{per_phase['attach']} calls/attach, budget {ATTACH_BUDGET}")

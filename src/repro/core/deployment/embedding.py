@@ -198,7 +198,7 @@ def embed_pvn(
             f"embedding stretch x{plan.stretch:.2f} exceeds the "
             f"provider's limit x{max_stretch}"
         )
-    expected_rtt = 2.0 * topo.path_latency(list(plan.path))
+    expected_rtt = 2.0 * topo.path_latency(plan.path)
     return EmbeddingResult(
         plan=plan,
         device_node=device_node,

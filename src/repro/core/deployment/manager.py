@@ -810,10 +810,9 @@ class DeploymentManager:
 
     def _detour_delay(self, embedding: EmbeddingResult) -> float:
         """One-way extra latency of the waypointed path vs direct."""
-        direct = self.topo.path_latency(self.topo.shortest_path(
-            embedding.device_node, embedding.gateway_node
-        ))
-        via = self.topo.path_latency(list(embedding.plan.path))
+        direct = self.topo.route_latency(embedding.device_node,
+                                         embedding.gateway_node)
+        via = self.topo.path_latency(embedding.plan.path)
         return max(0.0, via - direct)
 
     def _next_hop_toward_gateway(self) -> str:

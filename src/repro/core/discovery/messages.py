@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from typing import Iterable
 
 from repro.core.pvnc.model import Pvnc, ResourceEstimate
 
@@ -60,16 +61,26 @@ class Offer:
     expires_at: float
     in_reply_to: int                         # DM sequence number
     offer_id: int = dataclasses.field(default_factory=lambda: next(_offer_ids))
+    #: Service -> quoted price, the first quote of a service winning.
+    price_map: dict[str, float] = dataclasses.field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Built with the offer, not cached on first use: a cache would
+        # materialise the instance's __dict__, one more tracked object
+        # per attach.  The map itself holds only atoms: never tracked.
+        object.__setattr__(self, "price_map", dict(reversed(self.prices)))
 
     @property
     def total_price(self) -> float:
         return sum(price for _, price in self.prices)
 
     def price_of(self, service: str) -> float:
-        for name, price in self.prices:
-            if name == service:
-                return price
-        return 0.0
+        return self.price_map.get(service, 0.0)
+
+    def price_sum(self, services: Iterable[str]) -> float:
+        """``sum(price_of(s) for s in services)``, in the same order."""
+        return sum(map(self.price_map.get, services, itertools.repeat(0.0)))
 
     def covers(self, services: tuple[str, ...]) -> bool:
         offered = set(self.offered_services)

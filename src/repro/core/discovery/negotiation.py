@@ -76,22 +76,20 @@ def plan_acceptance(offer: Offer, pvnc: Pvnc) -> AcceptancePlan | None:
     chosen = [s for s in requested if s in offered]
     dropped = [s for s in requested if s not in offered]
 
-    def price_of(services: list[str]) -> float:
-        return sum(offer.price_of(s) for s in services)
-
+    prices = offer.price_map
     preferred = set(constraints.preferred_services)
     required_set = set(required)
     # Drop order: preferred (expensive first), then other optionals.
     droppable = sorted(
         (s for s in chosen if s not in required_set),
-        key=lambda s: (s not in preferred, -offer.price_of(s)),
+        key=lambda s: (s not in preferred, -prices.get(s, 0.0)),
     )
     for victim in droppable:
-        if price_of(chosen) <= constraints.max_price:
+        if offer.price_sum(chosen) <= constraints.max_price:
             break
         chosen.remove(victim)
         dropped.append(victim)
-    total = price_of(chosen)
+    total = offer.price_sum(chosen)
     if total > constraints.max_price:
         return None
     return AcceptancePlan(

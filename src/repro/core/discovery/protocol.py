@@ -171,7 +171,7 @@ class DiscoveryService:
             return DeploymentNack(reason="offer expired")
         if not offer.covers(request.accepted_services):
             return DeploymentNack(reason="accepted services not offered")
-        owed = sum(offer.price_of(s) for s in request.accepted_services)
+        owed = offer.price_sum(request.accepted_services)
         if request.payment + 1e-9 < owed:
             return DeploymentNack(
                 reason=f"payment {request.payment} below price {owed:.4f}"

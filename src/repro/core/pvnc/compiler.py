@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 from typing import Callable
 
 from repro.core.pvnc.model import (
@@ -67,6 +68,8 @@ from repro.sdn.match import Match
 #: incompatibly; part of every cache key, so stale artifacts from an
 #: older compiler revision can never be served.
 COMPILER_REVISION = 1
+
+_SERVICE_OF = operator.attrgetter("service")
 
 
 @dataclasses.dataclass
@@ -238,7 +241,9 @@ class CompiledPvnc:
 
     @property
     def deployment_services(self) -> tuple[str, ...]:
-        return tuple(req.service for req in self.placement_requests)
+        # Not cached: a cache would retain two tracked objects per
+        # deployment (tests/core/test_attach_allocations.py).
+        return tuple(map(_SERVICE_OF, self.placement_requests))
 
     def terminal_for(self, traffic_class: str) -> str:
         mapping = dict(self.terminals)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from heapq import heappop, heappush
 from math import inf
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import networkx as nx
 
@@ -31,6 +31,20 @@ from repro.netsim.simulator import Simulator
 from repro.units import transmission_delay
 
 NODE_KINDS = {"host", "ap", "switch", "nfv", "gateway", "server", "middlebox"}
+
+
+#: The packet size route costs are tabled for: ``path_latency``'s and
+#: ``rtt``'s default.
+ROUTE_PROBE_BYTES = 40
+#: ``_PROBE_BITS / bps`` is ``transmission_delay(ROUTE_PROBE_BYTES, bps)``
+#: bit for bit, without the call; ``add_link`` has checked ``bps > 0``.
+_PROBE_BITS = ROUTE_PROBE_BYTES * 8.0
+
+
+def _hop_cost(link: dict) -> float:
+    """One hop's term of :meth:`PhysicalTopology.path_latency` for a
+    :data:`ROUTE_PROBE_BYTES` packet."""
+    return link["latency"] + _PROBE_BITS / link["bandwidth_bps"]
 
 
 def _partitioned(ends: tuple[str, str]) -> ConfigurationError:
@@ -55,8 +69,10 @@ class PhysicalTopology:
         # The route table holds routes between nodes of degree >= 2
         # only.  Such a route ignores pendant nodes (DESIGN.md §9), so
         # it survives a fresh node and that node's first link; every
-        # other routing-affecting mutation drops the table.
-        self._routes: dict[tuple[str, str], tuple[str, ...]] = {}
+        # other routing-affecting mutation drops the table.  An entry
+        # is the route's nodes and its per-hop costs (_hop_cost).
+        self._routes: dict[tuple[str, str],
+                           tuple[tuple[str, ...], tuple[float, ...]]] = {}
         self._kinds: dict[tuple[str, bool], tuple[str, ...]] = {}
 
     # -- construction ------------------------------------------------------
@@ -88,6 +104,11 @@ class PhysicalTopology:
                 raise ConfigurationError(f"unknown node {endpoint!r}")
         if a == b:
             raise ConfigurationError(f"link {a!r} <-> {b!r} is a self-loop")
+        if not bandwidth_bps > 0:       # a tabled hop cost cannot raise
+            raise ConfigurationError(
+                f"link {a!r} <-> {b!r} needs a positive bandwidth, "
+                f"got {bandwidth_bps}"
+            )
         if self.graph.adj[a] and self.graph.adj[b]:
             self._routes.clear()        # not an isolated node's first link
         self.graph.add_edge(
@@ -142,10 +163,47 @@ class PhysicalTopology:
             tail, dst = [dst], self._sole_neighbour(adj[dst], ends)
         if src == dst:
             return head + [src] + tail
-        path = self._routes.get((src, dst))
-        if path is None:
-            path = self._routes[(src, dst)] = self._search(src, dst, ends)
-        return head + list(path) + tail
+        entry = self._routes.get((src, dst))
+        if entry is None:
+            entry = self._routes[(src, dst)] = self._search(src, dst, ends)
+        return head + list(entry[0]) + tail
+
+    def route_latency(self, src: str, dst: str, start: float = 0.0) -> float:
+        """``path_latency(shortest_path(src, dst), start=start)``, ``==``
+        and with the same errors, read from the route table's hop costs.
+
+        Pendant ends are stripped exactly as :meth:`shortest_path` does;
+        their hops are costed from the graph (inline, as the attach path
+        runs this per placement candidate), the rest come from the table
+        entry, and all are added to ``start`` left to right.  No list is
+        built.
+        """
+        adj = self.graph._adj
+        for name in (src, dst):
+            if name not in adj:
+                raise ConfigurationError(f"unknown node {name!r}")
+        ends = (src, dst)
+        total = start
+        tail = None
+        if src != dst and len(adj[src]) == 1:
+            (src, link), = adj[src].items()
+            if link.get("down"):
+                raise _partitioned(ends)
+            total += link["latency"] + _PROBE_BITS / link["bandwidth_bps"]
+        if src != dst and len(adj[dst]) == 1:
+            (dst, tail), = adj[dst].items()
+            if tail.get("down"):
+                raise _partitioned(ends)
+        if src != dst:
+            entry = self._routes.get((src, dst))
+            if entry is None:
+                entry = self._routes[(src, dst)] = self._search(src, dst,
+                                                                ends)
+            for cost in entry[1]:
+                total += cost
+        if tail is not None:
+            total += tail["latency"] + _PROBE_BITS / tail["bandwidth_bps"]
+        return total
 
     @staticmethod
     def _sole_neighbour(links: dict, ends: tuple[str, str]) -> str:
@@ -154,13 +212,14 @@ class PhysicalTopology:
             raise _partitioned(ends)
         return neighbour
 
-    def _search(self, src: str, dst: str,
-                ends: tuple[str, str]) -> tuple[str, ...]:
+    def _search(self, src: str, dst: str, ends: tuple[str, str]
+                ) -> tuple[tuple[str, ...], tuple[float, ...]]:
         """One Dijkstra run, ties broken by the graph alone: relax on
         strict ``<``, pop equal distances first-pushed-first, scan
         neighbours in adjacency order.  A pendant node other than
         ``src``/``dst`` is pushed once and relaxes nothing, so it
-        cannot change the answer."""
+        cannot change the answer.  Returns the route's nodes and its
+        hop costs."""
         self.searches += 1
         adj = self.graph._adj
         dist = {src: 0.0}
@@ -174,7 +233,9 @@ class PhysicalTopology:
                 while node != src:
                     node = pred[node]
                     path.append(node)
-                return tuple(reversed(path))
+                path.reverse()
+                return tuple(path), tuple(
+                    _hop_cost(adj[a][b]) for a, b in zip(path, path[1:]))
             if d > dist[node]:
                 continue                # superseded by a shorter push
             for neighbour, link in adj[node].items():
@@ -222,7 +283,8 @@ class PhysicalTopology:
         edge["loss_rate"] = float(loss_rate)
         return previous
 
-    def path_latency(self, path: list[str], size_bytes: int = 40,
+    def path_latency(self, path: Sequence[str],
+                     size_bytes: int = ROUTE_PROBE_BYTES,
                      start: float = 0.0) -> float:
         """One-way delay along ``path`` for a packet of ``size_bytes``.
 
@@ -230,28 +292,31 @@ class PhysicalTopology:
         by leg: the total over ``a + b`` is bit-for-bit
         ``path_latency(b, start=path_latency(a))``.
         """
+        adj = self.graph._adj
         total = start
         for a, b in zip(path, path[1:]):
-            edge = self.graph.edges[a, b]
+            edge = adj[a][b]
             total += edge["latency"] + transmission_delay(
                 size_bytes, edge["bandwidth_bps"]
             )
         return total
 
-    def rtt(self, src: str, dst: str, size_bytes: int = 40) -> float:
+    def rtt(self, src: str, dst: str,
+            size_bytes: int = ROUTE_PROBE_BYTES) -> float:
         """Unloaded round-trip time between two nodes."""
+        if size_bytes == ROUTE_PROBE_BYTES:
+            return 2.0 * self.route_latency(src, dst)
         return 2.0 * self.path_latency(self.shortest_path(src, dst), size_bytes)
 
-    def path_bottleneck_bps(self, path: list[str]) -> float:
-        return min(
-            self.graph.edges[a, b]["bandwidth_bps"]
-            for a, b in zip(path, path[1:])
-        )
+    def path_bottleneck_bps(self, path: Sequence[str]) -> float:
+        adj = self.graph._adj
+        return min(adj[a][b]["bandwidth_bps"] for a, b in zip(path, path[1:]))
 
-    def path_loss_rate(self, path: list[str]) -> float:
+    def path_loss_rate(self, path: Sequence[str]) -> float:
+        adj = self.graph._adj
         survive = 1.0
         for a, b in zip(path, path[1:]):
-            survive *= 1.0 - self.graph.edges[a, b].get("loss_rate", 0.0)
+            survive *= 1.0 - adj[a][b].get("loss_rate", 0.0)
         return 1.0 - survive
 
     # -- instantiation -------------------------------------------------------

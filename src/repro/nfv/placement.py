@@ -108,6 +108,9 @@ def place_chain(
     """
     decisions: list[PlacementDecision] = []
     walk = StretchWalk(topo, src, dst)
+    # Host state does not change while a chain is placed, so requests
+    # with the same requirement share one candidate list.
+    feasible: dict[tuple[int, float], list[str]] = {}
     for request in requests:
         if prefer_reuse and request.allow_physical_reuse:
             physical = _physical_box_for(topo, request.service)
@@ -116,14 +119,17 @@ def place_chain(
                     PlacementDecision(request.service, physical,
                                       reused_physical=True)
                 )
-                walk.push(physical)
+                walk.waypoints.append(physical)
                 continue
-        # Only hosts the provider actually operates (passed in) count;
-        # the topology may also know about wide-area NFV sites.
-        candidates = [
-            node for node in topo.nodes_of_kind("nfv")
-            if node in hosts and _host_capacity_ok(hosts, node, request)
-        ]
+        need = (request.memory_bytes, request.cpu_share)
+        candidates = feasible.get(need)
+        if candidates is None:
+            # Only hosts the provider actually operates (passed in)
+            # count; the topology may also know about wide-area NFV sites.
+            candidates = feasible[need] = [
+                node for node in topo.nodes_of_kind("nfv")
+                if node in hosts and _host_capacity_ok(hosts, node, request)
+            ]
         if not candidates:
             raise EmbeddingError(
                 f"no NFV host can fit middlebox {request.service!r}"
@@ -132,7 +138,7 @@ def place_chain(
         decisions.append(
             PlacementDecision(request.service, best, reused_physical=False)
         )
-        walk.push(best)
+        walk.waypoints.append(best)
 
     path = waypointed_path(topo, src, dst, walk.waypoints)
     stretch = walk.stretch() if walk.waypoints else 1.0

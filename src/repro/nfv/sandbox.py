@@ -65,7 +65,7 @@ _PERMITTED_KINDS = {
 }
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ResourceBudget:
     """CPU-seconds a module may consume before being killed."""
 
@@ -75,6 +75,11 @@ class ResourceBudget:
     def __post_init__(self) -> None:
         if self.cpu_seconds <= 0 or self.per_packet_cpu < 0:
             raise SandboxViolation("invalid resource budget")
+
+
+#: The budget of every sandbox built without one (budgets are frozen,
+#: so sharing one is safe).
+DEFAULT_BUDGET = ResourceBudget()
 
 
 class Sandbox:
@@ -90,7 +95,7 @@ class Sandbox:
         self.middlebox = middlebox
         self.owner = owner
         self.capabilities = capabilities
-        self.budget = budget or ResourceBudget()
+        self.budget = budget or DEFAULT_BUDGET
         self.cpu_used = 0.0
         self.killed = False
         self.violations: list[str] = []

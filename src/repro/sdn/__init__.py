@@ -16,7 +16,6 @@ from repro.sdn.match import MATCH_ANY, Match
 from repro.sdn.routing import (
     install_path_rules,
     path_stretch,
-    shortest_path,
     waypointed_path,
 )
 from repro.sdn.switch import SdnSwitch
@@ -52,7 +51,6 @@ __all__ = [
     "check_no_blackholes",
     "install_path_rules",
     "path_stretch",
-    "shortest_path",
     "trace_forwarding",
     "verify_all",
     "waypointed_path",

@@ -14,15 +14,6 @@ from repro.sdn.controller import Controller
 from repro.sdn.match import Match
 
 
-def shortest_path(topo: PhysicalTopology, src: str, dst: str) -> list[str]:
-    """Latency-weighted shortest path, raising on disconnection.
-
-    Delegates to :meth:`PhysicalTopology.shortest_path` so links taken
-    down by fault injection are avoided by routing and placement alike.
-    """
-    return topo.shortest_path(src, dst)
-
-
 def waypointed_path(
     topo: PhysicalTopology, src: str, dst: str, waypoints: list[str]
 ) -> list[str]:
@@ -30,11 +21,13 @@ def waypointed_path(
 
     This is how traffic is steered through the NFV host(s) carrying a
     PVN's chain: src -> w1 -> w2 -> ... -> dst, each leg shortest-path.
+    Links taken down by fault injection are avoided, and a partition
+    raises :class:`~repro.errors.ConfigurationError`.
     """
     stops = [src, *waypoints, dst]
     full: list[str] = [src]
     for a, b in zip(stops, stops[1:]):
-        leg = shortest_path(topo, a, b)
+        leg = topo.shortest_path(a, b)
         full.extend(leg[1:])
     return full
 
@@ -46,11 +39,13 @@ class StretchWalk:
     path through the waypoints chosen so far, then the candidate, then
     ``dst``.  All candidates of a request share the direct path and
     the prefix up to the last chosen waypoint; this holds both, so a
-    candidate costs the two legs it adds.  The latency is the same
-    left-to-right sum :meth:`PhysicalTopology.path_latency` takes over
-    the whole :func:`waypointed_path` — continued from the prefix
-    total, never re-associated — so every stretch is bit-identical to
-    evaluating the full path from scratch.
+    candidate costs the two legs it adds.  Each leg is one
+    :meth:`PhysicalTopology.route_latency`, which adds the hop costs
+    the route table holds: the same left-to-right sum
+    :meth:`PhysicalTopology.path_latency` takes over the whole
+    :func:`waypointed_path` — continued from the prefix total, never
+    re-associated — so every stretch is bit-identical to evaluating
+    the full path from scratch.
     """
 
     def __init__(self, topo: PhysicalTopology, src: str, dst: str,
@@ -58,37 +53,28 @@ class StretchWalk:
         self.topo = topo
         self.src = src
         self.dst = dst
-        #: Stops committed so far, in order (:meth:`push` appends).
+        #: Stops committed so far, in order: append to commit the next.
         self.waypoints = list(waypoints)
         self._direct: float | None = None
         self._folded = 0        # waypoints[:_folded] are in the prefix
         self._at = src          # where the prefix ends
         self._latency = 0.0     # one-way latency src -> _at
 
-    def push(self, waypoint: str) -> None:
-        """Commit ``waypoint`` as the next stop."""
-        self.waypoints.append(waypoint)
-
-    def _advance(self, at: str, total: float, stops) -> float:
-        for stop in stops:
-            total = self.topo.path_latency(
-                shortest_path(self.topo, at, stop), start=total
-            )
-            at = stop
-        return total
-
     def stretch(self, *extra: str) -> float:
         """Stretch of the path via :attr:`waypoints`, then ``extra``."""
+        route_latency = self.topo.route_latency
         if self._direct is None:
-            self._direct = self.topo.path_latency(
-                shortest_path(self.topo, self.src, self.dst)
-            )
+            self._direct = route_latency(self.src, self.dst)
+        at, via = self._at, self._latency
         if self._folded < len(self.waypoints):
-            self._latency = self._advance(self._at, self._latency,
-                                          self.waypoints[self._folded:])
-            self._at = self.waypoints[-1]
+            for stop in self.waypoints[self._folded:]:
+                via = route_latency(at, stop, via)
+                at = stop
+            self._at, self._latency = at, via
             self._folded = len(self.waypoints)
-        via = self._advance(self._at, self._latency, (*extra, self.dst))
+        for stop in (*extra, self.dst):
+            via = route_latency(at, stop, via)
+            at = stop
         if self._direct <= 0:
             return 1.0
         return via / self._direct

@@ -8,6 +8,13 @@ a per-``Sandbox`` ``frozenset`` (six per attach) cost the workload 24 %
 of its ``work_per_s`` with no change in total wall time.  Whatever the
 attach path constructs (``Sandbox``, ``PvnDataPath``, ``Deployment``,
 ``FlowRule``, keyrings) may therefore not grow in tracked objects.
+
+The same holds for caches: a cache on a per-attach object must not add
+a retained object.  A ``functools.cached_property`` stores into the
+instance's ``__dict__``, which materialises that dict as one more
+tracked object per instance.  One on
+``CompiledPvnc.deployment_services`` adds two per attach (that dict and
+the cached tuple) and fails this test.
 """
 
 import gc
@@ -18,9 +25,9 @@ from repro.core.session import PvnSession, default_pvnc
 from repro.netsim.topology import AccessNetworkSpec
 
 ATTACHES = 50
-#: Tracked objects 50 attaches leave behind (160.06 per attach), measured
-#: by this test.
-PARENT_GROWTH = 8003
+#: Tracked objects 50 attaches leave behind (154.06 per attach), measured
+#: by this test; 8 003 before sandboxes shared one frozen default budget.
+PARENT_GROWTH = 7703
 
 
 def test_an_attach_allocates_no_more_tracked_objects_than_before():

@@ -1,5 +1,7 @@
 """Tests for discovery messages, pricing, the protocol, and negotiation."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.discovery import (
@@ -17,6 +19,7 @@ from repro.core.discovery import (
     plan_acceptance,
     surge,
 )
+from repro.core.discovery.messages import Offer
 from repro.core.pvnc import compile_pvnc
 from repro.core.pvnc.dsl import parse_pvnc
 from repro.core.session import default_pvnc
@@ -86,6 +89,22 @@ class TestDiscoveryService:
         assert offer.in_reply_to == dm.sequence
         assert offer.total_price > 0
         assert service.offers_made == 1
+
+    def test_offer_prices_read_the_first_quote_and_sum_in_order(self):
+        prices = (("a", 0.1), ("b", 0.2), ("a", 9.0), ("c", 0.3))
+        offer = Offer(provider="isp", deployment_server="pvn.isp",
+                      standards=(), offered_services=("a", "b", "c"),
+                      prices=prices, expires_at=1.0, in_reply_to=1)
+        assert offer.price_of("a") == 0.1
+        assert offer.price_of("unquoted") == 0.0
+        services = ("c", "a", "unquoted", "b", "a")
+        first = {}
+        for name, price in prices:
+            first.setdefault(name, price)
+        assert offer.price_sum(services) == sum(
+            first.get(s, 0.0) for s in services)
+        assert offer == dataclasses.replace(offer)
+        assert "price_map" not in repr(offer)
 
     def test_unsupporting_network_silent(self, pvnc, estimate):
         service = make_service(services=())

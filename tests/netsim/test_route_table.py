@@ -9,7 +9,9 @@ mutation history gives — and ``nx.shortest_path`` (the bidirectional
 search ``src/`` no longer calls) wherever the shortest path is unique.
 Latencies here are small integers, so sums are exact and equal-cost
 ties — where a stale entry, or a tie-break that looks at pendant nodes,
-would show — are the common case.
+would show — are the common case.  Each table entry also holds its
+route's hop costs, so ``route_latency`` must equal ``path_latency`` over
+``shortest_path`` with ``==``, from any start, or raise the same error.
 
 The second half pins placement: ``place_chain`` scores candidates with
 an incremental :class:`~repro.sdn.routing.StretchWalk`; the
@@ -166,10 +168,35 @@ def assert_tables_fresh(topo: PhysicalTopology) -> None:
                 got.append("vandal")
 
 
+#: Where a latency sum starts: from nothing, and mid-walk, where adding
+#: the hop costs in another order than left to right rounds differently.
+STARTS = (0.0, 0.0013)
+
+
+def assert_route_latency_is_path_latency(topo: PhysicalTopology) -> None:
+    """For every pair (and an unknown node) and every start, the table's
+    hop costs give exactly the path's latency, or the same error."""
+    nodes = [*topo.graph.nodes, "ghost"]
+    for src in nodes:
+        for dst in nodes:
+            for start in STARTS:
+                try:
+                    expected = topo.path_latency(
+                        topo.shortest_path(src, dst), start=start)
+                except ReproError as exc:
+                    with pytest.raises(type(exc)):
+                        topo.route_latency(src, dst, start=start)
+                    continue
+                assert topo.route_latency(src, dst, start=start) == expected
+
+
 # -- hypothesis: arbitrary mutation sequences --------------------------------
 
 index = st.integers(min_value=0, max_value=10_000)
 tie_latency = st.integers(min_value=1, max_value=3)
+#: Bandwidths whose 40-byte serialisation delays make hop costs that do
+#: not add up exactly.
+bandwidth = st.sampled_from((1e9, 40e6, 3e6))
 
 
 class RouteTableMachine(RuleBasedStateMachine):
@@ -209,21 +236,22 @@ class RouteTableMachine(RuleBasedStateMachine):
         # An existing name: its kind (and wide_area flag) may change.
         self.topo.add_node(self._node(i), kind=kind, wide_area=wide)
 
-    @rule(a=index, b=index, latency=tie_latency)
-    def add_link(self, a, b, latency):
+    @rule(a=index, b=index, latency=tie_latency, bps=bandwidth)
+    def add_link(self, a, b, latency, bps):
+        # An existing pair re-adds the link with new attributes.
         a, b = self._node(a), self._node(b)
         if a == b:
             return
         before = self.topo.version
-        self.topo.add_link(a, b, latency, 1e9)
+        self.topo.add_link(a, b, latency, bps)
         assert self.topo.version > before
 
     @precondition(_room)
-    @rule(i=index, latency=tie_latency)
-    def attach_device(self, i, latency):
+    @rule(i=index, latency=tie_latency, bps=bandwidth)
+    def attach_device(self, i, latency, bps):
         # Anywhere, not just APs: onto a leaf, an island, a core node.
         attach_device(self.topo, self._fresh_name("dev"),
-                      ap=self._node(i), latency=latency)
+                      ap=self._node(i), latency=latency, bandwidth_bps=bps)
 
     @rule(i=index)
     def set_link_down(self, i):
@@ -247,6 +275,10 @@ class RouteTableMachine(RuleBasedStateMachine):
     @invariant()
     def tables_equal_a_cold_computation(self):
         assert_tables_fresh(self.topo)
+
+    @invariant()
+    def route_latency_equals_path_latency(self):
+        assert_route_latency_is_path_latency(self.topo)
 
 
 RouteTableMachine.TestCase.settings = settings(
@@ -488,6 +520,16 @@ class TestRouteTable:
         whole = topo.path_latency(["a", "b", "c", "d"])
         head = topo.path_latency(["a", "b", "c"])
         assert topo.path_latency(["c", "d"], start=head) == whole
+        assert topo.route_latency("a", "c") == head
+        assert topo.route_latency("c", "d", start=head) == whole
+        assert topo.rtt("a", "d") == 2.0 * whole
+
+    @pytest.mark.parametrize("bps", [0.0, -1e9, float("nan")])
+    def test_a_link_without_positive_bandwidth_is_rejected(self, bps):
+        topo = tie_graph()
+        with pytest.raises(ConfigurationError, match="positive bandwidth"):
+            topo.add_link("n0", "n4", 1, bps)
+        assert not topo.graph.has_edge("n0", "n4")
 
 
 # -- place_chain: incremental evaluation == per-candidate formula ------------

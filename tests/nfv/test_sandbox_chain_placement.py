@@ -1,5 +1,7 @@
 """Tests for sandboxes, service chains, and chain placement."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import EmbeddingError, SandboxViolation
@@ -92,6 +94,17 @@ class TestSandbox:
     def test_invalid_budget(self):
         with pytest.raises(SandboxViolation):
             ResourceBudget(cpu_seconds=0.0)
+
+    def test_sandboxes_without_a_budget_share_one_frozen_default(self):
+        one, two = (Sandbox(Middlebox("mb"), owner=owner,
+                            capabilities=Capability.OBSERVE)
+                    for owner in ("alice", "bob"))
+        assert one.budget is two.budget
+        assert one.budget == ResourceBudget()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            one.budget.cpu_seconds = 1.0
+        one.process(pkt(), ctx())
+        assert (one.cpu_used, two.cpu_used) == (20e-6, 0.0)
 
 
 class TestServiceChain:

@@ -19,7 +19,6 @@ from repro.sdn import (
     check_no_blackholes,
     install_path_rules,
     path_stretch,
-    shortest_path,
     trace_forwarding,
     verify_all,
     waypointed_path,
@@ -191,7 +190,7 @@ class TestRoutingHelpers:
     def test_shortest_and_waypointed_paths(self):
         topo = build_access_network()
         attach_device(topo, "dev")
-        direct = shortest_path(topo, "dev", "gw")
+        direct = topo.shortest_path("dev", "gw")
         assert direct[0] == "dev" and direct[-1] == "gw"
         via = waypointed_path(topo, "dev", "gw", ["nfv0"])
         assert "nfv0" in via
@@ -206,7 +205,7 @@ class TestRoutingHelpers:
     def test_no_path_raises(self):
         topo = build_access_network()
         with pytest.raises(ConfigurationError):
-            shortest_path(topo, "gw", "ghost")
+            topo.shortest_path("gw", "ghost")
 
     def test_install_path_rules_skips_unmanaged(self, fabric):
         _, _, _, _, _, ctrl = fabric
