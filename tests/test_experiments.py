@@ -3,7 +3,16 @@
 The benchmark suite (benchmarks/) asserts the full claim shapes; these
 tests check that every experiment runs, renders, is deterministic under
 a fixed seed, and preserves its headline direction at reduced scale.
+
+Every experiment's outcome at seed 1 and ``FAST_PARAMS`` is pinned by
+the sha256 of its canonical JSON in ``golden/experiments.json``; the
+file's ``excluded`` map names each experiment left out, and why.  A
+re-baseline is an explicit diff to that file.
 """
+
+import hashlib
+import json
+import pathlib
 
 import pytest
 
@@ -34,6 +43,20 @@ FAST_PARAMS = {
                 incident_horizon=16),
 }
 
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden"
+                     / "experiments.json").read_text())
+
+
+def outcome_digest(result) -> str:
+    canonical = json.dumps(result.to_dict(), sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def test_golden_covers_every_experiment():
+    digests, excluded = GOLDEN["digests"], GOLDEN["excluded"]
+    assert not set(digests) & set(excluded)
+    assert set(digests) | set(excluded) == set(ALL_EXPERIMENTS)
+
 
 @pytest.mark.parametrize("experiment_id", sorted(ALL_EXPERIMENTS))
 def test_experiment_runs_and_renders(experiment_id):
@@ -47,6 +70,8 @@ def test_experiment_runs_and_renders(experiment_id):
     # Every row has one cell per column.
     for row in result.rows:
         assert len(row) == len(result.columns)
+    if experiment_id not in GOLDEN["excluded"]:
+        assert outcome_digest(result) == GOLDEN["digests"][experiment_id]
 
 
 @pytest.mark.parametrize("experiment_id", ["F1A", "E3", "E5", "E10"])
