@@ -128,9 +128,10 @@ class CostModel:
     def host_rate(self, topo: PhysicalTopology, node: str) -> float:
         """Operational cost multiplier of one host (topology attribute
         ``cost_rate``; wide-area sites default 4x)."""
-        data = topo.graph.nodes.get(node, {})
-        default = 4.0 if data.get("wide_area") else 1.0
-        return float(data.get("cost_rate", default))
+        if not topo.has_node(node):
+            return 1.0
+        default = 4.0 if topo.node_attr(node, "wide_area") else 1.0
+        return float(topo.node_attr(node, "cost_rate", default))
 
     def resource_units(self, request: PlacementRequest) -> float:
         """Normalize one request's footprint (100 MB ~ 1.6 cores ~ 1)."""
@@ -1028,7 +1029,7 @@ class Autoscaler:
         residuals = _Residuals(self.optimizer.hosts)
         best: tuple[float, str] | None = None
         for node in sorted(self.optimizer.hosts):
-            if node not in self.optimizer.topo.graph.nodes:
+            if not self.optimizer.topo.has_node(node):
                 continue
             if self.optimizer.topo.kind_of(node) != "nfv":
                 continue

@@ -109,7 +109,7 @@ class Device:
     def attach(self, provider: AccessProvider, ap: str = "ap0",
                **wireless) -> bool:
         """Join the access network; returns True if PVNs are advertised."""
-        if self.node_name not in provider.topo.graph:
+        if not provider.topo.has_node(self.node_name):
             provider.attach_device(self.node_name, ap=ap, **wireless)
         self.dhcp.run_exchange(provider.dhcp, now=provider.sim.now)
         return self.dhcp.network_supports_pvn

@@ -225,7 +225,7 @@ class PvnSession:
 
         if self.device.connection is None:
             raise NegotiationError("connect() first")
-        if new_device_node not in self.provider.topo.graph:
+        if not self.provider.topo.has_node(new_device_node):
             self.provider.attach_device(new_device_node, ap=ap, **wireless)
         obs = obs_runtime.current()
         clock = lambda: self.sim.now  # noqa: E731
@@ -288,7 +288,7 @@ class PvnSession:
         """
         from repro.core.tunneling import FullTunnel
 
-        if self.device.node_name not in self.provider.topo.graph:
+        if not self.provider.topo.has_node(self.device.node_name):
             self.provider.attach_device(self.device.node_name)
         return FullTunnel(
             self.provider.topo, self.device.node_name, endpoint

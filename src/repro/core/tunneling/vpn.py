@@ -135,7 +135,7 @@ class FullTunnel:
         encap: EncapSpec | str = DEFAULT_ENCAP,
     ) -> None:
         for node in (device_node, endpoint_node, gateway_node):
-            if node not in topo.graph:
+            if not topo.has_node(node):
                 raise TunnelError(f"unknown topology node {node!r}")
         self.topo = topo
         self.device_node = device_node

@@ -1,7 +1,7 @@
 """Physical topologies.
 
-A :class:`PhysicalTopology` is a ``networkx`` graph annotated with the
-attributes the PVN deployment machinery needs:
+A :class:`PhysicalTopology` is an undirected graph, held in two plain
+dicts, annotated with the attributes the PVN deployment machinery needs:
 
 * node ``kind``: ``"host"``, ``"ap"``, ``"switch"``, ``"nfv"``,
   ``"gateway"``, ``"server"``, or ``"middlebox"`` (a *physical*
@@ -20,9 +20,7 @@ from __future__ import annotations
 import dataclasses
 from heapq import heappop, heappush
 from math import inf
-from typing import Iterable, Sequence
-
-import networkx as nx
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.netsim.link import Link
@@ -59,7 +57,10 @@ class PhysicalTopology:
 
     def __init__(self, name: str = "net") -> None:
         self.name = name
-        self.graph = nx.Graph()
+        self._nodes: dict[str, dict] = {}   # name -> attributes
+        # name -> neighbour -> link, in insertion order; both directions
+        # share one link dict, so a flag set from either end shows at both.
+        self._adj: dict[str, dict[str, dict]] = {}
         #: Bumped on every routing-affecting mutation (nodes, links,
         #: link up/down).  Embedding caches validate against it so a
         #: memoized placement can never survive a topology change.
@@ -82,13 +83,14 @@ class PhysicalTopology:
             raise ConfigurationError(
                 f"unknown node kind {kind!r}; expected one of {sorted(NODE_KINDS)}"
             )
-        if name in self.graph:          # may change kind: drop it all
+        if name in self._nodes:         # may change kind: drop it all
             self._routes.clear()
             self._kinds.clear()
         else:
             self._kinds.pop((kind, True), None)
             self._kinds.pop((kind, False), None)
-        self.graph.add_node(name, kind=kind, **attrs)
+        self._nodes.setdefault(name, {}).update(kind=kind, **attrs)
+        self._adj.setdefault(name, {})  # a re-add keeps its links
         self.version += 1
 
     def add_link(
@@ -99,8 +101,9 @@ class PhysicalTopology:
         bandwidth_bps: float,
         loss_rate: float = 0.0,
     ) -> None:
+        adj = self._adj
         for endpoint in (a, b):
-            if endpoint not in self.graph:
+            if endpoint not in adj:
                 raise ConfigurationError(f"unknown node {endpoint!r}")
         if a == b:
             raise ConfigurationError(f"link {a!r} <-> {b!r} is a self-loop")
@@ -109,18 +112,30 @@ class PhysicalTopology:
                 f"link {a!r} <-> {b!r} needs a positive bandwidth, "
                 f"got {bandwidth_bps}"
             )
-        if self.graph.adj[a] and self.graph.adj[b]:
+        if adj[a] and adj[b]:
             self._routes.clear()        # not an isolated node's first link
-        self.graph.add_edge(
-            a, b, latency=latency, bandwidth_bps=bandwidth_bps,
-            loss_rate=loss_rate,
-        )
+        link = adj[a].get(b)            # a re-add keeps ``down`` and order
+        if link is None:
+            link = adj[a][b] = adj[b][a] = {}
+        link.update(latency=latency, bandwidth_bps=bandwidth_bps,
+                    loss_rate=loss_rate)
         self.version += 1
 
     # -- queries -----------------------------------------------------------
 
+    def has_node(self, name: str) -> bool:
+        return name in self._nodes
+
+    def node_attr(self, name: str, key: str, default: object = None
+                  ) -> object:
+        """Attribute ``key`` of node ``name``, or ``default`` if unset."""
+        try:
+            return self._nodes[name].get(key, default)
+        except KeyError:
+            raise ConfigurationError(f"unknown node {name!r}") from None
+
     def kind_of(self, name: str) -> str:
-        return self.graph.nodes[name]["kind"]
+        return self.node_attr(name, "kind")
 
     def nodes_of_kind(self, kind: str, include_wide_area: bool = True
                       ) -> list[str]:
@@ -130,7 +145,7 @@ class PhysicalTopology:
         names = self._kinds.get(key)
         if names is None:
             names = self._kinds[key] = tuple(sorted(
-                n for n, data in self.graph.nodes(data=True)
+                n for n, data in self._nodes.items()
                 if data["kind"] == kind
                 and (include_wide_area or not data.get("wide_area"))
             ))
@@ -146,11 +161,11 @@ class PhysicalTopology:
         A degree-1 endpoint is stripped to its neighbour and the route
         between the remaining endpoints answered from the route table,
         one :meth:`_search` per miss: exactly what a topology rebuilt
-        from scratch answers, and what networkx answers wherever the
-        shortest path is unique.  Failures are not remembered, and the
+        from scratch answers, and what the test oracle answers wherever
+        the shortest path is unique.  Failures are not remembered, and the
         caller owns the returned list.
         """
-        adj = self.graph._adj           # the dict itself: no view per lookup
+        adj = self._adj
         for name in (src, dst):
             if name not in adj:
                 raise ConfigurationError(f"unknown node {name!r}")
@@ -178,7 +193,7 @@ class PhysicalTopology:
         entry, and all are added to ``start`` left to right.  No list is
         built.
         """
-        adj = self.graph._adj
+        adj = self._adj
         for name in (src, dst):
             if name not in adj:
                 raise ConfigurationError(f"unknown node {name!r}")
@@ -221,7 +236,7 @@ class PhysicalTopology:
         cannot change the answer.  Returns the route's nodes and its
         hop costs."""
         self.searches += 1
-        adj = self.graph._adj
+        adj = self._adj
         dist = {src: 0.0}
         pred: dict[str, str] = {}
         heap = [(0.0, 0, src)]
@@ -251,25 +266,34 @@ class PhysicalTopology:
 
     # -- fault state -------------------------------------------------------
 
-    def _edge(self, a: str, b: str) -> dict:
+    def link(self, a: str, b: str) -> dict:
+        """The attribute dict of link ``a <-> b`` (one dict, shared by
+        both directions)."""
         try:
-            return self.graph.edges[a, b]
+            return self._adj[a][b]
         except KeyError:
             raise ConfigurationError(f"no link {a!r} <-> {b!r}") from None
 
+    def links(self) -> list[tuple[str, str, dict]]:
+        """Each link once as ``(a, b, attrs)``, sorted; ``a`` is the
+        endpoint added to the topology first."""
+        order = {name: i for i, name in enumerate(self._adj)}
+        return sorted((a, b, link) for a, neighbours in self._adj.items()
+                      for b, link in neighbours.items() if order[a] < order[b])
+
     def set_link_down(self, a: str, b: str) -> None:
         """Mark a link failed: routing and embedding avoid it."""
-        self._edge(a, b)["down"] = True
+        self.link(a, b)["down"] = True
         self._routes.clear()
         self.version += 1
 
     def set_link_up(self, a: str, b: str) -> None:
-        self._edge(a, b)["down"] = False
+        self.link(a, b)["down"] = False
         self._routes.clear()
         self.version += 1
 
     def link_is_down(self, a: str, b: str) -> bool:
-        return bool(self._edge(a, b).get("down", False))
+        return bool(self.link(a, b).get("down", False))
 
     def set_link_loss(self, a: str, b: str, loss_rate: float) -> float:
         """Override a link's loss rate; returns the previous rate so
@@ -278,7 +302,7 @@ class PhysicalTopology:
             raise ConfigurationError(
                 f"loss_rate must be in [0,1), got {loss_rate}"
             )
-        edge = self._edge(a, b)
+        edge = self.link(a, b)
         previous = float(edge.get("loss_rate", 0.0))
         edge["loss_rate"] = float(loss_rate)
         return previous
@@ -292,7 +316,7 @@ class PhysicalTopology:
         by leg: the total over ``a + b`` is bit-for-bit
         ``path_latency(b, start=path_latency(a))``.
         """
-        adj = self.graph._adj
+        adj = self._adj
         total = start
         for a, b in zip(path, path[1:]):
             edge = adj[a][b]
@@ -309,11 +333,11 @@ class PhysicalTopology:
         return 2.0 * self.path_latency(self.shortest_path(src, dst), size_bytes)
 
     def path_bottleneck_bps(self, path: Sequence[str]) -> float:
-        adj = self.graph._adj
+        adj = self._adj
         return min(adj[a][b]["bandwidth_bps"] for a, b in zip(path, path[1:]))
 
     def path_loss_rate(self, path: Sequence[str]) -> float:
-        adj = self.graph._adj
+        adj = self._adj
         survive = 1.0
         for a, b in zip(path, path[1:]):
             survive *= 1.0 - adj[a][b].get("loss_rate", 0.0)
@@ -334,14 +358,14 @@ class PhysicalTopology:
         host_ips = host_ips or {}
         nodes: dict[str, Node] = {}
         next_ip = 1
-        for name, data in sorted(self.graph.nodes(data=True)):
+        for name, data in sorted(self._nodes.items()):
             if data["kind"] in ("host", "server"):
                 ip = host_ips.get(name, f"10.250.0.{next_ip}")
                 next_ip += 1
                 nodes[name] = Host(sim, name, ip)
             else:
                 nodes[name] = RoutingNode(sim, name)
-        for a, b, data in sorted(self.graph.edges(data=True)):
+        for a, b, data in self.links():
             Link(
                 nodes[a], nodes[b],
                 latency=data["latency"],
@@ -448,10 +472,3 @@ def build_multihomed_access(spec: AccessNetworkSpec | None = None) -> PhysicalTo
     topo.add_link("core", "gw_cell", 0.015, 100e6)
     return topo
 
-
-def iter_edges_with_attrs(
-    topo: PhysicalTopology,
-) -> Iterable[tuple[str, str, dict]]:
-    """Stable iteration over annotated edges (sorted, for determinism)."""
-    for a, b, data in sorted(topo.graph.edges(data=True)):
-        yield a, b, data

@@ -76,7 +76,7 @@ class PlacementPlan:
 
 def _physical_box_for(topo: PhysicalTopology, service: str) -> str | None:
     for node in topo.nodes_of_kind("middlebox"):
-        if topo.graph.nodes[node].get("service") == service:
+        if topo.node_attr(node, "service") == service:
             return node
     return None
 

@@ -414,11 +414,12 @@ class TestCostModel:
     def test_wide_area_hosts_default_dearer(self):
         topo = build_access_network()
         model = CostModel()
-        topo.graph.add_node("cloud_x", kind="nfv", wide_area=True)
+        topo.add_node("cloud_x", kind="nfv", wide_area=True)
         assert model.host_rate(topo, "cloud_x") == 4.0
         assert model.host_rate(topo, "nfv0") == 1.0
-        topo.graph.nodes["nfv0"]["cost_rate"] = 2.5
+        topo.add_node("nfv0", kind="nfv", cost_rate=2.5)
         assert model.host_rate(topo, "nfv0") == 2.5
+        assert model.host_rate(topo, "ghost") == 1.0     # unknown: default
 
     def test_world_cost_counts_only_powered_hosts(self):
         topo = build_access_network()

@@ -61,15 +61,15 @@ class TestFaultEffects:
     def test_loss_burst_auto_restores_previous_rate(self):
         session, _ = connected_session()
         topo = session.provider.topo
-        before = topo.graph.edges["agg", "core"].get("loss_rate", 0.0)
+        before = topo.link("agg", "core").get("loss_rate", 0.0)
         session.inject_faults(
             "at 1.0 loss-burst agg core rate=0.7 duration=0.5"
         )
         session.sim.run(until=1.2)
-        assert (topo.graph.edges["agg", "core"]["loss_rate"]
+        assert (topo.link("agg", "core")["loss_rate"]
                 == pytest.approx(0.7))
         session.sim.run(until=2.0)
-        assert (topo.graph.edges["agg", "core"]["loss_rate"]
+        assert (topo.link("agg", "core")["loss_rate"]
                 == pytest.approx(before))
 
     def test_silence_and_dm_drop_starve_discovery(self):

@@ -129,6 +129,65 @@ class TestTopology:
         with pytest.raises(ConfigurationError):
             topo.add_link("a", "ghost", 0.001, 1e9)
 
+    def test_unknown_node_or_link_raises_a_typed_error(self):
+        topo = build_access_network()
+        assert topo.has_node("agg") and not topo.has_node("ghost")
+        for query in (lambda: topo.kind_of("ghost"),
+                      lambda: topo.node_attr("ghost", "kind"),
+                      lambda: topo.link("agg", "ghost"),
+                      lambda: topo.link("ghost", "agg"),
+                      lambda: topo.link("ap0", "gw")):
+            with pytest.raises(ConfigurationError):
+                query()
+
+    def test_node_attrs_merge_on_re_add(self):
+        topo = build_access_network()
+        assert topo.kind_of("nfv0") == "nfv"
+        assert topo.node_attr("nfv0", "cpu") == 16
+        assert topo.node_attr("nfv0", "service") is None
+        assert topo.node_attr("nfv0", "service", "none") == "none"
+        assert topo.node_attr("pmb_cache", "service") == "cache"
+        topo.add_node("nfv0", kind="switch", cost_rate=2.5)
+        assert topo.kind_of("nfv0") == "switch"
+        assert topo.node_attr("nfv0", "cpu") == 16          # kept
+        assert topo.node_attr("nfv0", "cost_rate") == 2.5
+        assert topo.link("nfv0", "agg")                     # links kept
+
+    def test_a_link_is_one_dict_seen_from_both_ends(self):
+        topo = build_access_network()
+        assert topo.link("agg", "core") is topo.link("core", "agg")
+        topo.set_link_down("core", "agg")
+        assert topo.link_is_down("agg", "core")
+        assert topo.set_link_loss("core", "agg", 0.25) == 0.0
+        assert topo.link("agg", "core")["loss_rate"] == 0.25
+
+    def test_re_adding_a_link_updates_it_in_place(self):
+        """A ``down`` flag survives, and the neighbour keeps its place
+        in adjacency order, which breaks equal-cost ties."""
+        topo = PhysicalTopology()
+        for name in "abcd":
+            topo.add_node(name, kind="switch")
+        for a, b in (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")):
+            topo.add_link(a, b, 1, 1e9)
+        link = topo.link("a", "b")
+        topo.add_link("b", "a", 1, 1e9, loss_rate=0.1)
+        assert topo.link("a", "b") is link
+        assert link["loss_rate"] == 0.1
+        assert topo.shortest_path("a", "d") == ["a", "b", "d"]
+        topo.set_link_down("a", "c")
+        topo.add_link("a", "c", 1, 1e9)
+        assert topo.link_is_down("c", "a")
+
+    def test_links_are_oriented_by_node_age_and_sorted(self):
+        topo = PhysicalTopology()
+        for name in ("z", "m", "a"):
+            topo.add_node(name, kind="switch")
+        topo.add_link("a", "z", 1, 1e9)
+        topo.add_link("a", "m", 2, 1e9)
+        topo.add_link("m", "z", 3, 1e9)
+        assert [(a, b, link["latency"]) for a, b, link in topo.links()] == [
+            ("m", "a", 2), ("z", "a", 1), ("z", "m", 3)]
+
     def test_path_metrics(self):
         topo = PhysicalTopology()
         for name in ("a", "b", "c"):

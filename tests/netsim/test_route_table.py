@@ -6,7 +6,7 @@ degree >= 2 from a table that survives pendant attaches, and
 optimisations: after *any* sequence of mutations, for every node pair,
 the answer must be exactly what a cold topology rebuilt from the same
 mutation history gives — and ``nx.shortest_path`` (the bidirectional
-search ``src/`` no longer calls) wherever the shortest path is unique.
+search, on :func:`as_networkx`'s copy) wherever the shortest path is unique.
 Latencies here are small integers, so sums are exact and equal-cost
 ties — where a stale entry, or a tie-break that looks at pendant nodes,
 would show — are the common case.  Each table entry also holds its
@@ -83,11 +83,20 @@ class RecordedTopology(PhysicalTopology):
 def cold_twin(topo: PhysicalTopology) -> PhysicalTopology:
     if isinstance(topo, RecordedTopology):
         return topo.cold()
-    # No history to replay: share the graph object itself, because a
-    # ``graph.copy()`` may reorder adjacency, which breaks ties.
+    # No history to replay: share the graph's dicts themselves, because
+    # a copy may reorder adjacency, which breaks ties.
     twin = PhysicalTopology()
-    twin.graph = topo.graph
+    twin._nodes, twin._adj = topo._nodes, topo._adj
     return twin
+
+
+def as_networkx(topo: PhysicalTopology) -> nx.Graph:
+    """The oracle's copy of ``topo``: every node in insertion order with
+    its attributes, then every link with its attributes."""
+    graph = nx.Graph()
+    graph.add_nodes_from(topo._nodes.items())
+    graph.add_edges_from(topo.links())
+    return graph
 
 
 def usable_latency(a, b, data):
@@ -98,7 +107,7 @@ def fresh_path(topo: PhysicalTopology, src: str, dst: str) -> list[str]:
     return cold_twin(topo).shortest_path(src, dst)
 
 
-def assert_networkx_agrees(topo: PhysicalTopology, src: str, dst: str,
+def assert_networkx_agrees(graph: nx.Graph, src: str, dst: str,
                            path: list[str] | None) -> None:
     """``path`` is one of the shortest paths, and where there is only
     one it is what the bidirectional search picks too.  For integer
@@ -106,20 +115,20 @@ def assert_networkx_agrees(topo: PhysicalTopology, src: str, dst: str,
     under another make "unique" depend on which end a search starts."""
     try:
         tied = list(nx.all_shortest_paths(
-            topo.graph, src, dst, weight=usable_latency))
+            graph, src, dst, weight=usable_latency))
     except nx.NetworkXNoPath:
         assert path is None
         return
     assert path in tied
     if len(tied) == 1:
         assert path == nx.shortest_path(
-            topo.graph, src, dst, weight=usable_latency)
+            graph, src, dst, weight=usable_latency)
 
 
-def fresh_nodes_of_kind(topo: PhysicalTopology, kind: str,
+def fresh_nodes_of_kind(graph: nx.Graph, kind: str,
                         include_wide_area: bool) -> list[str]:
     return sorted(
-        n for n, data in topo.graph.nodes(data=True)
+        n for n, data in graph.nodes(data=True)
         if data["kind"] == kind
         and (include_wide_area or not data.get("wide_area"))
     )
@@ -127,8 +136,9 @@ def fresh_nodes_of_kind(topo: PhysicalTopology, kind: str,
 
 def all_routes(topo: PhysicalTopology) -> dict:
     routes = {}
-    for src in topo.graph.nodes:
-        for dst in topo.graph.nodes:
+    nodes = list(as_networkx(topo).nodes)
+    for src in nodes:
+        for dst in nodes:
             try:
                 routes[src, dst] = topo.shortest_path(src, dst)
             except ConfigurationError:
@@ -140,14 +150,15 @@ def assert_tables_fresh(topo: PhysicalTopology) -> None:
     """Every pair and every kind, asked twice (the second answer comes
     from the table), vandalising each returned list in between."""
     cold = cold_twin(topo)
-    nodes = list(topo.graph.nodes)
+    graph = as_networkx(topo)
+    nodes = list(graph.nodes)
     for src in nodes:
         for dst in nodes:
             try:
                 expected = cold.shortest_path(src, dst)
             except ConfigurationError:
                 expected = None
-            assert_networkx_agrees(topo, src, dst, expected)
+            assert_networkx_agrees(graph, src, dst, expected)
             for _ in range(2):
                 if expected is None:
                     with pytest.raises(ConfigurationError):
@@ -160,7 +171,7 @@ def assert_tables_fresh(topo: PhysicalTopology) -> None:
                 got.append("vandal")
     for kind in KINDS:
         for wide in (True, False):
-            expected = fresh_nodes_of_kind(topo, kind, wide)
+            expected = fresh_nodes_of_kind(graph, kind, wide)
             for _ in range(2):
                 got = topo.nodes_of_kind(kind, include_wide_area=wide)
                 assert type(got) is list
@@ -176,7 +187,7 @@ STARTS = (0.0, 0.0013)
 def assert_route_latency_is_path_latency(topo: PhysicalTopology) -> None:
     """For every pair (and an unknown node) and every start, the table's
     hop costs give exactly the path's latency, or the same error."""
-    nodes = [*topo.graph.nodes, "ghost"]
+    nodes = [*as_networkx(topo).nodes, "ghost"]
     for src in nodes:
         for dst in nodes:
             for start in STARTS:
@@ -213,15 +224,15 @@ class RouteTableMachine(RuleBasedStateMachine):
         return f"{stem}{self.names}"
 
     def _node(self, i: int) -> str:
-        nodes = list(self.topo.graph.nodes)
+        nodes = list(as_networkx(self.topo).nodes)
         return nodes[i % len(nodes)]
 
     def _link(self, i: int) -> tuple[str, str]:
-        links = list(self.topo.graph.edges)
+        links = list(as_networkx(self.topo).edges)
         return links[i % len(links)]
 
     def _room(self) -> bool:
-        return len(self.topo.graph) < MAX_NODES
+        return len(as_networkx(self.topo)) < MAX_NODES
 
     @precondition(_room)
     @rule(kind=st.sampled_from(KINDS), wide=st.booleans())
@@ -326,7 +337,7 @@ def tie_worlds(draw):
         a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         if a != b:
             topo.add_link(f"n{a}", f"n{b}", draw(tie_latency), 1e9)
-    links = sorted(topo.graph.edges)
+    links = sorted(as_networkx(topo).edges)
     if links:
         for a, b in draw(st.lists(st.sampled_from(links), max_size=2)):
             topo.set_link_down(a, b)
@@ -343,7 +354,7 @@ def test_leaf_attaches_move_no_existing_route(topo, leaves):
     before = all_routes(topo)
     tabled = [pair for pair in topo._routes]
     for k, (i, latency) in enumerate(leaves):
-        nodes = list(topo.graph.nodes)
+        nodes = list(as_networkx(topo).nodes)
         attach_device(topo, f"leaf{k}", ap=nodes[i % len(nodes)],
                       latency=latency)
     searches = topo.searches
@@ -529,7 +540,7 @@ class TestRouteTable:
         topo = tie_graph()
         with pytest.raises(ConfigurationError, match="positive bandwidth"):
             topo.add_link("n0", "n4", 1, bps)
-        assert not topo.graph.has_edge("n0", "n4")
+        assert not as_networkx(topo).has_edge("n0", "n4")
 
 
 # -- place_chain: incremental evaluation == per-candidate formula ------------
@@ -546,7 +557,7 @@ def oracle_waypointed_path(topo, src, dst, waypoints):
 def oracle_latency(topo, path):
     total = 0.0
     for a, b in zip(path, path[1:]):
-        edge = topo.graph.edges[a, b]
+        edge = topo.link(a, b)
         total += edge["latency"] + transmission_delay(
             40, edge["bandwidth_bps"])
     return total
@@ -565,11 +576,12 @@ def oracle_path_stretch(topo, src, dst, waypoints):
 def oracle_place_chain(topo, requests, src, dst, hosts, prefer_reuse):
     """``place_chain`` as it was before the shared-prefix evaluation."""
     decisions, waypoints = [], []
+    graph = as_networkx(topo)
     for request in requests:
         if prefer_reuse and request.allow_physical_reuse:
             physical = next(
-                (n for n in fresh_nodes_of_kind(topo, "middlebox", True)
-                 if topo.graph.nodes[n].get("service") == request.service),
+                (n for n in fresh_nodes_of_kind(graph, "middlebox", True)
+                 if graph.nodes[n].get("service") == request.service),
                 None,
             )
             if physical is not None:
@@ -578,7 +590,7 @@ def oracle_place_chain(topo, requests, src, dst, hosts, prefer_reuse):
                 waypoints.append(physical)
                 continue
         candidates = [
-            n for n in fresh_nodes_of_kind(topo, "nfv", True)
+            n for n in fresh_nodes_of_kind(graph, "nfv", True)
             if n in hosts and hosts[n].alive
             and hosts[n].memory_in_use + request.memory_bytes
             <= hosts[n].capacity.memory_bytes
@@ -641,7 +653,7 @@ def placement_worlds(draw):
             st.sampled_from(everything))
         if a != b:
             link(a, b)
-    links = sorted(topo.graph.edges)
+    links = sorted(as_networkx(topo).edges)
     for a, b in draw(st.lists(st.sampled_from(links), max_size=2)):
         topo.set_link_down(a, b)
 

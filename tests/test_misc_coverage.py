@@ -10,7 +10,6 @@ from repro.core.auditor import (
 from repro.core.deployment import admission_headroom
 from repro.netproto.tls import RevocationList
 from repro.netsim import Packet, build_access_network
-from repro.netsim.topology import iter_edges_with_attrs
 from repro.nfv import Container, HostCapacity, Middlebox, NfvHost
 from repro.workloads import (
     ALL_DISHONEST_PROFILES,
@@ -68,7 +67,7 @@ class TestAdmissionHeadroom:
 class TestTopologyIteration:
     def test_iter_edges_sorted_with_attrs(self):
         topo = build_access_network()
-        edges = list(iter_edges_with_attrs(topo))
+        edges = topo.links()
         assert edges == sorted(edges, key=lambda e: (e[0], e[1]))
         for a, b, data in edges:
             assert "latency" in data and "bandwidth_bps" in data
