@@ -16,6 +16,7 @@ Phases (mirroring the acceptance criteria of ROADMAP item 1):
 
 The smoke-sized bench bar lives in ``test_bench_population.py``; this
 script records the dev-box trajectory the bars are calibrated against.
+Both time the engine through ``population_timing.py``.
 """
 
 import datetime
@@ -29,11 +30,8 @@ import numpy
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.experiments.exp23_population import (  # noqa: E402
-    parity_check,
-    speedup_check,
-    sweep_point,
-)
+from population_timing import speedup_check, sweep_point  # noqa: E402
+from repro.experiments.exp23_population import parity_check  # noqa: E402
 from repro.experiments.runner import run_sharded  # noqa: E402
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_population.json"

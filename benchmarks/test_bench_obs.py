@@ -21,7 +21,12 @@ fully enabled: observability must not eat the fast path's win.
 
 from repro.obs import runtime as obs_runtime
 
-from test_bench_datapath import build_switch, packet_schedule, replay_pps
+from test_bench_datapath import (
+    build_switch,
+    linear_replay_pps,
+    packet_schedule,
+    replay_pps,
+)
 
 N_RULES = 256
 ROUNDS = 5
@@ -33,17 +38,15 @@ def _interleaved_pps():
     off = metrics_only = full = 0.0
     for _ in range(ROUNDS):
         obs_runtime.disable()
-        off = max(off, replay_pps(build_switch(N_RULES, cached=True),
-                                  packets))
+        off = max(off, replay_pps(build_switch(N_RULES), packets))
         with obs_runtime.enabled(trace_spans=False,
                                  profile_middleboxes=False):
             metrics_only = max(
                 metrics_only,
-                replay_pps(build_switch(N_RULES, cached=True), packets),
+                replay_pps(build_switch(N_RULES), packets),
             )
         with obs_runtime.enabled():
-            full = max(full, replay_pps(build_switch(N_RULES, cached=True),
-                                        packets))
+            full = max(full, replay_pps(build_switch(N_RULES), packets))
     obs_runtime.disable()
     return off, metrics_only, full
 
@@ -82,9 +85,10 @@ def test_flow_cache_speedup_survives_obs():
     """The datapath refactor's 3x bar must hold with obs fully on."""
     packets = packet_schedule(1000)
     with obs_runtime.enabled():
-        linear = build_switch(1000, cached=False)
-        cached = build_switch(1000, cached=True)
-        linear_pps = max(replay_pps(linear, packets) for _ in range(3))
+        linear = build_switch(1000).table
+        cached = build_switch(1000)
+        linear_pps = max(linear_replay_pps(linear, packets)
+                         for _ in range(3))
         cached_pps = max(replay_pps(cached, packets) for _ in range(3))
     assert cached_pps >= 3 * linear_pps, (
         f"with obs enabled, flow cache speedup "
@@ -108,8 +112,7 @@ def test_closed_loop_machinery_keeps_10pct_bar():
     off = loop = 0.0
     for round_no in range(ROUNDS):
         obs_runtime.disable()
-        off = max(off, replay_pps(build_switch(N_RULES, cached=True),
-                                  packets))
+        off = max(off, replay_pps(build_switch(N_RULES), packets))
         with obs_runtime.enabled():
             obs = obs_runtime.current()
             obs.slo.register(SloSpec(name="bench_availability",
@@ -120,7 +123,7 @@ def test_closed_loop_machinery_keeps_10pct_bar():
                 lambda: obs.metrics.value("repro_slo_events",
                                           slo="bench_availability",
                                           result="good"))
-            switch = build_switch(N_RULES, cached=True)
+            switch = build_switch(N_RULES)
             loop = max(loop, replay_pps(switch, packets))
             switch.publish_counters(float(round_no))
             obs.slo.record("bench_availability",

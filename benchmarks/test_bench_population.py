@@ -11,7 +11,9 @@ fence.
 
 Parity is asserted at *zero* tolerance: both modes share the same
 packet-quantized per-tick progress arithmetic, so completion times
-are exactly equal, not merely close.
+are exactly equal, not merely close.  E23 itself reports only
+simulated outcomes; the wall-clock bars time the engine through
+``population_timing.py``, which ``record_population.py`` shares.
 
 The fluid side of that ratio admits and retires flows as columns and
 keeps them in canonical order instead of sorting each epoch; the last
@@ -29,6 +31,8 @@ from repro.experiments import exp23_population
 from repro.netsim.fluid import MODE_FLUID, HybridFlow
 from repro.workloads.population import PopulationWorkload
 
+from population_timing import speedup_check, sweep_point
+
 SPEEDUP_BAR = 50.0
 
 
@@ -36,7 +40,6 @@ def test_bench_e23_population(run_once):
     result = run_once(exp23_population.run, seed=0)
     assert result.metrics["parity_digests_match"] == 1.0
     assert result.metrics["parity_max_completion_dt"] == 0.0
-    assert result.metrics["fluid_vs_packet_speedup"] >= SPEEDUP_BAR
     # The fluid taps must actually reach the optimizer.
     assert result.metrics["telemetry_cells_reported"] > 0
     assert result.metrics["telemetry_total_pps"] > 0
@@ -44,7 +47,7 @@ def test_bench_e23_population(run_once):
 
 def test_speedup_bar_at_smoke_scale():
     """ISSUE 10 acceptance, smoke-sized: >= 50x device-seconds/s."""
-    check = exp23_population.speedup_check(10_000, 6.0, seed=0)
+    check = speedup_check(10_000, 6.0, seed=0)
     assert check["counts_match"], "policy counts diverged between modes"
     assert check["speedup"] >= SPEEDUP_BAR, (
         f"fluid/packet speedup {check['speedup']:.1f}x is below the "
@@ -58,8 +61,8 @@ def test_speedup_bar_at_smoke_scale():
 def test_fluid_cost_scales_with_churn_not_population():
     """10x devices at fixed per-device churn must cost ~10x, never
     the O(packets) blowup: throughput in device-seconds/s holds."""
-    small = exp23_population.sweep_point(5_000, 8.0, seed=0)
-    large = exp23_population.sweep_point(50_000, 8.0, seed=0)
+    small = sweep_point(5_000, 8.0, seed=0)
+    large = sweep_point(50_000, 8.0, seed=0)
     assert large["counters"]["packet_events"] == 0
     assert (large["device_seconds_per_sec"]
             >= small["device_seconds_per_sec"] / 3.0)

@@ -22,7 +22,6 @@ from repro.experiments import (  # noqa: F401 (re-exported modules)
     exp14_chaos,
     exp15_migration,
     exp16_datapath,
-    exp17_observability,
     exp18_control_plane,
     exp19_orchestration,
     exp20_selfhealing,
@@ -55,12 +54,7 @@ ALL_EXPERIMENTS = {
     "E14": exp14_chaos.run,
     "E15": exp15_migration.run,
     "ABL": ablations.run,
-    # E16/E17 are registered last on purpose: they allocate simulator
-    # objects with global id counters (packets, rules), and running them
-    # after the seed experiments keeps E1-E15 id sequences — and
-    # digests — stable.
     "E16": exp16_datapath.run,
-    "E17": exp17_observability.run,
     "E18": exp18_control_plane.run,
     "E19": exp19_orchestration.run,
     "E20": exp20_selfhealing.run,

@@ -3,43 +3,43 @@
 E16 showed the microflow cache makes *steady-state* per-packet cost
 O(1) in the installed-PVN count.  Its blind spot is flow churn: every
 new five-tuple misses the exact-match tier and pays the linear scan,
-so open-loop workloads (new source port per connection) degenerate to
-the uncached path exactly when the table is largest.  The megaflow
-tier (:class:`~repro.sdn.flowcache.MegaflowCache`) fixes that: rule
-cross-producting (:meth:`~repro.sdn.flowtable.FlowTable.classify`)
+so open-loop workloads (new source port per connection) would pay a
+full classification per packet exactly when the table is largest.  The
+megaflow tier (:class:`~repro.sdn.flowcache.MegaflowCache`) fixes that:
+rule cross-producting (:meth:`~repro.sdn.flowtable.FlowTable.classify`)
 derives the minimal wildcard mask per classification, so all churning
 flows of one subscriber collapse onto one cached megaflow and only the
 *first* packet per subscriber ever scans the table.
 
 This experiment replays a churning open-loop schedule (every packet a
-fresh source port) at a sweep of installed-PVN counts through three
-datapath configurations — linear (both tiers off), microflow-only and
-microflow+megaflow — and reports:
+fresh source port) at a sweep of installed-PVN counts through the
+switch and through a linear reference — :meth:`FlowTable.lookup` per
+packet over a twin table — and reports:
 
-* full classifications (linear scans) per configuration; the headline
-  claim is a >= 10x cut for the megaflow tier vs microflow-only at
-  1000 installed PVNs,
-* wall-clock packets/sec per configuration,
-* a sha256 equivalence digest over every packet-observable output
-  (winner match stats, table misses, conservation counters) proving
-  all three configurations classify identically.
+* full classifications (table scans): one per packet for the linear
+  reference, one per subscriber for the switch; the headline claim is
+  a >= 10x cut at 1000 installed PVNs;
+* the switch's microflow and megaflow hit rates — the microflow rate is
+  exactly 0 under this churn, so the exact-match tier alone could not
+  cut a single scan;
+* whether the switch's winner decisions (per-rule match statistics)
+  and table misses equal the linear reference's, plus a sha256 digest
+  over every packet-observable output of the switch.
 
-Timing rows are wall-clock measurements and vary run to run; the
-*shape* (classification cut, digest equality) is what the bench suite
-asserts.
+The host-time cost of classification under churn is measured end to
+end by the ``churn_reconfig`` workload of ``python -m bench``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 
 from repro.experiments.harness import ExperimentResult, main
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.trace import Tracer
 from repro.sdn.actions import Drop
-from repro.sdn.flowtable import FlowRule
+from repro.sdn.flowtable import FlowRule, FlowTable
 from repro.sdn.match import Match
 from repro.sdn.switch import SdnSwitch
 
@@ -49,15 +49,19 @@ from repro.sdn.switch import SdnSwitch
 CHURN_FACTOR = 16
 
 
-def _build_switch(n_rules: int, tracer: Tracer | None = None) -> SdnSwitch:
-    sim = Simulator()
-    switch = SdnSwitch(sim, "ingress", tracer=tracer)
+def _install_rules(table: FlowTable, n_rules: int) -> FlowTable:
     for i in range(n_rules):
-        switch.table.install(FlowRule(
+        table.install(FlowRule(
             match=Match(owner=f"user{i}"),
             actions=(Drop(reason="bench"),),
             pvn_id=f"user{i}/pvn{i}",
         ))
+    return table
+
+
+def _build_switch(n_rules: int, tracer: Tracer | None = None) -> SdnSwitch:
+    switch = SdnSwitch(Simulator(), "ingress", tracer=tracer)
+    _install_rules(switch.table, n_rules)
     return switch
 
 
@@ -74,19 +78,19 @@ def _churn_schedule(n_rules: int, n_packets: int) -> list[Packet]:
     ]
 
 
-def _configure(switch: SdnSwitch, micro: bool, mega: bool) -> None:
-    switch.flow_cache.enabled = micro
-    switch.megaflow_cache.enabled = mega
-
-
-def _replay(switch: SdnSwitch, packets: list[Packet]) -> float:
-    """Wall-clock packets/sec for one replay."""
-    start = time.perf_counter()
+def _replay(switch: SdnSwitch, packets: list[Packet]) -> None:
     process = switch.process
     for packet in packets:
         process(packet)
-    elapsed = time.perf_counter() - start
-    return len(packets) / elapsed if elapsed > 0 else float("inf")
+
+
+def _match_state(table: FlowTable) -> tuple:
+    """Winner decisions as per-rule match statistics, plus the table's
+    misses."""
+    # Keyed on pvn_id, not rule_id: rule ids come from a process-global
+    # counter, so equivalent tables built in sequence differ on them.
+    return (sorted((rule.pvn_id, rule.packets_matched, rule.bytes_matched)
+                   for rule in table.rules), table.misses)
 
 
 def _digest(switch: SdnSwitch) -> str:
@@ -96,14 +100,8 @@ def _digest(switch: SdnSwitch) -> str:
     counter, and the switch conservation counters — the byte-identical
     bar the cache tiers must clear against the linear scan.
     """
-    # Keyed on pvn_id, not rule_id: rule ids come from a process-global
-    # counter, so equivalent switches built in sequence differ on them.
-    state = sorted(
-        (rule.pvn_id, rule.packets_matched, rule.bytes_matched)
-        for rule in switch.table.rules
-    )
-    blob = repr((state, switch.table.misses,
-                 sorted(switch.counters().items())))
+    state, misses = _match_state(switch.table)
+    blob = repr((state, misses, sorted(switch.counters().items())))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -113,63 +111,51 @@ def run(
 ) -> ExperimentResult:
     rows = []
     metrics: dict[str, float] = {}
-    configs = (
-        ("linear", False, False),
-        ("micro", True, False),
-        ("micro+mega", True, True),
-    )
     for n_rules in rule_counts:
         n_packets = CHURN_FACTOR * n_rules
-        digests: dict[str, str] = {}
-        scans: dict[str, int] = {}
-        for label, micro, mega in configs:
-            switch = _build_switch(n_rules, Tracer())
-            _configure(switch, micro, mega)
-            # One replay serves both the timing and the digest: fresh
-            # packet objects per configuration, since replays mutate
-            # drop state and match statistics.
-            pps = _replay(switch, _churn_schedule(n_rules, n_packets))
-            switch.publish_counters(switch.sim.now)
-            digests[label] = _digest(switch)
-            scans[label] = switch.full_classifications
-            rows.append((
-                n_rules, label, f"{pps:,.0f}",
-                switch.full_classifications,
-                f"{100 * switch.flow_cache.hit_rate:.1f}%",
-                f"{100 * switch.megaflow_cache.hit_rate:.1f}%",
-                digests[label][:12],
-            ))
-            metrics[f"{label.replace('+', '_')}_pps_at_{n_rules}"] = pps
-            metrics[f"{label.replace('+', '_')}_scans_at_{n_rules}"] = (
-                scans[label]
-            )
-        # Under pure churn the microflow tier cannot help (every packet
-        # is a fresh five-tuple), so its scan count is one per packet;
-        # the megaflow tier's is one per subscriber.
-        cut = scans["micro"] / max(1, scans["micro+mega"])
+        # Fresh packet objects per datapath: a replay mutates drop state.
+        reference = _install_rules(FlowTable(), n_rules)
+        for packet in _churn_schedule(n_rules, n_packets):
+            reference.lookup(packet)
+        switch = _build_switch(n_rules, Tracer())
+        _replay(switch, _churn_schedule(n_rules, n_packets))
+        switch.publish_counters(switch.sim.now)
+
+        scans = switch.full_classifications
+        cut = n_packets / max(1, scans)
+        match = _match_state(switch.table) == _match_state(reference)
+        micro = switch.flow_cache.hit_rate
+        mega = switch.megaflow_cache.hit_rate
+        digest = _digest(switch)
+        rows.append((
+            n_rules, n_packets, scans, f"{cut:.1f}x",
+            f"{100 * micro:.1f}%", f"{100 * mega:.1f}%",
+            "yes" if match else "NO", digest[:12],
+        ))
+        metrics[f"linear_scans_at_{n_rules}"] = float(n_packets)
+        metrics[f"switch_scans_at_{n_rules}"] = float(scans)
         metrics[f"classification_cut_at_{n_rules}"] = cut
-        metrics[f"digest_match_at_{n_rules}"] = float(
-            len(set(digests.values())) == 1
-        )
+        metrics[f"micro_hit_rate_at_{n_rules}"] = micro
+        metrics[f"mega_hit_rate_at_{n_rules}"] = mega
+        metrics[f"digest_match_at_{n_rules}"] = float(match)
     return ExperimentResult(
         experiment_id="E21",
         title="§4 fast path completed: megaflow classification",
-        columns=["installed PVN rules", "datapath", "pkts/s",
-                 "full classifications", "micro hit rate", "mega hit rate",
-                 "digest"],
+        columns=["installed PVN rules", "linear scans", "switch scans",
+                 "cut", "micro hit rate", "mega hit rate",
+                 "matches linear", "digest"],
         rows=rows,
         metrics=metrics,
         notes=[
             "open-loop churn (every packet a fresh source port) defeats "
-            "the exact-match tier; the megaflow tier collapses each "
-            "subscriber's churning flows onto one wildcard entry, so "
-            "full classifications drop from one-per-packet to "
-            "one-per-subscriber",
-            "identical digests across all three configurations: winner "
-            "decisions, match statistics, and conservation counters are "
-            "byte-identical to the uncached linear scan",
-            "timing rows are wall-clock and vary run to run; the bench "
-            "suite asserts the shape (cut >= 10x at 1000 PVNs)",
+            "the exact-match tier (micro hit rate 0); the megaflow tier "
+            "collapses each subscriber's churning flows onto one "
+            "wildcard entry, so full classifications drop from "
+            "one-per-packet to one-per-subscriber",
+            "the switch's per-rule match statistics and table misses "
+            "equal those of a linear lookup per packet over a twin table",
+            "host time for classification under churn is measured by "
+            "the churn_reconfig workload of python -m bench",
         ],
     )
 

@@ -9,18 +9,24 @@ steady flows as aggregate max-min rate equations — recomputed only at
 arrival/departure/migration epochs — and event-simulates only the
 policy-relevant packets, so the same workload runs at 10^6 devices.
 
-Three phases:
+Two phases, both reported as simulated outcomes:
 
-* **parity** (10^4 devices): the same seeded churn workload runs in
-  fluid and pure-packet mode; the sha256 digest over all
-  policy-relevant accounting (PII violations, audit evidence,
-  attach/detach/migrate counts, flow completions) must match
-  *exactly*, and per-flow completion times must agree within one
-  tick.  This is what licenses the fluid abstraction.
-* **speedup** (10^5 devices): identical workload in both modes;
-  fluid must simulate ≥50x more device-seconds per wall-second.
-* **sweep** (up to ≥10^6 devices): fluid-only scaling curve with a
-  count-only ledger (record retention would dominate memory).
+* **parity**: the same seeded churn workload runs in fluid and
+  pure-packet mode; the sha256 digest over all policy-relevant
+  accounting (PII violations, audit evidence, attach/detach/migrate
+  counts, flow completions) must match *exactly*, and per-flow
+  completion times must agree.  This is what licenses the fluid
+  abstraction.
+* **sweep** (up to 10^5 devices here, 10^6 in the recording):
+  fluid-only population points with a count-only ledger (record
+  retention would dominate memory) — flows completed, PII violations
+  and policy packets event-simulated.
+
+The host-time ratio between the modes (fluid must simulate >= 50x more
+device-seconds per wall-second) is measured by
+``benchmarks/population_timing.py``, recorded in
+``BENCH_population.json`` and gated by
+``benchmarks/test_bench_population.py``.
 
 The sharded form exchanges **cross-shard flows** through the runner's
 deterministic per-round queues: flows whose ``dst_device`` lives on
@@ -43,7 +49,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 
 from repro.core.deployment.telemetry import TelemetryFeed
 from repro.experiments.harness import ExperimentResult, main
@@ -122,22 +127,16 @@ def measure_mode(
     mode: str,
     keep_records: bool = True,
 ) -> dict:
-    """Run one mode over the workload; wall time and accounting."""
+    """Run one mode over the workload; its accounting."""
     engine = build_population(spec, seed, mode=mode,
                               keep_records=keep_records)
-    start = time.perf_counter()
     engine.run(spec.horizon)
-    wall = time.perf_counter() - start
-    # Outside the timed region; a no-op unless observability is on.
+    # A no-op unless observability is on.
     engine.publish(engine.sim.now)
-    device_seconds = spec.devices * spec.horizon
     out = {
         "mode": mode,
         "devices": spec.devices,
         "horizon": spec.horizon,
-        "wall_seconds": wall,
-        "device_seconds": device_seconds,
-        "device_seconds_per_sec": device_seconds / wall if wall else 0.0,
         "counters": engine.counters(),
         "pii_violations": engine.ledger.count("pii_violation"),
         "engine": engine,
@@ -165,34 +164,18 @@ def parity_check(devices: int, horizon: float, seed: int) -> dict:
         "digests_match": fluid["digest"] == packet["digest"],
         "completions_compared": len(common),
         "max_completion_dt": max_dt,
-        "speedup": (packet["wall_seconds"] / fluid["wall_seconds"]
-                    if fluid["wall_seconds"] else float("inf")),
     }
 
 
-def speedup_check(devices: int, horizon: float, seed: int) -> dict:
-    """Fluid vs packet wall-clock over identical churn (count-only
-    ledgers: record retention is not part of either mode's cost, and
-    the counts still cross-check)."""
-    spec = _spec(devices, horizon)
-    fluid = measure_mode(spec, seed, MODE_FLUID, keep_records=False)
-    packet = measure_mode(spec, seed, MODE_PACKET, keep_records=False)
-    counts_match = (fluid["engine"].ledger.counts
-                    == packet["engine"].ledger.counts)
-    return {
-        "fluid": fluid,
-        "packet": packet,
-        "counts_match": counts_match,
-        "speedup": (packet["wall_seconds"] / fluid["wall_seconds"]
-                    if fluid["wall_seconds"] else float("inf")),
-    }
+def sweep_spec(devices: int, horizon: float) -> PopulationSpec:
+    """The fluid-only scaling workload (lighter per-device churn)."""
+    return _spec(devices, horizon, flows_per_device_s=0.02)
 
 
 def sweep_point(devices: int, horizon: float, seed: int) -> dict:
     """One fluid-only scaling point with a count-only ledger."""
-    result = measure_mode(
-        _spec(devices, horizon, flows_per_device_s=0.02),
-        seed, MODE_FLUID, keep_records=False)
+    result = measure_mode(sweep_spec(devices, horizon), seed, MODE_FLUID,
+                          keep_records=False)
     result.pop("engine")
     return result
 
@@ -230,67 +213,51 @@ def fluid_telemetry(engine, now: float) -> dict[str, float]:
     return recorder.loads
 
 
+def _row(label: str, measured: dict) -> tuple:
+    counters = measured["counters"]
+    return (label, measured["devices"], counters["flows_completed"],
+            measured["pii_violations"], counters["policy_packets"])
+
+
 def run(
     seed: int = 0,
     parity_devices: int = 2_000,
     parity_horizon: float = 10.0,
-    speedup_devices: int = 10_000,
-    speedup_horizon: float = 6.0,
     sweep_devices: tuple[int, ...] = (10_000, 100_000),
     sweep_horizon: float = 10.0,
 ) -> ExperimentResult:
     """The CLI-sized E23 (the full-scale sweep is driven by the bench
     recording in ``BENCH_population.json``; CI runs this smoke size)."""
     parity = parity_check(parity_devices, parity_horizon, seed)
-    speedup = speedup_check(speedup_devices, speedup_horizon, seed)
     loads = fluid_telemetry(parity["fluid"]["engine"], parity_horizon)
 
-    rows = []
     metrics: dict[str, float] = {
         "telemetry_cells_reported": float(len(loads)),
         "telemetry_total_pps": float(sum(loads.values())),
         "parity_devices": float(parity_devices),
         "parity_digests_match": float(parity["digests_match"]),
         "parity_max_completion_dt": parity["max_completion_dt"],
-        "speedup_devices": float(speedup_devices),
-        "fluid_vs_packet_speedup": speedup["speedup"],
         "pii_violations": float(parity["fluid"]["pii_violations"]),
     }
-    for label, measured in (("parity/fluid", parity["fluid"]),
-                            ("parity/packet", parity["packet"]),
-                            ("speedup/fluid", speedup["fluid"]),
-                            ("speedup/packet", speedup["packet"])):
-        rows.append((
-            label, measured["devices"],
-            f"{measured['wall_seconds']:.2f}s",
-            f"{measured['device_seconds_per_sec']:,.0f}",
-            measured["counters"]["flows_completed"],
-            measured["pii_violations"],
-        ))
+    rows = [_row("parity/fluid", parity["fluid"]),
+            _row("parity/packet", parity["packet"])]
     for devices in sweep_devices:
-        point = sweep_point(devices, sweep_horizon, seed)
-        rows.append((
-            "sweep/fluid", devices,
-            f"{point['wall_seconds']:.2f}s",
-            f"{point['device_seconds_per_sec']:,.0f}",
-            point["counters"]["flows_completed"],
-            point["pii_violations"],
-        ))
-        metrics[f"device_seconds_per_sec_at_{devices}"] = (
-            point["device_seconds_per_sec"])
+        rows.append(_row("sweep/fluid",
+                         sweep_point(devices, sweep_horizon, seed)))
+        _, _, flows, pii, policy = rows[-1]
+        metrics[f"flows_completed_at_{devices}"] = float(flows)
+        metrics[f"pii_violations_at_{devices}"] = float(pii)
+        metrics[f"policy_packets_at_{devices}"] = float(policy)
     if not parity["digests_match"]:
         raise AssertionError(
             "fluid/packet policy digests diverged — the fluid "
             "abstraction lost policy-relevant packets")
-    if not speedup["counts_match"]:
-        raise AssertionError(
-            "fluid/packet policy counts diverged at speedup scale")
 
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
-        columns=["phase", "devices", "wall", "device-seconds/s",
-                 "flows done", "PII violations"],
+        columns=["phase", "devices", "flows done", "PII violations",
+                 "policy packets"],
         rows=rows,
         metrics=metrics,
         notes=[
@@ -302,8 +269,8 @@ def run(
             "event-simulated",
             "completion times agree exactly because both modes share "
             "the same packet-quantized per-tick progress arithmetic",
-            "full-scale numbers (100k speedup bar, 10^6 sweep) are "
-            "recorded in BENCH_population.json",
+            "host-time numbers (the 50x fluid/packet bar, the 10^6 "
+            "sweep) are recorded in BENCH_population.json",
             f"fluid cell rates fed TelemetryFeed.report_load for "
             f"{len(loads)} cells (total "
             f"{sum(loads.values()):,.0f} pkt/s)",

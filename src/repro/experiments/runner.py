@@ -230,8 +230,7 @@ def run_sharded(
     context = _fork_context() if shards > 1 else None
     workers = min(shards, os.cpu_count() or 1)
     # On a 1-CPU host forked workers only add IPC + fork overhead on
-    # top of serialized execution (the wall-clock regression recorded
-    # in BENCH_control_plane.json) — run in-process instead; results
+    # top of serialized execution — run in-process instead; results
     # are byte-identical either way.
     in_process = context is None or workers < 2
 

@@ -5,6 +5,12 @@ that runs PVN containers.  Admission is by memory and CPU-share
 capacity; the E1 scalability experiment packs thousands of per-user
 containers onto a small number of hosts and measures when admission
 starts failing.
+
+A host's load is the sum over the containers admitted to it.  The host
+keeps that sum as counters, updated on every container state
+transition, so an admission check reads them in O(1) instead of
+scanning the container table; the tests check the counters against a
+rescan after every step.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ class NfvHost:
         name: str,
         capacity: HostCapacity | None = None,
         per_owner_memory_fraction: float | None = None,
-        incremental: bool = True,
     ) -> None:
         self.name = name
         self.capacity = capacity or HostCapacity()
@@ -63,9 +68,6 @@ class NfvHost:
         # Residual-capacity index: counters maintained by container
         # state transitions (O(1) per attach/detach/migrate) instead of
         # summed over the container table on every admission check.
-        # ``incremental=False`` keeps the original rescanning cost
-        # model, used as the E18 baseline.
-        self.incremental = incremental
         self._memory_in_use = 0
         self._cpu_in_use = 0.0
         self._live_count = 0
@@ -103,38 +105,18 @@ class NfvHost:
 
     @property
     def memory_in_use(self) -> int:
-        if self.incremental:
-            return self._memory_in_use
-        return sum(
-            c.spec.memory_bytes for c in self._containers.values()
-            if c.state is not ContainerState.STOPPED
-        )
+        return self._memory_in_use
 
     @property
     def cpu_in_use(self) -> float:
-        if self.incremental:
-            return self._cpu_in_use
-        return sum(
-            c.spec.cpu_share for c in self._containers.values()
-            if c.state is not ContainerState.STOPPED
-        )
+        return self._cpu_in_use
 
     @property
     def container_count(self) -> int:
-        if self.incremental:
-            return self._live_count
-        return sum(
-            1 for c in self._containers.values()
-            if c.state is not ContainerState.STOPPED
-        )
+        return self._live_count
 
     def memory_of_owner(self, owner: str) -> int:
-        if self.incremental:
-            return self._owner_memory.get(owner, 0)
-        return sum(
-            c.spec.memory_bytes for c in self._containers.values()
-            if c.owner == owner and c.state is not ContainerState.STOPPED
-        )
+        return self._owner_memory.get(owner, 0)
 
     def can_admit(self, container: Container) -> bool:
         if not self.alive:

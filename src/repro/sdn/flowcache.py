@@ -18,10 +18,11 @@ by rule cross-producting (:meth:`~repro.sdn.flowtable.FlowTable.classify`).
 Under flow churn (new ports per connection) every new microflow whose
 masked fields are unchanged hits the megaflow tier and never pays a
 classification; the switch's lookup order is microflow -> megaflow ->
-full classification.  Soundness of serving any megaflow hit comes from
-the mask derivation: two packets with equal masked keys provably take
-the identical accept/reject path through the rule table, so whichever
-entry matches first yields the same winner.
+full classification, and both tiers are always on.  Soundness of
+serving any megaflow hit comes from the mask derivation: two packets
+with equal masked keys provably take the identical accept/reject path
+through the rule table, so whichever entry matches first yields the
+same winner.
 
 Correctness rests on two fences:
 
@@ -94,7 +95,6 @@ class FlowCache:
         self.name = name
         self.capacity = max(1, capacity)
         self.tracer = tracer
-        self.enabled = True
         self._entries: "collections.OrderedDict[tuple, CacheEntry]" = (
             collections.OrderedDict()
         )
@@ -161,8 +161,6 @@ class FlowCache:
         Checks the table-generation fence first, so a stale cache never
         answers.
         """
-        if not self.enabled:
-            return None
         if generation != self._generation:
             self.ensure_generation(generation, now=now)
         entry = self._entries.get(key)
@@ -192,12 +190,11 @@ class FlowCache:
         """Memoize ``entry`` under an exact-match key; the switch
         shares the megaflow tier's entry object rather than allocating
         one per microflow."""
-        if self.enabled:
-            while len(self._entries) >= self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-            self._entries[key] = entry
-            self.insertions += 1
+        while len(self._entries) >= self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+        self._entries[key] = entry
+        self.insertions += 1
 
     # -- observability ------------------------------------------------------
 
@@ -265,8 +262,8 @@ class MegaflowCache:
     the front — the same trick the OVS kernel datapath plays with its
     per-CPU mask cache.  Because all matching entries agree on the
     winner (the derivation invariant above), probe order is
-    unobservable in results; the three-way equivalence property in
-    the megaflow test suite pins that down.
+    unobservable in results; the megaflow test suite's equivalence
+    property against a linear-scan reference switch pins that down.
 
     The same two fences as :class:`FlowCache` apply — table-generation
     (lazy) and epoch token (migration cutovers) — so a megaflow can
@@ -284,7 +281,6 @@ class MegaflowCache:
         self.name = name
         self.capacity = max(1, capacity)
         self.tracer = tracer
-        self.enabled = True
         self.resort_interval = max(1, resort_interval)
         # Lookup stores, one dict per distinct mask, probed in
         # _mask_order (descending hit count, periodically re-sorted).
@@ -367,8 +363,6 @@ class MegaflowCache:
         invariant all matching entries agree on the winner, so the
         first suffices regardless of order.
         """
-        if not self.enabled:
-            return None
         if generation != self._generation:
             self.ensure_generation(generation, now=now)
         self._lookups_since_resort += 1
@@ -416,29 +410,27 @@ class MegaflowCache:
     ) -> CacheEntry:
         """Memoize one classification under its derived mask."""
         entry = CacheEntry(rule=rule, closure=closure, generation=generation)
-        if self.enabled:
-            while len(self._lru) >= self.capacity:
-                (old_mask, old_key), _ = self._lru.popitem(last=False)
-                store = self._by_mask.get(old_mask)
-                if store is not None:
-                    store.pop(old_key, None)
-                    if not store:
-                        self._drop_mask(old_mask)
-                self.evictions += 1
-            key = mask.key_for(packet)
-            store = self._by_mask.get(mask)
-            if store is None:
-                # New mask enters at the tail of the probe order with
-                # a zero hit count; re-sorts promote it if it turns
-                # out hot.
-                store = self._by_mask[mask] = {}
-                self._mask_order.append(mask)
-                self._mask_hits[mask] = 0
-                self._mask_seq[mask] = self._next_mask_seq
-                self._next_mask_seq += 1
-            store[key] = entry
-            self._lru[(mask, key)] = None
-            self.insertions += 1
+        while len(self._lru) >= self.capacity:
+            (old_mask, old_key), _ = self._lru.popitem(last=False)
+            store = self._by_mask.get(old_mask)
+            if store is not None:
+                store.pop(old_key, None)
+                if not store:
+                    self._drop_mask(old_mask)
+            self.evictions += 1
+        key = mask.key_for(packet)
+        store = self._by_mask.get(mask)
+        if store is None:
+            # New mask enters at the tail of the probe order with a
+            # zero hit count; re-sorts promote it if it turns out hot.
+            store = self._by_mask[mask] = {}
+            self._mask_order.append(mask)
+            self._mask_hits[mask] = 0
+            self._mask_seq[mask] = self._next_mask_seq
+            self._next_mask_seq += 1
+        store[key] = entry
+        self._lru[(mask, key)] = None
+        self.insertions += 1
         return entry
 
     def _drop_mask(self, mask: MatchMask) -> None:

@@ -137,13 +137,13 @@ class FlowTable:
         return self._drop(self._by_pvn.pop(pvn_id, []))
 
     def lookup(self, packet: Packet, record: bool = True) -> FlowRule | None:
-        """The winning rule for ``packet``.
+        """The winning rule for ``packet``, by a linear scan.
 
-        With ``record`` (the default) the winner's match stats — or the
-        table's miss counter — are updated.  Cached datapaths pass
-        ``record=False`` and account through :meth:`record_match` /
-        :meth:`record_miss` instead, so a packet served from the flow
-        cache still counts exactly once (never zero, never twice).
+        The switch classifies through :meth:`classify` and its caches;
+        this scan is the reference that E16, E21 and the datapath tests
+        compare it with.  With ``record`` (the default) the winner's
+        match stats — or the table's miss counter — are updated;
+        ``record=False`` leaves the accounting to the caller.
         """
         for rule in self._rules:
             if rule.match.matches(packet):

@@ -12,7 +12,9 @@ its pre-compiled action closure per microflow, and a wildcard
 :class:`~repro.sdn.flowcache.MegaflowCache` behind it memoizes the
 minimal match superset per classification decision, so even the first
 packet of a *new* flow usually skips the table classification (lookup
-order: microflow -> megaflow -> full classification).  Entries in both
+order: microflow -> megaflow -> full classification).  This is the
+switch's only classification path; the test suite checks it against a
+linear-scan reference.  Entries in both
 tiers are fenced on the table's generation counter (every
 install/remove invalidates) and on the migration epoch token
 (:meth:`SdnSwitch.fence`) so cached winners can never go stale.  The
@@ -116,73 +118,45 @@ class SdnSwitch(Node):
         packet.trail.append(self.name)
         self.process(packet)
 
-    def _classify(self, packet: Packet) -> CacheEntry | None:
+    def _classify(self, packet: Packet) -> CacheEntry:
         """The cached entry for ``packet``, filling tiers on demand.
 
         Lookup order is microflow -> megaflow -> full classification;
         a megaflow hit is promoted into the microflow tier so the
-        flow's later packets take the exact-match path.  Returns None
-        only when *both* tiers are disabled (the uncached baseline).
+        flow's later packets take the exact-match path.
         """
-        table = self.table
         micro = self.flow_cache
         mega = self.megaflow_cache
-        generation = table.generation
+        generation = self.table.generation
         now = self.sim.now
-        key = None
-        if micro.enabled:
-            key = packet.flow_key()
-            entry = micro.lookup(key, generation, now)
-            if entry is not None:
-                return entry
-        elif not mega.enabled:
-            return None
-        if mega.enabled:
-            entry = mega.get(packet, generation, now=now)
-            if entry is None:
-                rule, mask = table.classify(packet)
-                self.full_classifications += 1
-                closure = (self._punt if rule is None
-                           else self._compile_actions(rule.actions))
-                entry = mega.put(packet, mask, rule, closure, generation)
-        else:
-            rule = table.lookup(packet, record=False)
+        key = packet.flow_key()
+        entry = micro.lookup(key, generation, now)
+        if entry is not None:
+            return entry
+        entry = mega.get(packet, generation, now=now)
+        if entry is None:
+            rule, mask = self.table.classify(packet)
             self.full_classifications += 1
             closure = (self._punt if rule is None
                        else self._compile_actions(rule.actions))
-            entry = CacheEntry(rule=rule, closure=closure,
-                               generation=generation)
-        if key is not None:
-            micro.store(key, entry)
+            entry = mega.put(packet, mask, rule, closure, generation)
+        micro.store(key, entry)
         return entry
 
     def process(self, packet: Packet) -> None:
         """Run ``packet`` through the table and apply the winning rule.
 
-        With the caches enabled (the default) classification and
-        action compilation happen once per megaflow; every packet —
-        cached or not — is charged against the winning rule's match
-        statistics exactly once.
+        Classification and action compilation happen once per
+        megaflow; every packet — cached or not — is charged against
+        the winning rule's match statistics exactly once.
         """
         self.packets_received += 1
         entry = self._classify(packet)
-        if entry is None:
-            rule = self.table.lookup(packet)
-            self.full_classifications += 1
-            if rule is None:
-                self._punt(packet)
-                return
-            self.apply_actions(packet, rule.actions)
-            return
         if entry.rule is None:
             self.table.record_miss()
         else:
             self.table.record_match(entry.rule, packet)
         entry.closure(packet)
-
-    def apply_actions(self, packet: Packet, actions: tuple) -> None:
-        """Apply an action list directly (uncached slow path)."""
-        self._compile_actions(actions)(packet)
 
     # -- action compilation --------------------------------------------------
 

@@ -323,25 +323,6 @@ class TestFirstFitPinnedToSeed:
             f"placement digest {E18_SEED_DIGESTS[devices]}"
         )
 
-    def test_e18_digest_incremental_false(self, monkeypatch):
-        """The incremental=False admission path places identically."""
-        from repro.experiments import exp18_control_plane as e18
-
-        original = e18._build_world
-
-        def rescanning_world():
-            topo, hosts = original()
-            for host in hosts.values():
-                host.incremental = False
-            return topo, hosts
-
-        monkeypatch.setattr(e18, "_build_world", rescanning_world)
-        payload = e18.run_shard(0, 1, 0, {"devices": 64})
-        result = e18.merge_shards([payload], 0, {"devices": 64})
-        assert result.notes[0] == (
-            f"placement digest {E18_SEED_DIGESTS[64]}"
-        )
-
 
 # -- pool, cost model, policy units ------------------------------------------
 

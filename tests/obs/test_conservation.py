@@ -2,7 +2,7 @@
 through the metrics registry (ISSUE 4 satellite).
 
 For any packet schedule interleaved with control-plane chaos — rule
-removals, cache flushes, cache disable/enable, punt-handler loss —
+removals, cache flushes, punt-handler loss —
 every packet the switch received must be accounted for exactly once::
 
     received == forwarded + dropped + punted + consumed
@@ -28,13 +28,12 @@ from repro.sdn.switch import SdnSwitch
 N_USERS = 6
 
 #: One chaos/traffic step: ("packet", user) | ("remove_pvn", user)
-#: | ("flush",) | ("toggle_cache",) | ("drop_punt_handler",)
+#: | ("flush",) | ("drop_punt_handler",)
 steps = st.lists(
     st.one_of(
         st.tuples(st.just("packet"), st.integers(0, N_USERS - 1)),
         st.tuples(st.just("remove_pvn"), st.integers(0, N_USERS // 2)),
         st.tuples(st.just("flush")),
-        st.tuples(st.just("toggle_cache")),
         st.tuples(st.just("drop_punt_handler")),
     ),
     min_size=1, max_size=60,
@@ -76,8 +75,6 @@ def test_conservation_under_chaos_via_registry(script):
                 switch.table.remove_pvn(f"user{step[1]}/pvn")
             elif kind == "flush":
                 switch.invalidate_cache("chaos")
-            elif kind == "toggle_cache":
-                switch.flow_cache.enabled = not switch.flow_cache.enabled
             elif kind == "drop_punt_handler":
                 switch.set_packet_in_handler(None)
 

@@ -2,10 +2,10 @@
 
 The load-bearing property (hypothesis-tested below): for *any*
 interleaving of rule installs, removals, PVN teardowns, and packets,
-a switch with the flow cache enabled is observably equivalent to one
-running the plain linear table scan — same drop decisions, same match
-statistics, same forwarding counters.  The cache may only be faster,
-never different.
+the switch is observably equivalent to :class:`LinearSwitch`, a
+reference that runs the plain linear table scan per packet — same drop
+decisions, same match statistics, same forwarding counters.  The cache
+may only be faster, never different.
 """
 
 import itertools
@@ -27,10 +27,23 @@ from repro.sdn import (
 from repro.sdn.flowtable import FlowRule
 
 
+class LinearSwitch(SdnSwitch):
+    """The reference datapath: a linear ``table.lookup`` per packet,
+    then the winner's compiled actions or a punt.  No cache tier."""
+
+    def process(self, packet: Packet) -> None:
+        self.packets_received += 1
+        rule = self.table.lookup(packet)
+        self.full_classifications += 1
+        if rule is None:
+            self._punt(packet)
+        else:
+            self._compile_actions(rule.actions)(packet)
+
+
 def make_switch(cached: bool) -> SdnSwitch:
-    switch = SdnSwitch(Simulator(), "sw")
-    switch.flow_cache.enabled = cached
-    return switch
+    """The switch (``cached``) or the linear reference."""
+    return (SdnSwitch if cached else LinearSwitch)(Simulator(), "sw")
 
 
 def flow_pkt(owner="alice", dst_port=443, **kwargs):
@@ -234,12 +247,14 @@ class TestInvalidation:
 
 
 @pytest.fixture
-def wired_switch():
-    """a -- sw -- b with a controller, chains bound, cache enabled."""
+def wired_switch(request):
+    """a -- sw -- b with a controller and chains bound; the switch, or
+    the linear reference when parametrized with False."""
     sim = Simulator()
     a = Host(sim, "a", "10.0.0.1")
     b = Host(sim, "b", "10.0.1.1")
-    switch = SdnSwitch(sim, "sw")
+    cached = getattr(request, "param", True)
+    switch = (SdnSwitch if cached else LinearSwitch)(sim, "sw")
     Link(a, switch, latency=0.001, bandwidth_bps=1e9)
     Link(switch, b, latency=0.001, bandwidth_bps=1e9)
     ctrl = Controller()
@@ -256,11 +271,9 @@ def assert_conservation(switch):
 
 
 class TestConservation:
-    @pytest.mark.parametrize("cached", [True, False])
-    def test_forward_drop_punt_consume_all_accounted(self, wired_switch,
-                                                     cached):
+    @pytest.mark.parametrize("wired_switch", [True, False], indirect=True)
+    def test_forward_drop_punt_consume_all_accounted(self, wired_switch):
         sim, switch, ctrl = wired_switch
-        switch.flow_cache.enabled = cached
         ctrl.install("sw", Match(owner="fwd"), (Output("b"),))
         ctrl.install("sw", Match(owner="drop"), (Drop(),))
         ctrl.install("sw", Match(owner="eat"), (ToChain("eater"),))

@@ -2,10 +2,11 @@
 
 The load-bearing property (hypothesis-tested below): for *any*
 interleaving of rule installs, PVN removals, epoch fences, and packets,
-a switch running the full three-tier fast path is observably
-equivalent to the plain linear table scan: same drop decisions, same
-per-rule match statistics, same table misses, same conservation
-counters.  The wildcard tier may only be faster, never different.
+the switch's three-tier fast path is observably equivalent to the
+plain linear table scan of :class:`~tests.sdn.test_flowcache.LinearSwitch`:
+same drop decisions, same per-rule match statistics, same table
+misses, same conservation counters.  The wildcard tier may only be
+faster, never different.
 
 Also pinned here: the mask-derivation invariants of
 :meth:`FlowTable.classify` (winner pins its tested fields, every
@@ -24,11 +25,11 @@ from repro.sdn.flowcache import MegaflowCache
 from repro.sdn.flowtable import FlowRule
 from repro.sdn.match import EMPTY_MASK, MatchMask
 
+from tests.sdn.test_flowcache import LinearSwitch
 
-def make_switch(micro: bool, mega: bool) -> SdnSwitch:
+
+def make_switch() -> SdnSwitch:
     switch = SdnSwitch(Simulator(), "sw")
-    switch.flow_cache.enabled = micro
-    switch.megaflow_cache.enabled = mega
     # Re-sort the mask list on every lookup so the equivalence
     # property exercises hit-frequency reordering mid-sequence: probe
     # order must never change observable behavior.
@@ -68,8 +69,8 @@ class TestMegaflowEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_ops, max_size=40))
     def test_megaflow_equals_linear_scan(self, ops):
-        linear = make_switch(micro=False, mega=False)
-        mega = make_switch(micro=True, mega=True)
+        linear = LinearSwitch(Simulator(), "sw")
+        mega = make_switch()
         switches = (linear, mega)
         rule_ids = itertools.count(20_000_000)  # same ids in all tables
         epochs = itertools.count(1)
@@ -119,7 +120,7 @@ class TestMegaflowEquivalence:
 
 class TestClassifyMask:
     def test_winner_pins_its_tested_fields_only(self):
-        switch = make_switch(micro=False, mega=False)
+        switch = make_switch()
         switch.table.install(FlowRule(match=Match(owner="alice"),
                                       actions=(Drop(),)))
         rule, mask = switch.table.classify(flow_pkt())
@@ -129,7 +130,7 @@ class TestClassifyMask:
         assert mask.src_plen == 0 and mask.dst_plen == 0
 
     def test_rejected_rule_pins_first_failing_field(self):
-        switch = make_switch(micro=False, mega=False)
+        switch = make_switch()
         # Higher priority, rejects on dst_port (its first tested field
         # that fails); the winner tests only owner.
         switch.table.install(FlowRule(match=Match(dst_port=80),
@@ -141,7 +142,7 @@ class TestClassifyMask:
         assert mask.dst_port and mask.owner
 
     def test_cidr_rejection_pins_prefix_length(self):
-        switch = make_switch(micro=False, mega=False)
+        switch = make_switch()
         switch.table.install(FlowRule(
             match=Match(src_cidr="192.168.0.0/16"),
             actions=(Drop(),), priority=200,
@@ -152,7 +153,7 @@ class TestClassifyMask:
         assert mask.src_plen == 16
 
     def test_full_miss_mask_covers_every_rejecting_rule(self):
-        switch = make_switch(micro=False, mega=False)
+        switch = make_switch()
         switch.table.install(FlowRule(match=Match(owner="bob"),
                                       actions=(Drop(),)))
         rule, mask = switch.table.classify(flow_pkt(owner="alice"))
@@ -160,13 +161,13 @@ class TestClassifyMask:
         assert mask.owner
 
     def test_empty_table_yields_empty_mask(self):
-        switch = make_switch(micro=False, mega=False)
+        switch = make_switch()
         rule, mask = switch.table.classify(flow_pkt())
         assert rule is None
         assert mask == EMPTY_MASK
 
     def test_classify_matches_lookup_winner(self):
-        switch = make_switch(micro=False, mega=False)
+        switch = make_switch()
         for i, port in enumerate((80, 443, None)):
             switch.table.install(FlowRule(
                 match=Match(owner="alice", dst_port=port),
@@ -179,7 +180,7 @@ class TestClassifyMask:
             assert classified is winner
 
     def test_classify_records_no_stats(self):
-        switch = make_switch(micro=False, mega=False)
+        switch = make_switch()
         rule = FlowRule(match=Match(owner="alice"), actions=(Drop(),))
         switch.table.install(rule)
         switch.table.classify(flow_pkt())
@@ -192,7 +193,7 @@ class TestClassifyMask:
 
 class TestChurnCollapse:
     def test_churning_flows_scan_once_per_subscriber(self):
-        switch = make_switch(micro=True, mega=True)
+        switch = make_switch()
         for i in range(10):
             switch.table.install(FlowRule(
                 match=Match(owner=f"user{i}"), actions=(Drop(),),
@@ -207,7 +208,7 @@ class TestChurnCollapse:
         assert switch.megaflow_cache.mask_count == 1
 
     def test_repeated_flow_promotes_to_microflow_tier(self):
-        switch = make_switch(micro=True, mega=True)
+        switch = make_switch()
         switch.table.install(FlowRule(match=Match(owner="alice"),
                                       actions=(Drop(),)))
         switch.process(flow_pkt())      # scan, fills both tiers
@@ -217,7 +218,7 @@ class TestChurnCollapse:
         assert switch.full_classifications == 1
 
     def test_negative_megaflow_entry_caches_misses(self):
-        switch = make_switch(micro=True, mega=True)
+        switch = make_switch()
         switch.table.install(FlowRule(match=Match(owner="bob"),
                                       actions=(Drop(),)))
         for port in range(5):
@@ -232,7 +233,7 @@ class TestChurnCollapse:
 
 class TestMegaflowFences:
     def test_install_invalidates_via_generation_fence(self):
-        switch = make_switch(micro=True, mega=True)
+        switch = make_switch()
         switch.table.install(FlowRule(
             match=Match(owner="alice"), actions=(Drop(reason="old"),),
             priority=100,
@@ -250,7 +251,7 @@ class TestMegaflowFences:
         assert "new" in second.drop_reason
 
     def test_epoch_fence_flushes_once_per_token_change(self):
-        switch = make_switch(micro=True, mega=True)
+        switch = make_switch()
         switch.table.install(FlowRule(match=Match(owner="alice"),
                                       actions=(Drop(),)))
         switch.process(flow_pkt())
@@ -263,7 +264,7 @@ class TestMegaflowFences:
         assert switch.megaflow_cache.flushes == flushes
 
     def test_controller_rule_push_flushes_eagerly(self):
-        switch = make_switch(micro=True, mega=True)
+        switch = make_switch()
         ctrl = Controller()
         ctrl.adopt(switch)
         ctrl.install("sw", Match(owner="alice"), (Drop(),),
