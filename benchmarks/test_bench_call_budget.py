@@ -1,8 +1,10 @@
-"""Call budgets: Python-level calls per forwarded packet and per attach.
+"""Call budgets: Python-level calls per forwarded packet, per attach
+and per PVNC parse.
 
-A host-independent gate on the two paths the benchmark times: it counts
-the ``call`` events ``sys.setprofile`` sees while a benchmark world
-runs.  The count is a pure function of the code and the seed, so it
+A host-independent gate on the two paths the benchmark times, and on
+the parse every world build runs per device: it counts the ``call``
+events ``sys.setprofile`` sees while a benchmark world runs (or while
+one PVNC parses).  The count is a pure function of the code and the seed, so it
 holds on any machine of the same Python minor version; a change that
 re-adds a wrapper or a property read to a hot path moves it.
 
@@ -26,6 +28,10 @@ counted).
   audit 145.2, teardown 35.1); with the topology owning its node and
   link dicts instead of a networkx graph, 656.7 (attach 472.0).  The
   attach phase has its own bar.
+* **Per PVNC parse** (``default_pvnc(user)``: the §3.1 DSL front end
+  every world build runs once per device): the calls of one parse.
+  With ``shlex.split`` tokenizing the ``module`` lines it read 306
+  calls; with one precompiled-regex tokenizer, 86.
 
     PYTHONPATH=src python -m pytest -q benchmarks/test_bench_call_budget.py
 """
@@ -39,6 +45,7 @@ import pytest
 
 from bench.harness import Probe
 from bench.workloads import attach_storm, churn_reconfig, steady_mix
+from repro.core.session import default_pvnc
 
 SEED = 0
 SCALE = 0.05
@@ -52,6 +59,8 @@ PACKET_BUDGET = {
 #: run, and in the attach phase alone.
 DEVICE_BUDGET = 670
 ATTACH_BUDGET = 481
+#: Upper bound, calls per ``default_pvnc(user)``.
+PARSE_BUDGET = 87
 
 
 def profiled_run(workload):
@@ -102,3 +111,21 @@ def test_calls_per_attach_within_budget():
         f"budget {DEVICE_BUDGET}")
     assert by_phase["attach"] / devices <= ATTACH_BUDGET, (
         f"{per_phase['attach']} calls/attach, budget {ATTACH_BUDGET}")
+
+
+def test_calls_per_pvnc_parse_within_budget():
+    default_pvnc("warmup")
+    calls = 0
+
+    def count(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        default_pvnc("alice")
+    finally:
+        sys.setprofile(None)
+    assert calls <= PARSE_BUDGET, (
+        f"{calls} calls/parse, budget {PARSE_BUDGET}")

@@ -1,4 +1,4 @@
-"""The user-readable PVNC language.
+r"""The user-readable PVNC language.
 
 §3.1: PVNCs are "created well before connecting to an access network,
 using high-level tools that compile user-readable configurations into
@@ -18,6 +18,18 @@ Grammar (line-oriented; ``#`` comments)::
 
 Terminals: ``forward``, ``drop``, ``tunnel:<endpoint>``.
 
+Tokenizing.  ``#`` cuts a line before anything else reads it, even
+inside quotes.  A ``module`` line splits into words the way POSIX
+``sh`` does (:func:`split_words`): only space, tab, CR and LF separate
+words, so ``\xa0`` or ``\x0b`` stays inside one; ``'...'`` is literal;
+inside ``"..."`` a backslash escapes only ``"`` and ``\``; outside
+quotes it escapes any character; adjacent pieces join into one word
+and ``''`` is an empty word.  An unclosed quote or a trailing backslash
+is an error.  Every other directive splits on any whitespace and has
+no quoting.  ``module`` options named ``cls``, ``service``, ``source``
+or ``allow_physical_reuse`` are reserved; ``budget`` and
+``max-latency`` take a non-negative number, ``inf`` but not ``nan``.
+
 Example::
 
     pvnc "secure-roaming" for alice
@@ -34,8 +46,8 @@ Example::
 
 from __future__ import annotations
 
+import math
 import re
-import shlex
 
 from repro.errors import ConfigurationError
 from repro.core.pvnc.model import (
@@ -48,6 +60,24 @@ from repro.core.pvnc.model import (
 )
 
 _HEADER_RE = re.compile(r'^pvnc\s+"([^"]+)"\s+for\s+(\S+)$')
+
+#: A word with no quote or backslash, between separators.
+_BARE_WORD_RE = re.compile(r"[^ \t\r\n]+")
+#: One piece of a quoted line; ``lastindex`` names which kind.
+_PIECE_RE = re.compile(r"""
+      ([ \t\r\n]+)          # 1: separator
+    | ([^ \t\r\n'"\\]+)     # 2: bare run
+    | '([^']*)'             # 3: single-quoted, literal
+    | "((?:[^"\\]|\\.)*)"   # 4: double-quoted
+    | \\(.)                 # 5: backslash-escaped character
+""", re.VERBOSE | re.DOTALL)
+#: The escapes a double-quoted piece resolves.
+_DQ_ESCAPE_RE = re.compile(r'\\([\\"])')
+_SEPARATOR, _DOUBLE_QUOTED = 1, 4
+
+#: ``ModuleSpec.make``'s own parameter names, so never module options.
+_RESERVED_OPTIONS = frozenset(("cls", "service", "source",
+                               "allow_physical_reuse"))
 
 
 class _ParserState:
@@ -110,7 +140,10 @@ def _parse_line(line: str, state: _ParserState) -> None:
     elif keyword == "prefer":
         state.preferred.extend(line.split()[1:])
     elif keyword == "budget":
-        state.max_price = _parse_float(line.split()[1], "budget")
+        parts = line.split()
+        if len(parts) < 2:
+            raise ConfigurationError("expected 'budget <max_price>'")
+        state.max_price = _parse_float(parts[1], "budget")
     elif keyword == "max-latency":
         parts = line.split()
         if len(parts) < 3 or parts[2] != "ms":
@@ -125,13 +158,45 @@ def _parse_float(token: str, what: str) -> float:
         value = float(token)
     except ValueError:
         raise ConfigurationError(f"bad {what} value {token!r}") from None
+    if math.isnan(value):
+        raise ConfigurationError(f"bad {what} value {token!r}")
     if value < 0:
         raise ConfigurationError(f"{what} must be >= 0")
     return value
 
 
+def split_words(line: str) -> list[str]:
+    """``line``'s words as POSIX ``sh`` splits and unquotes them (the
+    rules in the module docstring), one regex match per piece."""
+    if "'" not in line and '"' not in line and "\\" not in line:
+        return _BARE_WORD_RE.findall(line)
+    words: list[str] = []
+    word = None
+    pos, end = 0, len(line)
+    while pos < end:
+        piece = _PIECE_RE.match(line, pos)
+        if piece is None:
+            if line[pos] == "\\":
+                raise ConfigurationError("trailing backslash")
+            raise ConfigurationError(f"unclosed {line[pos]} quote")
+        pos = piece.end()
+        kind = piece.lastindex
+        if kind == _SEPARATOR:
+            if word is not None:
+                words.append(word)
+                word = None
+            continue
+        text = piece.group(kind)
+        if kind == _DOUBLE_QUOTED:
+            text = _DQ_ESCAPE_RE.sub(r"\1", text)
+        word = text if word is None else word + text
+    if word is not None:
+        words.append(word)
+    return words
+
+
 def _parse_module(line: str) -> ModuleSpec:
-    tokens = shlex.split(line)
+    tokens = split_words(line)
     if len(tokens) < 2:
         raise ConfigurationError("module needs a service name")
     service = tokens[1]
@@ -142,6 +207,8 @@ def _parse_module(line: str) -> ModuleSpec:
         if "=" not in token:
             raise ConfigurationError(f"module option {token!r} needs key=value")
         key, _, value = token.partition("=")
+        if key in _RESERVED_OPTIONS:
+            raise ConfigurationError(f"module option {key!r} is reserved")
         if key == "from":
             if value != "store":
                 raise ConfigurationError(f"unknown module source {value!r}")

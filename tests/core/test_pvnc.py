@@ -185,10 +185,36 @@ class TestDsl:
         'pvnc "x" for u\nmax-latency 5\n',
         'pvnc "x" for u\nclass web_text:\n',
         'pvnc "x" for u\nmodule t\nclass web_text: t -> -> forward\n',
+        # Each of these once escaped as IndexError, TypeError or
+        # ValueError, or (NaN) parsed.
+        'pvnc "x" for u\nbudget\n',
+        'pvnc "x" for u\nmodule t service=s\n',
+        'pvnc "x" for u\nmodule t source=store\n',
+        'pvnc "x" for u\nmodule t allow_physical_reuse=yes\n',
+        'pvnc "x" for u\nmodule t cls=c\n',
+        'pvnc "x" for u\nmodule t msg="unclosed\n',
+        "pvnc \"x\" for u\nmodule t msg='unclosed\n",
+        'pvnc "x" for u\nmodule t msg="a # b"\n',
+        'pvnc "x" for u\nmodule t msg=trailing\\\n',
+        'pvnc "x" for u\nbudget nan\n',
+        'pvnc "x" for u\nmax-latency nan ms\n',
     ])
     def test_syntax_errors(self, bad):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"^line \d+: "):
             parse_pvnc(bad)
+
+    def test_budget_inf_means_no_budget(self):
+        pvnc = parse_pvnc('pvnc "x" for u\nbudget inf\n')
+        assert pvnc.constraints.max_price == float("inf")
+
+    def test_module_values_quoted_like_sh(self):
+        pvnc = parse_pvnc(
+            'pvnc "x" for u\n'
+            """module t a='x y' b="q \\" \\\\ \\z" c=x\\ y d='' e\xa0f=g\n"""
+        )
+        assert pvnc.module("t").params == (
+            ("a", "x y"), ("b", 'q " \\ \\z'), ("c", "x y"), ("d", ""),
+            ("e\xa0f", "g"))
 
 
 class TestValidation:
