@@ -282,7 +282,9 @@ def render_pvnc(pvnc: Pvnc) -> str:
         lines.append("prefer " + " ".join(pvnc.constraints.preferred_services))
     if pvnc.constraints.max_price != float("inf"):
         lines.append(f"budget {pvnc.constraints.max_price}")
+    # repr keeps every digit, so a parsed latency renders to text that
+    # parses back to the same float.
     lines.append(
-        f"max-latency {pvnc.constraints.max_added_latency * 1000:g} ms"
+        f"max-latency {pvnc.constraints.max_added_latency * 1000!r} ms"
     )
     return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Protocol models: addresses, wire headers, DNS, TLS, HTTP, DHCP."""
+"""Protocol models: addresses, DNS, TLS, HTTP, DHCP."""
 
 from repro.netproto.addresses import (
     SubnetAllocator,
@@ -8,14 +8,6 @@ from repro.netproto.addresses import (
     parse_cidr,
 )
 from repro.netproto.dhcp import DhcpClient, DhcpMessage, DhcpServer, Lease
-from repro.netproto.dns_wire import (
-    WireMessage,
-    decode_name,
-    encode_name,
-    pack_query,
-    pack_response,
-    unpack,
-)
 from repro.netproto.dns import (
     DnsQuery,
     DnsResponse,
@@ -26,13 +18,6 @@ from repro.netproto.dns import (
     Zone,
     ZoneSigner,
     cross_check,
-)
-from repro.netproto.headers import (
-    EthernetHeader,
-    Ipv4Header,
-    TcpHeader,
-    UdpHeader,
-    internet_checksum,
 )
 from repro.netproto.http import HttpRequest, HttpResponse, body_digest
 from repro.netproto.tls import (
@@ -55,38 +40,27 @@ __all__ = [
     "DhcpServer",
     "DnsQuery",
     "DnsResponse",
-    "EthernetHeader",
     "ForgingResolver",
     "HttpRequest",
     "HttpResponse",
-    "Ipv4Header",
     "Lease",
     "MitmInterceptor",
     "ResourceRecord",
     "Resolver",
     "RevocationList",
     "SubnetAllocator",
-    "TcpHeader",
     "TlsHandshake",
     "TlsServer",
     "TrustAnchor",
     "TrustStore",
-    "UdpHeader",
     "ValidationResult",
-    "WireMessage",
     "Zone",
     "ZoneSigner",
     "body_digest",
     "cross_check",
-    "decode_name",
-    "encode_name",
     "int_to_ip",
-    "internet_checksum",
     "ip_in_subnet",
     "ip_to_int",
     "make_web_pki",
-    "pack_query",
-    "pack_response",
     "parse_cidr",
-    "unpack",
 ]

@@ -25,7 +25,7 @@ from repro.netsim.fluid import (
 from repro.netsim.link import Link, link_rtt
 from repro.netsim.node import Host, Node, RoutingNode
 from repro.netsim.packet import Packet
-from repro.netsim.queueing import DropTailQueue, RateMeter, TokenBucket
+from repro.netsim.queueing import TokenBucket
 from repro.netsim.randomness import (
     RandomStreams,
     default_streams,
@@ -55,7 +55,6 @@ from repro.netsim.trace import LatencySummary, Tracer
 
 __all__ = [
     "AccessNetworkSpec",
-    "DropTailQueue",
     "Event",
     "EventPriority",
     "Host",
@@ -71,7 +70,6 @@ __all__ = [
     "PhysicalTopology",
     "PolicyLedger",
     "RandomStreams",
-    "RateMeter",
     "RoutingNode",
     "Simulator",
     "SoaTable",

@@ -48,17 +48,3 @@ class Event:
     sequence: int
     callback: Callable[..., None]
     args: tuple[Any, ...] = ()
-    cancelled: bool = False
-    #: Set by the owning simulator so it can count live tombstones and
-    #: trigger heap compaction (see ``Simulator.queue_compaction``).
-    on_cancel: Callable[["Event"], None] | None = dataclasses.field(
-        default=None, repr=False,
-    )
-
-    def cancel(self) -> None:
-        """Mark the event so the simulator skips it when popped."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self.on_cancel is not None:
-            self.on_cancel(self)

@@ -103,18 +103,3 @@ class Packet:
             owner=self.owner,
         )
 
-    def copy(self) -> "Packet":
-        """A deep-enough copy with a fresh packet id and empty trail."""
-        return Packet(
-            src=self.src,
-            dst=self.dst,
-            protocol=self.protocol,
-            src_port=self.src_port,
-            dst_port=self.dst_port,
-            size=self.size,
-            payload=self.payload,
-            flow_id=self.flow_id,
-            owner=self.owner,
-            created_at=self.created_at,
-            metadata=dict(self.metadata),
-        )

@@ -1,23 +1,22 @@
-"""Queueing and traffic-shaping primitives.
+"""Traffic shaping: a token bucket over simulated time.
 
-These are used by links (drop-tail buffering) and by ISP policy models:
-the Binge On experiment (E4) shapes video flows through a
-:class:`TokenBucket` at 1.5 Mbps exactly as the paper describes
-T-Mobile doing.
+No packet is ever held in a queue object: a
+:class:`~repro.netsim.link.Link` bounds its buffer by waiting time
+(``max_queue_delay``) and may pace one direction through a
+:class:`TokenBucket`.  The Binge On experiment (E4) shapes video flows
+through one at 1.5 Mbps exactly as the paper describes T-Mobile doing.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 
 from repro.errors import ConfigurationError
-from repro.netsim.packet import Packet
 
 
 @dataclasses.dataclass
 class QueueStats:
-    """Counters exposed by every queue/shaper."""
+    """Counters a shaper exposes."""
 
     enqueued: int = 0
     dequeued: int = 0
@@ -25,45 +24,6 @@ class QueueStats:
     bytes_in: int = 0
     bytes_out: int = 0
     bytes_dropped: int = 0
-
-
-class DropTailQueue:
-    """A bounded FIFO that drops arrivals when full."""
-
-    def __init__(self, capacity_packets: int = 100) -> None:
-        if capacity_packets <= 0:
-            raise ConfigurationError("queue capacity must be positive")
-        self.capacity = capacity_packets
-        self._queue: collections.deque[Packet] = collections.deque()
-        self.stats = QueueStats()
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    @property
-    def full(self) -> bool:
-        return len(self._queue) >= self.capacity
-
-    def push(self, packet: Packet) -> bool:
-        """Enqueue; returns False (and marks the packet) on overflow."""
-        if self.full:
-            packet.mark_dropped("queue overflow")
-            self.stats.dropped += 1
-            self.stats.bytes_dropped += packet.size
-            return False
-        self._queue.append(packet)
-        self.stats.enqueued += 1
-        self.stats.bytes_in += packet.size
-        return True
-
-    def pop(self) -> Packet | None:
-        """Dequeue the head packet, or None if empty."""
-        if not self._queue:
-            return None
-        packet = self._queue.popleft()
-        self.stats.dequeued += 1
-        self.stats.bytes_out += packet.size
-        return packet
 
 
 class TokenBucket:
@@ -115,30 +75,3 @@ class TokenBucket:
         self.stats.dequeued += 1
         self.stats.bytes_out += size_bytes
         return wait
-
-
-class RateMeter:
-    """An exponentially weighted rate estimator (for audits and ABR).
-
-    ``update(now, nbytes)`` folds an observation in; ``rate_bps(now)``
-    reads the current estimate, decayed toward zero when idle.
-    """
-
-    def __init__(self, window: float = 1.0) -> None:
-        if window <= 0:
-            raise ConfigurationError("meter window must be positive")
-        self.window = float(window)
-        self._rate = 0.0
-        self._last = 0.0
-
-    def update(self, now: float, nbytes: int) -> None:
-        elapsed = max(1e-9, now - self._last)
-        instant = nbytes * 8.0 / elapsed
-        alpha = min(1.0, elapsed / self.window)
-        self._rate = (1 - alpha) * self._rate + alpha * instant
-        self._last = now
-
-    def rate_bps(self, now: float) -> float:
-        idle = max(0.0, now - self._last)
-        decay = max(0.0, 1.0 - idle / self.window)
-        return self._rate * decay

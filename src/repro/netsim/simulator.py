@@ -46,18 +46,12 @@ class Simulator:
         Initial clock value in seconds (default 0.0).
     """
 
-    #: Heaps smaller than this are never compacted: a rebuild costs
-    #: more than the tombstones it would reclaim.
-    COMPACTION_FLOOR = 64
-
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._queue: list[_Entry] = []
         self._sequence = 0
         self._running = False
         self._processed = 0
-        self._cancelled_pending = 0
-        self.compactions = 0
 
     # -- clock ---------------------------------------------------------
 
@@ -68,18 +62,13 @@ class Simulator:
 
     @property
     def processed_events(self) -> int:
-        """Number of events fired so far (cancelled events excluded)."""
+        """Number of events fired so far."""
         return self._processed
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued (cancelled events included)."""
+        """Number of events still queued."""
         return len(self._queue)
-
-    @property
-    def cancelled_pending(self) -> int:
-        """Cancelled events still occupying heap slots (tombstones)."""
-        return self._cancelled_pending
 
     # -- scheduling ------------------------------------------------------
 
@@ -90,11 +79,7 @@ class Simulator:
         *args: Any,
         priority: int = _NORMAL,
     ) -> Event:
-        """Schedule ``callback(*args)`` to fire ``delay`` seconds from now.
-
-        Returns the :class:`Event`, whose :meth:`~Event.cancel` method
-        can be used to retract it before it fires.
-        """
+        """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
         # One chained comparison rejects negative, NaN and infinite
         # delays alike (every comparison with NaN is false).
         if not 0 <= delay < _INF:
@@ -107,8 +92,7 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         priority = int(priority)
-        event = Event(time, priority, sequence, callback, args, False,
-                      self._note_cancel)
+        event = Event(time, priority, sequence, callback, args)
         heapq.heappush(self._queue, (time, priority, sequence, event))
         return event
 
@@ -130,82 +114,21 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         priority = int(priority)
-        event = Event(time, priority, sequence, callback, args, False,
-                      self._note_cancel)
+        event = Event(time, priority, sequence, callback, args)
         heapq.heappush(self._queue, (time, priority, sequence, event))
         return event
-
-    # -- tombstone management ---------------------------------------------
-
-    def _note_cancel(self, event: Event) -> None:
-        """Account one cancellation; compact when tombstones dominate.
-
-        Without a bound the heap would grow with every *cancelled*
-        event too.  Compaction triggers lazily when over half the heap
-        is tombstones, so the amortized cost per cancellation stays
-        O(log n).  Cancelling an event that already fired is a counter
-        no-op: it has no heap slot left to reclaim.  (Nothing under
-        ``src/`` cancels an event today; the path is exercised by the
-        tests and the micro-benchmarks.)
-        """
-        if not self._in_queue(event):
-            return
-        self._cancelled_pending += 1
-        if (len(self._queue) >= self.COMPACTION_FLOOR
-                and self._cancelled_pending * 2 > len(self._queue)):
-            self.queue_compaction()
-
-    def _in_queue(self, event: Event) -> bool:
-        """Whether ``event`` still holds a heap slot, found without
-        touching the drain loop: the clock passes an event's time only
-        by popping it, so only a same-instant event needs a look at the
-        heap, and the heap property bounds that look to the entries
-        ordered at or before it."""
-        if event.time != self._now:
-            return event.time > self._now
-        queue = self._queue
-        key = (event.time, event.priority, event.sequence)
-        stack = [0]
-        while stack:
-            index = stack.pop()
-            if index < len(queue) and queue[index][:3] <= key:
-                if queue[index][3] is event:
-                    return True
-                stack += (2 * index + 1, 2 * index + 2)
-        return False
-
-    def queue_compaction(self) -> int:
-        """Drop every cancelled event from the heap; returns how many.
-
-        Event ordering is total — ``(time, priority, sequence)`` — so
-        re-heapifying the survivors preserves the exact firing order.
-        The heap list is *rebound*, not edited in place: a loop that
-        pops from it must re-read ``self._queue`` every turn.
-        """
-        before = len(self._queue)
-        self._queue = [entry for entry in self._queue
-                       if not entry[3].cancelled]
-        heapq.heapify(self._queue)
-        removed = before - len(self._queue)
-        self._cancelled_pending = 0
-        if removed:
-            self.compactions += 1
-        return removed
 
     # -- execution -------------------------------------------------------
 
     def step(self) -> bool:
         """Fire the next pending event.  Returns False if none remain."""
-        while self._queue:
-            event = heapq.heappop(self._queue)[3]
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            self._now = event.time
-            self._processed += 1
-            event.callback(*event.args)
-            return True
-        return False
+        if not self._queue:
+            return False
+        event = heapq.heappop(self._queue)[3]
+        self._now = event.time
+        self._processed += 1
+        event.callback(*event.args)
+        return True
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until the queue drains, ``until`` is reached, or
@@ -220,31 +143,24 @@ class Simulator:
         self._running = True
         try:
             if until is None and max_events is None:
-                # The drain loop: one turn per event.  A callback may
-                # cancel events and so trigger a compaction, which
-                # rebinds ``self._queue`` -- hence no local alias.
+                # The drain loop: one turn per event.
+                queue = self._queue
                 pop = heapq.heappop
-                while self._queue:
-                    event = pop(self._queue)[3]
-                    if event.cancelled:
-                        self._cancelled_pending -= 1
-                        continue
+                while queue:
+                    event = pop(queue)[3]
                     self._now = event.time
                     self._processed += 1
                     event.callback(*event.args)
                 return
+            queue = self._queue
             fired = 0
-            while self._queue:
+            while queue:
                 if max_events is not None and fired >= max_events:
                     return
-                time, _, _, event = self._queue[0]
-                if event.cancelled:
-                    heapq.heappop(self._queue)
-                    self._cancelled_pending -= 1
-                    continue
+                time, _, _, event = queue[0]
                 if until is not None and time > until:
                     break
-                heapq.heappop(self._queue)
+                heapq.heappop(queue)
                 self._now = time
                 self._processed += 1
                 fired += 1

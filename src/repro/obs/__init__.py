@@ -8,8 +8,8 @@ Four pieces (see DESIGN.md §8):
   tree from DHCP discovery through per-hop middlebox processing to the
   audit verdict.
 * :mod:`repro.obs.metrics` — the typed metrics registry: labelled
-  counters, gauges, fixed-bucket histograms, and streaming-quantile
-  summaries the sdn/nfv/core layers publish into.
+  counters, gauges and fixed-bucket histograms the sdn/nfv/core
+  layers publish into.
 * :mod:`repro.obs.export` — JSONL and Chrome-trace (Perfetto) span
   export, Prometheus text and JSONL metric dumps.
 * :mod:`repro.obs.runtime` — the process-global on/off switch.
@@ -48,12 +48,11 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Summary,
 )
 from repro.obs.recorder import FlightRecorder, IncidentBundle
 from repro.obs.slo import SloEngine, SloSpec, SloStatus, SloTracker
 from repro.obs.profile import PhaseProfiler
-from repro.obs.quantiles import P2Quantile, percentile, summarize_percentiles
+from repro.obs.quantiles import percentile
 from repro.obs.runtime import (
     Observability,
     current,
@@ -84,7 +83,6 @@ __all__ = [
     "IncidentBundle",
     "MetricsRegistry",
     "Observability",
-    "P2Quantile",
     "PhaseProfiler",
     "SPAN_KEY",
     "SloEngine",
@@ -94,7 +92,6 @@ __all__ = [
     "Span",
     "SpanContext",
     "SpanTracer",
-    "Summary",
     "alerts",
     "current",
     "disable",
@@ -108,5 +105,4 @@ __all__ = [
     "recorder",
     "runtime",
     "slo",
-    "summarize_percentiles",
 ]

@@ -90,9 +90,9 @@ def _jsonable(value: Any) -> Any:
 # -- metrics --------------------------------------------------------------
 
 def _label_rank(name: str, value: str):
-    # le/quantile label values sort numerically so histogram buckets
-    # stay in ascending-bound order ("10" after "2", "+Inf" last).
-    if name in ("le", "quantile"):
+    # le label values sort numerically so histogram buckets stay in
+    # ascending-bound order ("10" after "2", "+Inf" last).
+    if name == "le":
         bound = float("inf") if value == "+Inf" else float(value)
         return (name, 1, bound, "")
     return (name, 0, 0.0, value)
@@ -113,7 +113,7 @@ def deterministic_samples(registry: MetricsRegistry) -> list[Sample]:
     a family's suffixed samples together — a plain sample-name sort
     would interleave ``repro_ab_total`` between ``repro_a_bucket`` and
     ``repro_a_count``), then sample name, then label key/value with
-    ``le``/``quantile`` compared numerically.
+    ``le`` compared numerically.
     """
     families = {m.name: m for m in registry.families()}
     return sorted(registry.collect(),

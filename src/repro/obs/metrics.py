@@ -2,8 +2,8 @@
 
 One :class:`MetricsRegistry` replaces the ad-hoc per-layer snapshot
 dicts the datapath refactor bolted onto the :class:`Tracer`: the
-sdn/nfv/core layers publish **labelled counters, gauges, histograms,
-and streaming summaries** through one interface, and the exporters
+sdn/nfv/core layers publish **labelled counters, gauges and
+histograms** through one interface, and the exporters
 (:mod:`repro.obs.export`) render Prometheus text or JSONL from it.
 
 Design constraints, in priority order:
@@ -24,8 +24,6 @@ from __future__ import annotations
 import bisect
 import dataclasses
 from typing import Any, Iterable, Mapping
-
-from repro.obs.quantiles import P2Quantile, STANDARD_QUANTILES
 
 #: Default histogram buckets: latency-shaped, seconds (powers of ~4 from
 #: 1us to ~16s), matching the simulator's per-hop-delay magnitudes.
@@ -245,45 +243,6 @@ class Histogram(_Metric):
         self._child().observe(value)
 
 
-class _SummaryChild:
-    __slots__ = ("estimators", "sum", "count")
-
-    def __init__(self, qs: tuple[float, ...]) -> None:
-        self.estimators = {q: P2Quantile(q) for q in qs}
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        for estimator in self.estimators.values():
-            estimator.observe(value)
-        self.sum += value
-        self.count += 1
-
-    def quantile(self, q: float) -> float:
-        return self.estimators[q].value
-
-
-class Summary(_Metric):
-    """Streaming quantiles (P²): p50/p95/p99 in O(1) memory."""
-
-    kind = "summary"
-
-    def __init__(self, name: str, help: str = "",
-                 labelnames: tuple[str, ...] = (),
-                 quantiles: tuple[float, ...] = STANDARD_QUANTILES) -> None:
-        super().__init__(name, help, labelnames)
-        self.quantiles = tuple(quantiles)
-
-    def _make_child(self) -> _SummaryChild:
-        return _SummaryChild(self.quantiles)
-
-    def observe(self, value: float) -> None:
-        self._child().observe(value)
-
-    def quantile(self, q: float) -> float:
-        return self._child().quantile(q)
-
-
 class MetricsRegistry:
     """All metric families, keyed by name.
 
@@ -347,12 +306,6 @@ class MetricsRegistry:
         return self._register(Histogram, name, help, labelnames,
                               buckets=buckets)
 
-    def summary(self, name: str, help: str = "",
-                labelnames: tuple[str, ...] = (),
-                quantiles: tuple[float, ...] = STANDARD_QUANTILES) -> Summary:
-        return self._register(Summary, name, help, labelnames,
-                              quantiles=quantiles)
-
     def get(self, name: str) -> _Metric | None:
         return self._metrics.get(name)
 
@@ -398,15 +351,6 @@ class MetricsRegistry:
                         samples.append(Sample(f"{metric.name}_bucket",
                                               bucket_labels,
                                               float(cumulative)))
-                    samples.append(Sample(f"{metric.name}_sum", labels,
-                                          child.sum))
-                    samples.append(Sample(f"{metric.name}_count", labels,
-                                          float(child.count)))
-                elif metric.kind == "summary":
-                    for q in metric.quantiles:
-                        q_labels = (*labels, ("quantile", _format_bound(q)))
-                        samples.append(Sample(metric.name, q_labels,
-                                              child.quantile(q)))
                     samples.append(Sample(f"{metric.name}_sum", labels,
                                           child.sum))
                     samples.append(Sample(f"{metric.name}_count", labels,

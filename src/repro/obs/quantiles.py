@@ -1,16 +1,9 @@
-"""Percentile helpers: exact linear interpolation and streaming P².
+"""Exact percentiles by linear interpolation.
 
-Two complementary tools:
-
-* :func:`percentile` / :func:`summarize_percentiles` — exact
-  linear-interpolation percentiles over a finite sample (the
-  ``numpy.percentile(..., method="linear")`` definition), replacing the
-  old round-to-nearest-rank p95 that over-reported the tail on small
-  samples.
-* :class:`P2Quantile` — the Jain & Chlamtac P² streaming estimator:
-  O(1) memory per tracked quantile, fed one observation at a time.
-  The metrics registry's summaries use it so hot paths never hold the
-  full sample.
+:func:`percentile` takes a linear-interpolation percentile over a
+finite sample (the ``numpy.percentile(..., method="linear")``
+definition), replacing the old round-to-nearest-rank p95 that
+over-reported the tail on small samples.
 
 This module is deliberately stdlib-only (no repro imports) so the
 lowest layers (``repro.netsim.trace``) can depend on it without cycles.
@@ -18,10 +11,7 @@ lowest layers (``repro.netsim.trace``) can depend on it without cycles.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-#: The percentile triple every latency summary reports.
-STANDARD_QUANTILES = (0.50, 0.95, 0.99)
+from typing import Sequence
 
 
 def percentile(samples: Sequence[float], q: float,
@@ -49,94 +39,3 @@ def percentile(samples: Sequence[float], q: float,
     if frac == 0.0:
         return float(data[lo])
     return float(data[lo] + (data[lo + 1] - data[lo]) * frac)
-
-
-def summarize_percentiles(
-    samples: Iterable[float],
-    qs: Sequence[float] = STANDARD_QUANTILES,
-) -> dict[float, float]:
-    """All of ``qs`` over one sorted pass of ``samples``."""
-    data = sorted(samples)
-    return {q: percentile(data, q, presorted=True) for q in qs}
-
-
-class P2Quantile:
-    """Streaming quantile estimation via the P² algorithm.
-
-    Jain & Chlamtac (1985): five markers track the running estimate of
-    one quantile without storing observations.  Until five samples have
-    arrived the exact small-sample percentile is returned instead.
-    """
-
-    __slots__ = ("q", "_initial", "_heights", "_positions", "_desired",
-                 "_increments", "count")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"streaming quantile must be in (0, 1), got {q!r}")
-        self.q = q
-        self.count = 0
-        self._initial: list[float] = []
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def observe(self, value: float) -> None:
-        """Fold one observation into the running estimate."""
-        self.count += 1
-        if len(self._initial) < 5:
-            self._initial.append(float(value))
-            if len(self._initial) == 5:
-                self._initial.sort()
-                self._heights = list(self._initial)
-            return
-        heights = self._heights
-        positions = self._positions
-        if value < heights[0]:
-            heights[0] = float(value)
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = float(value)
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust the three interior markers toward their desired ranks.
-        for i in (1, 2, 3):
-            delta = self._desired[i] - positions[i]
-            if ((delta >= 1.0 and positions[i + 1] - positions[i] > 1.0)
-                    or (delta <= -1.0 and positions[i - 1] - positions[i] < -1.0)):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, p = self._heights, self._positions
-        return h[i] + step / (p[i + 1] - p[i - 1]) * (
-            (p[i] - p[i - 1] + step) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-            + (p[i + 1] - p[i] - step) * (h[i] - h[i - 1]) / (p[i] - p[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, p = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (p[j] - p[i])
-
-    @property
-    def value(self) -> float:
-        """The current quantile estimate (0.0 before any observation)."""
-        if not self._initial:
-            return 0.0
-        if len(self._initial) < 5:
-            return percentile(self._initial, self.q)
-        return self._heights[2]

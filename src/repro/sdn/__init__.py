@@ -1,14 +1,6 @@
 """SDN substrate: match/action flow tables, switches, controller."""
 
-from repro.sdn.actions import (
-    Action,
-    Drop,
-    Mirror,
-    Output,
-    SetField,
-    ToChain,
-    Tunnel,
-)
+from repro.sdn.actions import Action, Drop, Output, ToChain
 from repro.sdn.controller import Controller, InstalledRule
 from repro.sdn.flowcache import CacheEntry, FlowCache
 from repro.sdn.flowtable import FlowRule, FlowTable
@@ -39,12 +31,9 @@ __all__ = [
     "InstalledRule",
     "MATCH_ANY",
     "Match",
-    "Mirror",
     "Output",
     "SdnSwitch",
-    "SetField",
     "ToChain",
-    "Tunnel",
     "VerificationReport",
     "check_isolation",
     "check_loop_freedom",

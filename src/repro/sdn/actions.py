@@ -1,19 +1,14 @@
 """Flow-rule actions.
 
-The action vocabulary is the OpenFlow-ish subset the PVNC compiler
-targets: forward, drop, rewrite a field, mirror a copy, hand the packet
-to a middlebox chain, or push it into a tunnel.  Actions in a rule are
-applied in order; :class:`Drop` and :class:`ToChain`/:class:`Tunnel`
-terminate local processing (the chain/tunnel decides what happens
-next).
+The action vocabulary is the OpenFlow-ish subset the controllers
+install: forward, drop, or hand the packet to a middlebox chain.  Every
+action ends local processing, so a switch runs only the first action
+of a rule (a chain decides what happens next).
 """
 
 from __future__ import annotations
 
 import dataclasses
-
-from repro.errors import ConfigurationError
-from repro.netsim.packet import Packet
 
 
 class Action:
@@ -35,33 +30,6 @@ class Drop(Action):
 
 
 @dataclasses.dataclass(frozen=True)
-class SetField(Action):
-    """Rewrite one packet field (dscp-style remarking, NAT, tagging)."""
-
-    field: str
-    value: object
-
-    _ALLOWED = ("src", "dst", "src_port", "dst_port", "owner")
-
-    def __post_init__(self) -> None:
-        if self.field not in self._ALLOWED:
-            raise ConfigurationError(
-                f"SetField cannot write {self.field!r}; "
-                f"allowed: {self._ALLOWED}"
-            )
-
-    def apply(self, packet: Packet) -> None:
-        setattr(packet, self.field, self.value)
-
-
-@dataclasses.dataclass(frozen=True)
-class Mirror(Action):
-    """Send a copy toward ``neighbor`` (monitoring, audit probes)."""
-
-    neighbor: str
-
-
-@dataclasses.dataclass(frozen=True)
 class ToChain(Action):
     """Divert the packet into middlebox chain ``chain_id``.
 
@@ -71,15 +39,3 @@ class ToChain(Action):
 
     chain_id: str
     resume_neighbor: str = ""
-
-
-@dataclasses.dataclass(frozen=True)
-class Tunnel(Action):
-    """Encapsulate toward a remote tunnel ``endpoint`` (Fig. 1(c))."""
-
-    endpoint: str
-
-
-def terminal(action: Action) -> bool:
-    """Whether this action ends local pipeline processing."""
-    return isinstance(action, (Drop, ToChain, Tunnel, Output))

@@ -3,8 +3,6 @@
 Chain actions hand the packet to a registered chain executor (the NFV
 layer registers these); the executor returns the packet to continue —
 possibly modified — or ``None`` if the chain consumed or dropped it.
-Tunnel actions hand the packet to a registered tunnel encapsulator the
-same way.
 
 The data plane is a three-tier fast path: an exact-match
 :class:`~repro.sdn.flowcache.FlowCache` memoizes the winning rule *and*
@@ -28,7 +26,7 @@ Packet accounting is conservative by construction::
 
 where *punted* counts table misses handed to the controller and
 *consumed* counts packets that left the local pipeline through a chain
-or tunnel handoff.
+handoff.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from repro.errors import ConfigurationError
 from repro.netsim.node import Node
 from repro.obs import runtime as obs_runtime
 from repro.netsim.packet import Packet
-from repro.sdn.actions import Drop, Mirror, Output, SetField, ToChain, Tunnel
+from repro.sdn.actions import Drop, Output, ToChain
 from repro.sdn.flowcache import CacheEntry, FlowCache, MegaflowCache
 from repro.sdn.flowtable import FlowTable
 
@@ -49,7 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.trace import Tracer
 
 ChainExecutor = Callable[[Packet, str], Packet | None]
-TunnelEncap = Callable[[Packet, str], None]
 PacketInHandler = Callable[["SdnSwitch", Packet], None]
 
 #: A compiled action list: call with a packet, fully applied.
@@ -68,13 +65,12 @@ class SdnSwitch(Node):
                                             tracer=tracer)
         self.tracer = tracer
         self._chain_executors: dict[str, ChainExecutor] = {}
-        self._tunnel_encaps: dict[str, TunnelEncap] = {}
         self._packet_in: PacketInHandler | None = None
         self.packets_received = 0
         self.packets_forwarded = 0
         self.packets_dropped = 0
         self.packets_punted = 0     # table misses handed to the controller
-        self.packets_consumed = 0   # left the pipeline via chain/tunnel
+        self.packets_consumed = 0   # left the pipeline via a chain
         # Classifications that fell through both cache tiers to the
         # rule table (E21's headline metric).
         self.full_classifications = 0
@@ -84,10 +80,6 @@ class SdnSwitch(Node):
     def bind_chain(self, chain_id: str, executor: ChainExecutor) -> None:
         """Register the executor invoked by ``ToChain(chain_id)``."""
         self._chain_executors[chain_id] = executor
-
-    def bind_tunnel(self, endpoint: str, encap: TunnelEncap) -> None:
-        """Register the encapsulator invoked by ``Tunnel(endpoint)``."""
-        self._tunnel_encaps[endpoint] = encap
 
     def set_packet_in_handler(self, handler: PacketInHandler | None) -> None:
         """Table-miss handler (the controller registers itself here)."""
@@ -161,110 +153,45 @@ class SdnSwitch(Node):
     # -- action compilation --------------------------------------------------
 
     def _compile_actions(self, actions: tuple) -> CompiledActions:
-        """Pre-resolve an action list into one closure.
+        """Pre-resolve a rule's action into one closure.
 
         Type dispatch happens here, once per cached flow, instead of
-        per packet.  Compilation stops at the first terminal action
-        (anything after it was unreachable in the interpreted loop
-        too); a list with no terminal compiles to a loud failure, not a
-        silent blackhole.  A one-action list (a PVN's ``ToChain``, a
-        default route's ``Output``) compiles to that action's step
-        itself, so a cached packet makes no wrapper call.
+        per packet.  Every action is terminal, so only the first one
+        can run (a :class:`~repro.sdn.flowtable.FlowRule` refuses an
+        empty list).
         """
-        steps: list[Callable[[Packet], bool]] = []
-        terminated = False
-        for action in actions:
-            if isinstance(action, Drop):
-                steps.append(self._compile_drop(action))
-                terminated = True
-            elif isinstance(action, SetField):
-                steps.append(self._compile_setfield(action))
-            elif isinstance(action, Mirror):
-                steps.append(self._compile_mirror(action))
-            elif isinstance(action, ToChain):
-                steps.append(self._compile_chain(action))
-                terminated = True
-            elif isinstance(action, Tunnel):
-                steps.append(self._compile_tunnel(action))
-                terminated = True
-            elif isinstance(action, Output):
-                steps.append(self._compile_output(action))
-                terminated = True
-            else:
-                raise ConfigurationError(f"unknown action {action!r}")
-            if terminated:
-                break
-        if not terminated:
-            steps.append(self._non_terminating)
-        if len(steps) == 1:
-            return steps[0]     # its "terminated" return is ignored
+        action = actions[0]
+        if isinstance(action, ToChain):
+            return self._compile_chain(action)
+        if isinstance(action, Output):
+            return self._compile_output(action)
+        if isinstance(action, Drop):
+            return self._compile_drop(action)
+        raise ConfigurationError(f"unknown action {action!r}")
 
-        def run(packet: Packet) -> None:
-            for step in steps:
-                if step(packet):
-                    return
-
-        return run
-
-    def _compile_drop(self, action: Drop) -> Callable[[Packet], bool]:
+    def _compile_drop(self, action: Drop) -> CompiledActions:
         suffix = f"{action.reason} at {self.name}"
 
-        def drop(packet: Packet) -> bool:
+        def drop(packet: Packet) -> None:
             self.packets_dropped += 1
             packet.mark_dropped(suffix)
-            return True
 
         return drop
 
-    def _compile_setfield(self, action: SetField) -> Callable[[Packet], bool]:
-        def set_field(packet: Packet) -> bool:
-            action.apply(packet)
-            return False
-
-        return set_field
-
-    def _compile_mirror(self, action: Mirror) -> Callable[[Packet], bool]:
-        neighbor = action.neighbor
-
-        def mirror(packet: Packet) -> bool:
-            clone = packet.copy()
-            clone.metadata["mirrored_from"] = self.name
-            self.send(clone, via=neighbor)
-            return False
-
-        return mirror
-
-    def _compile_chain(self, action: ToChain) -> Callable[[Packet], bool]:
-        def to_chain(packet: Packet) -> bool:
+    def _compile_chain(self, action: ToChain) -> CompiledActions:
+        def to_chain(packet: Packet) -> None:
             self._run_chain(packet, action)
-            return True
 
         return to_chain
 
-    def _compile_tunnel(self, action: Tunnel) -> Callable[[Packet], bool]:
-        def to_tunnel(packet: Packet) -> bool:
-            self._run_tunnel(packet, action)
-            return True
-
-        return to_tunnel
-
-    def _compile_output(self, action: Output) -> Callable[[Packet], bool]:
+    def _compile_output(self, action: Output) -> CompiledActions:
         neighbor = action.neighbor
 
-        def output(packet: Packet) -> bool:
+        def output(packet: Packet) -> None:
             self.packets_forwarded += 1
             self.send(packet, via=neighbor)
-            return True
 
         return output
-
-    def _non_terminating(self, packet: Packet) -> bool:
-        # An action list that never forwarded nor dropped is a config
-        # bug; fail loudly rather than silently blackholing.
-        raise ConfigurationError(
-            f"rule actions for packet {packet.packet_id} at {self.name} "
-            "did not terminate (missing Output/Drop)"
-        )
 
     # -- terminal handoffs ----------------------------------------------------
 
@@ -304,17 +231,6 @@ class SdnSwitch(Node):
             # The executor keeps the packet (it decides what happens
             # next); the switch's pipeline is done with it.
             self.packets_consumed += 1
-
-    def _run_tunnel(self, packet: Packet, action: Tunnel) -> None:
-        encap = self._tunnel_encaps.get(action.endpoint)
-        if encap is None:
-            self.packets_dropped += 1
-            packet.mark_dropped(
-                f"tunnel to {action.endpoint} not bound at {self.name}"
-            )
-            return
-        self.packets_consumed += 1
-        encap(packet, action.endpoint)
 
     # -- observability --------------------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.netsim.packet import Packet
-from repro.sdn.actions import Drop, Output, ToChain, Tunnel
+from repro.sdn.actions import Output
 from repro.sdn.controller import Controller
 
 
@@ -42,7 +42,7 @@ def trace_forwarding(
 ) -> list[str]:
     """The switch-level path a probe would take (Output actions only).
 
-    Stops at a Drop/ToChain/Tunnel action, a table miss, or a node the
+    Stops at a Drop/ToChain action, a table miss, or a node the
     controller does not manage (assumed to be an egress).
     """
     path = [start_switch]
@@ -51,15 +51,11 @@ def trace_forwarding(
         rule = _winning_rule(controller, current, probe)
         if rule is None:
             return path
-        next_hop = None
-        for action in rule.actions:
-            if isinstance(action, (Drop, ToChain, Tunnel)):
-                return path
-            if isinstance(action, Output):
-                next_hop = action.neighbor
-                break
-        if next_hop is None:
+        # Every action is terminal: only the first one decides.
+        action = rule.actions[0]
+        if not isinstance(action, Output):
             return path
+        next_hop = action.neighbor
         path.append(next_hop)
         if next_hop not in controller.switch_names:
             return path

@@ -2,14 +2,11 @@
 
 Simulation time is always a ``float`` number of seconds.  Data sizes are
 integers in bytes; data rates are floats in bits per second.  These
-helpers keep magic numbers out of the rest of the code and provide
-parsing for human-readable strings used in the PVNC DSL
-(e.g. ``"1.5 Mbps"``, ``"6 MB"``, ``"30 ms"``).
+helpers keep magic numbers out of the rest of the code and render
+times and sizes for logs and tables.
 """
 
 from __future__ import annotations
-
-import re
 
 from repro.errors import ConfigurationError
 
@@ -19,77 +16,12 @@ MICROSECOND = 1e-6
 MILLISECOND = 1e-3
 SECOND = 1.0
 MINUTE = 60.0
-HOUR = 3600.0
-
-_TIME_SUFFIXES = {
-    "us": MICROSECOND,
-    "µs": MICROSECOND,
-    "ms": MILLISECOND,
-    "s": SECOND,
-    "min": MINUTE,
-    "h": HOUR,
-}
 
 # -- sizes (bytes) ---------------------------------------------------------
 
 KB = 1_000
 MB = 1_000_000
 GB = 1_000_000_000
-KIB = 1_024
-MIB = 1_048_576
-
-_SIZE_SUFFIXES = {
-    "b": 1,
-    "kb": KB,
-    "mb": MB,
-    "gb": GB,
-    "kib": KIB,
-    "mib": MIB,
-}
-
-# -- rates (bits per second) -----------------------------------------------
-
-KBPS = 1_000.0
-MBPS = 1_000_000.0
-GBPS = 1_000_000_000.0
-
-_RATE_SUFFIXES = {
-    "bps": 1.0,
-    "kbps": KBPS,
-    "mbps": MBPS,
-    "gbps": GBPS,
-}
-
-_NUMBER_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*([a-zA-Zµ]+)\s*$")
-
-
-def _parse(text: str, suffixes: dict[str, float], kind: str) -> float:
-    match = _NUMBER_RE.match(text)
-    if not match:
-        raise ConfigurationError(f"cannot parse {kind} value {text!r}")
-    value, suffix = match.groups()
-    key = suffix if kind == "time" else suffix.lower()
-    if key not in suffixes:
-        raise ConfigurationError(
-            f"unknown {kind} unit {suffix!r} in {text!r}; "
-            f"expected one of {sorted(suffixes)}"
-        )
-    return float(value) * suffixes[key]
-
-
-def parse_time(text: str) -> float:
-    """Parse ``"30 ms"``-style text into seconds."""
-    return _parse(text, _TIME_SUFFIXES, "time")
-
-
-def parse_size(text: str) -> int:
-    """Parse ``"6 MB"``-style text into bytes."""
-    return int(_parse(text, _SIZE_SUFFIXES, "size"))
-
-
-def parse_rate(text: str) -> float:
-    """Parse ``"1.5 Mbps"``-style text into bits per second."""
-    return _parse(text, _RATE_SUFFIXES, "rate")
 
 
 def transmission_delay(size_bytes: int, rate_bps: float) -> float:
@@ -123,15 +55,3 @@ def format_size(size_bytes: float) -> str:
     if magnitude >= KB:
         return f"{size_bytes / KB:.1f}KB"
     return f"{int(size_bytes)}B"
-
-
-def format_rate(rate_bps: float) -> str:
-    """Render a bit rate with a sensible decimal unit."""
-    magnitude = abs(rate_bps)
-    if magnitude >= GBPS:
-        return f"{rate_bps / GBPS:.2f}Gbps"
-    if magnitude >= MBPS:
-        return f"{rate_bps / MBPS:.2f}Mbps"
-    if magnitude >= KBPS:
-        return f"{rate_bps / KBPS:.1f}Kbps"
-    return f"{rate_bps:.0f}bps"

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st, target
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
     ConfigurationError,
@@ -27,38 +27,26 @@ from repro.units import transmission_delay
 
 
 class RefEvent:
-    def __init__(self, sim, time, priority, sequence, callback, args):
-        self.sim = sim
+    def __init__(self, time, priority, sequence, callback, args):
         self.time = time
         self.priority = priority
         self.sequence = sequence
         self.callback = callback
         self.args = args
-        self.cancelled = False
 
     @property
     def key(self):
         return (self.time, self.priority, self.sequence)
 
-    def cancel(self):
-        if not self.cancelled:
-            self.cancelled = True
-            # A fired event left ``pending``: nothing to account.
-            if self in self.sim.pending:
-                self.sim.note_cancel()
-
 
 class RefSimulator:
     """The simulator's contract with a plain list and ``min()``."""
 
-    def __init__(self, floor):
-        self.floor = floor
+    def __init__(self):
         self.now = 0.0
         self.pending = []
         self.sequence = 0
         self.processed_events = 0
-        self.cancelled_pending = 0
-        self.compactions = 0
 
     @property
     def pending_events(self):
@@ -69,25 +57,10 @@ class RefSimulator:
                                 priority=priority)
 
     def schedule_at(self, time, callback, *args, priority=1):
-        event = RefEvent(self, time, priority, self.sequence, callback, args)
+        event = RefEvent(time, priority, self.sequence, callback, args)
         self.sequence += 1
         self.pending.append(event)
         return event
-
-    def note_cancel(self):
-        self.cancelled_pending += 1
-        if (len(self.pending) >= self.floor
-                and self.cancelled_pending * 2 > len(self.pending)):
-            self.queue_compaction()
-
-    def queue_compaction(self):
-        survivors = [e for e in self.pending if not e.cancelled]
-        removed = len(self.pending) - len(survivors)
-        self.pending = survivors
-        self.cancelled_pending = 0
-        if removed:
-            self.compactions += 1
-        return removed
 
     def _head(self):
         return min(self.pending, key=lambda e: e.key)
@@ -99,15 +72,10 @@ class RefSimulator:
         event.callback(*event.args)
 
     def step(self):
-        while self.pending:
-            head = self._head()
-            if head.cancelled:
-                self.pending.remove(head)
-                self.cancelled_pending -= 1
-                continue
-            self._fire(head)
-            return True
-        return False
+        if not self.pending:
+            return False
+        self._fire(self._head())
+        return True
 
     def run(self, until=None, max_events=None):
         fired = 0
@@ -115,10 +83,6 @@ class RefSimulator:
             if max_events is not None and fired >= max_events:
                 return
             head = self._head()
-            if head.cancelled:
-                self.pending.remove(head)
-                self.cancelled_pending -= 1
-                continue
             if until is not None and head.time > until:
                 break
             self._fire(head)
@@ -144,21 +108,14 @@ class Unorderable:
 DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.5])
 PRIORITIES = st.sampled_from([0, 1, 1, 1, 2])
 #: What a callback does when it fires: schedule children (the drain
-#: loop must see them) and cancel a run of other events (which can
-#: compact, and so rebind, the heap under the loop's feet).
-CHILDREN = st.lists(st.tuples(DELAYS, PRIORITIES), max_size=2)
-VICTIMS = st.tuples(st.integers(0, 200), st.integers(0, 12))
-SPAWN = st.tuples(CHILDREN, VICTIMS)
-INERT = ([], (0, 0))
+#: loop must see them).
+SPAWN = st.lists(st.tuples(DELAYS, PRIORITIES), max_size=2)
+INERT = []
 
 OPS = st.one_of(
     st.tuples(st.just("schedule"), DELAYS, PRIORITIES, SPAWN),
     st.tuples(st.just("schedule_at"), DELAYS, PRIORITIES, SPAWN),
     st.tuples(st.just("burst"), st.integers(2, 12), DELAYS, PRIORITIES),
-    st.tuples(st.just("cancel"), st.integers(0, 200)),
-    st.tuples(st.just("cancel_many"), st.integers(0, 200), st.integers(2, 12)),
-    st.tuples(st.just("cancel_fired"), st.integers(0, 200)),
-    st.tuples(st.just("compact")),
     st.tuples(st.just("run")),
     st.tuples(st.just("run_until"), DELAYS),
     st.tuples(st.just("run_max"), st.integers(0, 5)),
@@ -173,21 +130,13 @@ class World:
         self.sim = sim
         self.handles = []
         self.fired = []
-        self.done = set()
         self.log = []
-        self.compacted_while_firing = 0
 
     def _fire(self, ident, payload, guard, spawn):
         assert payload == {"ident": ident} and isinstance(guard, Unorderable)
         self.fired.append((ident, self.sim.now))
-        self.done.add(ident)
-        children, (first, count) = spawn
-        for delay, priority in children:
+        for delay, priority in spawn:
             self._schedule(self.sim.schedule, delay, priority, INERT)
-        before = self.sim.compactions
-        for victim in range(first, first + count):
-            self._cancel(victim)
-        self.compacted_while_firing += self.sim.compactions - before
 
     def _schedule(self, method, when, priority, spawn):
         ident = len(self.handles)
@@ -195,19 +144,6 @@ class World:
             when, self._fire, ident, {"ident": ident}, Unorderable(), spawn,
             priority=priority,
         ))
-
-    def _cancel(self, index):
-        # Only events that have not fired (``cancel_fired`` retracts
-        # spent handles).
-        if self.handles and index % len(self.handles) not in self.done:
-            self.handles[index % len(self.handles)].cancel()
-
-    def _cancel_fired(self, index):
-        # Cancel after fire: a counter no-op, whether the event fired
-        # at an earlier instant or at ``now`` beside pending ties.
-        if self.done:
-            fired = sorted(self.done)
-            self.handles[fired[index % len(fired)]].cancel()
 
     def apply(self, op):
         sim = self.sim
@@ -221,16 +157,6 @@ class World:
             count, delay, priority = rest
             for _ in range(count):
                 self._schedule(sim.schedule, delay, priority, INERT)
-        elif kind == "cancel":
-            self._cancel(rest[0])
-        elif kind == "cancel_many":
-            first, count = rest
-            for index in range(first, first + count):
-                self._cancel(index)
-        elif kind == "cancel_fired":
-            self._cancel_fired(rest[0])
-        elif kind == "compact":
-            self.log.append(("removed", sim.queue_compaction()))
         elif kind == "run":
             sim.run()
         elif kind == "run_until":
@@ -241,57 +167,38 @@ class World:
             self.log.append(("stepped", sim.step()))
         self.log.append((
             kind, len(self.fired), sim.now, sim.processed_events,
-            sim.pending_events, sim.cancelled_pending, sim.compactions,
+            sim.pending_events,
         ))
 
     def keys(self):
-        return [(h.time, h.priority, h.sequence, h.cancelled)
-                for h in self.handles]
-
-
-def small_floor_simulator(floor):
-    class SmallFloor(Simulator):
-        COMPACTION_FLOOR = floor
-
-    return SmallFloor()
+        return [(h.time, h.priority, h.sequence) for h in self.handles]
 
 
 class TestOrderingOracle:
-    # Floor 4 makes automatic compaction routine, including from inside
-    # callbacks; 64 is the shipped value, where only forced ones happen.
     @settings(max_examples=300, deadline=None)
-    @given(program=st.lists(OPS, max_size=40),
-           floor=st.sampled_from([4, Simulator.COMPACTION_FLOOR]))
-    def test_matches_list_based_reference_after_every_step(self, program, floor):
-        real = World(small_floor_simulator(floor))
-        model = World(RefSimulator(floor))
+    @given(program=st.lists(OPS, max_size=40))
+    def test_matches_list_based_reference_after_every_step(self, program):
+        real = World(Simulator())
+        model = World(RefSimulator())
         for op in program + [("run",)]:
             real.apply(op)
             model.apply(op)
             assert real.log[-1] == model.log[-1], op
         assert real.log == model.log
         assert real.fired == model.fired
-        # Steer generation toward programs whose callbacks compact the
-        # heap while a loop is popping from it.
-        target(float(real.compacted_while_firing), label="compactions")
         assert real.keys() == model.keys()
         assert real.sim.pending_events == 0
-        assert real.sim.cancelled_pending == 0
 
     @settings(max_examples=200, deadline=None)
-    @given(events=st.lists(st.tuples(DELAYS, PRIORITIES, st.booleans()),
-                           max_size=60),
+    @given(events=st.lists(st.tuples(DELAYS, PRIORITIES), max_size=60),
            how=st.sampled_from(["run", "until", "max_events", "step"]))
     def test_fired_order_is_sorted_by_time_priority_sequence(self, events, how):
         sim = Simulator()
         fired = []
         handles = [
             sim.schedule(delay, fired.append, ident, priority=priority)
-            for ident, (delay, priority, _) in enumerate(events)
+            for ident, (delay, priority) in enumerate(events)
         ]
-        for handle, (_, _, doomed) in zip(handles, events):
-            if doomed:
-                handle.cancel()
         if how == "run":
             sim.run()
         elif how == "until":
@@ -305,51 +212,10 @@ class TestOrderingOracle:
                 pass
         expected = sorted(
             (h.time, h.priority, h.sequence, ident)
-            for ident, h in enumerate(handles) if not h.cancelled
+            for ident, h in enumerate(handles)
         )
         assert fired == [ident for *_, ident in expected]
         assert sim.processed_events == len(expected)
-
-    def test_compaction_from_inside_a_callback_during_drain(self):
-        """The drain loop survives the heap being rebound under it."""
-        sim = Simulator()
-        fired = []
-        doomed = [sim.schedule(2.0, fired.append, "doomed")
-                  for _ in range(2 * sim.COMPACTION_FLOOR)]
-
-        def retract():
-            for event in doomed:
-                event.cancel()
-            sim.schedule(0.5, fired.append, "child")
-
-        sim.schedule(1.0, retract)
-        for label in "abc":
-            sim.schedule(3.0, fired.append, label)
-        sim.run()
-        assert sim.compactions >= 1
-        assert fired == ["child", "a", "b", "c"]
-        assert sim.pending_events == 0 and sim.cancelled_pending == 0
-
-    def test_cancel_after_fire_leaves_no_tombstone(self):
-        """A handler cancelling its own (spent) handle, beside a pending
-        same-instant event, and a late cancel of an earlier event."""
-        sim = Simulator()
-        handles = {}
-
-        def cancel_self():
-            handles["self"].cancel()
-
-        handles["early"] = sim.schedule(0.5, lambda: None)
-        handles["self"] = sim.schedule(1.0, cancel_self)
-        handles["tie"] = sim.schedule(1.0, lambda: None)
-        sim.run(max_events=2)
-        assert sim.cancelled_pending == 0
-        handles["early"].cancel()
-        assert sim.cancelled_pending == 0
-        handles["tie"].cancel()
-        assert sim.cancelled_pending == 1 and sim.pending_events == 1
-        sim.run()
-        assert sim.cancelled_pending == 0 and sim.processed_events == 2
 
     def test_handles_are_never_compared(self):
         sim = Simulator()

@@ -1,54 +1,10 @@
-"""Tests for queues, shapers, and rate meters."""
+"""Tests for the token-bucket shaper."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.netsim import DropTailQueue, Packet, RateMeter, TokenBucket
-
-
-def pkt(size=1000):
-    return Packet(src="10.0.0.1", dst="10.0.0.2", size=size)
-
-
-class TestDropTailQueue:
-    def test_fifo_order(self):
-        q = DropTailQueue(capacity_packets=10)
-        first, second = pkt(), pkt()
-        q.push(first)
-        q.push(second)
-        assert q.pop() is first
-        assert q.pop() is second
-        assert q.pop() is None
-
-    def test_overflow_drops_and_marks(self):
-        q = DropTailQueue(capacity_packets=2)
-        assert q.push(pkt())
-        assert q.push(pkt())
-        overflow = pkt()
-        assert not q.push(overflow)
-        assert overflow.dropped
-        assert q.stats.dropped == 1
-        assert q.stats.bytes_dropped == 1000
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            DropTailQueue(capacity_packets=0)
-
-    def test_stats_track_bytes(self):
-        q = DropTailQueue(capacity_packets=5)
-        q.push(pkt(100))
-        q.push(pkt(200))
-        q.pop()
-        assert q.stats.bytes_in == 300
-        assert q.stats.bytes_out == 100
-
-    @given(st.lists(st.integers(min_value=1, max_value=9000), max_size=50))
-    def test_never_exceeds_capacity(self, sizes):
-        q = DropTailQueue(capacity_packets=7)
-        for size in sizes:
-            q.push(pkt(size))
-            assert len(q) <= 7
+from repro.netsim import TokenBucket
 
 
 class TestTokenBucket:
@@ -100,24 +56,3 @@ class TestTokenBucket:
         if now > 0:
             # Long-run rate can exceed `rate` only via the initial burst.
             assert total <= rate * now / 8.0 + 5_000 + max(sizes)
-
-
-class TestRateMeter:
-    def test_estimates_constant_rate(self):
-        meter = RateMeter(window=1.0)
-        now = 0.0
-        for _ in range(50):
-            now += 0.1
-            meter.update(now, 12_500)  # 12.5 kB / 100ms = 1 Mbps
-        assert meter.rate_bps(now) == pytest.approx(1_000_000, rel=0.15)
-
-    def test_decays_when_idle(self):
-        meter = RateMeter(window=1.0)
-        meter.update(0.1, 100_000)
-        busy = meter.rate_bps(0.1)
-        assert meter.rate_bps(0.9) < busy
-        assert meter.rate_bps(5.0) == 0.0
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            RateMeter(window=0.0)

@@ -72,27 +72,6 @@ class TestScheduling:
         assert sim.now == 4.0
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(1.0, fired.append, "x")
-        event.cancel()
-        sim.run()
-        assert fired == []
-        assert sim.processed_events == 0
-
-    def test_cancel_one_of_many(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, "keep1")
-        doomed = sim.schedule(2.0, fired.append, "cancel")
-        sim.schedule(3.0, fired.append, "keep2")
-        doomed.cancel()
-        sim.run()
-        assert fired == ["keep1", "keep2"]
-
-
 class TestRunBounds:
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()
@@ -141,50 +120,3 @@ class TestRunBounds:
         sim.run()
         assert sim.processed_events == 2
         assert sim.pending_events == 0
-
-
-class TestQueueCompaction:
-    def test_compaction_drops_tombstones_and_preserves_order(self):
-        sim = Simulator()
-        fired = []
-        keep = [sim.schedule(float(i + 1), fired.append, i) for i in range(5)]
-        doomed = [sim.schedule(0.5, fired.append, "never")
-                  for _ in range(sim.COMPACTION_FLOOR)]
-        for event in doomed:
-            event.cancel()
-        # Over half the heap was tombstones: compaction ran on its own
-        # (once below the floor, the leftovers are tolerated).
-        assert sim.compactions >= 1
-        assert sim.pending_events < len(keep) + len(doomed)
-        sim.queue_compaction()
-        assert sim.pending_events == len(keep)
-        assert sim.cancelled_pending == 0
-        sim.run()
-        assert fired == [0, 1, 2, 3, 4]
-
-    def test_small_heaps_are_left_alone(self):
-        sim = Simulator()
-        survivor = sim.schedule(2.0, lambda: None)
-        sim.schedule(1.0, lambda: None).cancel()
-        # Below the floor nothing compacts; the tombstone stays queued.
-        assert sim.compactions == 0
-        assert sim.pending_events == 2
-        assert sim.cancelled_pending == 1
-        assert sim.queue_compaction() == 1
-        assert sim.pending_events == 1
-        assert not survivor.cancelled
-
-    def test_double_cancel_counts_once(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert sim.cancelled_pending == 1
-
-    def test_popping_cancelled_head_decrements_tombstone_count(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None).cancel()
-        sim.schedule(2.0, lambda: None)
-        sim.run()
-        assert sim.cancelled_pending == 0
-        assert sim.processed_events == 1

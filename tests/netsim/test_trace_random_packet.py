@@ -106,16 +106,6 @@ class TestPacket:
         assert reply.flow_id == 9 and reply.owner == "alice"
         assert reply.size == 40
 
-    def test_copy_fresh_id_and_trail(self):
-        pkt = Packet(src="1.1.1.1", dst="2.2.2.2", metadata={"k": "v"})
-        pkt.record_hop("a")
-        dup = pkt.copy()
-        assert dup.packet_id != pkt.packet_id
-        assert dup.trail == []
-        assert dup.metadata == {"k": "v"}
-        dup.metadata["k"] = "changed"
-        assert pkt.metadata["k"] == "v"
-
     def test_mark_dropped(self):
         pkt = Packet(src="1.1.1.1", dst="2.2.2.2")
         pkt.mark_dropped("policy")

@@ -108,8 +108,6 @@ class TestDeterministicOrdering:
         h.observe(1.0)
         h.observe(5.0)
         registry.counter("repro_ab", "AB").inc()
-        s = registry.summary("repro_s", "S")
-        s.observe(3.0)
         g = registry.gauge("repro_g", "G", ("b", "a"))
         g.labels(b="1", a="2").set(1.0)
         g.labels(b="0", a="9").set(2.0)
@@ -157,7 +155,6 @@ class TestDeterministicOrdering:
         g = backward.gauge("repro_g", "G", ("b", "a"))
         g.labels(b="0", a="9").set(2.0)
         g.labels(b="1", a="2").set(1.0)
-        backward.summary("repro_s", "S").observe(3.0)
         backward.counter("repro_ab", "AB").inc()
         h = backward.histogram("repro_a", "A", buckets=(2.0, 10.0))
         h.observe(5.0)

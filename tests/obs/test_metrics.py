@@ -104,15 +104,6 @@ class TestCollect:
         assert rows[("lat_count", ())] == 3.0
         assert rows[("lat_sum", ())] == pytest.approx(5.55)
 
-    def test_summary_exposition_rows(self):
-        registry = MetricsRegistry()
-        summary = registry.summary("dur", quantiles=(0.5,))
-        for v in (1.0, 2.0, 3.0):
-            summary.observe(v)
-        rows = {(s.name, s.labels): s.value for s in registry.collect()}
-        assert rows[("dur", (("quantile", "0.5"),))] == 2.0
-        assert rows[("dur_count", ())] == 3.0
-
     def test_deterministic_ordering(self):
         def build():
             registry = MetricsRegistry()

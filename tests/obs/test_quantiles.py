@@ -1,12 +1,11 @@
-"""Percentile helpers: linear interpolation + P² streaming quantiles."""
+"""Percentile helper: linear interpolation."""
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.netsim.trace import LatencySummary
-from repro.obs.quantiles import P2Quantile, percentile, summarize_percentiles
+from repro.obs.quantiles import percentile
 
 
 class TestPercentile:
@@ -49,93 +48,6 @@ class TestPercentile:
             assert percentile(data, q) == pytest.approx(
                 float(np.percentile(data, 100 * q)), rel=1e-12
             )
-
-    def test_summarize_returns_standard_quantiles(self):
-        out = summarize_percentiles([float(i) for i in range(1, 101)])
-        assert set(out) == {0.50, 0.95, 0.99}
-        assert out[0.50] < out[0.95] < out[0.99]
-
-
-class TestP2Quantile:
-    def test_small_sample_is_exact(self):
-        est = P2Quantile(0.5)
-        for v in (3.0, 1.0, 2.0):
-            est.observe(v)
-        assert est.value == 2.0
-
-    def test_converges_on_uniform_stream(self):
-        rng = random.Random(42)
-        est = P2Quantile(0.95)
-        samples = [rng.random() for _ in range(20000)]
-        for v in samples:
-            est.observe(v)
-        assert est.value == pytest.approx(0.95, abs=0.02)
-
-    def test_converges_on_gaussian_stream(self):
-        rng = random.Random(1)
-        est = P2Quantile(0.5)
-        for _ in range(20000):
-            est.observe(rng.gauss(100.0, 15.0))
-        assert est.value == pytest.approx(100.0, abs=1.5)
-
-    def test_empty_value_is_zero(self):
-        assert P2Quantile(0.5).value == 0.0
-
-    @pytest.mark.parametrize("n", (1, 2, 3, 4))
-    def test_under_five_observations_matches_exact_percentile(self, n):
-        # Before the five P² markers exist the estimator must fall back
-        # to the exact small-sample percentile, for every q.
-        rng = random.Random(n)
-        data = [rng.uniform(-10.0, 10.0) for _ in range(n)]
-        for q in (0.05, 0.5, 0.95):
-            est = P2Quantile(q)
-            for v in data:
-                est.observe(v)
-            assert est.value == pytest.approx(percentile(data, q))
-
-    def test_all_duplicate_stream_is_exact(self):
-        est = P2Quantile(0.95)
-        for _ in range(1000):
-            est.observe(3.25)
-        assert est.value == 3.25
-
-    def test_heavy_duplicates_stay_in_range(self):
-        # 90% of the stream is the value 1.0; the p50 must sit on the
-        # duplicated mass, not drift outside the sample range.
-        rng = random.Random(5)
-        est = P2Quantile(0.5)
-        for _ in range(5000):
-            est.observe(1.0 if rng.random() < 0.9 else rng.uniform(2, 5))
-        assert est.value == pytest.approx(1.0, abs=0.05)
-
-    def test_q_bounds_rejected(self):
-        for q in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                P2Quantile(q)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                              allow_nan=False, allow_infinity=False),
-                    min_size=1, max_size=200),
-           st.sampled_from((0.05, 0.25, 0.5, 0.75, 0.95)))
-    def test_marker_invariants_hold_for_any_stream(self, values, q):
-        # The P² correctness core: after any observation sequence the
-        # five marker heights are non-decreasing, marker positions are
-        # strictly increasing, and the estimate stays inside the
-        # observed range.
-        est = P2Quantile(q)
-        for v in values:
-            est.observe(v)
-            if est.count >= 5:
-                heights = est._heights
-                assert all(heights[i] <= heights[i + 1]
-                           for i in range(4)), heights
-                positions = est._positions
-                assert all(positions[i] < positions[i + 1]
-                           for i in range(4)), positions
-            assert min(values[:est.count]) <= est.value
-            assert est.value <= max(values[:est.count])
-        assert est.count == len(values)
 
 
 class TestLatencySummaryUsesInterpolation:

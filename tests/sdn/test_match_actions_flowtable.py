@@ -12,7 +12,6 @@ from repro.sdn import (
     FlowTable,
     Match,
     Output,
-    SetField,
 )
 
 
@@ -71,21 +70,6 @@ class TestMatch:
         packet = pkt(dst_port=port, owner=owner)
         assert match.matches(packet)
         assert match.matches(packet)
-
-
-class TestActions:
-    def test_set_field_applies(self):
-        packet = pkt()
-        SetField("dst", "1.2.3.4").apply(packet)
-        assert packet.dst == "1.2.3.4"
-
-    def test_set_field_rejects_unknown_field(self):
-        with pytest.raises(ConfigurationError):
-            SetField("size", 9000)
-
-    def test_set_field_rejects_metadata_writes(self):
-        with pytest.raises(ConfigurationError):
-            SetField("metadata", {})
 
 
 class TestFlowTable:

@@ -1,61 +1,10 @@
-"""Tests for unit parsing and formatting helpers."""
+"""Tests for the unit formatting and delay helpers."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro import units
 from repro.errors import ConfigurationError
-
-
-class TestParsing:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("30 ms", 0.030),
-            ("45us", 45e-6),
-            ("45 µs", 45e-6),
-            ("1.5 s", 1.5),
-            ("2 min", 120.0),
-            ("1 h", 3600.0),
-        ],
-    )
-    def test_parse_time(self, text, expected):
-        assert units.parse_time(text) == pytest.approx(expected)
-
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("6 MB", 6_000_000),
-            ("512 B", 512),
-            ("1.5 KB", 1500),
-            ("1 MiB", 1_048_576),
-            ("2 GB", 2_000_000_000),
-        ],
-    )
-    def test_parse_size(self, text, expected):
-        assert units.parse_size(text) == expected
-
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("1.5 Mbps", 1_500_000.0),
-            ("40Mbps", 40e6),
-            ("1 Gbps", 1e9),
-            ("300 Kbps", 300_000.0),
-            ("100 bps", 100.0),
-        ],
-    )
-    def test_parse_rate(self, text, expected):
-        assert units.parse_rate(text) == pytest.approx(expected)
-
-    @pytest.mark.parametrize("bad", ["", "fast", "10 parsecs", "ms 10", "-3 ms"])
-    def test_bad_time_rejected(self, bad):
-        with pytest.raises(ConfigurationError):
-            units.parse_time(bad)
-
-    def test_bad_rate_unit_rejected(self):
-        with pytest.raises(ConfigurationError):
-            units.parse_rate("3 Mbph")
 
 
 class TestTransmissionDelay:
@@ -91,11 +40,6 @@ class TestFormatting:
         assert units.format_size(6_000_000) == "6.00MB"
         assert units.format_size(999) == "999B"
         assert units.format_size(2_000_000_000) == "2.00GB"
-
-    def test_format_rate_units(self):
-        assert units.format_rate(1_500_000) == "1.50Mbps"
-        assert units.format_rate(2e9) == "2.00Gbps"
-        assert units.format_rate(500) == "500bps"
 
     @given(st.floats(min_value=1e-7, max_value=1e4))
     def test_format_time_roundtrippable_prefix(self, seconds):
