@@ -16,9 +16,11 @@ counted).
   middlebox bodies): the calls of the whole run over the packets the
   world emits.  Before the per-packet call cuts this bar came with,
   ``steady_mix`` read 111.57 calls per packet and ``churn_reconfig``
-  112.41; after them, 74.01 and 79.54.  ``churn_reconfig``'s figure
-  includes the teardown/redeploy work of its reconfiguration timer,
-  amortised over its packets.
+  112.41; after them, 74.01 and 79.54 (79.17 later).  With the
+  middlebox verdict records and the flat trace log gone (``repro.obs``
+  the only telemetry sink), 71.95 and 77.16.  ``churn_reconfig``'s
+  figure includes the teardown/redeploy work of its reconfiguration
+  timer, amortised over its packets.
 * **Per device** on ``attach_storm`` (``Device.attach`` +
   ``establish_pvn``: DHCP, discovery and negotiation, compile, embed,
   install, attest; then one audit and a teardown): the calls of the
@@ -26,7 +28,9 @@ counted).
   route table, a device cost 1 022.2 calls (attach 827.6, audit 155.2,
   teardown 35.1); after the attach-path cuts, 666.7 (attach 482.0,
   audit 145.2, teardown 35.1); with the topology owning its node and
-  link dicts instead of a networkx graph, 656.7 (attach 472.0).  The
+  link dicts instead of a networkx graph, 656.7 (attach 472.0); with
+  no per-deploy trace record and no per-verdict one in the audit
+  probes, 643.7 (attach 469.0, audit 135.2, teardown 35.1).  The
   attach phase has its own bar.
 * **Per PVNC parse** (``default_pvnc(user)``: the §3.1 DSL front end
   every world build runs once per device): the calls of one parse.
@@ -52,13 +56,13 @@ SCALE = 0.05
 
 #: Upper bounds, calls per packet.
 PACKET_BUDGET = {
-    steady_mix: 78,
-    churn_reconfig: 85,
+    steady_mix: 73,
+    churn_reconfig: 79,
 }
 #: Upper bounds on ``attach_storm``, calls per device: over the whole
 #: run, and in the attach phase alone.
-DEVICE_BUDGET = 670
-ATTACH_BUDGET = 481
+DEVICE_BUDGET = 645
+ATTACH_BUDGET = 470
 #: Upper bound, calls per ``default_pvnc(user)``.
 PARSE_BUDGET = 87
 

@@ -235,12 +235,6 @@ def repair_deployment(
         deployment.embedding = new_embedding
 
     deployment.repairs += 1
-    if manager.tracer is not None:
-        manager.tracer.emit(
-            now, "recovery", manager.provider, event="repaired",
-            deployment_id=deployment_id,
-            restarted=",".join(restarted), moved=",".join(moved),
-        )
     return RepairResult(
         repaired=True, restarted=tuple(restarted), moved=tuple(moved),
         reason="repaired",
@@ -251,7 +245,6 @@ def degrade_to_tunnel(
     manager: DeploymentManager,
     deployment_id: str,
     endpoint: str,
-    now: float,
 ) -> FullTunnel:
     """Give up on the in-network chain and fall back to VPN mode.
 
@@ -282,11 +275,6 @@ def degrade_to_tunnel(
     deployment.datapath.degraded_to = endpoint
     deployment.state = DeploymentState.DEGRADED
     deployment.degraded_to = endpoint
-    if manager.tracer is not None:
-        manager.tracer.emit(
-            now, "recovery", manager.provider, event="degraded",
-            deployment_id=deployment_id, endpoint=endpoint,
-        )
     return tunnel
 
 

@@ -51,7 +51,6 @@ from repro.netproto.dhcp import DhcpServer
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import PhysicalTopology
-from repro.netsim.trace import Tracer
 from repro.obs import runtime as obs_runtime
 from repro.obs import spans as obs_spans
 from repro.nfv.container import Container, ContainerSpec, ContainerState
@@ -133,7 +132,6 @@ class PvnDataPath:
         sandboxes: dict[str, Sandbox],
         keyring: ProofKeyring,
         container_spec: ContainerSpec,
-        tracer: Tracer | None = None,
         skip_services: frozenset[str] = frozenset(),
         trusted_execution: bool = False,
         containers: dict[str, Container] | None = None,
@@ -144,7 +142,6 @@ class PvnDataPath:
         self.sandboxes = sandboxes
         self.keyring = keyring
         self.container_spec = container_spec
-        self.tracer = tracer
         self.skip_services = skip_services   # dishonest-provider knob
         self.trusted_execution = trusted_execution
         self.packets_processed = 0
@@ -226,7 +223,7 @@ class PvnDataPath:
         pooled = self._pooled_context
         if pooled is None:
             pooled = ProcessingContext(
-                now=now, owner=packet.owner, tracer=self.tracer,
+                now=now, owner=packet.owner,
                 trusted_execution=self.trusted_execution,
             )
             self._pooled_context = pooled
@@ -451,20 +448,12 @@ class PvnDataPath:
             counts[f"{traffic_class}_packets"] = compiled[0].packets_in
         return counts
 
-    def publish_counters(self, now: float,
-                         tracer: Tracer | None = None) -> None:
-        """Emit datapath throughput counters (category ``"datapath"``).
-
-        Tracer records are unchanged; with observability enabled the
-        totals also fold into the metrics registry
-        (``repro_datapath_packets_total{deployment=...,result=...}``),
-        and each per-class pipeline publishes its own counters.
+    def publish_counters(self, now: float) -> None:
+        """Fold the datapath throughput counters into the metrics
+        registry (``repro_datapath_packets_total{deployment=...,
+        result=...}``), and each per-class pipeline's own; a no-op
+        while observability is off.
         """
-        # Explicit None check: an empty Tracer is falsy (__len__ == 0).
-        sink = tracer if tracer is not None else self.tracer
-        if sink is not None:
-            sink.emit(now, "datapath", self.deployment_id, event="counters",
-                      **self.counters())
         obs = obs_runtime.current()
         if obs is not None:
             obs.metrics.fold_totals(
@@ -473,9 +462,6 @@ class PvnDataPath:
                 ("deployment",), {"deployment": self.deployment_id},
                 self.counters(),
             )
-            # Registry-only for the per-class pipelines (they carry no
-            # Tracer, so the "datapath" category stays byte-identical
-            # to the pre-registry publish path).
             pipelines = [compiled[0] for compiled in self._pipelines.values()]
             if self._redirect_pipeline is not None:
                 pipelines.append(self._redirect_pipeline)
@@ -545,7 +531,6 @@ class DeploymentManager:
         sim: Simulator | None = None,
         dhcp: DhcpServer | None = None,
         platform: TrustedPlatform | None = None,
-        tracer: Tracer | None = None,
         container_spec: ContainerSpec | None = None,
         ingress_switch: str = "agg",
         gateway_node: str = "gw",
@@ -563,7 +548,6 @@ class DeploymentManager:
         self.sim = sim
         self.dhcp = dhcp
         self.platform = platform
-        self.tracer = tracer
         self.container_spec = container_spec or ContainerSpec()
         self.ingress_switch = ingress_switch
         self.gateway_node = gateway_node
@@ -648,12 +632,6 @@ class DeploymentManager:
                             subnet=deployment.subnet)
         if obs is not None:
             _count_deploy(obs, self.provider, "ack")
-        if self.tracer is not None:
-            self.tracer.emit(now, "deployment", self.provider,
-                             event="deployed", user=request.pvnc.user,
-                             deployment_id=deployment.deployment_id,
-                             services=",".join(
-                                 compiled.deployment_services))
         return DeploymentAck(
             deployment_id=deployment.deployment_id,
             pvn_subnet=deployment.subnet,
@@ -729,7 +707,6 @@ class DeploymentManager:
             sandboxes=sandboxes,
             keyring=keyring,
             container_spec=self.container_spec,
-            tracer=self.tracer,
             skip_services=skip_services,
             trusted_execution=trusted_execution,
             containers=containers,

@@ -392,7 +392,6 @@ class MigrationTransaction:
             sandboxes=sandboxes,
             keyring=keyring,
             container_spec=self.manager.container_spec,
-            tracer=self.manager.tracer,
             skip_services=source.datapath.skip_services,
             trusted_execution=source.datapath.trusted_execution,
             containers=self.target_containers,
@@ -600,7 +599,7 @@ class MigrationTransaction:
             # cached pipeline compiled against the superseded source
             # can never serve post-cutover traffic from the microflow
             # or the megaflow tier.
-            switch.fence((lineage, epoch), now=self.clock)
+            switch.fence((lineage, epoch))
 
         # 5. Addresses and funding follow the surviving deployment.
         if manager.dhcp is not None:
@@ -634,12 +633,6 @@ class MigrationTransaction:
             f"{self.target_id} live at epoch {epoch}; "
             f"{source.deployment_id} fenced",
         )
-        if manager.tracer is not None:
-            manager.tracer.emit(
-                self.clock, "migration", manager.provider, event="committed",
-                txn_id=self.txn_id, source=source.deployment_id,
-                target=self.target_id, epoch=epoch,
-            )
 
     def abort(self, now: float | None = None, reason: str = "") -> None:
         """Full rollback: the source deployment survives unchanged."""
@@ -661,12 +654,6 @@ class MigrationTransaction:
         self.source.datapath.bridging_to = ""
         self.phase = MigrationPhase.ABORTED
         self.journal.append(self.clock, self.txn_id, REC_ABORTED, self.reason)
-        if self.manager.tracer is not None:
-            self.manager.tracer.emit(
-                self.clock, "migration", self.manager.provider,
-                event="aborted", txn_id=self.txn_id,
-                source=self.source.deployment_id, reason=self.reason,
-            )
 
     # -- outcome -----------------------------------------------------------
 

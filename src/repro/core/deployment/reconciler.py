@@ -442,8 +442,7 @@ class Reconciler:
         beats nothing, but a tunnel we can always have."""
         try:
             tunnel = degrade_to_tunnel(
-                self.manager, deployment_id,
-                self.policy.fallback_endpoint, now,
+                self.manager, deployment_id, self.policy.fallback_endpoint,
             )
         except ReproError as exc:
             self._emit(now, "degrade_failed", deployment_id, str(exc))

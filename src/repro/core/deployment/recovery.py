@@ -149,8 +149,7 @@ class RobustnessSupervisor:
         )
         if attempts >= self.policy.max_repair_attempts:
             tunnel = degrade_to_tunnel(
-                self.manager, deployment_id,
-                self.policy.fallback_endpoint, now,
+                self.manager, deployment_id, self.policy.fallback_endpoint,
             )
             self.tunnels[deployment_id] = tunnel
             self._attempts.pop(deployment_id, None)

@@ -33,7 +33,6 @@ from repro.netsim.topology import (
     build_access_network,
     build_wide_area,
 )
-from repro.netsim.trace import Tracer
 from repro.nfv.hypervisor import HostCapacity, NfvHost
 
 
@@ -81,7 +80,6 @@ class AccessProvider:
         self.sim = sim or Simulator()
         self.spec = spec or AccessNetworkSpec()
         self.dishonesty = dishonesty
-        self.tracer = Tracer()
         self.streams = RandomStreams(seed).spawn(f"provider:{name}")
 
         self.topo: PhysicalTopology = build_wide_area(
@@ -109,7 +107,6 @@ class AccessProvider:
             sim=self.sim,
             dhcp=self.dhcp,
             platform=self.platform,
-            tracer=self.tracer,
         )
         if supported_services is None:
             supported_services = tuple(sorted(builtin_services()))

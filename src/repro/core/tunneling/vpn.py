@@ -216,7 +216,7 @@ class FullTunnel:
         :class:`~repro.nfv.pipeline.Pipeline` abstraction as chains and
         the PVN datapath: every packet yields a TUNNEL verdict toward
         the tunnel's endpoint node, and the pipeline's throughput
-        counters publish through a Tracer like any other layer.  The
+        counters publish through ``repro.obs`` like any other layer.  The
         single step charges the encap variant's per-packet CPU cost as
         its delay.  A blocked VPN port fails at build time, same as
         :meth:`effective_path`.

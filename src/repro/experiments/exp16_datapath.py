@@ -18,9 +18,9 @@ same packet schedule:
   position in the priority order, or every rule on a miss), computed
   here with :meth:`~repro.sdn.flowtable.FlowTable.lookup`;
 * the full classifications per packet the switch's cached datapath
-  makes, plus the cache-counter snapshot published through the
-  :class:`~repro.netsim.trace.Tracer` (hits, misses, invalidations —
-  a PVN teardown mid-run exercises the invalidation fence).
+  makes, plus the microflow cache's own counters (hits, misses,
+  invalidations — a PVN teardown mid-run exercises the invalidation
+  fence).
 
 The host-time cost of the same datapath is measured end to end by the
 ``steady_mix`` and ``churn_reconfig`` workloads of ``python -m bench``.
@@ -31,7 +31,6 @@ from __future__ import annotations
 from repro.experiments.harness import ExperimentResult, main
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
-from repro.netsim.trace import Tracer
 from repro.sdn.actions import Drop
 from repro.sdn.flowtable import FlowRule, FlowTable
 from repro.sdn.match import Match
@@ -43,9 +42,8 @@ FLOWS = 64
 PACKETS = 4096
 
 
-def _build_switch(n_rules: int, tracer: Tracer) -> SdnSwitch:
-    sim = Simulator()
-    switch = SdnSwitch(sim, "ingress", tracer=tracer)
+def _build_switch(n_rules: int) -> SdnSwitch:
+    switch = SdnSwitch(Simulator(), "ingress")
     for i in range(n_rules):
         switch.table.install(FlowRule(
             match=Match(owner=f"user{i}"),
@@ -94,9 +92,8 @@ def run(
     rows = []
     metrics: dict[str, float] = {}
     for n_rules in rule_counts:
-        tracer = Tracer()
         packets = _packet_schedule(n_rules)
-        switch = _build_switch(n_rules, tracer)
+        switch = _build_switch(n_rules)
         linear = _linear_comparisons(switch.table, packets) / len(packets)
 
         _replay(switch, packets)
@@ -107,11 +104,9 @@ def run(
         switch.publish_counters(switch.sim.now)
         classifications = switch.full_classifications / (2 * len(packets))
 
-        snapshot = tracer.latest("flowcache", switch.flow_cache.name)
-        hits = float(snapshot.get("hits", 0))
-        misses = float(snapshot.get("misses", 0))
-        invalidations = float(snapshot.get("invalidations", 0))
-        hit_rate = hits / (hits + misses) if hits + misses else 0.0
+        cache = switch.flow_cache
+        hit_rate = cache.hit_rate
+        invalidations = float(cache.invalidations)
 
         rows.append((
             n_rules,

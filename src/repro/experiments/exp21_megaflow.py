@@ -37,7 +37,6 @@ import hashlib
 from repro.experiments.harness import ExperimentResult, main
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
-from repro.netsim.trace import Tracer
 from repro.sdn.actions import Drop
 from repro.sdn.flowtable import FlowRule, FlowTable
 from repro.sdn.match import Match
@@ -59,8 +58,8 @@ def _install_rules(table: FlowTable, n_rules: int) -> FlowTable:
     return table
 
 
-def _build_switch(n_rules: int, tracer: Tracer | None = None) -> SdnSwitch:
-    switch = SdnSwitch(Simulator(), "ingress", tracer=tracer)
+def _build_switch(n_rules: int) -> SdnSwitch:
+    switch = SdnSwitch(Simulator(), "ingress")
     _install_rules(switch.table, n_rules)
     return switch
 
@@ -117,7 +116,7 @@ def run(
         reference = _install_rules(FlowTable(), n_rules)
         for packet in _churn_schedule(n_rules, n_packets):
             reference.lookup(packet)
-        switch = _build_switch(n_rules, Tracer())
+        switch = _build_switch(n_rules)
         _replay(switch, _churn_schedule(n_rules, n_packets))
         switch.publish_counters(switch.sim.now)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 import re
 
 from repro.errors import ConfigurationError
@@ -51,6 +52,12 @@ LINK_KINDS = frozenset(
     {FaultKind.LINK_DOWN, FaultKind.LINK_UP, FaultKind.LINK_LOSS}
 )
 
+#: Kinds whose target names exactly one NFV host.
+HOST_KINDS = frozenset({
+    FaultKind.HOST_DOWN, FaultKind.HOST_UP, FaultKind.HOST_CRASH,
+    FaultKind.HEARTBEAT_LOSS,
+})
+
 
 @dataclasses.dataclass(frozen=True)
 class FaultEvent:
@@ -69,6 +76,12 @@ class FaultEvent:
         Sorted ``(name, value)`` numeric parameters — ``duration`` for
         loss bursts and silences, ``rate`` for loss bursts, ``count``
         for DM drops.
+
+    Construction rejects, with :class:`ConfigurationError`, what the
+    injector could only fail on mid-simulation: a negative or
+    non-finite time or param, a link fault without two endpoints, a
+    host fault without exactly one host name (``"*"`` is no host), a
+    fractional ``count`` and a ``rate`` of 1 or more.
     """
 
     time: float
@@ -77,12 +90,30 @@ class FaultEvent:
     params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ConfigurationError(f"fault time must be >= 0, got {self.time}")
+        if not 0 <= self.time < math.inf:
+            raise ConfigurationError(
+                f"fault time must be finite and >= 0, got {self.time}")
         if self.kind in LINK_KINDS and len(self.target) != 2:
             raise ConfigurationError(
                 f"{self.kind.value} needs two link endpoints, got {self.target}"
             )
+        if self.kind in HOST_KINDS and (len(self.target) != 1
+                                        or self.target[0] == "*"):
+            raise ConfigurationError(
+                f"{self.kind.value} needs exactly one host name, "
+                f"got {self.target}"
+            )
+        for name, value in self.params:
+            if not 0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"{self.kind.value} {name} must be finite and >= 0, "
+                    f"got {value}")
+            if name == "count" and value != int(value):
+                raise ConfigurationError(
+                    f"{self.kind.value} count must be whole, got {value}")
+            if name == "rate" and value >= 1:
+                raise ConfigurationError(
+                    f"{self.kind.value} rate must be below 1, got {value}")
 
     def param(self, name: str, default: float = 0.0) -> float:
         for key, value in self.params:

@@ -72,7 +72,5 @@ class CompressionProxy(Middlebox):
         packet.size = max(40, packet.size - (original - len(compressed)))
         self.bytes_in += original
         self.bytes_out += len(compressed)
-        context.emit("compressor", self.name,
-                     saved=original - len(compressed))
         return Verdict.rewritten("compressed",
                                  original=original, compressed=len(compressed))

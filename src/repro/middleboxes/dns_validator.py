@@ -62,40 +62,33 @@ class DnsValidator(Middlebox):
 
         name = response.query.name
         if self.trust_anchor.knows_zone_for(name):
-            return self._validate_signed(packet, response, context)
-        return self._cross_check_unsigned(packet, response, context)
+            return self._validate_signed(packet, response)
+        return self._cross_check_unsigned(packet, response)
 
     # -- signed path ---------------------------------------------------------
 
     def _validate_signed(
         self, packet: Packet, response: DnsResponse,
-        context: ProcessingContext,
     ) -> Verdict:
         if all(self.trust_anchor.verify(r) for r in response.records):
             return Verdict.passed("dnssec valid")
-        context.emit("dns_validator", self.name,
-                     name=response.query.name, outcome="signature_invalid")
         return self._reject(packet, response, "invalid DNSSEC signature")
 
     # -- unsigned path ----------------------------------------------------------
 
     def _cross_check_unsigned(
         self, packet: Packet, response: DnsResponse,
-        context: ProcessingContext,
     ) -> Verdict:
         if not self.open_resolvers:
             return Verdict.passed("unsigned, no open resolvers configured")
         self.cross_checks_run += 1
-        majority, votes = cross_check(
+        majority, _ = cross_check(
             DnsQuery(response.query.name, response.query.rtype),
             self.open_resolvers,
         )
         answer = response.first_value()
         if majority is None or answer == majority:
             return Verdict.passed("cross-check agreed")
-        context.emit("dns_validator", self.name,
-                     name=response.query.name, outcome="cross_check_mismatch",
-                     got=answer, majority=majority, votes=str(votes))
         return self._reject(packet, response, "cross-check mismatch",
                             corrected_value=majority)
 

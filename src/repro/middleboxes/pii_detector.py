@@ -124,10 +124,6 @@ class PiiDetector(Middlebox):
             self.findings.append(
                 PiiFinding(pii_type, value, request.host, request.https)
             )
-        context.emit(
-            "pii", self.name, host=request.host,
-            types=",".join(sorted({t for t, _ in hits})), count=len(hits),
-        )
 
         if self.mode == MODE_BLOCK:
             self.leaks_blocked += 1

@@ -129,15 +129,12 @@ class Prefetcher(Middlebox):
     def inspect(self, packet: Packet, context: ProcessingContext) -> Verdict:
         payload = packet.payload
         if isinstance(payload, HttpRequest):
-            return self._on_request(packet, payload, context)
+            return self._on_request(packet, payload)
         if isinstance(payload, HttpResponse):
-            return self._on_response(packet, payload, context)
+            return self._on_response(packet, payload)
         return Verdict.passed("not HTTP")
 
-    def _on_request(
-        self, packet: Packet, request: HttpRequest,
-        context: ProcessingContext,
-    ) -> Verdict:
+    def _on_request(self, packet: Packet, request: HttpRequest) -> Verdict:
         cached = self.cache.get(request.url)
         if cached is None:
             self.misses += 1
@@ -146,13 +143,9 @@ class Prefetcher(Middlebox):
         self.bytes_served_from_cache += len(cached)
         packet.metadata["served_from_cache"] = True
         packet.metadata["cached_body"] = cached
-        context.emit("prefetcher", self.name, event="hit", url=request.url)
         return Verdict.rewritten("served from cache", url=request.url)
 
-    def _on_response(
-        self, packet: Packet, response: HttpResponse,
-        context: ProcessingContext,
-    ) -> Verdict:
+    def _on_response(self, packet: Packet, response: HttpResponse) -> Verdict:
         url = packet.metadata.get("url", "")
         if url:
             self.cache.put(url, response.body)
@@ -168,7 +161,4 @@ class Prefetcher(Middlebox):
                 if body is not None:
                     self.cache.put(link, body)
                     self.prefetch_bytes += len(body)
-        if links:
-            context.emit("prefetcher", self.name, event="prefetch",
-                         count=min(len(links), self.prefetch_depth))
         return Verdict.passed("cached and prefetched")

@@ -103,5 +103,4 @@ class ReplicaSelector(Middlebox):
         packet.metadata["original_dst"] = packet.dst
         packet.dst = choice
         self.redirected += 1
-        context.emit("replica_selector", self.name, chosen=choice)
         return Verdict.rewritten("redirected to replica", replica=choice)

@@ -117,8 +117,5 @@ class SensorPrivacyGuard(Middlebox):
             return Verdict.passed("no protected subject captured")
         request.body = self._blur(request.body)
         self.uploads_blurred += 1
-        context.emit("sensor_privacy", self.name,
-                     protected_subject=policy.subject_id,
-                     sensor_owner=packet.owner)
         return Verdict.rewritten("protected subject blurred",
                                  subject=policy.subject_id)

@@ -62,11 +62,6 @@ class TlsValidator(Middlebox):
         if handshake.intercepted:
             self.mitm_caught += 1
         detail = ",".join(result.failures)
-        context.emit(
-            "tls_validator", self.name,
-            sni=handshake.sni, failures=detail,
-            intercepted=handshake.intercepted,
-        )
         if self.mode == MODE_BLOCK:
             self.invalid_blocked += 1
             return Verdict.dropped(f"invalid certificate chain: {detail}")

@@ -52,7 +52,6 @@ class TrackerBlocker(Middlebox):
             return Verdict.passed("not a tracker")
         self.blocked_requests += 1
         self.blocked_bytes += packet.size
-        context.emit("tracker_blocker", self.name, host=request.host)
         return Verdict.dropped(f"tracker domain {request.host}")
 
     def export_state(self) -> dict:

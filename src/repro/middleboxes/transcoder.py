@@ -64,8 +64,6 @@ class Transcoder(Middlebox):
         packet.size = max(40, packet.size - (original_size - target_size))
         self.bytes_in += original_size
         self.bytes_out += target_size
-        context.emit("transcoder", self.name,
-                     saved=original_size - target_size, quality=self.quality)
         return Verdict.rewritten(
             f"transcoded to {self.quality}",
             original=original_size, transcoded=target_size,

@@ -51,7 +51,6 @@ from repro.netsim.topology import (
     build_multihomed_access,
     build_wide_area,
 )
-from repro.netsim.trace import LatencySummary, Tracer
 
 __all__ = [
     "AccessNetworkSpec",
@@ -60,7 +59,6 @@ __all__ = [
     "Host",
     "HybridFlow",
     "HybridPopulationEngine",
-    "LatencySummary",
     "Link",
     "MODE_FLUID",
     "MODE_PACKET",
@@ -75,7 +73,6 @@ __all__ = [
     "SoaTable",
     "TcpParams",
     "TokenBucket",
-    "Tracer",
     "TransferResult",
     "attach_device",
     "build_access_network",

@@ -132,30 +132,23 @@ class ServiceChain:
 
     def as_executor(
         self,
-        context_factory: Callable[[Packet], ProcessingContext] | None = None,
         clock: Callable[[], float] | None = None,
     ) -> Callable[[Packet, str], Packet | None]:
         """Adapt this chain to the SDN switch's ToChain executor API.
 
         The executor reuses one pooled :class:`ProcessingContext`
-        across packets instead of allocating per packet.  When
-        ``context_factory`` is given it is consulted once (on the first
-        packet) to seed the pooled context — its tracer and
-        trusted-execution settings persist; per-packet state (``now``
-        from ``clock`` when given, ``owner`` from the packet,
-        ``extras``) is reset for every packet.
+        across packets instead of allocating per packet; per-packet
+        state (``now`` from ``clock`` when given, ``owner`` from the
+        packet, ``extras``) is reset for every packet.
         """
         pooled: list[ProcessingContext] = []
 
         def executor(packet: Packet, chain_id: str) -> Packet | None:
             if not pooled:
-                if context_factory is not None:
-                    context = context_factory(packet)
-                else:
-                    context = ProcessingContext(
-                        now=clock() if clock is not None else 0.0,
-                        owner=packet.owner,
-                    )
+                context = ProcessingContext(
+                    now=clock() if clock is not None else 0.0,
+                    owner=packet.owner,
+                )
                 pooled.append(context)
             else:
                 context = pooled[0]

@@ -14,7 +14,6 @@ import enum
 from typing import Any
 
 from repro.netsim.packet import Packet
-from repro.netsim.trace import Tracer
 
 
 class VerdictKind(enum.Enum):
@@ -66,13 +65,8 @@ class ProcessingContext:
 
     now: float
     owner: str
-    tracer: Tracer | None = None
     trusted_execution: bool = False   # SGX-like enclave available (§4)
     extras: dict[str, Any] = dataclasses.field(default_factory=dict)
-
-    def emit(self, category: str, subject: str, **fields: Any) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.now, category, subject, **fields)
 
     def reset(self, now: float, owner: str) -> "ProcessingContext":
         """Re-arm this context for another packet (pooling support).
@@ -126,16 +120,10 @@ class Middlebox:
         self.stats.update(state.get("stats", {}))
 
     def process(self, packet: Packet, context: ProcessingContext) -> Verdict:
-        """Run :meth:`inspect` with stats and trace bookkeeping."""
+        """Run :meth:`inspect` with verdict-count bookkeeping."""
         verdict = self.inspect(packet, context)
         self.stats["processed"] += 1
         self.stats[_STAT_FOR_KIND[verdict.kind]] += 1
-        if context.tracer is not None:
-            context.emit(
-                "middlebox", self.name,
-                verdict=verdict.kind.value, reason=verdict.reason,
-                packet_id=packet.packet_id,
-            )
         return verdict
 
 

@@ -9,10 +9,10 @@ and none shared counters.
 
 A :class:`Pipeline` is the compiled form: a flat tuple of
 :class:`PipelineStep` whose runners are pre-resolved bound callables
-and whose per-hop delays are resolved at compile time, plus a reusable
-pooled context.  ``ServiceChain.compile()``, the PVN datapath
-(one pipeline per traffic class), and the degraded/bridged tunnel paths
-(:meth:`Pipeline.tunnel`) all execute through :meth:`Pipeline.run`.
+and whose per-hop delays are resolved at compile time.
+``ServiceChain.compile()``, the PVN datapath (one pipeline per traffic
+class), and the degraded/bridged tunnel paths (:meth:`Pipeline.tunnel`)
+all execute through :meth:`Pipeline.run`.
 
 Semantics are exactly those of the loops it replaces: each step charges
 its delay when reached, the first DROP or TUNNEL verdict
@@ -28,8 +28,8 @@ identity, and profiling handles are resolved only while observability
 is enabled.
 
 Per-pipeline throughput counters (``packets_in`` and per-terminal
-counts) publish through the existing :class:`~repro.netsim.trace.Tracer`
-under category ``"pipeline"``.
+counts) fold into the ``repro_pipeline_packets_total`` metric family
+at publish time.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import time
 from typing import Callable
 
 from repro.netsim.packet import Packet
-from repro.netsim.trace import Tracer
 from repro.nfv.middlebox import ProcessingContext, Verdict, VerdictKind
 from repro.obs import runtime as obs_runtime
 
@@ -105,26 +104,23 @@ class PipelineResult:
 
 
 class Pipeline:
-    """A compiled flat list of steps with one pooled context."""
+    """A compiled flat list of steps."""
 
     def __init__(
         self,
         pipeline_id: str,
         steps: tuple[PipelineStep, ...] | list[PipelineStep],
         drop_suffix: str = "",
-        tracer: Tracer | None = None,
     ) -> None:
         self.pipeline_id = pipeline_id
         self.steps = tuple(steps)
         self.drop_suffix = drop_suffix
-        self.tracer = tracer
         #: Full-traversal latency (every step's delay, pre-summed).
         self.total_delay = sum(step.delay for step in self.steps)
         self.packets_in = 0
         self.packets_forwarded = 0
         self.packets_dropped = 0
         self.packets_tunneled = 0
-        self._pooled_context: ProcessingContext | None = None
         # Per-middlebox wall-time profiling handles, resolved once per
         # Observability instance (label lookup off the per-packet path).
         self._profile_obs: object | None = None
@@ -149,30 +145,6 @@ class Pipeline:
 
         return cls(pipeline_id,
                    (PipelineStep(name="", runner=runner, delay=delay),))
-
-    # -- pooled contexts ----------------------------------------------------
-
-    def context(self, now: float, owner: str,
-                tracer: Tracer | None = None,
-                trusted_execution: bool = False) -> ProcessingContext:
-        """The pipeline's pooled context, reset for one packet.
-
-        One :class:`ProcessingContext` is allocated per pipeline and
-        reused across packets; per-packet state (``now``, ``owner``,
-        ``extras``) is wiped on every call, so middleboxes observe the
-        same fresh-context contract as before pooling.
-        """
-        pooled = self._pooled_context
-        if pooled is None:
-            pooled = ProcessingContext(
-                now=now, owner=owner, tracer=tracer,
-                trusted_execution=trusted_execution,
-            )
-            self._pooled_context = pooled
-            return pooled
-        pooled.tracer = tracer
-        pooled.trusted_execution = trusted_execution
-        return pooled.reset(now, owner)
 
     # -- execution ----------------------------------------------------------
 
@@ -277,18 +249,10 @@ class Pipeline:
             "steps": len(self.steps),
         }
 
-    def publish(self, now: float, tracer: Tracer | None = None) -> None:
-        """Emit a throughput-counter snapshot (category ``"pipeline"``).
-
-        Tracer records are unchanged; with observability enabled the
-        totals also fold into the metrics registry
-        (``repro_pipeline_packets_total{pipeline=...,result=...}``).
-        """
-        # Explicit None check: an empty Tracer is falsy (__len__ == 0).
-        sink = tracer if tracer is not None else self.tracer
-        if sink is not None:
-            sink.emit(now, "pipeline", self.pipeline_id, event="counters",
-                      **self.counters())
+    def publish(self, now: float) -> None:
+        """Fold the throughput counters into the metrics registry
+        (``repro_pipeline_packets_total{pipeline=...,result=...}``);
+        a no-op while observability is off."""
         obs = obs_runtime.current()
         if obs is not None:
             totals = self.counters()

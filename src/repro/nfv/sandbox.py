@@ -122,8 +122,6 @@ class Sandbox:
         if self.cpu_used > self.budget.cpu_seconds:
             self.killed = True
             self.violations.append("cpu budget exhausted; module killed")
-            context.emit("sandbox", self.middlebox.name,
-                         event="killed", reason="cpu_budget")
             return Verdict.passed(reason="sandbox killed; failing open to PASS")
 
         verdict = self.middlebox.process(packet, context)
@@ -133,8 +131,5 @@ class Sandbox:
                 f"module returned {verdict.kind.value} without "
                 f"{required.name} capability"
             )
-            context.emit("sandbox", self.middlebox.name,
-                         event="capability_denied",
-                         attempted=verdict.kind.value)
             return Verdict.passed(reason="capability denied; coerced to PASS")
         return verdict

@@ -1,8 +1,7 @@
 """The typed metrics registry.
 
-One :class:`MetricsRegistry` replaces the ad-hoc per-layer snapshot
-dicts the datapath refactor bolted onto the :class:`Tracer`: the
-sdn/nfv/core layers publish **labelled counters, gauges and
+One :class:`MetricsRegistry` is the only telemetry sink for counters:
+the sdn/nfv/core layers publish **labelled counters, gauges and
 histograms** through one interface, and the exporters
 (:mod:`repro.obs.export`) render Prometheus text or JSONL from it.
 

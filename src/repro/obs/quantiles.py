@@ -5,8 +5,8 @@ finite sample (the ``numpy.percentile(..., method="linear")``
 definition), replacing the old round-to-nearest-rank p95 that
 over-reported the tail on small samples.
 
-This module is deliberately stdlib-only (no repro imports) so the
-lowest layers (``repro.netsim.trace``) can depend on it without cycles.
+This module is deliberately stdlib-only (no repro imports) so any
+layer can depend on it without cycles.
 """
 
 from __future__ import annotations

@@ -89,7 +89,7 @@ class Controller:
         # shadow the rule just pushed.  (Direct table writes that
         # bypass the controller are still fenced lazily by the table's
         # generation counter.)
-        switch.invalidate_cache(f"install rule {rule.rule_id}")
+        switch.invalidate_cache()
         self._installed.setdefault(pvn_id, []).append(
             InstalledRule(switch_name=switch_name, rule_id=rule.rule_id,
                           pvn_id=pvn_id)
@@ -102,7 +102,7 @@ class Controller:
         for switch in self._switches.values():
             count = switch.table.remove_pvn(pvn_id)
             if count:
-                switch.invalidate_cache(f"remove_pvn {pvn_id}")
+                switch.invalidate_cache()
             removed += count
         self._installed.pop(pvn_id, None)
         return removed

@@ -42,9 +42,9 @@ Misses are cached too (negative entries): a flow that punts to the
 controller keeps punting without re-scanning the table.
 
 The cache keeps ``hits`` / ``misses`` / ``invalidations`` /
-``insertions`` / ``evictions`` counters and can publish them through
-the existing :class:`~repro.netsim.trace.Tracer` (category
-``"flowcache"``) so experiments can observe cache behavior.
+``insertions`` / ``evictions`` counters; experiments read them off the
+cache, and :meth:`FlowCache.publish` folds them into the
+``repro_flowcache_events_total`` metric family.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ import dataclasses
 from typing import Callable
 
 from repro.netsim.packet import Packet
-from repro.netsim.trace import Tracer
 from repro.obs import runtime as obs_runtime
 from repro.sdn.flowtable import FlowRule
 from repro.sdn.match import MatchMask
@@ -90,11 +89,9 @@ class FlowCache:
         self,
         name: str = "flowcache",
         capacity: int = DEFAULT_CAPACITY,
-        tracer: Tracer | None = None,
     ) -> None:
         self.name = name
         self.capacity = max(1, capacity)
-        self.tracer = tracer
         self._entries: "collections.OrderedDict[tuple, CacheEntry]" = (
             collections.OrderedDict()
         )
@@ -112,14 +109,13 @@ class FlowCache:
 
     # -- invalidation fences ------------------------------------------------
 
-    def ensure_generation(self, generation: int, now: float = 0.0) -> None:
+    def ensure_generation(self, generation: int) -> None:
         """Flush iff the table moved past the cached generation."""
         if generation != self._generation:
-            self.flush(f"table generation {self._generation} -> {generation}",
-                       now=now)
+            self.flush()
             self._generation = generation
 
-    def fence(self, token: object, now: float = 0.0) -> None:
+    def fence(self, token: object) -> None:
         """Adopt an epoch-fence token; a change flushes everything.
 
         Migration cutovers call this so closures compiled against the
@@ -127,33 +123,25 @@ class FlowCache:
         """
         if token != self._epoch_token:
             if self._entries:
-                self.flush(f"epoch fence {self._epoch_token!r} -> {token!r}",
-                           now=now)
+                self.flush()
             self._epoch_token = token
 
-    def flush(self, reason: str = "", now: float = 0.0) -> int:
+    def flush(self) -> int:
         """Drop every entry; returns how many were invalidated."""
         dropped = len(self._entries)
         self._entries.clear()
         if dropped:
             self.invalidations += dropped
         self.flushes += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                now, "flowcache", self.name, event="flush",
-                invalidated=dropped, reason=reason,
-            )
         return dropped
 
     # -- the fast path ------------------------------------------------------
 
-    def get(self, packet: Packet, generation: int,
-            now: float = 0.0) -> CacheEntry | None:
+    def get(self, packet: Packet, generation: int) -> CacheEntry | None:
         """The memoized entry for ``packet``, or None on a cache miss."""
-        return self.lookup(packet.flow_key(), generation, now)
+        return self.lookup(packet.flow_key(), generation)
 
-    def lookup(self, key: tuple, generation: int,
-               now: float = 0.0) -> CacheEntry | None:
+    def lookup(self, key: tuple, generation: int) -> CacheEntry | None:
         """:meth:`get` for a caller that already holds the exact-match
         key (the switch builds it once per packet, for the lookup and
         for the :meth:`store` that follows a miss).
@@ -162,7 +150,7 @@ class FlowCache:
         answers.
         """
         if generation != self._generation:
-            self.ensure_generation(generation, now=now)
+            self.ensure_generation(generation)
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -214,19 +202,11 @@ class FlowCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def publish(self, now: float, tracer: Tracer | None = None) -> None:
-        """Emit a counter snapshot (category ``"flowcache"``).
-
-        Tracer records are byte-identical to the datapath refactor's;
-        with observability enabled the totals also fold into the
-        metrics registry (``repro_flowcache_events_total`` counters
-        plus a ``repro_flowcache_entries`` gauge).
-        """
-        # Explicit None check: an empty Tracer is falsy (__len__ == 0).
-        sink = tracer if tracer is not None else self.tracer
-        if sink is not None:
-            sink.emit(now, "flowcache", self.name, event="counters",
-                      **self.counters())
+    def publish(self, now: float) -> None:
+        """Fold the counters into the metrics registry
+        (``repro_flowcache_events_total`` counters plus a
+        ``repro_flowcache_entries`` gauge); a no-op while observability
+        is off."""
         obs = obs_runtime.current()
         if obs is not None:
             totals = self.counters()
@@ -275,12 +255,10 @@ class MegaflowCache:
         self,
         name: str = "megaflow",
         capacity: int = DEFAULT_CAPACITY,
-        tracer: Tracer | None = None,
         resort_interval: int = MASK_RESORT_INTERVAL,
     ) -> None:
         self.name = name
         self.capacity = max(1, capacity)
-        self.tracer = tracer
         self.resort_interval = max(1, resort_interval)
         # Lookup stores, one dict per distinct mask, probed in
         # _mask_order (descending hit count, periodically re-sorted).
@@ -319,22 +297,20 @@ class MegaflowCache:
 
     # -- invalidation fences ------------------------------------------------
 
-    def ensure_generation(self, generation: int, now: float = 0.0) -> None:
+    def ensure_generation(self, generation: int) -> None:
         """Flush iff the table moved past the cached generation."""
         if generation != self._generation:
-            self.flush(f"table generation {self._generation} -> {generation}",
-                       now=now)
+            self.flush()
             self._generation = generation
 
-    def fence(self, token: object, now: float = 0.0) -> None:
+    def fence(self, token: object) -> None:
         """Adopt an epoch-fence token; a change flushes everything."""
         if token != self._epoch_token:
             if self._lru:
-                self.flush(f"epoch fence {self._epoch_token!r} -> {token!r}",
-                           now=now)
+                self.flush()
             self._epoch_token = token
 
-    def flush(self, reason: str = "", now: float = 0.0) -> int:
+    def flush(self) -> int:
         """Drop every entry (and every mask); returns the count."""
         dropped = len(self._lru)
         self._by_mask.clear()
@@ -346,17 +322,11 @@ class MegaflowCache:
         if dropped:
             self.invalidations += dropped
         self.flushes += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                now, "megaflow", self.name, event="flush",
-                invalidated=dropped, reason=reason,
-            )
         return dropped
 
     # -- the fast path ------------------------------------------------------
 
-    def get(self, packet: Packet, generation: int,
-            now: float = 0.0) -> CacheEntry | None:
+    def get(self, packet: Packet, generation: int) -> CacheEntry | None:
         """The first megaflow entry matching ``packet``, or None.
 
         Probes the mask list hottest-first; by the derivation
@@ -364,10 +334,10 @@ class MegaflowCache:
         first suffices regardless of order.
         """
         if generation != self._generation:
-            self.ensure_generation(generation, now=now)
+            self.ensure_generation(generation)
         self._lookups_since_resort += 1
         if self._lookups_since_resort >= self.resort_interval:
-            self._resort_masks(now=now)
+            self._resort_masks()
         for mask in self._mask_order:
             key = mask.key_for(packet)
             entry = self._by_mask[mask].get(key)
@@ -379,12 +349,12 @@ class MegaflowCache:
         self.misses += 1
         return None
 
-    def _resort_masks(self, now: float = 0.0) -> None:
+    def _resort_masks(self) -> None:
         """Reorder the mask list by descending observed hit count.
 
         Ties keep mask insertion order, so the result is a pure
         function of the lookup history — deterministic across runs.
-        Counted (and traced) only when the order actually changes.
+        Counted only when the order actually changes.
         """
         self._lookups_since_resort = 0
         order = sorted(
@@ -394,11 +364,6 @@ class MegaflowCache:
         if order != self._mask_order:
             self._mask_order = order
             self.resorts += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    now, "megaflow", self.name, event="mask_resort",
-                    masks=len(order),
-                )
 
     def put(
         self,
@@ -460,18 +425,11 @@ class MegaflowCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def publish(self, now: float, tracer: Tracer | None = None) -> None:
-        """Emit a counter snapshot (category ``"megaflow"``).
-
-        With observability enabled the totals also fold into the
-        metrics registry (``repro_megaflow_events_total`` plus entry
-        and mask-count gauges) so hit rates ship as CI artifacts.
-        """
-        # Explicit None check: an empty Tracer is falsy (__len__ == 0).
-        sink = tracer if tracer is not None else self.tracer
-        if sink is not None:
-            sink.emit(now, "megaflow", self.name, event="counters",
-                      **self.counters())
+    def publish(self, now: float) -> None:
+        """Fold the counters into the metrics registry
+        (``repro_megaflow_events_total`` plus entry and mask-count
+        gauges) so hit rates ship as CI artifacts; a no-op while
+        observability is off."""
         obs = obs_runtime.current()
         if obs is not None:
             totals = self.counters()

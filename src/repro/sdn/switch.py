@@ -44,7 +44,6 @@ from repro.sdn.flowtable import FlowTable
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.link import Link
     from repro.netsim.simulator import Simulator
-    from repro.netsim.trace import Tracer
 
 ChainExecutor = Callable[[Packet, str], Packet | None]
 PacketInHandler = Callable[["SdnSwitch", Packet], None]
@@ -56,14 +55,11 @@ CompiledActions = Callable[[Packet], None]
 class SdnSwitch(Node):
     """A match/action forwarding element."""
 
-    def __init__(self, sim: "Simulator", name: str,
-                 tracer: "Tracer | None" = None) -> None:
+    def __init__(self, sim: "Simulator", name: str) -> None:
         super().__init__(sim, name)
         self.table = FlowTable(name=f"{name}.table0")
-        self.flow_cache = FlowCache(name=f"{name}.cache", tracer=tracer)
-        self.megaflow_cache = MegaflowCache(name=f"{name}.megaflow",
-                                            tracer=tracer)
-        self.tracer = tracer
+        self.flow_cache = FlowCache(name=f"{name}.cache")
+        self.megaflow_cache = MegaflowCache(name=f"{name}.megaflow")
         self._chain_executors: dict[str, ChainExecutor] = {}
         self._packet_in: PacketInHandler | None = None
         self.packets_received = 0
@@ -85,22 +81,19 @@ class SdnSwitch(Node):
         """Table-miss handler (the controller registers itself here)."""
         self._packet_in = handler
 
-    def invalidate_cache(self, reason: str = "control-plane") -> int:
+    def invalidate_cache(self) -> int:
         """Eagerly flush both cache tiers (rule pushes, cutovers)."""
-        dropped = self.flow_cache.flush(reason, now=self.sim.now)
-        dropped += self.megaflow_cache.flush(reason, now=self.sim.now)
-        return dropped
+        return self.flow_cache.flush() + self.megaflow_cache.flush()
 
-    def fence(self, token: object, now: float | None = None) -> None:
+    def fence(self, token: object) -> None:
         """Adopt an epoch-fence token on both cache tiers.
 
         Migration cutovers call this so closures compiled against a
         superseded deployment can never serve post-cutover traffic
         from either the microflow or the megaflow tier.
         """
-        at = self.sim.now if now is None else now
-        self.flow_cache.fence(token, now=at)
-        self.megaflow_cache.fence(token, now=at)
+        self.flow_cache.fence(token)
+        self.megaflow_cache.fence(token)
 
     # -- data plane ----------------------------------------------------------
 
@@ -120,12 +113,11 @@ class SdnSwitch(Node):
         micro = self.flow_cache
         mega = self.megaflow_cache
         generation = self.table.generation
-        now = self.sim.now
         key = packet.flow_key()
-        entry = micro.lookup(key, generation, now)
+        entry = micro.lookup(key, generation)
         if entry is not None:
             return entry
-        entry = mega.get(packet, generation, now=now)
+        entry = mega.get(packet, generation)
         if entry is None:
             rule, mask = self.table.classify(packet)
             self.full_classifications += 1
@@ -250,22 +242,14 @@ class SdnSwitch(Node):
             "consumed": self.packets_consumed,
         }
 
-    def publish_counters(self, now: float,
-                         tracer: "Tracer | None" = None) -> None:
-        """Emit switch throughput and flow-cache counter snapshots.
-
-        Tracer records (category ``"switch"``) are unchanged from the
-        datapath refactor; when observability is enabled the same
-        totals also fold into the metrics registry
-        (``repro_switch_packets_total{switch=...,result=...}``) so the
-        Prometheus dump and the conservation property tests read one
-        typed interface instead of snapshot dicts.
+    def publish_counters(self, now: float) -> None:
+        """Fold switch throughput and both cache tiers' counters into
+        the metrics registry
+        (``repro_switch_packets_total{switch=...,result=...}`` and the
+        cache families) so the Prometheus dump and the conservation
+        property tests read one typed interface instead of snapshot
+        dicts; a no-op while observability is off.
         """
-        # Explicit None check: an empty Tracer is falsy (__len__ == 0).
-        sink = tracer if tracer is not None else self.tracer
-        if sink is not None:
-            sink.emit(now, "switch", self.name, event="counters",
-                      **self.counters())
         obs = obs_runtime.current()
         if obs is not None:
             obs.metrics.fold_totals(
@@ -281,5 +265,5 @@ class SdnSwitch(Node):
                 ("switch",), {"switch": self.name},
                 {"full": self.full_classifications},
             )
-        self.flow_cache.publish(now, tracer=sink)
-        self.megaflow_cache.publish(now, tracer=sink)
+        self.flow_cache.publish(now)
+        self.megaflow_cache.publish(now)

@@ -21,12 +21,12 @@ from repro.netproto.tls import make_web_pki
 from repro.netsim import (
     Packet,
     Simulator,
-    Tracer,
     attach_device,
     build_access_network,
     build_wide_area,
 )
 from repro.nfv import NfvHost
+from repro.obs import runtime as obs_runtime
 from repro.sdn import Controller, SdnSwitch
 
 
@@ -55,18 +55,17 @@ def world():
     controller = Controller()
     controller.adopt(switch)
     hosts = {n: NfvHost(n) for n in topo.nodes_of_kind("nfv")}
-    tracer = Tracer()
     manager = DeploymentManager(
         provider="isp", topo=topo, hosts=hosts, sim=sim,
-        controller=controller, tracer=tracer,
+        controller=controller,
         dhcp=DhcpServer("10.10.0.0/16", pvn_server="pvn.isp"),
     )
-    return sim, switch, controller, manager, tracer
+    return sim, switch, controller, manager
 
 
 @pytest.fixture
 def deployed(world):
-    sim, switch, controller, manager, tracer = world
+    sim, switch, controller, manager = world
     pvnc = default_pvnc()
     request = DeploymentRequest(
         device_id="alice:mac", offer_id=1, pvnc=pvnc,
@@ -134,20 +133,23 @@ class TestPipelineInvalidation:
         outcome = datapath.process(alice_packet(), now=sim.now)
         assert outcome.action != "tunnel"
 
-    def test_counters_publish_through_manager_tracer(self, deployed):
-        (sim, _, _, manager, tracer), ack = deployed
+    def test_counters_fold_into_registry(self, deployed):
+        (sim, _, _, manager), ack = deployed
         datapath = manager.deployment(ack.deployment_id).datapath
         datapath.process(alice_packet(), now=sim.now)
-        datapath.publish_counters(sim.now)
-        record = tracer.latest("datapath", ack.deployment_id)
-        assert record is not None
-        assert record.get("packets_processed") == 1
-        assert record.get("pipeline_compiles") >= 1
+        with obs_runtime.enabled() as obs:
+            datapath.publish_counters(sim.now)
+        value = obs.metrics.value
+        labels = {"deployment": ack.deployment_id}
+        assert value("repro_datapath_packets", result="packets_processed",
+                     **labels) == 1
+        assert value("repro_datapath_packets", result="pipeline_compiles",
+                     **labels) >= 1
 
 
 class TestMigrationFencesSwitchCache:
     def test_commit_adopts_epoch_fence_token(self, deployed):
-        (sim, switch, controller, manager, _), ack = deployed
+        (sim, switch, controller, manager), ack = deployed
         # Warm the microflow cache with a non-PVN flow (negative entry).
         switch.process(alice_packet(owner="bob"))
         assert len(switch.flow_cache) == 1
@@ -165,16 +167,14 @@ class TestMigrationFencesSwitchCache:
         # ...and adopted the (lineage, epoch) fence token: re-fencing
         # with the committed token is a no-op, a later epoch flushes.
         flushes = switch.flow_cache.flushes
-        switch.flow_cache.fence((source.lineage_id, result.epoch),
-                                now=sim.now)
+        switch.flow_cache.fence((source.lineage_id, result.epoch))
         assert switch.flow_cache.flushes == flushes
         switch.process(alice_packet(owner="bob"))
-        switch.flow_cache.fence((source.lineage_id, result.epoch + 1),
-                                now=sim.now)
+        switch.flow_cache.fence((source.lineage_id, result.epoch + 1))
         assert len(switch.flow_cache) == 0
 
     def test_stale_source_still_rejects_after_cutover(self, deployed):
-        (sim, _, _, manager, _), ack = deployed
+        (sim, _, _, manager), ack = deployed
         result = migrate_device(manager, ack.deployment_id, "dev_alice2",
                                 now=sim.now)
         assert result.committed

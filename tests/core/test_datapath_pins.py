@@ -27,7 +27,7 @@ from repro.core.deployment.manager import ACTION_DROP, ACTION_FORWARD
 from repro.errors import AuditError
 from repro.experiments import exp16_datapath, exp21_megaflow
 from repro.netproto.http import HttpRequest
-from repro.netsim import Packet, Tracer
+from repro.netsim import Packet
 from repro.nfv.middlebox import (
     Middlebox,
     ProcessingContext,
@@ -87,7 +87,7 @@ class TestProofBytes:
             verify_path(packet, keyring, WAYPOINTS)
 
     def test_the_datapath_stamps_what_the_keyring_verifies(self, deployed):
-        (sim, _, _, manager, _), ack = deployed
+        (sim, _, _, manager), ack = deployed
         deployment = manager.deployment(ack.deployment_id)
         packet = alice_packet(payload=HttpRequest("GET", "x.example.com", "/"))
         outcome = deployment.datapath.process(packet, now=sim.now)
@@ -99,7 +99,7 @@ class TestProofBytes:
 
 class TestCompileTimeResolution:
     def test_missing_proof_key_fails_once_at_pipeline_compile(self, deployed):
-        (sim, _, _, manager, _), ack = deployed
+        (sim, _, _, manager), ack = deployed
         datapath = manager.deployment(ack.deployment_id).datapath
         datapath.keyring = ProofKeyring(
             datapath.deployment_id,
@@ -134,18 +134,6 @@ class TestCompileTimeResolution:
         assert sandbox.process(packet, context).kind is VerdictKind.PASS
         assert len(sandbox.violations) == 2
 
-    def test_untraced_middlebox_builds_no_trace_record(self):
-        tracer = Tracer()
-        box = Middlebox("plain")
-        packet = Packet(src="10.0.0.1", dst="10.0.0.2", owner="alice")
-        box.process(packet, ProcessingContext(now=0.0, owner="alice"))
-        assert len(tracer) == 0
-        box.process(packet, ProcessingContext(now=1.5, owner="alice",
-                                              tracer=tracer))
-        (record,) = tracer.records("middlebox", "plain")
-        assert dict(record.fields) == {
-            "verdict": "pass", "reason": "", "packet_id": packet.packet_id}
-        assert box.stats["processed"] == 2
 
 
 class TestReasonLabels:
@@ -159,12 +147,13 @@ class TestReasonLabels:
             PipelineStep(name=name, runner=lambda p, c: next(verdicts))
             for name in ("tls", "pii", "proxy")))
         packet = Packet(src="10.0.0.1", dst="10.0.0.2", owner="alice")
-        result = pipeline.run(packet, pipeline.context(0.0, "alice"))
+        context = ProcessingContext(now=0.0, owner="alice")
+        result = pipeline.run(packet, context)
         assert result.labels == ("tls:pass", "pii:rewrite", "proxy:crashed")
         assert result.terminal_kind is VerdictKind.DROP
 
         unnamed = Pipeline.tunnel("p/bridge", "cloud", "migrating:bridge")
-        assert unnamed.run(packet, unnamed.context(0.0, "alice")).labels == (
+        assert unnamed.run(packet, context).labels == (
             "migrating:bridge",)
         for kind in VerdictKind:
             step = PipelineStep(name="box", runner=lambda p, c: None)
@@ -173,7 +162,7 @@ class TestReasonLabels:
     def test_verdict_reasons_of_a_deployed_chain(self, deployed):
         # The strings and the delay are the parent commit's, for the
         # default PVNC's video_image chain (transcoder -> tcp_proxy).
-        (sim, _, _, manager, _), ack = deployed
+        (sim, _, _, manager), ack = deployed
         deployment = manager.deployment(ack.deployment_id)
         datapath = deployment.datapath
 
@@ -201,7 +190,7 @@ class TestAccountingDigests:
     were recorded from the parent commit."""
 
     def test_e21_churn_accounting_is_the_parents_in_every_configuration(self):
-        switch = exp21_megaflow._build_switch(100, Tracer())
+        switch = exp21_megaflow._build_switch(100)
         exp21_megaflow._replay(
             switch, exp21_megaflow._churn_schedule(100, 1600))
         assert exp21_megaflow._digest(switch) == (
@@ -210,7 +199,7 @@ class TestAccountingDigests:
         assert switch.full_classifications == 100
 
     def test_e16_replay_accounting_is_the_parents(self):
-        switch = exp16_datapath._build_switch(100, Tracer())
+        switch = exp16_datapath._build_switch(100)
         packets = exp16_datapath._packet_schedule(100)
         exp16_datapath._replay(switch, packets)
         switch.table.remove_pvn("user0/pvn0")

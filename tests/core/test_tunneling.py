@@ -17,6 +17,7 @@ from repro.core.tunneling import (
 )
 from repro.errors import TunnelError
 from repro.netsim import Packet, attach_device, build_access_network, build_wide_area
+from repro.nfv.middlebox import ProcessingContext
 
 
 @pytest.fixture
@@ -125,7 +126,7 @@ class TestEncapSpecs:
         tunnel = FullTunnel(topo, "dev", "cloud", encap="bf-cbc-sha1")
         pipeline = tunnel.as_pipeline()
         result = pipeline.run(
-            pkt(), pipeline.context(0.0, "alice"))
+            pkt(), ProcessingContext(now=0.0, owner="alice"))
         assert result.tunnel_endpoint == "cloud"
         assert result.added_delay == pytest.approx(
             tunnel.encap.cpu_seconds(1500))

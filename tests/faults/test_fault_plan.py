@@ -1,16 +1,21 @@
 """Fault plans: DSL parsing, ordering, and seeded determinism."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core import PvnSession, default_pvnc
 from repro.errors import ConfigurationError
 from repro.faults import (
     FaultEvent,
+    FaultInjector,
     FaultKind,
     FaultPlan,
     make_event,
     normalise_ids,
     parse_fault_plan,
 )
+from repro.faults.events import HOST_KINDS, LINK_KINDS
+from repro.faults.plan import _VERBS
 
 SCRIPT = """
 # comments and blank lines are ignored
@@ -59,6 +64,18 @@ class TestDsl:
         "at soon crash *",            # non-numeric time
         "at 1.0 meteor-strike ap0",   # unknown verb
         "at 1.0 silence duration=long",  # non-numeric param
+        # Each of these once parsed and then failed (or was silently
+        # accepted) inside the simulation; now the parse refuses them.
+        "at 1.0 host-down",                      # host fault, no host
+        "at 1.0 heartbeat-loss nfv0 count=nan",  # non-finite param
+        "at nan crash *",                        # non-finite time
+        "at inf crash *",
+        "at 1.0 silence duration=-1",            # negative param
+        "at 1.0 partition nfv1 duration=nan",
+        "at 1.0 drop-dm count=2.5",              # fractional count
+        "at 1.0 loss-burst agg core rate=1",     # certain loss
+        "at 1.0 host-crash nfv0 nfv1",           # two hosts
+        "at 0 host-crash *",                     # "*" is no host
     ])
     def test_malformed_lines_raise(self, line):
         with pytest.raises(ConfigurationError):
@@ -132,3 +149,94 @@ class TestNormaliseIds:
         run_a = "crashed alice/pvn3:tls\nrepaired alice/pvn3"
         run_b = "crashed alice/pvn8:tls\nrepaired alice/pvn8"
         assert normalise_ids(run_a) == normalise_ids(run_b)
+
+
+# -- fuzz: every script parses to an applicable plan or fails at parse ------
+
+#: Names the fuzz world has: its NFV hosts, and its links as endpoint
+#: pairs.  Targets are drawn from these, so an event that parses names
+#: only things that exist and must apply.
+_HOSTS = ("nfv0", "nfv1")
+_LINKS = (("agg", "ap1"), ("agg", "core"), ("gw", "home"))
+
+
+def _mostly(good, bad):
+    """``good`` seven draws in eight, else ``bad``: most scripts parse
+    and reach the injector, and every malformed shape still shows up."""
+    return st.integers(0, 7).flatmap(lambda i: bad if i == 0 else good)
+
+
+_bad_numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["-1", "2.5", "1e308", "x"]),
+)
+_numbers = _mostly(
+    st.one_of(st.sampled_from(["0", "0.5", "1", "2", "3.25"]),
+              st.floats(0, 1e6).map(repr)),
+    _bad_numbers,
+)
+_param_values = {
+    "duration": _numbers,
+    "count": _mostly(st.integers(0, 5).map(str), _bad_numbers),
+    "rate": _mostly(st.floats(0, 0.99).map(repr), _bad_numbers),
+}
+_any_target = st.one_of(
+    st.just(()),
+    st.sampled_from(_HOSTS + ("*",)).map(lambda host: (host,)),
+    st.sampled_from(_LINKS),
+    st.tuples(st.sampled_from(_LINKS), st.sampled_from(_HOSTS)).map(
+        lambda pair_host: (*pair_host[0], pair_host[1])),
+)
+
+
+def _target_for(verb):
+    """The target shape ``verb`` takes, or now and then any shape."""
+    kind = _VERBS.get(verb)
+    if kind in LINK_KINDS:
+        proper = st.sampled_from(_LINKS)
+    elif kind in HOST_KINDS:
+        proper = st.sampled_from(_HOSTS).map(lambda host: (host,))
+    else:
+        proper = st.sampled_from([(), ("*",), ("tls_validator",)])
+    return _mostly(proper, _any_target)
+
+
+def _line(time, verb, target, params):
+    return " ".join(["at", time, verb, *target,
+                     *(f"{key}={value}" for key, value in params)])
+
+
+_params = st.lists(
+    st.sampled_from(sorted(_param_values)).flatmap(
+        lambda key: st.tuples(st.just(key), _param_values[key])),
+    max_size=2,
+)
+_verbs = _mostly(st.sampled_from(sorted(_VERBS)), st.just("meteor-strike"))
+_event_lines = _verbs.flatmap(
+    lambda verb: st.builds(_line, _numbers, st.just(verb),
+                           _target_for(verb), _params))
+_scripts = st.lists(
+    _mostly(_event_lines, st.text(max_size=20)), max_size=4,
+).map("\n".join)
+
+
+class TestScriptFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(script=_scripts)
+    @example(script="at 1.0 host-down")
+    @example(script="at 1.0 heartbeat-loss nfv0 count=nan")
+    @example(script="at nan crash *")
+    @example(script="at 1.0 silence duration=-1")
+    @example(script="at 1.0 partition nfv1 duration=nan")
+    @example(script="at 0 host-crash *")
+    def test_script_applies_or_fails_at_parse(self, script):
+        try:
+            plan = parse_fault_plan(script)
+        except ConfigurationError:
+            return
+        session = PvnSession.build(seed=0)
+        assert session.connect(default_pvnc()).deployed
+        injector = FaultInjector(session.sim, session.provider)
+        for event in plan:
+            injector.inject_now(event)
+        assert len(injector.applied) == len(plan)

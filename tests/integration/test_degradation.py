@@ -104,4 +104,4 @@ class TestDegradationEndToEnd:
         session.teardown()
         with pytest.raises(DeploymentError, match="torn-down"):
             degrade_to_tunnel(session.provider.manager, deployment_id,
-                              "cloud", now=session.sim.now)
+                              "cloud")

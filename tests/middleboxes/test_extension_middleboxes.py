@@ -16,7 +16,7 @@ from repro.middleboxes import (
     unseal,
 )
 from repro.netproto.http import HttpRequest, HttpResponse
-from repro.netsim import Packet, Tracer
+from repro.netsim import Packet
 from repro.nfv import ProcessingContext
 from repro.nfv.middlebox import VerdictKind
 from repro.workloads import Eavesdropper, IotSensor
@@ -25,7 +25,7 @@ KEY = b"session-key-1"
 
 
 def ctx():
-    return ProcessingContext(now=0.0, owner="alice", tracer=Tracer())
+    return ProcessingContext(now=0.0, owner="alice")
 
 
 def pkt(payload=None, **kwargs):

@@ -21,13 +21,13 @@ from repro.middleboxes import (
 )
 from repro.netproto import HttpRequest, HttpResponse
 from repro.netproto.http import CONTENT_IMAGE, CONTENT_TEXT, CONTENT_VIDEO
-from repro.netsim import Packet, PathCharacteristics, Tracer
+from repro.netsim import Packet, PathCharacteristics
 from repro.nfv import ProcessingContext
 from repro.nfv.middlebox import VerdictKind
 
 
 def ctx(**kwargs):
-    return ProcessingContext(now=0.0, owner="alice", tracer=Tracer(), **kwargs)
+    return ProcessingContext(now=0.0, owner="alice", **kwargs)
 
 
 def pkt(payload=None, **kwargs):

@@ -21,7 +21,7 @@ from repro.netproto import (
     ZoneSigner,
     make_web_pki,
 )
-from repro.netsim import Packet, Tracer
+from repro.netsim import Packet
 from repro.nfv import ProcessingContext
 from repro.nfv.middlebox import VerdictKind
 
@@ -29,7 +29,7 @@ NOW = 1_000_000.0
 
 
 def ctx(now=NOW, **kwargs):
-    return ProcessingContext(now=now, owner="alice", tracer=Tracer(), **kwargs)
+    return ProcessingContext(now=now, owner="alice", **kwargs)
 
 
 def pkt(payload=None, **kwargs):

@@ -1,57 +1,8 @@
-"""Tests for tracing, random streams, and packet bookkeeping."""
+"""Tests for random streams and packet bookkeeping."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.netsim import LatencySummary, Packet, RandomStreams, Tracer, derive_seed
-
-
-class TestTracer:
-    def test_emit_and_filter(self):
-        tracer = Tracer()
-        tracer.emit(1.0, "audit", "isp1", verdict="ok")
-        tracer.emit(2.0, "audit", "isp2", verdict="violation")
-        tracer.emit(3.0, "mbox", "pii", verdict="blocked")
-        assert len(tracer) == 3
-        assert tracer.count("audit") == 2
-        assert tracer.count("audit", subject="isp2") == 1
-        assert tracer.records("mbox")[0].get("verdict") == "blocked"
-
-    def test_values_and_counter(self):
-        tracer = Tracer()
-        for verdict in ("ok", "ok", "bad"):
-            tracer.emit(0.0, "check", "x", verdict=verdict)
-        assert tracer.values("check", "verdict") == ["ok", "ok", "bad"]
-        assert tracer.counter("check", "verdict") == {"ok": 2, "bad": 1}
-
-    def test_get_default(self):
-        tracer = Tracer()
-        tracer.emit(0.0, "c", "s", a=1)
-        assert tracer.records("c")[0].get("missing", 42) == 42
-
-
-class TestLatencySummary:
-    def test_summary_statistics(self):
-        summary = LatencySummary.from_samples([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert summary.count == 5
-        assert summary.mean == pytest.approx(3.0)
-        assert summary.median == pytest.approx(3.0)
-        assert summary.minimum == 1.0
-        assert summary.maximum == 5.0
-
-    def test_empty_sample(self):
-        summary = LatencySummary.from_samples([])
-        assert summary.count == 0
-        assert summary.mean == 0.0
-
-    @given(st.lists(st.floats(min_value=0, max_value=1e3), min_size=1, max_size=100))
-    def test_invariants(self, samples):
-        summary = LatencySummary.from_samples(samples)
-        tolerance = 1e-9 * max(1.0, summary.maximum)
-        assert summary.minimum <= summary.median <= summary.maximum
-        assert summary.minimum - tolerance <= summary.mean
-        assert summary.mean <= summary.maximum + tolerance
-        assert summary.minimum <= summary.p95 <= summary.maximum
+from repro.netsim import Packet, RandomStreams, derive_seed
 
 
 class TestRandomStreams:

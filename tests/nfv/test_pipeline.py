@@ -10,7 +10,7 @@ the next.
 
 import pytest
 
-from repro.netsim import Packet, Tracer
+from repro.netsim import Packet
 from repro.nfv import (
     ChainHop,
     Container,
@@ -23,6 +23,7 @@ from repro.nfv import (
 )
 from repro.nfv.middlebox import VerdictKind
 from repro.nfv.pipeline import labeled_verdict
+from repro.obs import runtime as obs_runtime
 
 
 class Recorder(Middlebox):
@@ -59,8 +60,8 @@ def pkt(owner="alice", **kwargs):
     return Packet(src="10.0.0.1", dst="1.1.1.1", owner=owner, **kwargs)
 
 
-def ctx(owner="alice", tracer=None):
-    return ProcessingContext(now=0.0, owner=owner, tracer=tracer)
+def ctx(owner="alice"):
+    return ProcessingContext(now=0.0, owner=owner)
 
 
 def passing_step(name, delay=0.0, precheck=None):
@@ -133,15 +134,17 @@ class TestPipelineRun:
         assert result.packet is None
         assert pipeline.packets_tunneled == 1
 
-    def test_counters_publish_through_tracer(self):
-        tracer = Tracer()
+    def test_counters_fold_into_registry(self):
         pipeline = Pipeline("p", (passing_step("a"),))
         pipeline.run(pkt(), ctx())
-        pipeline.publish(1.5, tracer=tracer)
-        record = tracer.latest("pipeline", "p")
-        assert record is not None
-        assert record.get("packets_in") == 1
-        assert record.get("forwarded") == 1
+        with obs_runtime.enabled() as obs:
+            pipeline.publish(1.5)
+        value = obs.metrics.value
+        assert value("repro_pipeline_packets",
+                     pipeline="p", result="packets_in") == 1
+        assert value("repro_pipeline_packets",
+                     pipeline="p", result="forwarded") == 1
+        assert value("repro_pipeline_steps", pipeline="p") == 1
 
 
 # -- chain compilation --------------------------------------------------------
@@ -203,25 +206,6 @@ class TestPooledContexts:
         owners = [owner for _, owner, _ in recorder.seen]
         assert owners == ["alice", "bob"]
 
-    def test_context_factory_consulted_once_and_settings_persist(self):
-        tracer = Tracer()
-        calls = []
-
-        def factory(packet):
-            calls.append(packet.owner)
-            return ProcessingContext(now=0.0, owner=packet.owner,
-                                     tracer=tracer)
-
-        recorder = Recorder("r")
-        chain = ServiceChain("c", [ChainHop(running(recorder))])
-        executor = chain.as_executor(context_factory=factory)
-        executor(pkt(), "c")
-        executor(pkt(), "c")
-        assert calls == ["alice"]
-        # The factory's tracer persisted across the pooled resets:
-        # every middlebox verdict was emitted through it.
-        assert tracer.count("middlebox", "r") == 2
-
     def test_separate_chains_do_not_share_pooled_context(self):
         rec1, rec2 = Recorder("r1"), Recorder("r2")
         chain1 = ServiceChain("c1", [ChainHop(running(rec1))])
@@ -232,11 +216,14 @@ class TestPooledContexts:
         assert rec1.seen[0][0] != rec2.seen[0][0]
 
     def test_pipeline_context_pools_and_wipes(self):
-        pipeline = Pipeline("p", (passing_step("a"),))
-        first = pipeline.context(1.0, "alice")
+        # The pooled context a pipeline runs with is re-armed per
+        # packet by reset(): same object, packet-scoped state wiped.
+        first = ProcessingContext(now=1.0, owner="alice",
+                                  trusted_execution=True)
         first.extras["leftover"] = True
-        second = pipeline.context(2.0, "bob")
+        second = first.reset(2.0, "bob")
         assert second is first
+        assert second.trusted_execution
         assert second.now == 2.0
         assert second.owner == "bob"
         assert second.extras == {}

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.errors import EmbeddingError, SandboxViolation
-from repro.netsim import Packet, Tracer, build_access_network, attach_device
+from repro.netsim import Packet, build_access_network, attach_device
 from repro.nfv import (
     Capability,
     ChainHop,
@@ -53,7 +53,7 @@ def running(middlebox, owner="alice", spec=None):
 
 
 def ctx(owner="alice"):
-    return ProcessingContext(now=0.0, owner=owner, tracer=Tracer())
+    return ProcessingContext(now=0.0, owner=owner)
 
 
 def pkt(owner="alice"):
@@ -166,11 +166,11 @@ class TestServiceChain:
 
     def test_as_executor_adapter(self):
         chain = ServiceChain("c", [ChainHop(running(Middlebox("a")))])
-        executor = chain.as_executor(lambda packet: ctx(packet.owner))
+        executor = chain.as_executor()
         packet = pkt()
         assert executor(packet, "c") is packet
         blocked_chain = ServiceChain("d", [ChainHop(running(Blocker()))])
-        executor2 = blocked_chain.as_executor(lambda packet: ctx(packet.owner))
+        executor2 = blocked_chain.as_executor()
         assert executor2(pkt(), "d") is None
 
     def test_chain_requires_id(self):

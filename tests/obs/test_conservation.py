@@ -74,7 +74,7 @@ def test_conservation_under_chaos_via_registry(script):
             elif kind == "remove_pvn":
                 switch.table.remove_pvn(f"user{step[1]}/pvn")
             elif kind == "flush":
-                switch.invalidate_cache("chaos")
+                switch.invalidate_cache()
             elif kind == "drop_punt_handler":
                 switch.set_packet_in_handler(None)
 

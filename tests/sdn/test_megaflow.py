@@ -94,7 +94,7 @@ class TestMegaflowEquivalence:
             elif op[0] == "fence":
                 token = ("migration", next(epochs))
                 for switch in switches:
-                    switch.fence(token, now=0.0)
+                    switch.fence(token)
             else:
                 _, owner_idx, dst_port, src_octet = op
                 pair = [flow_pkt(owner=f"u{owner_idx}", dst_port=dst_port,
@@ -386,7 +386,7 @@ class TestMaskOrdering:
         _seed_two_masks(cache)
         for _ in range(4):
             cache.get(flow_pkt(owner="z", dst_port=80), generation=0)
-        cache.flush("test")
+        cache.flush()
         assert cache.mask_order == ()
         assert cache.mask_count == 0
         # Re-populated masks start cold, in fresh insertion order.
