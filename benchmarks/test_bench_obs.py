@@ -125,7 +125,7 @@ def test_closed_loop_machinery_keeps_10pct_bar():
                                           result="good"))
             switch = build_switch(N_RULES)
             loop = max(loop, replay_pps(switch, packets))
-            switch.publish_counters(float(round_no))
+            switch.publish_counters()
             obs.slo.record("bench_availability",
                            good=switch.packets_total)
             obs.recorder.note("bench", float(round_no), round=round_no)

@@ -21,9 +21,6 @@ class Summary:
     ci_low: float
     ci_high: float
 
-    def __str__(self) -> str:  # pragma: no cover - display helper
-        return f"{self.mean:.4g} [{self.ci_low:.4g}, {self.ci_high:.4g}]"
-
 
 def summarize(samples: Iterable[float], confidence: float = 0.95) -> Summary:
     """Mean/median/stdev plus a CI (normal approximation; exact enough

@@ -24,7 +24,7 @@ from repro.core.auditor.path_proof import (
     ProofKeyring,
     make_keyring,
     path_proof_ok,
-    stamp,
+    stamp_keyed,
     verify_path,
 )
 from repro.core.auditor.reputation import (
@@ -64,7 +64,7 @@ __all__ = [
     "middlebox_execution_test",
     "path_inflation_test",
     "path_proof_ok",
+    "stamp_keyed",
     "privacy_exposure_test",
-    "stamp",
     "verify_path",
 ]

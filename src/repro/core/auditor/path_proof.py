@@ -49,10 +49,6 @@ class ProofKeyring:
                 return key
         raise AuditError(f"no proof key for waypoint {waypoint!r}")
 
-    @property
-    def waypoints(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.keys)
-
 
 def make_keyring(deployment_id: str, waypoints: list[str]) -> ProofKeyring:
     """Derive independent waypoint keys from the deployment id."""
@@ -68,14 +64,10 @@ def make_keyring(deployment_id: str, waypoints: list[str]) -> ProofKeyring:
     return ProofKeyring(deployment_id=deployment_id, keys=keys)
 
 
-def stamp(packet: Packet, waypoint: str, keyring: ProofKeyring) -> None:
-    """Called by the data path as the packet traverses ``waypoint``."""
-    stamp_keyed(packet, waypoint, keyring.key_for(waypoint))
-
-
 def stamp_keyed(packet: Packet, waypoint: str, key: bytes) -> None:
-    """:func:`stamp` for a hop that resolved its proof key when it was
-    compiled (``key == keyring.key_for(waypoint)``)."""
+    """Called by the data path as the packet traverses ``waypoint``,
+    with the hop's proof key resolved when it was compiled
+    (``key == keyring.key_for(waypoint)``)."""
     proofs: list[tuple[str, bytes]] = packet.metadata.setdefault(PROOF_KEY, [])
     previous = proofs[-1][1] if proofs else b""
     # ``_mac`` in line: this runs once per hop of every packet.

@@ -59,9 +59,6 @@ class EvidenceLedger:
         self._records: list[ViolationRecord] = []
         self.audits_run = 0
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def record_result(
         self,
         result: MeasurementResult,
@@ -111,9 +108,6 @@ class EvidenceLedger:
             if r.provider == provider and not r.test.startswith("fault:")
         ]
 
-    def violation_count(self, provider: str) -> int:
-        return len(self.violations_for(provider))
-
     def fault_records(self, provider: str | None = None) -> list[ViolationRecord]:
         """Fault/repair/degradation evidence, optionally per provider."""
         return [
@@ -121,9 +115,6 @@ class EvidenceLedger:
             if r.test.startswith("fault:")
             and (provider is None or r.provider == provider)
         ]
-
-    def all_records(self) -> list[ViolationRecord]:
-        return list(self._records)
 
 
 def file_dispute(

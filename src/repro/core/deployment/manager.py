@@ -58,15 +58,14 @@ from repro.nfv.hypervisor import NfvHost
 from repro.nfv.middlebox import Middlebox, ProcessingContext, Verdict, VerdictKind
 from repro.nfv.pipeline import Pipeline, PipelineStep, labeled_verdict
 from repro.nfv.sandbox import Capability, Sandbox
-from repro.sdn.actions import Output, ToChain
+from repro.sdn.actions import ToChain
 from repro.sdn.controller import Controller
 
 _deployment_numbers = itertools.count(1)
 
 #: The n-th deployment of a manager's lifetime (n from 1) gets
 #: ``10.<200 + n // 256>.<n % 256>.0/24``: 10.200.1.0 ... 10.200.255.0,
-#: then 10.201.0.0 and on, stopping short of 10.250 (the addresses
-#: ``PhysicalTopology.instantiate`` synthesises for hosts): n <= 12 799.
+#: then 10.201.0.0 and on, stopping short of 10.250: n <= 12 799.
 _PVN_SUBNETS = (250 - 200) * 256 - 1
 
 #: Container states in which a service is down: crashed (or stopped)
@@ -180,7 +179,7 @@ class PvnDataPath:
     def degraded_to(self, endpoint: str) -> None:
         if endpoint != self._degraded_to:
             self._degraded_to = endpoint
-            self.invalidate_pipelines("degraded_to changed")
+            self.invalidate_pipelines()
 
     @property
     def bridging_to(self) -> str:
@@ -191,7 +190,7 @@ class PvnDataPath:
     def bridging_to(self, endpoint: str) -> None:
         if endpoint != self._bridging_to:
             self._bridging_to = endpoint
-            self.invalidate_pipelines("bridging_to changed")
+            self.invalidate_pipelines()
 
     @property
     def epoch(self) -> int:
@@ -201,9 +200,9 @@ class PvnDataPath:
     def epoch(self, value: int) -> None:
         if value != self._epoch:
             self._epoch = value
-            self.invalidate_pipelines("epoch fence advanced")
+            self.invalidate_pipelines()
 
-    def invalidate_pipelines(self, reason: str = "") -> None:
+    def invalidate_pipelines(self) -> None:
         """Drop every compiled pipeline (next packet recompiles).
 
         Part of the migration/degradation contract: any change to the
@@ -448,7 +447,7 @@ class PvnDataPath:
             counts[f"{traffic_class}_packets"] = compiled[0].packets_in
         return counts
 
-    def publish_counters(self, now: float) -> None:
+    def publish_counters(self) -> None:
         """Fold the datapath throughput counters into the metrics
         registry (``repro_datapath_packets_total{deployment=...,
         result=...}``), and each per-class pipeline's own; a no-op
@@ -466,7 +465,7 @@ class PvnDataPath:
             if self._redirect_pipeline is not None:
                 pipelines.append(self._redirect_pipeline)
             for pipeline in pipelines:
-                pipeline.publish(now)
+                pipeline.publish()
 
 
 class DeploymentState(enum.Enum):
@@ -538,7 +537,6 @@ class DeploymentManager:
         store_factories: dict[str, Callable[[], Middlebox]] | None = None,
         store_capabilities: dict[str, Capability] | None = None,
         compile_cache: CompileCache | None = _USE_DEFAULT_CACHE,  # type: ignore[assignment]
-        use_embedding_index: bool = True,
         optimizer=None,
     ) -> None:
         self.provider = provider
@@ -564,10 +562,8 @@ class DeploymentManager:
         # (repro.core.deployment.orchestrator.PlacementOptimizer);
         # None keeps the first-fit seed behaviour byte-identical.
         self.optimizer = optimizer
-        self.embedding_index = (
-            EmbeddingIndex(topo, hosts, optimizer=optimizer)
-            if use_embedding_index else None
-        )
+        self.embedding_index = EmbeddingIndex(topo, hosts,
+                                              optimizer=optimizer)
         # Lazily created by repro.core.deployment.migration.
         self.migration_coordinator = None
 

@@ -428,7 +428,6 @@ class _PlacementProblem:
         model: CostModel,
         pool: SharedMiddleboxPool | None,
         prefer_reuse: bool = True,
-        allow_sharing: bool = True,
     ) -> None:
         self.topo = topo
         self.hosts = hosts
@@ -438,7 +437,6 @@ class _PlacementProblem:
         self.model = model
         self.pool = pool
         self.prefer_reuse = prefer_reuse
-        self.allow_sharing = allow_sharing
         self.nfv_nodes = [
             node for node in topo.nodes_of_kind("nfv") if node in hosts
         ]
@@ -456,8 +454,8 @@ class _PlacementProblem:
             physical = _physical_box_for(self.topo, request.service)
             if physical is not None:
                 found.append(_Candidate("physical", physical))
-        if (self.pool is not None and self.allow_sharing
-                and _sharing_allowed(request)):
+        sharing = self.pool is not None and _sharing_allowed(request)
+        if sharing:
             for instance in self.pool.joinable(request.service):
                 host = self.hosts.get(instance.node)
                 if host is None or not host.alive:
@@ -467,11 +465,8 @@ class _PlacementProblem:
                                         load=instance.load))
         for node in self.nfv_nodes:
             if residuals.fits(node, request):
-                kind = ("fresh_shared"
-                        if (self.pool is not None and self.allow_sharing
-                            and _sharing_allowed(request))
-                        else "fresh")
-                found.append(_Candidate(kind, node))
+                found.append(_Candidate(
+                    "fresh_shared" if sharing else "fresh", node))
         return found
 
     # -- objective ---------------------------------------------------------
@@ -878,14 +873,14 @@ class PlacementOptimizer:
                 self.pool.join(instance.instance_id, deployment_id)
             joined[decision.service] = instance.instance_id
         if joined:
-            self.publish_loads(now)
+            self.publish_loads()
         return joined
 
     def release(self, deployment_id: str, now: float = 0.0) -> int:
         """Forget a deployment's memberships (teardown/supersession)."""
         dropped = self.pool.release(deployment_id)
         if dropped:
-            self.publish_loads(now)
+            self.publish_loads()
         return dropped
 
     # -- load telemetry ------------------------------------------------------
@@ -901,9 +896,9 @@ class PlacementOptimizer:
         aggregates)."""
         for instance in self.pool.memberships(deployment_id):
             instance.members[deployment_id] = rate
-        self.publish_loads(now)
+        self.publish_loads()
 
-    def publish_loads(self, now: float = 0.0) -> None:
+    def publish_loads(self) -> None:
         """Fold per-instance load/membership into the metrics registry
         (:mod:`repro.obs` when enabled, else a private registry the
         autoscaler reads)."""
@@ -1098,7 +1093,7 @@ class Autoscaler:
                 )
                 self._emit(now, service, "scale_up", instance.instance_id,
                            f"on {node}; {len(hot)} hot instance(s)")
-                self.optimizer.publish_loads(now)
+                self.optimizer.publish_loads()
         # Rebalance the hottest instances down toward the target.
         for instance in sorted(
                 hot, key=lambda i: (-self._utilization(i), i.instance_id)):
@@ -1170,4 +1165,4 @@ class Autoscaler:
                 self.optimizer.pool.retire(instance_id,
                                            self.optimizer.hosts)
                 self._emit(now, instance.service, "retire", instance_id)
-        self.optimizer.publish_loads(now)
+        self.optimizer.publish_loads()

@@ -165,7 +165,7 @@ class RobustnessSupervisor:
             # fast path being torn down, not just the recovery event.
             deployment = self.manager.deployments.get(deployment_id)
             if deployment is not None:
-                deployment.datapath.publish_counters(now)
+                deployment.datapath.publish_counters()
 
     def _emit(self, deployment_id: str, kind: str, detail: str) -> None:
         event = RecoveryEvent(

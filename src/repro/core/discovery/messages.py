@@ -37,17 +37,6 @@ class DiscoveryMessage:
     estimate: ResourceEstimate
     pvnc_digest: bytes
 
-    def subset(self, services: tuple[str, ...], estimate: ResourceEstimate,
-               digest: bytes) -> "DiscoveryMessage":
-        """The §3.1 retry: a new DM with a subset configuration."""
-        return dataclasses.replace(
-            self,
-            sequence=self.sequence + 1,
-            requested_services=services,
-            estimate=estimate,
-            pvnc_digest=digest,
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class Offer:

@@ -136,7 +136,3 @@ class RetryTrace:
     waited: float = 0.0          # timeout + backoff seconds burned
     delays: tuple[float, ...] = ()
     succeeded: bool = False
-
-    @property
-    def timed_out(self) -> bool:
-        return not self.succeeded

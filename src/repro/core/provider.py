@@ -46,16 +46,6 @@ class DishonestyProfile:
     inflate_path_by: float = 0.0                  # extra RTT seconds
     tamper_config: bool = False                   # attest a different PVNC
 
-    @property
-    def honest(self) -> bool:
-        return (
-            not self.skip_services
-            and self.shape_video_to_bps == 0.0
-            and not self.modify_content
-            and self.inflate_path_by == 0.0
-            and not self.tamper_config
-        )
-
 
 HONEST = DishonestyProfile()
 

@@ -367,7 +367,7 @@ class CompileCache:
 
     # -- invalidation ------------------------------------------------------
 
-    def invalidate(self, reason: str = "") -> None:
+    def invalidate(self) -> None:
         """Drop every entry and bump the revision.
 
         Call when the DSL semantics or the builtin registry change out
@@ -394,7 +394,7 @@ class CompileCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def publish(self, now: float = 0.0) -> None:
+    def publish(self) -> None:
         """Fold entry-count/hit-rate gauges into the metrics registry."""
         obs = obs_runtime.current()
         if obs is None:
@@ -402,11 +402,11 @@ class CompileCache:
         obs.metrics.gauge(
             "repro_compile_cache_entries",
             "Live compiled-PVNC artifacts in the cache",
-        ).set(float(len(self._entries)))
+        ).labels().set(float(len(self._entries)))
         obs.metrics.gauge(
             "repro_compile_cache_hit_rate",
             "Lifetime compile-cache hit rate",
-        ).set(self.hit_rate)
+        ).labels().set(self.hit_rate)
 
 
 _default_cache = CompileCache()

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from repro.errors import TunnelError
 from repro.netsim.tcp import PathCharacteristics
 from repro.netsim.topology import PhysicalTopology
@@ -203,35 +201,6 @@ class FullTunnel:
         )
         return PathCharacteristics(
             rtt=rtt, loss_rate=path_loss, bandwidth_bps=bandwidth
-        )
-
-    def goodput_fraction(self, mtu: int = 1500) -> float:
-        """Payload fraction after encapsulation (and compression)."""
-        return self.encap.goodput_fraction(mtu)
-
-    def as_pipeline(self, label: str = "vpn:encap", mtu: int = 1500):
-        """This tunnel as a terminal redirect Pipeline.
-
-        Lets the encap path run through the same
-        :class:`~repro.nfv.pipeline.Pipeline` abstraction as chains and
-        the PVN datapath: every packet yields a TUNNEL verdict toward
-        the tunnel's endpoint node, and the pipeline's throughput
-        counters publish through ``repro.obs`` like any other layer.  The
-        single step charges the encap variant's per-packet CPU cost as
-        its delay.  A blocked VPN port fails at build time, same as
-        :meth:`effective_path`.
-        """
-        if self.port_blocked:
-            raise TunnelError(
-                f"tunnel to {self.endpoint_node} blocked by the access "
-                "network (VPN port filtered)"
-            )
-        from repro.nfv.pipeline import Pipeline
-
-        return Pipeline.tunnel(
-            f"tunnel/{self.device_node}->{self.endpoint_node}",
-            self.endpoint_node, label,
-            delay=self.encap.cpu_seconds(mtu),
         )
 
 

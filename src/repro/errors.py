@@ -35,10 +35,6 @@ class CompilationError(ConfigurationError):
     """A PVNC could not be compiled to flow rules and placements."""
 
 
-class PolicyConflictError(ConfigurationError):
-    """Two policies in a PVNC conflict and cannot both be installed."""
-
-
 class NegotiationError(ReproError):
     """Discovery/negotiation failed to produce an acceptable offer."""
 

@@ -101,7 +101,7 @@ def run(
         # flushes the cache, and the replay after it refills per flow.
         switch.table.remove_pvn(f"user0/pvn{0}")
         _replay(switch, packets)
-        switch.publish_counters(switch.sim.now)
+        switch.publish_counters()
         classifications = switch.full_classifications / (2 * len(packets))
 
         cache = switch.flow_cache

@@ -27,7 +27,8 @@ The module also exposes the sharded form used by
 ``python -m repro run E18 --shards N`` (see
 :mod:`repro.experiments.runner`): :func:`run_shard` attaches one
 round-robin slice of the device population in an isolated world with
-its own simulator, and :func:`merge_shards` reassembles the per-device
+its own simulator, :func:`open_session` wraps it as the runner's
+session of zero rounds, and :func:`merge_shards` reassembles the per-device
 records into an :class:`ExperimentResult` that is byte-identical
 regardless of the shard count — every output-affecting quantity is
 keyed per device, never per shard.
@@ -35,6 +36,7 @@ keyed per device, never per shard.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -240,6 +242,28 @@ def run_shard(shard_index: int, shard_count: int, seed: int,
         "records": records,
         "running_containers": running,
     }
+
+
+@dataclasses.dataclass(frozen=True)
+class AttachSession:
+    """One shard as a runner session.  Attaches send no cross-shard
+    traffic, so it has no rounds and ``finish([])`` does the work:
+    :func:`run_shard`'s payload."""
+
+    shard_index: int
+    shard_count: int
+    seed: int
+    params: dict | None
+    rounds = 0
+
+    def finish(self, inbox: list) -> dict:
+        return run_shard(self.shard_index, self.shard_count, self.seed,
+                         self.params)
+
+
+def open_session(shard_index: int, shard_count: int, seed: int,
+                 params: dict | None) -> AttachSession:
+    return AttachSession(shard_index, shard_count, seed, params)
 
 
 def merge_shards(payloads: list[dict], seed: int = 0,

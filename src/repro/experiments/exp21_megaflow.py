@@ -118,7 +118,7 @@ def run(
             reference.lookup(packet)
         switch = _build_switch(n_rules)
         _replay(switch, _churn_schedule(n_rules, n_packets))
-        switch.publish_counters(switch.sim.now)
+        switch.publish_counters()
 
         scans = switch.full_classifications
         cut = n_packets / max(1, scans)

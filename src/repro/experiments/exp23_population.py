@@ -132,7 +132,7 @@ def measure_mode(
                               keep_records=keep_records)
     engine.run(spec.horizon)
     # A no-op unless observability is on.
-    engine.publish(engine.sim.now)
+    engine.publish()
     out = {
         "mode": mode,
         "devices": spec.devices,

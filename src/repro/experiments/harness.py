@@ -55,22 +55,6 @@ class ExperimentResult:
         }
 
 
-def install_fault_plan(plan, sim, provider, ledger=None):
-    """Attach a fault plan to an experiment's world.
-
-    ``plan`` is a :class:`~repro.faults.FaultPlan` or DSL text; the
-    events are scheduled on ``sim`` against ``provider`` and — when a
-    ``ledger`` is given — recorded as audit evidence.  Returns the
-    :class:`~repro.faults.FaultInjector` so experiments can read the
-    applied-fault trace afterwards.
-    """
-    from repro.faults import FaultInjector
-
-    injector = FaultInjector(sim, provider, ledger=ledger)
-    injector.schedule_plan(plan)
-    return injector
-
-
 def main(run: Callable[..., ExperimentResult], **kwargs: Any) -> None:
     """Standard ``__main__`` body for experiment modules."""
     result = run(**kwargs)

@@ -24,29 +24,25 @@ Merged output must be **byte-identical for any shard count**, so:
 CI enforces the contract by diffing the ``--shards 1`` and
 ``--shards 2`` JSON outputs for the same seed.
 
-Two sharded forms exist:
+Every shard is a **round session** (``open_session``), so shards may
+exchange *cross-shard traffic* (E23's population engine, where a flow
+may target a device owned by another shard).  The runner drives every
+session through lock-step **rounds**: each round advances the shard's
+simulator to the next round boundary and returns an outbox of
+plain-data messages; the runner routes them to the owning shard
+(``dst_device % shard_count``) and delivers them — sorted, so arrival
+order carries no partition information — at the start of the next
+round.  With one shard the messages loop back through the same queue,
+which is why the merged digest is shard-count independent *with* cross
+traffic, not just for disjoint worlds.  A shard that sends nothing
+(E18's attach storm) is a session of zero rounds whose ``finish``
+does all its work.
 
-* **independent shards** (``run_shard``): each shard runs to
-  completion in isolation and returns one payload (E18's attach
-  storm).  Workers are a ``fork`` pool.
-* **round sessions** (``open_session``): shards that exchange
-  *cross-shard traffic* (E23's population engine, where a flow may
-  target a device owned by another shard).  The runner drives every
-  session through lock-step **rounds**: each round advances the
-  shard's simulator to the next round boundary and returns an outbox
-  of plain-data messages; the runner routes them to the owning shard
-  (``dst_device % shard_count``) and delivers them — sorted, so
-  arrival order carries no partition information — at the start of
-  the next round.  With one shard the messages loop back through the
-  same queue, which is why the merged digest is shard-count
-  independent *with* cross traffic, not just for disjoint worlds.
-
-Workers use the ``fork`` start method so shard functions need no
-pickling of anything beyond the task tuple; on a single-CPU host (or
-where ``fork`` is unavailable) the runner runs shards in-process
-instead — byte-identical results, none of the fork/IPC overhead that
-would make ``--shards 2`` *slower* than ``--shards 1``.  ``--shards
-auto`` picks ``os.cpu_count()`` shards.
+Each shard runs in its own ``fork``-ed worker process; on a single-CPU
+host (or where ``fork`` is unavailable) the runner runs shards
+in-process instead — byte-identical results, none of the fork/IPC
+overhead that would make ``--shards 2`` *slower* than ``--shards 1``.
+``--shards auto`` picks ``os.cpu_count()`` shards.
 """
 
 from __future__ import annotations
@@ -67,38 +63,29 @@ from repro.experiments.harness import ExperimentResult
 class ShardedExperiment:
     """One experiment that knows how to run as a partitioned population.
 
-    Exactly one of ``run_shard`` (independent shards) or
-    ``open_session`` (lock-step rounds with cross-shard queues) must
-    be set.  Sessions expose ``rounds``, ``run_round(index, inbox)
-    -> outbox`` and ``finish(inbox) -> payload``.
+    ``open_session(shard_index, shard_count, seed, params)`` returns a
+    session exposing ``rounds``, ``run_round(index, inbox) -> outbox``
+    (called only when ``rounds`` > 0) and ``finish(inbox) -> payload``;
+    ``merge`` reassembles the payloads.
     """
 
     experiment_id: str
-    run_shard: Callable[[int, int, int, dict | None], dict] | None
+    open_session: Callable[[int, int, int, dict | None], object]
     merge: Callable[..., ExperimentResult]
-    open_session: Callable[[int, int, int, dict | None], object] | None = None
 
 
 SHARDED_EXPERIMENTS: dict[str, ShardedExperiment] = {
     "E18": ShardedExperiment(
         "E18",
-        exp18_control_plane.run_shard,
+        exp18_control_plane.open_session,
         exp18_control_plane.merge_shards,
     ),
     "E23": ShardedExperiment(
         "E23",
-        None,
+        exp23_population.open_session,
         exp23_population.merge_sessions,
-        open_session=exp23_population.open_session,
     ),
 }
-
-
-def _run_shard_task(task: tuple) -> dict:
-    """Top-level (picklable) worker body: run one shard."""
-    experiment_id, shard_index, shard_count, seed, params = task
-    entry = SHARDED_EXPERIMENTS[experiment_id]
-    return entry.run_shard(shard_index, shard_count, seed, params)
 
 
 def _fork_context():
@@ -228,29 +215,14 @@ def run_sharded(
         )
     shards = resolve_shards(shards)
     context = _fork_context() if shards > 1 else None
-    workers = min(shards, os.cpu_count() or 1)
     # On a 1-CPU host forked workers only add IPC + fork overhead on
     # top of serialized execution — run in-process instead; results
     # are byte-identical either way.
-    in_process = context is None or workers < 2
-
-    if entry.open_session is not None:
-        if in_process:
-            payloads = _run_sessions_inprocess(entry, shards, seed, params)
-        else:
-            payloads = _run_sessions_forked(context, entry, shards, seed,
-                                            params)
-        return entry.merge(payloads, seed=seed, params=params)
-
-    tasks = [
-        (experiment_id, shard_index, shards, seed, params)
-        for shard_index in range(shards)
-    ]
-    if in_process:
-        payloads = [_run_shard_task(task) for task in tasks]
+    if context is None or (os.cpu_count() or 1) < 2:
+        payloads = _run_sessions_inprocess(entry, shards, seed, params)
     else:
-        with context.Pool(processes=workers) as pool:
-            payloads = pool.map(_run_shard_task, tasks)
+        payloads = _run_sessions_forked(context, entry, shards, seed,
+                                        params)
     return entry.merge(payloads, seed=seed, params=params)
 
 

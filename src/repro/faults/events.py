@@ -148,7 +148,7 @@ class AppliedFault:
 
 
 def render_event(event: FaultEvent | AppliedFault) -> str:
-    """A stable one-line rendering (used for trace digests)."""
+    """A stable one-line rendering (one line of the applied-fault trace)."""
     if isinstance(event, AppliedFault):
         return (f"{event.time:.6f} {event.kind.value} "
                 f"{'/'.join(event.target)} :: {event.detail}")

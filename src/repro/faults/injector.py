@@ -12,11 +12,16 @@ every injected fault.
 
 from __future__ import annotations
 
-import hashlib
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.faults.events import AppliedFault, FaultEvent, FaultKind, render_event
+from repro.faults.events import (
+    HOST_KINDS,
+    AppliedFault,
+    FaultEvent,
+    FaultKind,
+    render_event,
+)
 from repro.faults.plan import FaultPlan, parse_fault_plan
 from repro.nfv.container import ContainerState
 
@@ -29,6 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _LIVE = (ContainerState.CREATED, ContainerState.INSTANTIATING,
          ContainerState.RUNNING)
 
+#: Kinds whose targets name NFV hosts (for a partition, ``*`` is all).
+_HOST_TARGETED = HOST_KINDS | {FaultKind.NETWORK_PARTITION}
+
 
 class FaultInjector:
     """Schedules fault events against one provider on the sim clock."""
@@ -38,19 +46,22 @@ class FaultInjector:
         sim: "Simulator",
         provider: "AccessProvider",
         ledger: "EvidenceLedger | None" = None,
-        observers: list[Callable[[AppliedFault], None]] | None = None,
     ) -> None:
         self.sim = sim
         self.provider = provider
         self.ledger = ledger
-        self.observers = list(observers or [])
         self.applied: list[AppliedFault] = []
         self.scheduled = 0
 
     # -- scheduling -------------------------------------------------------
 
     def schedule_plan(self, plan: FaultPlan | str) -> FaultPlan:
-        """Schedule every event of ``plan`` (a plan or DSL text)."""
+        """Schedule every event of ``plan`` (a plan or DSL text).
+
+        Raises :class:`~repro.errors.ConfigurationError`, with nothing
+        scheduled, if an event lies in the past or names a host this
+        provider does not have.
+        """
         if isinstance(plan, str):
             plan = parse_fault_plan(plan)
         for event in plan:
@@ -59,13 +70,26 @@ class FaultInjector:
                     f"fault at t={event.time} is in the past "
                     f"(now={self.sim.now})"
                 )
+            self._check_hosts(event)
+        for event in plan:
             self.sim.schedule_at(event.time, self._apply, event)
             self.scheduled += 1
         return plan
 
     def inject_now(self, event: FaultEvent) -> AppliedFault:
         """Apply one event immediately (bypasses the scheduler)."""
+        self._check_hosts(event)
         return self._apply(event)
+
+    def _check_hosts(self, event: FaultEvent) -> None:
+        """The parse cannot know the world: refuse a host the provider
+        does not have here, rather than apply a no-op mid-run."""
+        if event.kind not in _HOST_TARGETED:
+            return
+        for name in event.target:
+            if name != "*" and name not in self.provider.hosts:
+                raise ConfigurationError(
+                    f"unknown NFV host {name!r} in {render_event(event)!r}")
 
     # -- application ------------------------------------------------------
 
@@ -93,8 +117,6 @@ class FaultInjector:
         )
         self.applied.append(applied)
         self._record(applied)
-        for observer in self.observers:
-            observer(applied)
         return applied
 
     def _record(self, applied: AppliedFault) -> None:
@@ -153,9 +175,7 @@ class FaultInjector:
 
     def _host_down(self, event: FaultEvent):
         name = event.target[0]
-        host = self.provider.hosts.get(name)
-        if host is None:
-            raise ConfigurationError(f"unknown NFV host {name!r}")
+        host = self.provider.hosts[name]
         count = host.fail(self.sim.now)
         touched = tuple(sorted(
             deployment_id
@@ -167,10 +187,7 @@ class FaultInjector:
 
     def _host_up(self, event: FaultEvent):
         name = event.target[0]
-        host = self.provider.hosts.get(name)
-        if host is None:
-            raise ConfigurationError(f"unknown NFV host {name!r}")
-        host.recover()
+        self.provider.hosts[name].recover()
         return f"host {name} back up", ()
 
     def _silence(self, event: FaultEvent):
@@ -217,9 +234,7 @@ class FaultInjector:
 
     def _host_crash(self, event: FaultEvent):
         name = event.target[0]
-        host = self.provider.hosts.get(name)
-        if host is None:
-            raise ConfigurationError(f"unknown NFV host {name!r}")
+        host = self.provider.hosts[name]
         self._health()   # make sure the detector was watching
         touched = tuple(sorted(
             deployment_id
@@ -253,7 +268,3 @@ class FaultInjector:
     def trace(self) -> str:
         """The applied-fault trace, one line per fault."""
         return "\n".join(render_event(a) for a in self.applied)
-
-    def trace_digest(self) -> str:
-        """SHA-256 of the trace — byte-identical for identical seeds."""
-        return hashlib.sha256(self.trace().encode()).hexdigest()

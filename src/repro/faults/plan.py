@@ -29,7 +29,8 @@ Three ways to build one:
       at 6.0  heartbeat-loss nfv0 count=2   # live host looks slow
 
 Experiments declare scripts like the above and hand them to
-:func:`repro.experiments.harness.install_fault_plan`.
+:meth:`repro.faults.FaultInjector.schedule_plan` (a session's
+``inject_faults``).
 """
 
 from __future__ import annotations

@@ -153,9 +153,6 @@ class TrustStore:
     def add_root(self, ca: CertificateAuthority) -> None:
         self._roots[ca.name] = ca
 
-    def trusts(self, ca_name: str) -> bool:
-        return ca_name in self._roots
-
     def validate_chain(
         self,
         chain: list[Certificate],

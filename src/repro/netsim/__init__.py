@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`Simulator` — the event loop.
-* :class:`Packet`, :class:`Link`, :class:`Node`, :class:`Host`,
-  :class:`RoutingNode` — the data plane.
+* :class:`Packet`, :class:`Link`, :class:`Node`, :class:`Host` — the
+  data plane.
 * :class:`PhysicalTopology` and builders — annotated topologies.
 * :mod:`repro.netsim.tcp` — rounds-based TCP transfer models.
 * :mod:`repro.netsim.flows` — page-load and ABR-video models.
@@ -19,11 +19,10 @@ from repro.netsim.fluid import (
     HybridFlow,
     HybridPopulationEngine,
     PolicyLedger,
-    max_min_fair_share,
     waterfill,
 )
 from repro.netsim.link import Link, link_rtt
-from repro.netsim.node import Host, Node, RoutingNode
+from repro.netsim.node import Host, Node
 from repro.netsim.packet import Packet
 from repro.netsim.queueing import TokenBucket
 from repro.netsim.randomness import (
@@ -48,7 +47,6 @@ from repro.netsim.topology import (
     PhysicalTopology,
     attach_device,
     build_access_network,
-    build_multihomed_access,
     build_wide_area,
 )
 
@@ -68,7 +66,6 @@ __all__ = [
     "PhysicalTopology",
     "PolicyLedger",
     "RandomStreams",
-    "RoutingNode",
     "Simulator",
     "SoaTable",
     "TcpParams",
@@ -76,7 +73,6 @@ __all__ = [
     "TransferResult",
     "attach_device",
     "build_access_network",
-    "build_multihomed_access",
     "build_wide_area",
     "default_streams",
     "derive_seed",
@@ -84,7 +80,6 @@ __all__ = [
     "shard_seed",
     "link_rtt",
     "mathis_throughput_bps",
-    "max_min_fair_share",
     "simulate_split_transfer",
     "simulate_transfer",
     "waterfill",

@@ -62,7 +62,7 @@ the receiving shard's digest proves the queue protocol ran.
 
 Fair shares are genuine max-min: :func:`waterfill` is a vectorized
 multi-cell progressive-filling fixed point over per-flow rate caps,
-validated against the exact reference :func:`max_min_fair_share`.
+validated in the tests against exact per-cell progressive filling.
 """
 
 from __future__ import annotations
@@ -189,35 +189,8 @@ class FlowBatch:
     def __iter__(self) -> Iterator[HybridFlow]:
         return map(self.flow_at, range(len(self)))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FlowBatch):
-            return NotImplemented
-        return list(self) == list(other)
-
 
 # -- max-min fair shares ------------------------------------------------------
-
-
-def max_min_fair_share(caps: list[float], capacity: float) -> list[float]:
-    """Exact max-min rates for one link: progressive filling (reference).
-
-    Flows capped below the fair share keep their cap; the remaining
-    capacity is split evenly among the rest.  O(n log n); used by the
-    tests to validate :func:`waterfill`.
-    """
-    n = len(caps)
-    if n == 0:
-        return []
-    order = sorted(range(n), key=lambda i: (caps[i], i))
-    rates = [0.0] * n
-    remaining = float(capacity)
-    left = n
-    for position, index in enumerate(order):
-        share = remaining / left
-        rates[index] = min(caps[index], share)
-        remaining -= rates[index]
-        left -= 1
-    return rates
 
 
 def waterfill(
@@ -363,7 +336,7 @@ class HybridPopulationEngine:
         self.n_cells = int(n_cells)
         # Rates enter in bits/s but all internal arithmetic is in
         # bytes (budgets are divided by the MTU in bytes), so convert
-        # once at ingestion; cell_rate_bps converts back on the way out.
+        # once at ingestion.
         self.cell_capacity = np.broadcast_to(
             np.asarray(cell_capacity_bps, dtype=np.float64) / 8.0,
             (self.n_cells,)).copy()
@@ -436,10 +409,6 @@ class HybridPopulationEngine:
         else:
             self.ledger.bump("attach", len(devices))
 
-    def detach(self, device: int, k: int = 0) -> None:
-        """Detach a device, aborting its live flows (epoch for its cell)."""
-        self.detach_many([(device, k)])
-
     def detach_many(self, detaches: Iterable[tuple[int, int]]) -> None:
         """Detach ``(device, k)`` pairs in order.
 
@@ -466,10 +435,6 @@ class HybridPopulationEngine:
                 aborted.append(slot)
         if aborted:
             self._retire(np.array(aborted, dtype=np.int64), completed=False)
-
-    def migrate(self, device: int, new_cell: int, k: int = 0) -> None:
-        """Move a device (and its live flows) to another cell."""
-        self.migrate_many([(device, new_cell, k)])
 
     def migrate_many(self, migrates: Iterable[tuple[int, int, int]]) -> None:
         """Apply ``(device, new_cell, k)`` migrations in order.
@@ -512,11 +477,6 @@ class HybridPopulationEngine:
         bounds = np.searchsorted(
             self._keys, np.concatenate((first, first + (1 << _SEQ_BITS))))
         return bounds[:devices.size].tolist(), bounds[devices.size:].tolist()
-
-    def open_flow(self, spec: HybridFlow) -> int | None:
-        """Admit one flow; returns its slot (None if device detached)."""
-        slots = self.admit(FlowBatch.of([spec]))
-        return int(slots[0]) if slots.size else None
 
     def _placement(self, device: np.ndarray, seq: np.ndarray) -> tuple:
         """The index's keys with a batch's identities merged in.
@@ -974,17 +934,9 @@ class HybridPopulationEngine:
 
     # -- telemetry taps ----------------------------------------------------
 
-    def cell_rate_bps(self, cell: int) -> float:
-        """Bytes-per-second carried by a cell over the last tick, in bps."""
-        return float(self._cell_bytes[cell]) * 8.0 / self.tick
-
     def cell_rate_pps(self, cell: int) -> float:
         """Packet-equivalents per second carried by a cell, last tick."""
         return float(self._cell_bytes[cell]) / self._mtu_f / self.tick
-
-    @property
-    def active_flows(self) -> int:
-        return len(self.flows)
 
     def counters(self) -> dict[str, float]:
         return {
@@ -1000,7 +952,7 @@ class HybridPopulationEngine:
             "active_flows": len(self.flows),
         }
 
-    def publish(self, now: float = 0.0) -> None:
+    def publish(self) -> None:
         """Fold the counters and flow-table occupancy into ``repro.obs``.
 
         Called at the end of a run, never per tick; with observability

@@ -1,13 +1,13 @@
-"""Simulation nodes: hosts, routers, and processing nodes.
+"""Simulation nodes: link attachment points and hosts.
 
 The class hierarchy is deliberately small:
 
 * :class:`Node` — attachment points for links, hop recording.
 * :class:`Host` — an endpoint with an IPv4 address; delivers packets to
   registered application handlers and can originate traffic.
-* :class:`RoutingNode` — a classic longest-prefix / next-hop router used
-  for the non-SDN parts of topologies (the wide area).  SDN switches
-  live in :mod:`repro.sdn.switch` and subclass :class:`Node` too.
+
+SDN switches live in :mod:`repro.sdn.switch` and subclass :class:`Node`
+too; every subclass defines its own ``receive``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError
-from repro.netproto.addresses import ip_in_subnet
 from repro.netsim.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -59,11 +58,6 @@ class Node:
             link = self.link_to(via)        # raises the typed error
         link.transmit(packet, self)
 
-    def receive(self, packet: Packet, link: "Link") -> None:
-        """Handle an arriving packet.  Subclasses override."""
-        self.packets_seen += 1
-        packet.record_hop(self.name)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name}>"
 
@@ -101,34 +95,3 @@ class Host(Node):
         packet.created_at = self.sim._now
         packet.trail.append(self.name)
         self.send(packet, via)
-
-
-class RoutingNode(Node):
-    """A destination-prefix router with static routes.
-
-    Routes are ``(cidr, next_hop_name)`` pairs; the most specific
-    matching prefix wins.  A default route uses ``"0.0.0.0/0"``.
-    """
-
-    def __init__(self, sim: "Simulator", name: str) -> None:
-        super().__init__(sim, name)
-        self._routes: list[tuple[str, int, str]] = []  # (cidr, prefixlen, hop)
-
-    def add_route(self, cidr: str, next_hop: str) -> None:
-        prefix_len = int(cidr.split("/")[1]) if "/" in cidr else 32
-        self._routes.append((cidr, prefix_len, next_hop))
-        self._routes.sort(key=lambda r: -r[1])
-
-    def next_hop(self, dst_ip: str) -> str | None:
-        for cidr, _, hop in self._routes:
-            if ip_in_subnet(dst_ip, cidr):
-                return hop
-        return None
-
-    def receive(self, packet: Packet, link: "Link") -> None:
-        super().receive(packet, link)
-        hop = self.next_hop(packet.dst)
-        if hop is None:
-            packet.mark_dropped(f"no route to {packet.dst} at {self.name}")
-            return
-        self.send(packet, hop)

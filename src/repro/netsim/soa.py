@@ -9,22 +9,17 @@ column (a ``numpy`` array for numeric fields, a plain list for object
 fields), so per-tick math (rate recomputation, residual drain,
 completion detection) runs as whole-column vector operations.
 
-Rows are addressed by *slot*: :meth:`~SoaTable.allocate` hands out the
-lowest-overhead free slot (LIFO free list, so hot cache lines are
-reused) and :meth:`~SoaTable.release` returns it.  Because slots are
-recycled, every release bumps the slot's **generation**; asynchronous
-consumers (e.g. an in-flight packet event firing after its flow was
-torn down) capture ``(slot, generation)`` and check
-:meth:`~SoaTable.is_current` before touching columns.
-
-Rows also come and go a batch at a time:
-:meth:`~SoaTable.allocate_many` claims ``n`` slots and fills each
-column from a vector, :meth:`~SoaTable.release_many` returns a vector
-of slots.  Both are defined by the scalar calls — ``allocate_many(n)``
-returns the slots ``n`` successive ``allocate()`` calls would, and
-leaves the free list, generations and growth exactly as they would —
-so slot numbering never depends on which form admitted a row.  Both
-are all-or-nothing: a bad argument raises before anything changes.
+Rows are addressed by *slot* and come and go a batch at a time:
+:meth:`~SoaTable.allocate_many` claims ``n`` slots from a LIFO free
+list (so hot cache lines are reused) and fills each column from a
+vector; :meth:`~SoaTable.release_many` returns a vector of slots.  A
+batch takes the slots ``n`` one-row pops of the free list would, so
+slot numbering never depends on how rows were grouped into batches.
+Both calls are all-or-nothing: a bad argument raises before anything
+changes.  Because slots are recycled, every release bumps the slot's
+**generation**; asynchronous consumers (e.g. an in-flight packet event
+firing after its flow was torn down) capture ``(slot, generation)``
+and check :meth:`~SoaTable.is_current` before touching columns.
 
 Columns grow by doubling; callers must re-read column references via
 :meth:`~SoaTable.col` after any allocation that may have grown the
@@ -47,10 +42,10 @@ class SoaTable:
     """Parallel columns + a free list: vectorized row storage.
 
     >>> t = SoaTable({"rate": "f8", "owner": "i8", "spec": "obj"})
-    >>> s = t.allocate(rate=2.0, owner=7, spec=("flow", 0))
-    >>> t.col("rate")[s]
+    >>> s = t.allocate_many(1, rate=2.0, owner=7, spec=[("flow", 0)])
+    >>> float(t.col("rate")[s[0]])
     2.0
-    >>> t.release(s)
+    >>> t.release_many(s)
     >>> len(t)
     0
     """
@@ -109,42 +104,13 @@ class SoaTable:
 
     # -- row lifecycle ---------------------------------------------------
 
-    def allocate(self, **values) -> int:
-        """Claim a slot and initialise the named columns; returns the slot."""
-        if not self._free:
-            self._grow()
-        slot = self._free.pop()
-        self._alive[slot] = True
-        self._live += 1
-        self.high_water = max(self.high_water, self._live)
-        for name, value in values.items():
-            if name in self._numeric:
-                self._numeric[name][slot] = value
-            elif name in self._objects:
-                self._objects[name][slot] = value
-            else:
-                raise KeyError(f"no column {name!r}")
-        return slot
-
-    def release(self, slot: int) -> None:
-        """Return a slot to the free list (its generation advances)."""
-        if not self._alive[slot]:
-            raise KeyError(f"slot {slot} is not live")
-        self._alive[slot] = False
-        self._generation[slot] += 1
-        self._live -= 1
-        # Drop the object references so released rows don't pin payloads.
-        for column in self._objects.values():
-            column[slot] = None
-        self._free.append(slot)
-
     def allocate_many(self, n: int, **columns) -> np.ndarray:
         """Claim ``n`` slots, filling each named column from a vector.
 
         A numeric column takes a length-``n`` array or a scalar
         (broadcast); an object column takes a length-``n`` sequence.
-        Returns the slots in the order ``n`` successive
-        :meth:`allocate` calls would have returned them.
+        Returns the slots in the order ``n`` successive one-row pops of
+        the free list would have returned them.
         """
         if n < 0:
             raise ValueError("cannot allocate a negative number of rows")
@@ -237,8 +203,3 @@ class SoaTable:
     def live_slots(self) -> np.ndarray:
         """Live slot indices in ascending order (deterministic)."""
         return np.nonzero(self._alive)[0]
-
-    @property
-    def alive(self) -> np.ndarray:
-        """The liveness mask (read-only by convention)."""
-        return self._alive

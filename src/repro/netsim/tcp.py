@@ -77,12 +77,6 @@ class TransferResult:
     retransmitted_segments: int
     timeline: list[tuple[float, int]]  # (time, cumulative bytes delivered)
 
-    @property
-    def goodput_bps(self) -> float:
-        if self.duration <= 0:
-            return 0.0
-        return self.size_bytes * 8.0 / self.duration
-
     def bytes_available_at(self, time: float) -> int:
         """Cumulative bytes delivered by ``time`` (step interpolation)."""
         if not self.timeline or time < self.timeline[0][0]:

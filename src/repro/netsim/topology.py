@@ -10,9 +10,8 @@ dicts, annotated with the attributes the PVN deployment machinery needs:
 * edge ``latency`` (one-way seconds) and ``bandwidth_bps``.
 
 Builders at the bottom construct the canonical scenarios used by the
-experiments: a PVN-capable access network, a multihomed variant
-(Fig. 1(c)), and a wide area with cloud and home networks for the
-tunneling baselines.
+experiments: a PVN-capable access network and a wide area with cloud
+and home networks for the tunneling baselines.
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ from math import inf
 from typing import Sequence
 
 from repro.errors import ConfigurationError
-from repro.netsim.link import Link
-from repro.netsim.node import Host, Node, RoutingNode
-from repro.netsim.simulator import Simulator
 from repro.units import transmission_delay
 
 NODE_KINDS = {"host", "ap", "switch", "nfv", "gateway", "server", "middlebox"}
@@ -343,36 +339,6 @@ class PhysicalTopology:
             survive *= 1.0 - adj[a][b].get("loss_rate", 0.0)
         return 1.0 - survive
 
-    # -- instantiation -------------------------------------------------------
-
-    def instantiate(
-        self, sim: Simulator, host_ips: dict[str, str] | None = None
-    ) -> dict[str, Node]:
-        """Create live :class:`Node`/:class:`Link` objects for this graph.
-
-        ``host`` and ``server`` nodes become :class:`Host` (IPs taken
-        from ``host_ips`` or synthesised); everything else becomes a
-        :class:`RoutingNode`.  Routing tables are left to the caller
-        (or to the SDN controller).
-        """
-        host_ips = host_ips or {}
-        nodes: dict[str, Node] = {}
-        next_ip = 1
-        for name, data in sorted(self._nodes.items()):
-            if data["kind"] in ("host", "server"):
-                ip = host_ips.get(name, f"10.250.0.{next_ip}")
-                next_ip += 1
-                nodes[name] = Host(sim, name, ip)
-            else:
-                nodes[name] = RoutingNode(sim, name)
-        for a, b, data in self.links():
-            Link(
-                nodes[a], nodes[b],
-                latency=data["latency"],
-                bandwidth_bps=data["bandwidth_bps"],
-            )
-        return nodes
-
 
 @dataclasses.dataclass(frozen=True)
 class AccessNetworkSpec:
@@ -463,12 +429,3 @@ def build_wide_area(
     access.add_node("origin", kind="server")
     access.add_link("gw", "origin", server_rtt / 2.0, wan_bandwidth_bps)
     return access
-
-
-def build_multihomed_access(spec: AccessNetworkSpec | None = None) -> PhysicalTopology:
-    """Fig. 1(c): an access network with two upstream paths (WiFi + cell)."""
-    topo = build_access_network(spec, name="multihomed")
-    topo.add_node("gw_cell", kind="gateway")
-    topo.add_link("core", "gw_cell", 0.015, 100e6)
-    return topo
-

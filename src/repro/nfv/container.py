@@ -241,10 +241,3 @@ class Container:
             )
         self.middlebox.import_state(checkpoint.state)
         self.restored_from = checkpoint.container_id
-
-    @property
-    def instantiation_latency(self) -> float:
-        """Measured start -> running latency (spec value once running)."""
-        if self.started_at is None or self.running_at is None:
-            return 0.0
-        return self.running_at - self.started_at

@@ -249,7 +249,7 @@ class Pipeline:
             "steps": len(self.steps),
         }
 
-    def publish(self, now: float) -> None:
+    def publish(self) -> None:
         """Fold the throughput counters into the metrics registry
         (``repro_pipeline_packets_total{pipeline=...,result=...}``);
         a no-op while observability is off."""

@@ -88,7 +88,7 @@ def _session_preamble(seed: int, profiler: PhaseProfiler) -> None:
             session.send(packet, traced=True)
         session.audit(trials=1)
         deployment = session.device.connection.deployment
-        deployment.datapath.publish_counters(session.sim.now)
+        deployment.datapath.publish_counters()
         session.teardown()
 
 

@@ -103,9 +103,6 @@ class _Metric:
             self.overflow_hook(self.name)
         return child
 
-    def _make_child(self):  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _child(self):
         """The unlabelled singleton child (metrics with no labelnames)."""
         if self.labelnames:
@@ -151,12 +148,6 @@ class Counter(_Metric):
     def inc(self, amount: float = 1.0) -> None:
         self._child().inc(amount)
 
-    def set_total(self, total: float) -> None:
-        self._child().set_total(total)
-
-    @property
-    def value(self) -> float:
-        return self._child().value
 
 
 class _GaugeChild:
@@ -168,11 +159,6 @@ class _GaugeChild:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 class Gauge(_Metric):
@@ -183,18 +169,6 @@ class Gauge(_Metric):
     def _make_child(self) -> _GaugeChild:
         return _GaugeChild()
 
-    def set(self, value: float) -> None:
-        self._child().set(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._child().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._child().dec(amount)
-
-    @property
-    def value(self) -> float:
-        return self._child().value
 
 
 class _HistogramChild:
@@ -238,9 +212,6 @@ class Histogram(_Metric):
     def _make_child(self) -> _HistogramChild:
         return _HistogramChild(self.buckets)
 
-    def observe(self, value: float) -> None:
-        self._child().observe(value)
-
 
 class MetricsRegistry:
     """All metric families, keyed by name.
@@ -259,12 +230,6 @@ class MetricsRegistry:
                  max_label_children: int = DEFAULT_MAX_LABEL_CHILDREN) -> None:
         self._metrics: dict[str, _Metric] = {}
         self.max_label_children = max_label_children
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
 
     def _register(self, cls, name: str, help: str,
                   labelnames: tuple[str, ...], **kwargs) -> Any:
@@ -304,9 +269,6 @@ class MetricsRegistry:
                   buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> Histogram:
         return self._register(Histogram, name, help, labelnames,
                               buckets=buckets)
-
-    def get(self, name: str) -> _Metric | None:
-        return self._metrics.get(name)
 
     def families(self) -> list[_Metric]:
         return [self._metrics[name] for name in sorted(self._metrics)]
@@ -355,9 +317,6 @@ class MetricsRegistry:
                     samples.append(Sample(f"{metric.name}_count", labels,
                                           float(child.count)))
         return samples
-
-    def clear(self) -> None:
-        self._metrics.clear()
 
 
 def _format_bound(bound: float) -> str:

@@ -195,9 +195,6 @@ class FlightRecorder:
         merged.sort(key=lambda record: (record.now, record.category))
         return merged
 
-    def categories(self) -> list[str]:
-        return sorted(self._buffers)
-
     # -- freezing ----------------------------------------------------------
 
     def freeze(self, alert: Alert, now: float,

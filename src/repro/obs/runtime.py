@@ -65,10 +65,6 @@ class Observability:
             return contextlib.nullcontext()
         return self.spans.span(name, clock, parent=parent, **attributes)
 
-    def counter(self, name: str, help: str = "",
-                labelnames: tuple[str, ...] = ()):
-        return self.metrics.counter(name, help, labelnames)
-
 
 _current: Observability | None = None
 

@@ -237,9 +237,6 @@ class SpanTracer:
     def finished(self) -> list[Span]:
         return [s for s in self.spans if s.end is not None]
 
-    def by_name(self, name: str) -> list[Span]:
-        return [s for s in self.spans if s.name == name]
-
     def children_of(self, span: Span | SpanContext) -> list[Span]:
         context = span.context if isinstance(span, Span) else span
         return [s for s in self.spans if s.parent_id == context.span_id]

@@ -5,11 +5,7 @@ from repro.sdn.controller import Controller, InstalledRule
 from repro.sdn.flowcache import CacheEntry, FlowCache
 from repro.sdn.flowtable import FlowRule, FlowTable
 from repro.sdn.match import MATCH_ANY, Match
-from repro.sdn.routing import (
-    install_path_rules,
-    path_stretch,
-    waypointed_path,
-)
+from repro.sdn.routing import path_stretch, waypointed_path
 from repro.sdn.switch import SdnSwitch
 from repro.sdn.verification import (
     VerificationReport,
@@ -38,7 +34,6 @@ __all__ = [
     "check_isolation",
     "check_loop_freedom",
     "check_no_blackholes",
-    "install_path_rules",
     "path_stretch",
     "trace_forwarding",
     "verify_all",

@@ -64,17 +64,15 @@ class Controller:
         actions: tuple[Action, ...],
         priority: int = 100,
         pvn_id: str = "",
-        enforce_isolation: bool = True,
     ) -> FlowRule:
         """Push one rule; PVN rules must be owner-scoped.
 
-        ``enforce_isolation`` implements §3.3: a rule installed on
-        behalf of a PVN must match only that user's traffic, so its
-        ``match.owner`` must equal the PVN's subscriber (stored in the
-        pvn_id as ``user/deployment``) — otherwise the install is
-        rejected.
+        This is §3.3's isolation: a rule installed on behalf of a PVN
+        must match only that user's traffic, so its ``match.owner``
+        must equal the PVN's subscriber (stored in the pvn_id as
+        ``user/deployment``) — otherwise the install is rejected.
         """
-        if enforce_isolation and pvn_id:
+        if pvn_id:
             user = pvn_id.split("/")[0]
             if match.owner != user:
                 raise IsolationError(

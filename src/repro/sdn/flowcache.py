@@ -137,14 +137,11 @@ class FlowCache:
 
     # -- the fast path ------------------------------------------------------
 
-    def get(self, packet: Packet, generation: int) -> CacheEntry | None:
-        """The memoized entry for ``packet``, or None on a cache miss."""
-        return self.lookup(packet.flow_key(), generation)
-
     def lookup(self, key: tuple, generation: int) -> CacheEntry | None:
-        """:meth:`get` for a caller that already holds the exact-match
-        key (the switch builds it once per packet, for the lookup and
-        for the :meth:`store` that follows a miss).
+        """The memoized entry for an exact-match key
+        (:meth:`~repro.netsim.packet.Packet.flow_key`), or None on a
+        miss.  The switch builds the key once per packet, for the lookup
+        and for the :meth:`store` that follows a miss.
 
         Checks the table-generation fence first, so a stale cache never
         answers.
@@ -160,18 +157,6 @@ class FlowCache:
         # one-packet flows (which age out from the cold end instead).
         self._entries.move_to_end(key)
         self.hits += 1
-        return entry
-
-    def put(
-        self,
-        packet: Packet,
-        rule: FlowRule | None,
-        closure: ActionClosure,
-        generation: int,
-    ) -> CacheEntry:
-        """Memoize one lookup result (evicting least-recently-used)."""
-        entry = CacheEntry(rule=rule, closure=closure, generation=generation)
-        self.store(packet.flow_key(), entry)
         return entry
 
     def store(self, key: tuple, entry: CacheEntry) -> None:
@@ -202,7 +187,7 @@ class FlowCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def publish(self, now: float) -> None:
+    def publish(self) -> None:
         """Fold the counters into the metrics registry
         (``repro_flowcache_events_total`` counters plus a
         ``repro_flowcache_entries`` gauge); a no-op while observability
@@ -284,16 +269,6 @@ class MegaflowCache:
 
     def __len__(self) -> int:
         return len(self._lru)
-
-    @property
-    def mask_count(self) -> int:
-        """Distinct wildcard masks currently cached."""
-        return len(self._by_mask)
-
-    @property
-    def mask_order(self) -> tuple[MatchMask, ...]:
-        """Current probe order (hottest first after a re-sort)."""
-        return tuple(self._mask_order)
 
     # -- invalidation fences ------------------------------------------------
 
@@ -425,7 +400,7 @@ class MegaflowCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def publish(self, now: float) -> None:
+    def publish(self) -> None:
         """Fold the counters into the metrics registry
         (``repro_megaflow_events_total`` plus entry and mask-count
         gauges) so hit rates ship as CI artifacts; a no-op while

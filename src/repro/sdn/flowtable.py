@@ -12,7 +12,7 @@ import bisect
 import dataclasses
 import itertools
 
-from repro.errors import ConfigurationError, PolicyConflictError
+from repro.errors import ConfigurationError
 from repro.netsim.packet import Packet
 from repro.sdn.actions import Action
 from repro.sdn.match import (
@@ -81,24 +81,8 @@ class FlowTable:
     def rules(self) -> list[FlowRule]:
         return list(self._rules)
 
-    def install(self, rule: FlowRule, reject_ambiguous: bool = False) -> None:
-        """Add a rule.
-
-        With ``reject_ambiguous`` the install fails if an existing rule
-        at the *same priority* could match the same packets — the
-        invariant check the paper says PVNs use to avoid configuration
-        conflicts (§3.2).
-        """
-        if reject_ambiguous:
-            for existing in self._rules:
-                if (
-                    existing.priority == rule.priority
-                    and existing.match.could_overlap(rule.match)
-                ):
-                    raise PolicyConflictError(
-                        f"rule overlaps existing rule {existing.rule_id} "
-                        f"at priority {rule.priority}"
-                    )
+    def install(self, rule: FlowRule) -> None:
+        """Add a rule."""
         key = rule.sort_key()
         # bisect_right: among equal keys the later install sorts last,
         # as the stable whole-table sort this replaces ordered them.
@@ -190,8 +174,9 @@ class FlowTable:
         recorded — callers account explicitly) while deriving the
         OVS-style megaflow mask by rule cross-producting: every rule
         ordered before the winner contributes the one field that
-        rejected the packet (:meth:`~repro.sdn.match.Match.mismatch_mask`),
-        and the winner contributes every field it tests
+        rejected the packet (the first failing predicate, in
+        :meth:`~repro.sdn.match.Match.matches` order, at the rule's
+        prefix length for an IP field), and the winner contributes every field it tests
         (:meth:`~repro.sdn.match.Match.mask`).  Any packet that agrees
         with this one on all masked bits is rejected by the same
         earlier rules and accepted by the same winner, so caching
@@ -203,8 +188,8 @@ class FlowTable:
         rules rejects or accepts on that one field whichever of them
         the packet meets, so the run contributes exactly that field and
         its dict holds the winner if there is one; a singleton stage is
-        ``Match.matches`` + ``mismatch_mask`` in one predicate cascade
-        (same field order).  The rule-by-rule cascade this replaces is
+        ``Match.matches`` and that rejecting-field choice in one
+        predicate cascade (same field order).  The rule-by-rule cascade this replaces is
         the oracle in ``tests/sdn/test_staged_classify.py``.
         """
         stages = self._stages

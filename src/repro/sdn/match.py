@@ -122,31 +122,6 @@ class Match:
             owner=self.owner is not None,
         )
 
-    def mismatch_mask(self, packet: Packet) -> MatchMask:
-        """The mask of the *first* predicate that rejects ``packet``.
-
-        A rule fails as soon as one predicate fails, so pinning that
-        single field (at the rule's prefix length for IP fields) is
-        enough to make every packet with the same masked value fail
-        the rule the same way.  Field order mirrors :meth:`matches`.
-        Raises if the packet actually matches (caller bug).
-        """
-        if self.protocol is not None and packet.protocol != self.protocol:
-            return MatchMask(protocol=True)
-        if self.src_port is not None and packet.src_port != self.src_port:
-            return MatchMask(src_port=True)
-        if self.dst_port is not None and packet.dst_port != self.dst_port:
-            return MatchMask(dst_port=True)
-        if self.owner is not None and packet.owner != self.owner:
-            return MatchMask(owner=True)
-        if self.src_cidr is not None and not ip_in_subnet(packet.src, self.src_cidr):
-            return MatchMask(src_plen=_prefix_len(self.src_cidr))
-        if self.dst_cidr is not None and not ip_in_subnet(packet.dst, self.dst_cidr):
-            return MatchMask(dst_plen=_prefix_len(self.dst_cidr))
-        raise ValueError(
-            f"mismatch_mask called on a matching packet (match {self!r})"
-        )
-
     def specificity(self) -> int:
         """How many bits of packet this match constrains (for conflicts).
 
@@ -165,37 +140,6 @@ class Match:
         if self.owner is not None:
             score += 16
         return score
-
-    def could_overlap(self, other: "Match") -> bool:
-        """Conservative overlap test: can some packet match both?
-
-        Exact fields must agree when both set; CIDR fields must nest.
-        False negatives are impossible; false positives are acceptable
-        (they just trigger a priority check at install time).
-        """
-        for mine, theirs in (
-            (self.protocol, other.protocol),
-            (self.src_port, other.src_port),
-            (self.dst_port, other.dst_port),
-            (self.owner, other.owner),
-        ):
-            if mine is not None and theirs is not None and mine != theirs:
-                return False
-        for mine, theirs in (
-            (self.src_cidr, other.src_cidr),
-            (self.dst_cidr, other.dst_cidr),
-        ):
-            if mine is not None and theirs is not None:
-                if not _cidrs_overlap(mine, theirs):
-                    return False
-        return True
-
-
-def _cidrs_overlap(a: str, b: str) -> bool:
-    """True if two CIDR blocks intersect (one contains the other)."""
-    base_a = a.split("/")[0]
-    base_b = b.split("/")[0]
-    return ip_in_subnet(base_a, b) or ip_in_subnet(base_b, a)
 
 
 #: The lowest-priority catch-all used for table-miss handling.

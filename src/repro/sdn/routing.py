@@ -1,17 +1,14 @@
-"""Path computation and path-rule generation.
+"""Path computation over a physical topology.
 
-Given a :class:`~repro.netsim.topology.PhysicalTopology` and a
-controller, these helpers install the forwarding rules that realise a
-path — either plain shortest paths for baseline traffic or waypointed
-paths that visit the NFV host carrying a PVN's middlebox chain.
+Given a :class:`~repro.netsim.topology.PhysicalTopology`, these helpers
+compute waypointed paths that visit the NFV host carrying a PVN's
+middlebox chain, and how much latency the detour adds over the direct
+shortest path.
 """
 
 from __future__ import annotations
 
 from repro.netsim.topology import PhysicalTopology
-from repro.sdn.actions import Output
-from repro.sdn.controller import Controller
-from repro.sdn.match import Match
 
 
 def waypointed_path(
@@ -90,27 +87,3 @@ def path_stretch(
     offered topology implies.
     """
     return StretchWalk(topo, src, dst, waypoints).stretch()
-
-
-def install_path_rules(
-    controller: Controller,
-    path: list[str],
-    match: Match,
-    priority: int = 100,
-    pvn_id: str = "",
-) -> int:
-    """Install ``Output`` rules along ``path`` for packets matching.
-
-    Only nodes the controller manages (SDN switches) get rules; hosts
-    and plain routers on the path are skipped.  Returns the number of
-    rules installed.
-    """
-    installed = 0
-    for node, nxt in zip(path, path[1:]):
-        if node not in controller.switch_names:
-            continue
-        controller.install(
-            node, match, (Output(nxt),), priority=priority, pvn_id=pvn_id
-        )
-        installed += 1
-    return installed

@@ -242,7 +242,7 @@ class SdnSwitch(Node):
             "consumed": self.packets_consumed,
         }
 
-    def publish_counters(self, now: float) -> None:
+    def publish_counters(self) -> None:
         """Fold switch throughput and both cache tiers' counters into
         the metrics registry
         (``repro_switch_packets_total{switch=...,result=...}`` and the
@@ -265,5 +265,5 @@ class SdnSwitch(Node):
                 ("switch",), {"switch": self.name},
                 {"full": self.full_classifications},
             )
-        self.flow_cache.publish(now)
-        self.megaflow_cache.publish(now)
+        self.flow_cache.publish()
+        self.megaflow_cache.publish()

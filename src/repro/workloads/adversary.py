@@ -111,7 +111,3 @@ class Eavesdropper:
 
     def saw(self, secret: bytes) -> bool:
         return any(secret in blob for blob in self.observed)
-
-    @property
-    def bytes_observed(self) -> int:
-        return sum(len(blob) for blob in self.observed)

@@ -104,38 +104,3 @@ def flow_to_packet(flow: FlowSpec, owner: str = "alice",
         size=min(1500, flow.size_bytes), payload=payload,
         flow_id=flow.flow_id, owner=owner,
     )
-
-
-def synth_responses(
-    rng: np.random.Generator, n: int = 50, video_fraction: float = 0.3
-) -> list[Packet]:
-    """Response-direction packets (for transcoder/compressor benches)."""
-    packets = []
-    for index in range(n):
-        if rng.random() < video_fraction:
-            body = bytes(rng.integers(0, 256, size=int(
-                rng.integers(50_000, 200_000)), dtype=np.uint8))
-            payload = HttpResponse(body=body, content_type=CONTENT_VIDEO)
-        elif rng.random() < 0.5:
-            words = rng.choice(
-                [b"the", b"quick", b"brown", b"fox", b"jumps"], size=2000
-            )
-            payload = HttpResponse(body=b" ".join(words),
-                                   content_type=CONTENT_TEXT)
-        else:
-            body = bytes(rng.integers(0, 256, size=30_000, dtype=np.uint8))
-            payload = HttpResponse(body=body, content_type=CONTENT_IMAGE)
-        packets.append(Packet(
-            src="198.51.100.20", dst="10.10.0.2", src_port=80,
-            dst_port=40_000 + index, size=1500, payload=payload,
-            owner="alice",
-        ))
-    return packets
-
-
-def bytes_by_kind(flows: list[FlowSpec]) -> dict[str, int]:
-    """Aggregate byte counts per kind (mix sanity checks and reports)."""
-    totals: dict[str, int] = {}
-    for flow in flows:
-        totals[flow.kind] = totals.get(flow.kind, 0) + flow.size_bytes
-    return totals

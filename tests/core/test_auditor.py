@@ -16,7 +16,7 @@ from repro.core.auditor import (
     path_inflation_test,
     path_proof_ok,
     privacy_exposure_test,
-    stamp,
+    stamp_keyed,
     verify_path,
 )
 from repro.core.auditor.measurements import MeasurementResult
@@ -81,29 +81,31 @@ class TestPathProofs:
         keyring = make_keyring("alice/d1", ["classifier", "pii", "proxy"])
         packet = probe()
         for waypoint in ("classifier", "pii", "proxy"):
-            stamp(packet, waypoint, keyring)
+            stamp_keyed(packet, waypoint, keyring.key_for(waypoint))
         verify_path(packet, keyring, ["classifier", "pii", "proxy"])
         assert path_proof_ok(packet, keyring, ["classifier", "pii", "proxy"])
 
     def test_skipped_waypoint_detected(self):
         keyring = make_keyring("alice/d1", ["classifier", "pii"])
         packet = probe()
-        stamp(packet, "classifier", keyring)  # pii skipped
+        # pii skipped
+        stamp_keyed(packet, "classifier", keyring.key_for("classifier"))
         assert not path_proof_ok(packet, keyring, ["classifier", "pii"])
 
     def test_reordered_waypoints_detected(self):
         keyring = make_keyring("alice/d1", ["a", "b"])
         packet = probe()
-        stamp(packet, "b", keyring)
-        stamp(packet, "a", keyring)
+        stamp_keyed(packet, "b", keyring.key_for("b"))
+        stamp_keyed(packet, "a", keyring.key_for("a"))
         assert not path_proof_ok(packet, keyring, ["a", "b"])
 
     def test_forged_mac_detected(self):
         keyring = make_keyring("alice/d1", ["a", "b"])
         forged_ring = make_keyring("alice/OTHER", ["a", "b"])
         packet = probe()
-        stamp(packet, "a", forged_ring)   # attacker lacks the real keys
-        stamp(packet, "b", forged_ring)
+        # The attacker lacks the real keys.
+        stamp_keyed(packet, "a", forged_ring.key_for("a"))
+        stamp_keyed(packet, "b", forged_ring.key_for("b"))
         assert not path_proof_ok(packet, keyring, ["a", "b"])
 
     def test_unknown_waypoint_key(self):
@@ -175,7 +177,7 @@ class TestViolationsAndReputation:
         good = MeasurementResult("t2", violated=False, detail="fine")
         assert ledger.record_result(bad, "isp", "d1", NOW) is not None
         assert ledger.record_result(good, "isp", "d1", NOW) is None
-        assert ledger.violation_count("isp") == 1
+        assert len(ledger.violations_for("isp")) == 1
         assert ledger.audits_run == 2
 
     def test_dispute_from_evidence(self):

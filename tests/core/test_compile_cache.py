@@ -164,7 +164,7 @@ class TestInvalidation:
         cache = CompileCache()
         compile_pvnc(policy(), cache=cache)
         assert len(cache) == 1
-        cache.invalidate("dsl semantics changed")
+        cache.invalidate()
         assert len(cache) == 0
         compile_pvnc(policy(), cache=cache)
         assert cache.hits == 0
@@ -221,7 +221,7 @@ class TestCacheControls:
             cache = CompileCache()
             compile_pvnc(policy(), cache=cache)
             compile_pvnc(policy(user="bob"), cache=cache)
-            cache.publish(now=1.0)
+            cache.publish()
             value = obs.metrics.value
             assert value("repro_compile_cache_entries") == 1.0
             assert value("repro_compile_cache_hit_rate") == \

@@ -138,7 +138,7 @@ class TestPipelineInvalidation:
         datapath = manager.deployment(ack.deployment_id).datapath
         datapath.process(alice_packet(), now=sim.now)
         with obs_runtime.enabled() as obs:
-            datapath.publish_counters(sim.now)
+            datapath.publish_counters()
         value = obs.metrics.value
         labels = {"deployment": ack.deployment_id}
         assert value("repro_datapath_packets", result="packets_processed",

@@ -19,7 +19,6 @@ from repro.core.auditor.path_proof import (
     PROOF_KEY,
     ProofKeyring,
     make_keyring,
-    stamp,
     stamp_keyed,
     verify_path,
 )
@@ -64,8 +63,10 @@ class TestProofBytes:
         by_ring, by_key = proof_packet(), proof_packet()
         previous = b""
         for waypoint in WAYPOINTS:
-            stamp(by_ring, waypoint, keyring)
-            stamp_keyed(by_key, waypoint, keyring.key_for(waypoint))
+            stamp_keyed(by_ring, waypoint, keyring.key_for(waypoint))
+            # The key derived by hand, as the keyring documents it.
+            stamp_keyed(by_key, waypoint, hashlib.sha256(
+                f"proof:alice/pvn7:{waypoint}".encode()).digest())
             previous = hmac.new(
                 keyring.key_for(waypoint), b"4242" + previous, hashlib.sha256,
             ).digest()[:16]

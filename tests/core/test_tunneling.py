@@ -17,7 +17,6 @@ from repro.core.tunneling import (
 )
 from repro.errors import TunnelError
 from repro.netsim import Packet, attach_device, build_access_network, build_wide_area
-from repro.nfv.middlebox import ProcessingContext
 
 
 @pytest.fixture
@@ -65,7 +64,7 @@ class TestFullTunnel:
 
     def test_encap_overhead_fraction(self, topo):
         tunnel = FullTunnel(topo, "dev", "cloud")
-        assert 0.9 < tunnel.goodput_fraction() < 1.0
+        assert 0.9 < tunnel.encap.goodput_fraction() < 1.0
 
     def test_unknown_node_rejected(self, topo):
         with pytest.raises(TunnelError):
@@ -121,16 +120,6 @@ class TestEncapSpecs:
         legacy = ENCAP_VARIANTS["bf-cbc-sha1"]
         assert (null.goodput_fraction() > aead.goodput_fraction()
                 > legacy.goodput_fraction())
-
-    def test_encap_pipeline_charges_cpu_as_delay(self, topo):
-        tunnel = FullTunnel(topo, "dev", "cloud", encap="bf-cbc-sha1")
-        pipeline = tunnel.as_pipeline()
-        result = pipeline.run(
-            pkt(), ProcessingContext(now=0.0, owner="alice"))
-        assert result.tunnel_endpoint == "cloud"
-        assert result.added_delay == pytest.approx(
-            tunnel.encap.cpu_seconds(1500))
-
 
 class TestSelectiveRedirection:
     def test_tls_interception_predicate(self):

@@ -154,10 +154,16 @@ class TestNormaliseIds:
 # -- fuzz: every script parses to an applicable plan or fails at parse ------
 
 #: Names the fuzz world has: its NFV hosts, and its links as endpoint
-#: pairs.  Targets are drawn from these, so an event that parses names
-#: only things that exist and must apply.
+#: pairs.  Targets are drawn from these and from ``_STRANGERS``, names
+#: that parse but that the world has no NFV host of: an event that
+#: parses either applies or, naming a stranger as a host, is refused
+#: before it is scheduled.
 _HOSTS = ("nfv0", "nfv1")
+_STRANGERS = ("agg", "nosuchhost")
 _LINKS = (("agg", "ap1"), ("agg", "core"), ("gw", "home"))
+
+#: Kinds whose targets must be the world's NFV hosts (or ``*``).
+_HOST_TARGETED = HOST_KINDS | {FaultKind.NETWORK_PARTITION}
 
 
 def _mostly(good, bad):
@@ -182,7 +188,7 @@ _param_values = {
 }
 _any_target = st.one_of(
     st.just(()),
-    st.sampled_from(_HOSTS + ("*",)).map(lambda host: (host,)),
+    st.sampled_from(_HOSTS + _STRANGERS + ("*",)).map(lambda host: (host,)),
     st.sampled_from(_LINKS),
     st.tuples(st.sampled_from(_LINKS), st.sampled_from(_HOSTS)).map(
         lambda pair_host: (*pair_host[0], pair_host[1])),
@@ -195,7 +201,8 @@ def _target_for(verb):
     if kind in LINK_KINDS:
         proper = st.sampled_from(_LINKS)
     elif kind in HOST_KINDS:
-        proper = st.sampled_from(_HOSTS).map(lambda host: (host,))
+        proper = st.sampled_from(_HOSTS + _STRANGERS).map(
+            lambda host: (host,))
     else:
         proper = st.sampled_from([(), ("*",), ("tls_validator",)])
     return _mostly(proper, _any_target)
@@ -229,6 +236,8 @@ class TestScriptFuzz:
     @example(script="at 1.0 silence duration=-1")
     @example(script="at 1.0 partition nfv1 duration=nan")
     @example(script="at 0 host-crash *")
+    @example(script="at 1 partition nosuchhost duration=1")
+    @example(script="at 1 heartbeat-loss agg count=2")
     def test_script_applies_or_fails_at_parse(self, script):
         try:
             plan = parse_fault_plan(script)
@@ -236,7 +245,36 @@ class TestScriptFuzz:
             return
         session = PvnSession.build(seed=0)
         assert session.connect(default_pvnc()).deployed
+        world = {*session.provider.hosts, "*"}
+        strangers = [event for event in plan
+                     if event.kind in _HOST_TARGETED
+                     and not set(event.target) <= world]
+        if strangers:
+            refused = FaultInjector(session.sim, session.provider)
+            with pytest.raises(ConfigurationError, match="unknown NFV host"):
+                refused.schedule_plan(plan)
+            assert refused.scheduled == 0
         injector = FaultInjector(session.sim, session.provider)
         for event in plan:
-            injector.inject_now(event)
-        assert len(injector.applied) == len(plan)
+            if event in strangers:
+                with pytest.raises(ConfigurationError,
+                                   match="unknown NFV host"):
+                    injector.inject_now(event)
+            else:
+                injector.inject_now(event)
+        assert len(injector.applied) == len(plan) - len(strangers)
+
+
+@pytest.mark.parametrize("script", [
+    "at 1 partition nosuchhost duration=1",
+    "at 1 heartbeat-loss agg count=2",
+])
+def test_host_outside_the_world_is_refused_when_scheduled(script):
+    session = PvnSession.build(seed=0)
+    injector = FaultInjector(session.sim, session.provider)
+    with pytest.raises(ConfigurationError, match="unknown NFV host"):
+        injector.schedule_plan(script)
+    assert injector.scheduled == 0
+    with pytest.raises(ConfigurationError, match="unknown NFV host"):
+        injector.inject_now(parse_fault_plan(script).events[0])
+    assert injector.applied == []

@@ -89,11 +89,10 @@ class TestFaultEffects:
         with pytest.raises(ConfigurationError, match="in the past"):
             session.inject_faults("at 1.0 crash *")
 
-    def test_unknown_host_raises_at_fire_time(self):
+    def test_unknown_host_raises_when_scheduled(self):
         session, _ = connected_session()
-        session.inject_faults("at 1.0 host-down nfv999")
         with pytest.raises(ConfigurationError, match="unknown NFV host"):
-            session.sim.run(until=1.5)
+            session.inject_faults("at 1.0 host-down nfv999")
 
 
 class TestAccountingAndDeterminism:

@@ -83,7 +83,7 @@ class TestDegradationEndToEnd:
         assert "fault:repair_failed" in tests
         assert "fault:degraded" in tests
         # None of it pollutes the policy-violation evidence.
-        assert ledger.violation_count(session.provider.name) == 0
+        assert ledger.violations_for(session.provider.name) == []
 
     def test_repair_wins_when_capacity_survives(self, session):
         deployment_id = session.outcome.deployment_id

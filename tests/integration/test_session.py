@@ -132,7 +132,7 @@ class TestDishonestProviders:
         for _ in range(4):
             session.audit()
         assert session.device.reputation.blacklisted(session.provider.name)
-        assert len(session.device.ledger) >= 8
+        assert len(session.device.ledger._records) >= 8
 
 
 class TestUnsupportedNetworks:

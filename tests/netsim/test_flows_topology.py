@@ -10,7 +10,6 @@ from repro.netsim import (
     PhysicalTopology,
     attach_device,
     build_access_network,
-    build_multihomed_access,
     build_wide_area,
 )
 from repro.netsim.flows import (
@@ -114,10 +113,6 @@ class TestTopology:
         rtt = topo.rtt("gw", "cloud", size_bytes=0)
         assert rtt == pytest.approx(0.040, rel=0.01)
 
-    def test_multihomed_has_two_gateways(self):
-        topo = build_multihomed_access()
-        assert set(topo.nodes_of_kind("gateway")) == {"gw", "gw_cell"}
-
     def test_unknown_kind_rejected(self):
         topo = PhysicalTopology()
         with pytest.raises(ConfigurationError):
@@ -200,20 +195,3 @@ class TestTopology:
         assert topo.path_bottleneck_bps(path) == 10e6
         expected_loss = 1 - 0.99 * 0.98
         assert topo.path_loss_rate(path) == pytest.approx(expected_loss)
-
-    def test_instantiate_produces_live_nodes(self):
-        from repro.netsim import Packet, Simulator
-
-        topo = PhysicalTopology()
-        topo.add_node("h1", kind="host")
-        topo.add_node("s", kind="switch")
-        topo.add_node("h2", kind="host")
-        topo.add_link("h1", "s", 0.001, 1e9)
-        topo.add_link("s", "h2", 0.001, 1e9)
-        sim = Simulator()
-        nodes = topo.instantiate(sim, host_ips={"h1": "10.0.0.1", "h2": "10.0.0.2"})
-        nodes["s"].add_route("10.0.0.2/32", "h2")
-        pkt = Packet(src="10.0.0.1", dst="10.0.0.2", size=100)
-        nodes["h1"].originate(pkt, via="s")
-        sim.run()
-        assert pkt.trail == ["h1", "s", "h2"]

@@ -6,7 +6,7 @@ one ``release_many``; it keeps the live flows in a sorted ``(device,
 seq)`` index that the epoch step reads without sorting and that
 resolves a device's flows as one slice.  :class:`PerFlowEngine` below
 is what used to live in ``src/`` — one ``HybridFlow`` object, one
-``SoaTable.allocate`` and one ``release`` per flow, a dict of slot
+one-row allocation and one release per flow, a dict of slot
 sets per device, and a ``lexsort`` of the dirty cells' flows every
 epoch — kept here as the oracle.  Both are driven tick by tick over
 the same compiled workload and must agree on everything a later tick,
@@ -71,6 +71,14 @@ class PerFlowEngine(HybridPopulationEngine):
                 self.flows.col("rate")[sub] = np.minimum(caps, fair[cells])
         self.cell_dirty[:] = False
 
+    def migrate_many(self, migrates):
+        for device, new_cell, k in migrates:
+            self.migrate(device, new_cell, k)
+
+    def detach_many(self, detaches):
+        for device, k in detaches:
+            self.detach(device, k)
+
     def migrate(self, device, new_cell, k=0):
         device, new_cell = int(device), int(new_cell)
         if not self._attached[device]:
@@ -106,13 +114,13 @@ class PerFlowEngine(HybridPopulationEngine):
             self.ledger.record("flow_refused", device, spec.seq)
             return None
         cell = int(self._device_cell[device])
-        slot = self.flows.allocate(
-            rate=0.0, carry=0.0, cap=spec.cap_bps / 8.0,
+        slot = int(self.flows.allocate_many(
+            1, rate=0.0, carry=0.0, cap=spec.cap_bps / 8.0,
             remaining=spec.n_packets, emitted=0,
             cell=cell, device=device, seq=spec.seq, dst=spec.dst_device,
             next_leak=spec.leak_packets[0] if spec.leak_packets else NO_LEAK,
-            leak_pos=0, spec=spec,
-        )
+            leak_pos=0, spec=[spec],
+        )[0])
         self.cell_count[cell] += 1
         self.cell_dirty[cell] = True
         self._device_flows.setdefault(device, set()).add(slot)
@@ -170,7 +178,7 @@ class PerFlowEngine(HybridPopulationEngine):
             flows.discard(slot)
             if not flows:
                 del self._device_flows[spec.device]
-        self.flows.release(slot)
+        self.flows.release_many([slot])
         if completed:
             self.flows_completed += 1
             if spec.dst_device >= 0:
@@ -237,7 +245,7 @@ def assert_objects_are_the_oracles(engine, oracle):
     dead rows pin none."""
     kept, reference = engine.flows.col("spec"), oracle.flows.col("spec")
     next_leak = engine.flows.col("next_leak")
-    alive = engine.flows.alive
+    alive = engine.flows._alive
     for slot in range(engine.flows.capacity):
         if not alive[slot]:
             assert kept[slot] is None
@@ -426,7 +434,7 @@ class TestHandBuiltBatches:
         assert observable(engine) == observable(oracle)
         assert_index_is_the_sort(engine)
         assert engine.ledger.count("flow_refused") == 2
-        assert engine.active_flows == 2
+        assert len(engine.flows) == 2
 
     def test_open_flow_is_a_batch_of_one(self):
         engine, oracle = self.pair()
@@ -434,9 +442,11 @@ class TestHandBuiltBatches:
                   flow(3, 0, leak_packets=(1, 7),
                        leak_types=("ssn", "email"))]
         for spec in opened:
-            assert engine.open_flow(spec) == oracle.open_flow(spec)
-        engine.detach(2)
-        oracle.detach(2)
+            slot = oracle.open_flow(spec)
+            assert engine.admit(FlowBatch.of([spec])).tolist() == (
+                [] if slot is None else [slot])
+        for each in (engine, oracle):
+            each.detach_many([(2, 0)])
         assert observable(engine) == observable(oracle)
         assert_index_is_the_sort(engine)
 
@@ -449,14 +459,14 @@ class TestHandBuiltBatches:
                   flow(1, 0)]
         for each in (engine, oracle):
             each._apply(self.batch(opened))
-            each.migrate(2, 1)
-            each.migrate(2, 0, 1)
-            each.migrate(2, 1, 2)
+            each.migrate_many([(2, 1, 0)])
+            each.migrate_many([(2, 0, 1)])
+            each.migrate_many([(2, 1, 2)])
             each._recompute()
-            each.detach(2)
+            each.detach_many([(2, 0)])
         assert observable(engine) == observable(oracle)
         assert_index_is_the_sort(engine)
-        assert engine.active_flows == 3
+        assert len(engine.flows) == 3
         assert engine.cell_count.tolist() == [0, 3]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.netsim import Host, Link, Packet, RoutingNode, Simulator, link_rtt
+from repro.netsim import Host, Link, Packet, Simulator, link_rtt
 
 
 def make_pair(sim, **link_kwargs):
@@ -124,48 +124,6 @@ class TestHost:
         a = Host(sim, "a", "10.0.0.1")
         with pytest.raises(ConfigurationError):
             a.send(Packet(src=a.ip, dst="10.0.0.9"), via="nowhere")
-
-
-class TestRoutingNode:
-    def test_longest_prefix_match_wins(self):
-        sim = Simulator()
-        router = RoutingNode(sim, "r")
-        router.add_route("10.0.0.0/8", "coarse")
-        router.add_route("10.1.0.0/16", "fine")
-        assert router.next_hop("10.1.2.3") == "fine"
-        assert router.next_hop("10.2.2.3") == "coarse"
-        assert router.next_hop("192.168.1.1") is None
-
-    def test_default_route(self):
-        sim = Simulator()
-        router = RoutingNode(sim, "r")
-        router.add_route("0.0.0.0/0", "upstream")
-        assert router.next_hop("8.8.8.8") == "upstream"
-
-    def test_forwarding_through_router(self):
-        sim = Simulator()
-        a = Host(sim, "a", "10.0.0.1")
-        r = RoutingNode(sim, "r")
-        b = Host(sim, "b", "10.1.0.1")
-        Link(a, r, latency=0.001, bandwidth_bps=1e9)
-        Link(r, b, latency=0.001, bandwidth_bps=1e9)
-        r.add_route("10.1.0.0/16", "b")
-        pkt = Packet(src=a.ip, dst=b.ip, size=100)
-        a.originate(pkt, via="r")
-        sim.run()
-        assert pkt.delivered_at is not None
-        assert pkt.trail == ["a", "r", "b"]
-
-    def test_no_route_drops_with_reason(self):
-        sim = Simulator()
-        a = Host(sim, "a", "10.0.0.1")
-        r = RoutingNode(sim, "r")
-        Link(a, r, latency=0.001, bandwidth_bps=1e9)
-        pkt = Packet(src=a.ip, dst="203.0.113.7")
-        a.originate(pkt, via="r")
-        sim.run()
-        assert pkt.dropped
-        assert "no route" in pkt.drop_reason
 
 
 class TestBoundedBuffers:

@@ -1,5 +1,5 @@
 """SoaTable: slot lifecycle, generations, growth, column access, and
-the batch calls' equivalence to the scalar ones."""
+the batch calls' equivalence to one-row allocation and release."""
 
 import numpy as np
 import pytest
@@ -15,11 +15,44 @@ def make_table(capacity=8):
     )
 
 
+def allocate(table, **values):
+    """One row, claimed the one-slot-at-a-time way (the reference the
+    batch calls are checked against): pop the free list, growing first
+    if it is empty."""
+    if not table._free:
+        table._grow()
+    slot = table._free.pop()
+    table._alive[slot] = True
+    table._live += 1
+    table.high_water = max(table.high_water, table._live)
+    for name, value in values.items():
+        table.col(name)[slot] = value
+    return slot
+
+
+def release(table, slot):
+    """One row returned the one-slot-at-a-time way."""
+    if not table._alive[slot]:
+        raise KeyError(f"slot {slot} is not live")
+    table._alive[slot] = False
+    table._generation[slot] += 1
+    table._live -= 1
+    for column in table._objects.values():
+        column[slot] = None
+    table._free.append(slot)
+
+
+def allocate_one(table, **values):
+    """``allocate_many`` of a single row; returns its slot."""
+    return int(table.allocate_many(
+        1, **{name: [value] for name, value in values.items()})[0])
+
+
 class TestLifecycle:
     def test_allocate_initialises_named_columns(self):
         table = make_table()
-        slot = table.allocate(rate=2.5, owner=7, flag=True,
-                              spec=("flow", 0))
+        slot = allocate_one(table, rate=2.5, owner=7, flag=True,
+                            spec=("flow", 0))
         assert table.col("rate")[slot] == 2.5
         assert table.col("owner")[slot] == 7
         assert table.col("flag")[slot]
@@ -29,37 +62,36 @@ class TestLifecycle:
     def test_release_frees_and_clears_object_refs(self):
         table = make_table()
         payload = object()
-        slot = table.allocate(spec=payload)
-        table.release(slot)
+        slot = allocate_one(table, spec=payload)
+        table.release_many([slot])
         assert len(table) == 0
         # Object columns must not pin released payloads.
         assert table.col("spec")[slot] is None
 
     def test_release_of_dead_slot_raises(self):
         table = make_table()
-        slot = table.allocate(rate=1.0)
-        table.release(slot)
+        slot = allocate_one(table, rate=1.0)
+        table.release_many([slot])
         with pytest.raises(KeyError):
-            table.release(slot)
+            table.release_many([slot])
 
     def test_lifo_reuse_of_freed_slots(self):
         table = make_table()
-        first = table.allocate(rate=1.0)
-        table.release(first)
-        assert table.allocate(rate=2.0) == first
+        first = allocate_one(table, rate=1.0)
+        table.release_many([first])
+        assert allocate_one(table, rate=2.0) == first
 
     def test_unknown_column_raises(self):
         table = make_table()
         with pytest.raises(KeyError):
-            table.allocate(nope=1)
+            table.allocate_many(1, nope=[1])
         with pytest.raises(KeyError):
             table.col("nope")
 
     def test_high_water_tracks_peak_live_count(self):
         table = make_table()
-        slots = [table.allocate(rate=float(i)) for i in range(5)]
-        for slot in slots:
-            table.release(slot)
+        slots = table.allocate_many(5, rate=np.arange(5.0))
+        table.release_many(slots)
         assert len(table) == 0
         assert table.high_water == 5
 
@@ -67,14 +99,14 @@ class TestLifecycle:
 class TestGenerations:
     def test_release_bumps_generation(self):
         table = make_table()
-        slot = table.allocate(rate=1.0)
+        slot = allocate_one(table, rate=1.0)
         generation = table.generation(slot)
         assert table.is_current(slot, generation)
-        table.release(slot)
+        table.release_many([slot])
         assert not table.is_current(slot, generation)
         # The recycled slot carries a newer generation: a stale
         # (slot, generation) capture can never alias the new row.
-        again = table.allocate(rate=2.0)
+        again = allocate_one(table, rate=2.0)
         assert again == slot
         assert table.generation(slot) == generation + 1
         assert not table.is_current(slot, generation)
@@ -84,7 +116,7 @@ class TestGenerations:
 class TestGrowth:
     def test_growth_preserves_contents(self):
         table = make_table(capacity=8)
-        slots = [table.allocate(rate=float(i), owner=i, spec=i)
+        slots = [allocate_one(table, rate=float(i), owner=i, spec=i)
                  for i in range(50)]
         assert table.capacity >= 50
         for i, slot in enumerate(slots):
@@ -96,14 +128,14 @@ class TestGrowth:
         table = make_table(capacity=8)
         stale = table.col("rate")
         for i in range(20):
-            table.allocate(rate=1.0)
+            allocate_one(table, rate=1.0)
         # Documented contract: re-read col() after growth.
         assert len(table.col("rate")) > len(stale)
 
 
 def table_state(table):
     """Everything a later allocate/release can observe."""
-    return (table.alive.tolist(), table._generation.tolist(),
+    return (table._alive.tolist(), table._generation.tolist(),
             list(table._free), len(table), table.high_water,
             table.capacity, table.grows,
             table.col("owner").tolist(), list(table.col("spec")))
@@ -124,10 +156,10 @@ class TestBatchLifecycle:
     def test_allocate_many_takes_the_slots_scalar_allocation_would(self):
         batched, scalar = make_table(), make_table()
         for table in (batched, scalar):
-            held = [table.allocate(owner=i) for i in range(6)]
+            held = [allocate(table, owner=i) for i in range(6)]
             for slot in (held[1], held[4], held[2]):
-                table.release(slot)
-        expected = [scalar.allocate(owner=9) for _ in range(5)]
+                release(table, slot)
+        expected = [allocate(scalar, owner=9) for _ in range(5)]
         assert batched.allocate_many(5, owner=9).tolist() == expected
         assert table_state(batched) == table_state(scalar)
 
@@ -179,7 +211,7 @@ class TestBatchAllOrNothing:
     def test_release_many_dead_slot(self):
         table = make_table()
         slots = table.allocate_many(4, spec=["a", "b", "c", "d"])
-        table.release(int(slots[1]))
+        table.release_many(slots[1:2])
         self.refused(table, KeyError, table.release_many, slots)
 
     @pytest.mark.parametrize("bad", [-1, 8, 10**6])
@@ -214,7 +246,7 @@ class TestBatchScalarLockstep:
     def test_batch_calls_equal_the_scalar_calls_they_stand_for(
             self, program):
         """Random allocate / allocate_many / release / release_many
-        programs against a table driven only by the scalar calls."""
+        programs against a table driven only by one-row calls."""
         batched, scalar = make_table(capacity=8), make_table(capacity=8)
         tag = 0
         # Every program ends by outgrowing the table, whatever state
@@ -223,8 +255,8 @@ class TestBatchScalarLockstep:
             live = scalar.live_slots().tolist()
             if op == "allocate":
                 tag += 1
-                assert batched.allocate(owner=tag, spec=tag) == (
-                    scalar.allocate(owner=tag, spec=tag))
+                assert allocate_one(batched, owner=tag, spec=tag) == (
+                    allocate(scalar, owner=tag, spec=tag))
             elif op == "allocate_many":
                 tags = list(range(tag + 1, tag + 1 + args[0]))
                 tag += args[0]
@@ -232,18 +264,18 @@ class TestBatchScalarLockstep:
                     args[0], owner=np.array(tags, dtype=np.int64),
                     spec=tags)
                 assert got.tolist() == [
-                    scalar.allocate(owner=t, spec=t) for t in tags]
+                    allocate(scalar, owner=t, spec=t) for t in tags]
             elif op == "release" and live:
                 slot = live[args[0] % len(live)]
-                batched.release(slot)
-                scalar.release(slot)
+                batched.release_many([slot])
+                release(scalar, slot)
             elif op == "release_many" and live:
                 # Distinct live slots, in a drawn (unsorted) order.
                 picks = list(dict.fromkeys(
                     live[i % len(live)] for i in args[0]))
                 batched.release_many(picks)
                 for slot in picks:
-                    scalar.release(slot)
+                    release(scalar, slot)
             assert table_state(batched) == table_state(scalar)
         assert scalar.grows >= 2
 
@@ -251,18 +283,18 @@ class TestBatchScalarLockstep:
 class TestColumns:
     def test_live_slots_ascending(self):
         table = make_table()
-        slots = [table.allocate(rate=1.0) for _ in range(6)]
-        table.release(slots[2])
-        table.release(slots[4])
+        slots = table.allocate_many(6, rate=1.0).tolist()
+        table.release_many([slots[2]])
+        table.release_many([slots[4]])
         live = table.live_slots()
         assert list(live) == sorted(set(slots) - {slots[2], slots[4]})
 
     def test_vectorized_update_over_live_mask(self):
         table = make_table()
         for i in range(4):
-            table.allocate(rate=float(i + 1))
+            allocate_one(table, rate=float(i + 1))
         rate = table.col("rate")
-        rate[table.alive] *= 2.0
+        rate[table._alive] *= 2.0
         assert list(rate[table.live_slots()]) == [2.0, 4.0, 6.0, 8.0]
 
     def test_numeric_dtypes(self):

@@ -53,7 +53,8 @@ class TestContainerLifecycle:
         assert container.state is ContainerState.INSTANTIATING
         sim.run()
         assert container.state is ContainerState.RUNNING
-        assert container.instantiation_latency == pytest.approx(0.030)
+        assert (container.running_at - container.started_at
+                == pytest.approx(0.030))
 
     def test_cannot_start_twice(self):
         sim = Simulator()

@@ -138,7 +138,7 @@ class TestPipelineRun:
         pipeline = Pipeline("p", (passing_step("a"),))
         pipeline.run(pkt(), ctx())
         with obs_runtime.enabled() as obs:
-            pipeline.publish(1.5)
+            pipeline.publish()
         value = obs.metrics.value
         assert value("repro_pipeline_packets",
                      pipeline="p", result="packets_in") == 1

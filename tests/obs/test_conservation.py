@@ -16,7 +16,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.netsim.link import Link
-from repro.netsim.node import Node
+from repro.netsim.node import Host
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
 from repro.obs import runtime as obs_runtime
@@ -43,7 +43,7 @@ steps = st.lists(
 def _build_switch() -> SdnSwitch:
     sim = Simulator()
     switch = SdnSwitch(sim, "cons")
-    Link(switch, Node(sim, "gw"))     # real egress so Output delivers
+    Link(switch, Host(sim, "gw", "10.0.0.254"))   # real egress for Output
     for i in range(N_USERS - 1):      # last user always misses -> punt/drop
         action = (Drop(reason="policy"),) if i % 2 else (
             Output(neighbor="gw"),)
@@ -78,7 +78,7 @@ def test_conservation_under_chaos_via_registry(script):
             elif kind == "drop_punt_handler":
                 switch.set_packet_in_handler(None)
 
-        switch.publish_counters(switch.sim.now)
+        switch.publish_counters()
         value = obs.metrics.value
         received = value("repro_switch_packets",
                          switch="cons", result="received")

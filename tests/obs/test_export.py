@@ -80,7 +80,7 @@ class TestPrometheus:
         registry = MetricsRegistry()
         registry.counter("repro_reqs", "Requests",
                          ("who",)).labels(who="a").inc(2)
-        registry.gauge("repro_depth", "Depth").set(4)
+        registry.gauge("repro_depth", "Depth").labels().set(4)
         out = io.StringIO()
         metrics_to_prometheus(registry, out)
         text = out.getvalue()
@@ -92,7 +92,8 @@ class TestPrometheus:
 
     def test_histogram_family_header_not_per_suffix(self):
         registry = MetricsRegistry()
-        registry.histogram("lat", "Latency", buckets=(1.0,)).observe(0.5)
+        registry.histogram("lat", "Latency", buckets=(1.0,)).labels().observe(
+            0.5)
         out = io.StringIO()
         metrics_to_prometheus(registry, out)
         text = out.getvalue()
@@ -104,7 +105,7 @@ class TestPrometheus:
 class TestDeterministicOrdering:
     def _registry(self):
         registry = MetricsRegistry()
-        h = registry.histogram("repro_a", "A", buckets=(2.0, 10.0))
+        h = registry.histogram("repro_a", "A", buckets=(2.0, 10.0)).labels()
         h.observe(1.0)
         h.observe(5.0)
         registry.counter("repro_ab", "AB").inc()
@@ -156,7 +157,7 @@ class TestDeterministicOrdering:
         g.labels(b="0", a="9").set(2.0)
         g.labels(b="1", a="2").set(1.0)
         backward.counter("repro_ab", "AB").inc()
-        h = backward.histogram("repro_a", "A", buckets=(2.0, 10.0))
+        h = backward.histogram("repro_a", "A", buckets=(2.0, 10.0)).labels()
         h.observe(5.0)
         h.observe(1.0)
         assert render(forward) == render(backward)

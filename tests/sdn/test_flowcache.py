@@ -23,7 +23,19 @@ from repro.sdn import (
     SdnSwitch,
     ToChain,
 )
+from repro.sdn.flowcache import CacheEntry
 from repro.sdn.flowtable import FlowRule
+
+
+def remember(cache, packet):
+    """Store a no-op entry under ``packet``'s exact-match key."""
+    cache.store(packet.flow_key(),
+                CacheEntry(rule=None, closure=lambda p: None, generation=0))
+
+
+def recall(cache, packet):
+    """The cached entry for ``packet`` at table generation 0, or None."""
+    return cache.lookup(packet.flow_key(), 0)
 
 
 class LinearSwitch(SdnSwitch):
@@ -215,17 +227,16 @@ class TestInvalidation:
     def test_capacity_eviction_is_lru_and_counted(self):
         cache = FlowCache(capacity=2)
         for port in (1, 2):
-            cache.put(flow_pkt(dst_port=port), None, lambda p: None,
-                      generation=0)
+            remember(cache, flow_pkt(dst_port=port))
         # Touch port 1: under LRU it becomes most-recent and survives
         # the next eviction; under FIFO it would be the one evicted.
-        assert cache.get(flow_pkt(dst_port=1), generation=0) is not None
-        cache.put(flow_pkt(dst_port=3), None, lambda p: None, generation=0)
+        assert recall(cache, flow_pkt(dst_port=1)) is not None
+        remember(cache, flow_pkt(dst_port=3))
         assert len(cache) == 2
         assert cache.evictions == 1
-        assert cache.get(flow_pkt(dst_port=2), generation=0) is None
-        assert cache.get(flow_pkt(dst_port=1), generation=0) is not None
-        assert cache.get(flow_pkt(dst_port=3), generation=0) is not None
+        assert recall(cache, flow_pkt(dst_port=2)) is None
+        assert recall(cache, flow_pkt(dst_port=1)) is not None
+        assert recall(cache, flow_pkt(dst_port=3)) is not None
 
     def test_hot_flow_survives_one_shot_flow_pressure(self):
         # The LRU regression guard: a long-lived flow interleaved with
@@ -233,12 +244,11 @@ class TestInvalidation:
         # hitting the cache (FIFO would age it out every cycle).
         cache = FlowCache(capacity=8)
         hot = flow_pkt(dst_port=443)
-        cache.put(hot, None, lambda p: None, generation=0)
+        remember(cache, hot)
         for port in range(1000, 1032):          # 4x capacity of churn
-            assert cache.get(hot, generation=0) is not None
-            cache.put(flow_pkt(dst_port=port), None, lambda p: None,
-                      generation=0)
-        assert cache.get(hot, generation=0) is not None
+            assert recall(cache, hot) is not None
+            remember(cache, flow_pkt(dst_port=port))
+        assert recall(cache, hot) is not None
         assert cache.hits == 33
 
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import ConfigurationError, PolicyConflictError
+from repro.errors import ConfigurationError
 from repro.netsim import Packet
 from repro.sdn import (
     MATCH_ANY,
@@ -45,21 +45,6 @@ class TestMatch:
         narrow = Match(src_cidr="10.0.0.5/32", dst_port=443, owner="a")
         wide = Match(src_cidr="10.0.0.0/8")
         assert narrow.specificity() > wide.specificity()
-
-    def test_could_overlap_disjoint_fields(self):
-        a = Match(protocol="tcp")
-        b = Match(protocol="udp")
-        assert not a.could_overlap(b)
-
-    def test_could_overlap_nested_cidrs(self):
-        a = Match(dst_cidr="10.0.0.0/8")
-        b = Match(dst_cidr="10.1.0.0/16")
-        assert a.could_overlap(b)
-        c = Match(dst_cidr="11.0.0.0/8")
-        assert not b.could_overlap(c)
-
-    def test_could_overlap_wildcards(self):
-        assert MATCH_ANY.could_overlap(Match(protocol="tcp", owner="x"))
 
     @given(
         port=st.integers(min_value=1, max_value=65535),
@@ -115,28 +100,6 @@ class TestFlowTable:
         table.lookup(pkt(size=50))
         assert rule.packets_matched == 2
         assert rule.bytes_matched == 150
-
-    def test_reject_ambiguous_same_priority_overlap(self):
-        table = FlowTable()
-        table.install(FlowRule(match=Match(dst_cidr="10.0.0.0/8"),
-                               actions=(Output("a"),), priority=50))
-        with pytest.raises(PolicyConflictError):
-            table.install(
-                FlowRule(match=Match(dst_cidr="10.1.0.0/16"),
-                         actions=(Output("b"),), priority=50),
-                reject_ambiguous=True,
-            )
-
-    def test_ambiguity_ok_at_different_priorities(self):
-        table = FlowTable()
-        table.install(FlowRule(match=Match(dst_cidr="10.0.0.0/8"),
-                               actions=(Output("a"),), priority=50))
-        table.install(
-            FlowRule(match=Match(dst_cidr="10.1.0.0/16"),
-                     actions=(Output("b"),), priority=60),
-            reject_ambiguous=True,
-        )
-        assert len(table) == 2
 
     def test_remove_by_id_and_pvn(self):
         table = FlowTable()

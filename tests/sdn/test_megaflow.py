@@ -205,7 +205,7 @@ class TestChurnCollapse:
         assert switch.full_classifications == 1
         assert switch.megaflow_cache.hits == 49
         assert switch.flow_cache.hits == 0      # no repeated five-tuple
-        assert switch.megaflow_cache.mask_count == 1
+        assert switch.megaflow_cache.counters()["masks"] == 1
 
     def test_repeated_flow_promotes_to_microflow_tier(self):
         switch = make_switch()
@@ -304,7 +304,7 @@ class TestMegaflowLru:
             packet = flow_pkt(owner=owner)
             _, mask = _table_for(owner).classify(packet)
             cache.put(packet, mask, None, lambda p: None, generation=0)
-        assert cache.mask_count == 1
+        assert cache.counters()["masks"] == 1
 
 
 # -- mask-list hit-frequency ordering -----------------------------------------
@@ -326,7 +326,7 @@ class TestMaskOrdering:
     def test_new_masks_append_in_insertion_order(self):
         cache = MegaflowCache(resort_interval=1000)
         _seed_two_masks(cache)
-        assert cache.mask_order == (M_OWNER, M_PORT)
+        assert tuple(cache._mask_order) == (M_OWNER, M_PORT)
         assert cache.resorts == 0
 
     def test_hot_mask_promotes_to_front(self):
@@ -338,7 +338,7 @@ class TestMaskOrdering:
             hit = cache.get(flow_pkt(owner="zzz", dst_port=80),
                             generation=0)
             assert hit is not None
-        assert cache.mask_order == (M_PORT, M_OWNER)
+        assert tuple(cache._mask_order) == (M_PORT, M_OWNER)
         assert cache.resorts >= 1
         assert cache.counters()["mask_resorts"] == cache.resorts
 
@@ -352,7 +352,7 @@ class TestMaskOrdering:
                              generation=0) is not None
             assert cache.get(flow_pkt(owner="q", dst_port=80),
                              generation=0) is not None
-        assert cache.mask_order == (M_OWNER, M_PORT)
+        assert tuple(cache._mask_order) == (M_OWNER, M_PORT)
         assert cache.resorts == 0
 
     def test_reordering_never_changes_the_served_entry(self):
@@ -369,7 +369,7 @@ class TestMaskOrdering:
         }
         for _ in range(9):
             cache.get(flow_pkt(owner="y", dst_port=80), generation=0)
-        assert cache.mask_order[0] == M_PORT
+        assert tuple(cache._mask_order)[0] == M_PORT
         assert cache.get(flow_pkt(owner="a"),
                          generation=0) is before["owner"]
         assert cache.get(flow_pkt(owner="x", dst_port=80),
@@ -378,8 +378,8 @@ class TestMaskOrdering:
     def test_eviction_of_last_entry_drops_mask_from_order(self):
         cache = MegaflowCache(capacity=1, resort_interval=1000)
         _seed_two_masks(cache)          # capacity 1: first put evicted
-        assert cache.mask_order == (M_PORT,)
-        assert cache.mask_count == 1
+        assert tuple(cache._mask_order) == (M_PORT,)
+        assert cache.counters()["masks"] == 1
 
     def test_flush_clears_order_and_hit_state(self):
         cache = MegaflowCache(resort_interval=4)
@@ -387,11 +387,11 @@ class TestMaskOrdering:
         for _ in range(4):
             cache.get(flow_pkt(owner="z", dst_port=80), generation=0)
         cache.flush()
-        assert cache.mask_order == ()
-        assert cache.mask_count == 0
+        assert tuple(cache._mask_order) == ()
+        assert cache.counters()["masks"] == 0
         # Re-populated masks start cold, in fresh insertion order.
         _seed_two_masks(cache)
-        assert cache.mask_order == (M_OWNER, M_PORT)
+        assert tuple(cache._mask_order) == (M_OWNER, M_PORT)
 
 
 def _table_for(owner):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError, IsolationError
 from repro.netsim import Host, Link, Packet, Simulator, build_access_network, attach_device
+from repro.sdn.flowtable import FlowRule
 from repro.sdn import (
     Controller,
     Drop,
@@ -14,7 +15,6 @@ from repro.sdn import (
     check_isolation,
     check_loop_freedom,
     check_no_blackholes,
-    install_path_rules,
     path_stretch,
     trace_forwarding,
     verify_all,
@@ -172,14 +172,6 @@ class TestRoutingHelpers:
         with pytest.raises(ConfigurationError):
             topo.shortest_path("gw", "ghost")
 
-    def test_install_path_rules_skips_unmanaged(self, fabric):
-        _, _, _, _, _, ctrl = fabric
-        count = install_path_rules(
-            ctrl, ["a", "sw1", "sw2", "b"], Match(owner="alice"),
-            pvn_id="alice/d",
-        )
-        assert count == 2  # only sw1 and sw2 are managed
-
 
 class TestVerification:
     def test_loop_detected(self, fabric):
@@ -207,8 +199,10 @@ class TestVerification:
 
     def test_isolation_check_flags_misscoped_rule(self, fabric):
         _, _, _, _, _, ctrl = fabric
-        ctrl.install("sw1", Match(owner="bob"), (Drop(),),
-                     pvn_id="alice/dep1", enforce_isolation=False)
+        # The controller refuses this rule, so write it to the table
+        # directly, as a buggy or compromised control plane could.
+        ctrl.switch("sw1").table.install(FlowRule(
+            match=Match(owner="bob"), actions=(Drop(),), pvn_id="alice/dep1"))
         report = check_isolation(ctrl)
         assert not report.ok
 

@@ -5,9 +5,10 @@ import pytest
 from repro.core.auditor import (
     make_keyring,
     middlebox_execution_test,
-    stamp,
+    stamp_keyed,
 )
 from repro.core.deployment import admission_headroom
+from repro.core.provider import DishonestyProfile
 from repro.netproto.tls import RevocationList
 from repro.netsim import Packet, build_access_network
 from repro.nfv import Container, HostCapacity, Middlebox, NfvHost
@@ -30,7 +31,7 @@ class TestMiddleboxExecutionTest:
             probe = Packet(src="10.0.0.1", dst="8.8.8.8", owner="u")
             for waypoint in ("classifier", "pii"):
                 if waypoint not in skip:
-                    stamp(probe, waypoint, keyring)
+                    stamp_keyed(probe, waypoint, keyring.key_for(waypoint))
             return probe
 
         return keyring, send_probe
@@ -91,7 +92,7 @@ class TestAdversaryFactories:
         assert inflating_isp(0.2).inflate_path_by == 0.2
         assert config_tampering_isp().tamper_config
         for name, profile in ALL_DISHONEST_PROFILES:
-            assert not profile.honest, name
+            assert profile != DishonestyProfile(), name
 
     def test_dns_forgery_scenario(self):
         from repro.netproto import DnsQuery, Zone

@@ -5,7 +5,11 @@ import os
 
 import pytest
 
-from repro.experiments.exp18_control_plane import merge_shards, run_shard
+from repro.experiments.exp18_control_plane import (
+    merge_shards,
+    open_session,
+    run_shard,
+)
 from repro.experiments.runner import (
     SHARDED_EXPERIMENTS,
     _route,
@@ -53,6 +57,13 @@ class TestDeterministicMerge:
         serial = run_sharded("E18", seed=3, shards=1, params=params)
         parallel = run_sharded("E18", seed=3, shards=2, params=params)
         assert result_bytes(parallel) == result_bytes(serial)
+
+    def test_e18_session_has_no_rounds_and_finishes_to_the_shard_payload(
+            self):
+        params = {"devices": DEVICES}
+        session = open_session(1, 2, 5, params)
+        assert session.rounds == 0
+        assert session.finish([]) == run_shard(1, 2, seed=5, params=params)
 
     def test_merge_rejects_incomplete_coverage(self):
         params = {"devices": DEVICES}

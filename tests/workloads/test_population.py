@@ -69,7 +69,7 @@ class TestDeterminism:
                                   batch_b.attach_devices)
             assert np.array_equal(batch_a.attach_cells,
                                   batch_b.attach_cells)
-            assert batch_a.flows == batch_b.flows
+            assert list(batch_a.flows) == list(batch_b.flows)
             assert batch_a.migrates == batch_b.migrates
             assert batch_a.probes == batch_b.probes
             assert batch_a.detaches == batch_b.detaches
@@ -116,7 +116,6 @@ class TestScalarVectorAgreement:
             assert flow_rows(batch.flows) == [
                 tuple(field(flow) for field in FLOW_COLUMNS.values())
                 for flow in flows]
-            assert batch.flows == FlowBatch.of(flows)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), cells=st.integers(1, 40))
