@@ -18,7 +18,10 @@ counted).
   ``steady_mix`` read 111.57 calls per packet and ``churn_reconfig``
   112.41; after them, 74.01 and 79.54 (79.17 later).  With the
   middlebox verdict records and the flat trace log gone (``repro.obs``
-  the only telemetry sink), 71.95 and 77.16.  ``churn_reconfig``'s
+  the only telemetry sink), 71.95 and 77.16.  With no ``Event`` handle
+  per scheduled event, path proofs stamped from a per-hop key schedule,
+  prebuilt constant verdicts and ``MatchMask`` hashed in C, 64.67 and
+  63.73.  ``churn_reconfig``'s
   figure includes the teardown/redeploy work of its reconfiguration
   timer, amortised over its packets.
 * **Per device** on ``attach_storm`` (``Device.attach`` +
@@ -30,8 +33,10 @@ counted).
   audit 145.2, teardown 35.1); with the topology owning its node and
   link dicts instead of a networkx graph, 656.7 (attach 472.0); with
   no per-deploy trace record and no per-verdict one in the audit
-  probes, 643.7 (attach 469.0, audit 135.2, teardown 35.1).  The
-  attach phase has its own bar.
+  probes, 643.7 (attach 469.0, audit 135.2, teardown 35.1); with no
+  ``Event`` handle per scheduled event and proofs read through
+  ``proof_chain``, 640.7 (attach 464.0, audit 137.2, teardown 35.1).
+  The attach phase has its own bar.
 * **Per PVNC parse** (``default_pvnc(user)``: the §3.1 DSL front end
   every world build runs once per device): the calls of one parse.
   With ``shlex.split`` tokenizing the ``module`` lines it read 306
@@ -56,13 +61,13 @@ SCALE = 0.05
 
 #: Upper bounds, calls per packet.
 PACKET_BUDGET = {
-    steady_mix: 73,
-    churn_reconfig: 79,
+    steady_mix: 66,
+    churn_reconfig: 65,
 }
 #: Upper bounds on ``attach_storm``, calls per device: over the whole
 #: run, and in the attach phase alone.
-DEVICE_BUDGET = 645
-ATTACH_BUDGET = 470
+DEVICE_BUDGET = 642
+ATTACH_BUDGET = 465
 #: Upper bound, calls per ``default_pvnc(user)``.
 PARSE_BUDGET = 87
 

@@ -20,11 +20,13 @@ from repro.core.auditor.measurements import (
     privacy_exposure_test,
 )
 from repro.core.auditor.path_proof import (
+    HOPS_KEY,
     PROOF_KEY,
     ProofKeyring,
+    ProofStamp,
     make_keyring,
     path_proof_ok,
-    stamp_keyed,
+    proof_chain,
     verify_path,
 )
 from repro.core.auditor.reputation import (
@@ -44,9 +46,11 @@ __all__ = [
     "AttestationVerifier",
     "BillingDispute",
     "EvidenceLedger",
+    "HOPS_KEY",
     "MeasurementResult",
     "PROOF_KEY",
     "ProofKeyring",
+    "ProofStamp",
     "ProviderRecord",
     "ReputationSystem",
     "TEST_CONTENT_MODIFICATION",
@@ -64,7 +68,7 @@ __all__ = [
     "middlebox_execution_test",
     "path_inflation_test",
     "path_proof_ok",
-    "stamp_keyed",
     "privacy_exposure_test",
+    "proof_chain",
     "verify_path",
 ]

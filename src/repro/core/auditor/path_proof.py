@@ -10,6 +10,18 @@ receives all the keys inside the deployment ACK (over the attested
 channel), recomputes the chain and checks that every required waypoint
 contributed.  A provider that skips a middlebox cannot forge that
 middlebox's MAC without its key.
+
+A packet carries its proof as two atomic values, so stamping leaves no
+container object behind for the collector to track:
+
+* ``metadata[PROOF_KEY]`` — the 16-byte MACs, concatenated in hop
+  order, as one ``bytes``;
+* ``metadata[HOPS_KEY]`` — the waypoint names joined by
+  :data:`HOP_SEPARATOR`, as one ``str``.  A :class:`ProofStamp` maps
+  each previous hop string to its extension once, so every packet on
+  one path shares one string object.
+
+:func:`proof_chain` gives the ``[(waypoint, mac), ...]`` view.
 """
 
 from __future__ import annotations
@@ -28,12 +40,33 @@ try:
 except ImportError:  # pragma: no cover - Python built without OpenSSL
     _hmac_digest = hmac.digest
 
-#: Metadata key under which proofs accumulate on a packet.
+#: Metadata key of the concatenated MACs (``bytes``).
 PROOF_KEY = "path_proof"
+#: Metadata key of the joined waypoint names (``str``).
+HOPS_KEY = "path_proof_hops"
+#: Joins waypoint names under :data:`HOPS_KEY`; no name may contain it.
+HOP_SEPARATOR = ","
+#: Bytes of one hop's MAC (a truncated HMAC-SHA256).
+MAC_BYTES = 16
+
+#: SHA-256 block size, and the RFC 2104 pads as translation tables.
+_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
-def _mac(key: bytes, payload: bytes) -> bytes:
-    return _hmac_digest(key, payload, "sha256")[:16]
+def key_schedule(key: bytes):
+    """The RFC 2104 inner and outer SHA-256 states of ``key``.
+
+    One-shot HMAC calls pay this key setup on every message; a
+    :class:`ProofStamp` computes it once, when its hop is compiled, and
+    copies the states per packet.
+    """
+    if len(key) > _BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK, b"\0")
+    return (hashlib.sha256(key.translate(_IPAD)),
+            hashlib.sha256(key.translate(_OPAD)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,6 +85,12 @@ class ProofKeyring:
 
 def make_keyring(deployment_id: str, waypoints: list[str]) -> ProofKeyring:
     """Derive independent waypoint keys from the deployment id."""
+    for waypoint in waypoints:
+        if HOP_SEPARATOR in waypoint:
+            raise AuditError(
+                f"waypoint name {waypoint!r} contains the hop separator "
+                f"{HOP_SEPARATOR!r}"
+            )
     keys = tuple(
         (
             waypoint,
@@ -64,22 +103,69 @@ def make_keyring(deployment_id: str, waypoints: list[str]) -> ProofKeyring:
     return ProofKeyring(deployment_id=deployment_id, keys=keys)
 
 
-def stamp_keyed(packet: Packet, waypoint: str, key: bytes) -> None:
-    """Called by the data path as the packet traverses ``waypoint``,
-    with the hop's proof key resolved when it was compiled
-    (``key == keyring.key_for(waypoint)``)."""
-    proofs: list[tuple[str, bytes]] = packet.metadata.setdefault(PROOF_KEY, [])
-    previous = proofs[-1][1] if proofs else b""
-    # ``_mac`` in line: this runs once per hop of every packet.
-    proofs.append((waypoint, _hmac_digest(
-        key, str(packet.packet_id).encode() + previous, "sha256")[:16]))
+class ProofStamp:
+    """The stamp one waypoint applies to each packet it handles.
+
+    Built when the hop is compiled, from the hop's proof key
+    (``key == keyring.key_for(waypoint)``): it holds the key's
+    :func:`key_schedule` and a map from each previous hop string to
+    that string extended by this waypoint, so packets on one path share
+    one hop string.  Slotted: one object per compiled hop.
+    """
+
+    __slots__ = ("waypoint", "_inner", "_outer", "_extended")
+
+    def __init__(self, waypoint: str, key: bytes) -> None:
+        self.waypoint = waypoint
+        self._inner, self._outer = key_schedule(key)
+        self._extended: dict[str, str] = {}
+
+    def __call__(self, packet: Packet) -> None:
+        metadata = packet.metadata
+        chain = metadata.get(PROOF_KEY, b"")
+        if chain:
+            previous = metadata[HOPS_KEY]
+            hops = self._extended.get(previous)
+            if hops is None:
+                hops = self._extended[previous] = (
+                    previous + HOP_SEPARATOR + self.waypoint)
+        else:
+            hops = self.waypoint
+        # HMAC from the precomputed states: the digest of the key-padded
+        # inner state over the message, under the outer state.
+        inner = self._inner.copy()
+        inner.update(str(packet.packet_id).encode() + chain[-MAC_BYTES:])
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        metadata[PROOF_KEY] = chain + outer.digest()[:MAC_BYTES]
+        metadata[HOPS_KEY] = hops
+
+
+def proof_chain(packet: Packet) -> list[tuple[str, bytes]]:
+    """The packet's proofs as ``[(waypoint, mac), ...]`` in hop order.
+
+    The last MAC takes every byte past the ones before it, so a chain
+    whose length disagrees with its hop count shows up as a MAC of the
+    wrong size rather than disappearing.
+    """
+    metadata = packet.metadata
+    hops = metadata.get(HOPS_KEY)
+    if hops is None:
+        return []
+    chain = metadata.get(PROOF_KEY, b"")
+    names = hops.split(HOP_SEPARATOR)
+    last = len(names) - 1
+    return [
+        (name, chain[i * MAC_BYTES:None if i == last else (i + 1) * MAC_BYTES])
+        for i, name in enumerate(names)
+    ]
 
 
 def verify_path(packet: Packet, keyring: ProofKeyring,
                 required_waypoints: list[str]) -> None:
     """Raise :class:`AuditError` unless the packet's proof chain shows
     an honest traversal of ``required_waypoints`` in order."""
-    proofs: list[tuple[str, bytes]] = packet.metadata.get(PROOF_KEY, [])
+    proofs = proof_chain(packet)
     visited = [name for name, _ in proofs]
     if visited != list(required_waypoints):
         raise AuditError(
@@ -88,10 +174,12 @@ def verify_path(packet: Packet, keyring: ProofKeyring,
         )
     previous = b""
     for waypoint, mac in proofs:
-        expected = _mac(
+        # Checked with the stock one-shot HMAC, not the stamps' own
+        # key schedules.
+        expected = _hmac_digest(
             keyring.key_for(waypoint),
-            str(packet.packet_id).encode() + previous,
-        )
+            str(packet.packet_id).encode() + previous, "sha256",
+        )[:MAC_BYTES]
         if not hmac.compare_digest(expected, mac):
             raise AuditError(
                 f"forged proof at waypoint {waypoint!r} for packet "

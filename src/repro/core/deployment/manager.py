@@ -24,8 +24,8 @@ from typing import Callable
 from repro.core.auditor.attestation import Attestation, TrustedPlatform
 from repro.core.auditor.path_proof import (
     ProofKeyring,
+    ProofStamp,
     make_keyring,
-    stamp_keyed,
 )
 from repro.core.deployment.embedding import (
     EmbeddingIndex,
@@ -95,9 +95,12 @@ ACTION_DROP = "drop"
 ACTION_TUNNEL = "tunnel"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class DataPathOutcome:
-    """What the PVN did with one packet."""
+    """What the PVN did with one packet.
+
+    Slotted, and built positionally: one is made per packet.
+    """
 
     action: str                       # forward | drop | tunnel
     tunnel_endpoint: str = ""
@@ -232,9 +235,10 @@ class PvnDataPath:
     def _make_step(self, service: str) -> PipelineStep:
         """Compile one hop: everything that is constant for the life
         of the pipeline — the sandboxed runner, the waypoint's proof
-        key (a missing key is an :class:`AuditError` here, once, not
-        per packet), the per-hop delay — is resolved now."""
-        key = self.keyring.key_for(service)
+        stamp with its HMAC key schedule (a missing key is an
+        :class:`AuditError` here, once, not per packet), the per-hop
+        delay — is resolved now."""
+        stamp = ProofStamp(service, self.keyring.key_for(service))
         sandbox = self.sandboxes.get(service)
         runner = (sandbox.process if sandbox is not None
                   else self.middleboxes[service].process)
@@ -254,7 +258,7 @@ class PvnDataPath:
             return None
 
         def run(packet: Packet, context: ProcessingContext):
-            stamp_keyed(packet, service, key)
+            stamp(packet)
             return runner(packet, context)
 
         return PipelineStep(
@@ -296,11 +300,8 @@ class PvnDataPath:
             self._redirect_pipeline = pipeline
             self.pipeline_compiles += 1
         result = pipeline.run(packet, self._context(packet, now))
-        return DataPathOutcome(
-            action=ACTION_TUNNEL,
-            tunnel_endpoint=result.tunnel_endpoint,
-            verdict_reasons=result.labels,
-        )
+        return DataPathOutcome(ACTION_TUNNEL, result.tunnel_endpoint, 0.0, "",
+                               result.labels)
 
     # -- per-packet span synthesis -------------------------------------------
 
@@ -369,10 +370,8 @@ class PvnDataPath:
                 f"stale epoch {self.epoch} at pvn {self.deployment_id} "
                 f"(current {self.fencing.current(self.lineage)})"
             )
-            return DataPathOutcome(
-                action=ACTION_DROP,
-                verdict_reasons=("fencing:stale_epoch",),
-            )
+            return DataPathOutcome(ACTION_DROP, "", 0.0, "",
+                                   ("fencing:stale_epoch",))
         self.packets_processed += 1
         if self._bridging_to:
             # Mid-migration TRANSFER window: the source chain is
@@ -398,10 +397,8 @@ class PvnDataPath:
                 packet.mark_dropped(
                     f"classifier crashed (pvn {self.deployment_id})"
                 )
-                return DataPathOutcome(
-                    action=ACTION_DROP,
-                    verdict_reasons=("classifier:crashed",),
-                )
+                return DataPathOutcome(ACTION_DROP, "", 0.0, "",
+                                       ("classifier:crashed",))
             delay = self.container_spec.per_packet_delay
             classify = self._classifier_runner
             if classify is None:
@@ -422,10 +419,8 @@ class PvnDataPath:
             action, endpoint = ACTION_TUNNEL, result.tunnel_endpoint
         elif action == ACTION_DROP:
             packet.mark_dropped(f"policy drop (pvn {self.deployment_id})")
-        return DataPathOutcome(
-            action=action, tunnel_endpoint=endpoint, added_delay=delay,
-            traffic_class=traffic_class, verdict_reasons=result.labels,
-        )
+        return DataPathOutcome(action, endpoint, delay, traffic_class,
+                               result.labels)
 
     # -- observability ------------------------------------------------------
 

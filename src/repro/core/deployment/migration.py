@@ -625,7 +625,7 @@ class MigrationTransaction:
         if manager.optimizer is not None:
             # The superseded source's shared-instance memberships die
             # with it; the target's (joined at PREPARE) survive.
-            manager.optimizer.release(source.deployment_id, now=self.clock)
+            manager.optimizer.release(source.deployment_id)
 
         self.phase = MigrationPhase.COMMITTED
         self.journal.append(
@@ -650,7 +650,7 @@ class MigrationTransaction:
         if self.manager.optimizer is not None and self.target_id:
             # Roll back the PREPARE-time joins; the source keeps its
             # memberships (release is idempotent if PREPARE never ran).
-            self.manager.optimizer.release(self.target_id, now=self.clock)
+            self.manager.optimizer.release(self.target_id)
         self.source.datapath.bridging_to = ""
         self.phase = MigrationPhase.ABORTED
         self.journal.append(self.clock, self.txn_id, REC_ABORTED, self.reason)

@@ -876,7 +876,7 @@ class PlacementOptimizer:
             self.publish_loads()
         return joined
 
-    def release(self, deployment_id: str, now: float = 0.0) -> int:
+    def release(self, deployment_id: str) -> int:
         """Forget a deployment's memberships (teardown/supersession)."""
         dropped = self.pool.release(deployment_id)
         if dropped:
@@ -889,8 +889,7 @@ class PlacementOptimizer:
         obs = obs_runtime.current()
         return obs.metrics if obs is not None else self._local_metrics
 
-    def report_load(self, deployment_id: str, rate: float,
-                    now: float = 0.0) -> None:
+    def report_load(self, deployment_id: str, rate: float) -> None:
         """Attribute ``rate`` load units to every instance the
         deployment shares (the per-member contribution the autoscaler
         aggregates)."""
@@ -1055,7 +1054,7 @@ class Autoscaler:
         )
         if result.committed:
             self.migrations += 1
-            self.optimizer.report_load(result.deployment_id, rate, now)
+            self.optimizer.report_load(result.deployment_id, rate)
             return result.deployment_id
         self.failed_migrations += 1
         return None

@@ -529,9 +529,7 @@ class Reconciler:
             return
         for remnant in degraded:
             if self.manager.optimizer is not None:
-                self.manager.optimizer.release(
-                    remnant.deployment_id, now=now
-                )
+                self.manager.optimizer.release(remnant.deployment_id)
             remnant.state = DeploymentState.TORN_DOWN
             self.tunnels.pop(remnant.deployment_id, None)
         self.repairs.append(RepairRecord(

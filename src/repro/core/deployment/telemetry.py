@@ -100,7 +100,7 @@ class TelemetryFeed:
 
     # -- the sensor --------------------------------------------------------
 
-    def tick(self, now: float) -> dict[str, float]:
+    def tick(self) -> dict[str, float]:
         """Sample every ACTIVE deployment and report measured rates.
 
         Returns ``{deployment_id: rate}`` for this tick.
@@ -124,13 +124,13 @@ class TelemetryFeed:
             rates[deployment_id] = rate
             rate_gauge.labels(deployment=deployment_id).set(rate)
             if self.optimizer is not None:
-                self.optimizer.report_load(deployment_id, rate, now)
+                self.optimizer.report_load(deployment_id, rate)
         # Prune marks for deployments that migrated away or tore down —
         # their load follows the surviving deployment id.
         for stale in set(self._marks) - live:
             del self._marks[stale]
             self._rates.pop(stale, None)
-        self._sample_fluid(registry, now, rates)
+        self._sample_fluid(registry, rates)
         self._sample_switches(registry)
         registry.counter(
             TICKS_COUNTER, "Telemetry feed evaluations").inc()
@@ -146,7 +146,7 @@ class TelemetryFeed:
         self._rates[deployment_id] = rate
         return rate
 
-    def _sample_fluid(self, registry: MetricsRegistry, now: float,
+    def _sample_fluid(self, registry: MetricsRegistry,
                       rates: dict[str, float]) -> None:
         if not self._fluid:
             return
@@ -161,7 +161,7 @@ class TelemetryFeed:
             rates[deployment_id] = rate
             gauge.labels(deployment=deployment_id).set(rate)
             if self.optimizer is not None:
-                self.optimizer.report_load(deployment_id, rate, now)
+                self.optimizer.report_load(deployment_id, rate)
 
     def _sample_switches(self, registry: MetricsRegistry) -> None:
         if not self._switches:

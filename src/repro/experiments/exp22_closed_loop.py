@@ -161,7 +161,7 @@ def _phase_parity(seed: int, users: int, base_rate: float,
         "isp-ref", e19.MAX_MEMBERS, migrations_per_tick=16)
     placed_ref, nacks_ref = e19._deploy_population(mgr_ref, users, seed)
     for user, deployment_id in placed_ref.items():
-        opt_ref.report_load(deployment_id, surged[user], 0.0)
+        opt_ref.report_load(deployment_id, surged[user])
     for tick in range(1, ticks + 1):
         scaler_ref.tick(float(tick))
 
@@ -174,7 +174,7 @@ def _phase_parity(seed: int, users: int, base_rate: float,
         now = float(tick)
         current = e19._current_ids(mgr_tel, placed_tel)
         _drive(mgr_tel, current, surged, now)
-        feed.tick(now)
+        feed.tick()
         scaler_tel.tick(now)
 
     digest_ref = _canonical_digest(scaler_ref.events)
@@ -262,7 +262,7 @@ def _phase_incident(seed: int, users: int, base_rate: float,
         current = e19._current_ids(manager, placed)
         good, bad = _drive(manager, current, offered, now)
         _probe(manager, current[probe_user], probe_user, now, tracer)
-        feed.tick(now)
+        feed.tick()
         autoscaler.tick(now)
 
         # Score this tick's SLIs from the world the loop produced.

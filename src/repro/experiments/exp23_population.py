@@ -192,12 +192,11 @@ class _LoadRecorder:
     def __init__(self) -> None:
         self.loads: dict[str, float] = {}
 
-    def report_load(self, deployment_id: str, rate: float,
-                    now: float) -> None:
+    def report_load(self, deployment_id: str, rate: float) -> None:
         self.loads[deployment_id] = rate
 
 
-def fluid_telemetry(engine, now: float) -> dict[str, float]:
+def fluid_telemetry(engine) -> dict[str, float]:
     """Close the loop: fluid cell rates through ``watch_fluid``.
 
     Each cell is attributed to a synthetic deployment id and one feed
@@ -209,7 +208,7 @@ def fluid_telemetry(engine, now: float) -> dict[str, float]:
     feed = TelemetryFeed(_NoDeployments(), optimizer=recorder)
     for cell in range(engine.n_cells):
         feed.watch_fluid(f"pvn-cell-{cell:03d}", engine, cell)
-    feed.tick(now)
+    feed.tick()
     return recorder.loads
 
 
@@ -229,7 +228,7 @@ def run(
     """The CLI-sized E23 (the full-scale sweep is driven by the bench
     recording in ``BENCH_population.json``; CI runs this smoke size)."""
     parity = parity_check(parity_devices, parity_horizon, seed)
-    loads = fluid_telemetry(parity["fluid"]["engine"], parity_horizon)
+    loads = fluid_telemetry(parity["fluid"]["engine"])
 
     metrics: dict[str, float] = {
         "telemetry_cells_reported": float(len(loads)),

@@ -24,6 +24,15 @@ from repro.nfv.middlebox import Middlebox, ProcessingContext, Verdict
 COMPRESSIBLE_TYPES = (CONTENT_TEXT, CONTENT_JSON)
 
 
+#: Constant verdicts, built once instead of per packet.
+_NOT_A_RESPONSE = Verdict.passed("not an HTTP response")
+_MEDIA_COMPRESSED = Verdict.passed("media already compressed")
+_UNCOMPRESSIBLE_TYPE = Verdict.passed("uncompressible content type")
+_BODY_TOO_SMALL = Verdict.passed("body too small to bother")
+_ALREADY_ENCODED = Verdict.passed("already encoded")
+_INCOMPRESSIBLE_BODY = Verdict.passed("incompressible body")
+
+
 class CompressionProxy(Middlebox):
     """zlib compression of text/JSON response bodies."""
 
@@ -51,20 +60,20 @@ class CompressionProxy(Middlebox):
     def inspect(self, packet: Packet, context: ProcessingContext) -> Verdict:
         response = packet.payload
         if not isinstance(response, HttpResponse):
-            return Verdict.passed("not an HTTP response")
+            return _NOT_A_RESPONSE
         content_type = response.header("content-type")
         if content_type in (CONTENT_VIDEO, CONTENT_IMAGE):
-            return Verdict.passed("media already compressed")
+            return _MEDIA_COMPRESSED
         if content_type not in COMPRESSIBLE_TYPES:
-            return Verdict.passed("uncompressible content type")
+            return _UNCOMPRESSIBLE_TYPE
         if len(response.body) < self.min_body_bytes:
-            return Verdict.passed("body too small to bother")
+            return _BODY_TOO_SMALL
         if response.header("content-encoding"):
-            return Verdict.passed("already encoded")
+            return _ALREADY_ENCODED
 
         compressed = zlib.compress(response.body, self.level)
         if len(compressed) >= len(response.body):
-            return Verdict.passed("incompressible body")
+            return _INCOMPRESSIBLE_BODY
         original = len(response.body)
         new_response = response.with_body(compressed, content_type=content_type)
         new_response.headers["content-encoding"] = "deflate"

@@ -31,6 +31,14 @@ from repro.netsim.packet import Packet
 from repro.nfv.middlebox import Middlebox, ProcessingContext, Verdict
 
 
+#: Constant verdicts, built once instead of per packet.
+_NOT_A_DNS_RESPONSE = Verdict.passed("not a DNS response")
+_NXDOMAIN = Verdict.passed("nxdomain")
+_DNSSEC_VALID = Verdict.passed("dnssec valid")
+_UNSIGNED_UNCHECKED = Verdict.passed("unsigned, no open resolvers configured")
+_CROSS_CHECK_AGREED = Verdict.passed("cross-check agreed")
+
+
 class DnsValidator(Middlebox):
     """Signature validation + open-resolver cross-checking."""
 
@@ -55,10 +63,10 @@ class DnsValidator(Middlebox):
     def inspect(self, packet: Packet, context: ProcessingContext) -> Verdict:
         response = packet.payload
         if not isinstance(response, DnsResponse):
-            return Verdict.passed("not a DNS response")
+            return _NOT_A_DNS_RESPONSE
         self.responses_seen += 1
         if response.nxdomain:
-            return Verdict.passed("nxdomain")
+            return _NXDOMAIN
 
         name = response.query.name
         if self.trust_anchor.knows_zone_for(name):
@@ -71,7 +79,7 @@ class DnsValidator(Middlebox):
         self, packet: Packet, response: DnsResponse,
     ) -> Verdict:
         if all(self.trust_anchor.verify(r) for r in response.records):
-            return Verdict.passed("dnssec valid")
+            return _DNSSEC_VALID
         return self._reject(packet, response, "invalid DNSSEC signature")
 
     # -- unsigned path ----------------------------------------------------------
@@ -80,7 +88,7 @@ class DnsValidator(Middlebox):
         self, packet: Packet, response: DnsResponse,
     ) -> Verdict:
         if not self.open_resolvers:
-            return Verdict.passed("unsigned, no open resolvers configured")
+            return _UNSIGNED_UNCHECKED
         self.cross_checks_run += 1
         majority, _ = cross_check(
             DnsQuery(response.query.name, response.query.rtype),
@@ -88,7 +96,7 @@ class DnsValidator(Middlebox):
         )
         answer = response.first_value()
         if majority is None or answer == majority:
-            return Verdict.passed("cross-check agreed")
+            return _CROSS_CHECK_AGREED
         return self._reject(packet, response, "cross-check mismatch",
                             corrected_value=majority)
 

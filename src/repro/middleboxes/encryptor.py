@@ -47,6 +47,12 @@ def unseal(key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
     return seal(key, nonce, ciphertext)
 
 
+#: Constant verdicts, built once instead of per packet.
+_ALREADY_ENCRYPTED = Verdict.passed("already encrypted")
+_NOTHING_TO_SEAL = Verdict.passed("no sealable payload")
+_NOT_SEALED = Verdict.passed("not sealed")
+
+
 class EncryptionEverywhere(Middlebox):
     """Seals unencrypted HTTP payloads under the deployment key."""
 
@@ -68,14 +74,14 @@ class EncryptionEverywhere(Middlebox):
         if isinstance(payload, HttpRequest):
             if payload.https:
                 self.skipped_encrypted += 1
-                return Verdict.passed("already encrypted")
+                return _ALREADY_ENCRYPTED
             payload.body = seal(self._key, self._nonce(packet), payload.body)
         elif isinstance(payload, HttpResponse):
             payload.body = seal(self._key, self._nonce(packet), payload.body)
         elif isinstance(payload, bytes):
             packet.payload = seal(self._key, self._nonce(packet), payload)
         else:
-            return Verdict.passed("no sealable payload")
+            return _NOTHING_TO_SEAL
         packet.metadata[SEALED_KEY] = self.name
         self.sealed_count += 1
         return Verdict.rewritten("payload sealed")
@@ -93,7 +99,7 @@ class DecryptionGateway(Middlebox):
 
     def inspect(self, packet: Packet, context: ProcessingContext) -> Verdict:
         if SEALED_KEY not in packet.metadata:
-            return Verdict.passed("not sealed")
+            return _NOT_SEALED
         nonce = packet.packet_id.to_bytes(8, "big")
         payload = packet.payload
         if isinstance(payload, (HttpRequest, HttpResponse)):

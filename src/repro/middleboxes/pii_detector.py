@@ -48,6 +48,12 @@ class PiiFinding:
     encrypted: bool
 
 
+#: Constant verdicts, built once instead of per packet.
+_NOT_A_REQUEST = Verdict.passed("not an HTTP request")
+_ENCRYPTED = Verdict.passed("encrypted; uninspectable here")
+_NO_PII = Verdict.passed("no PII")
+
+
 class PiiDetector(Middlebox):
     """Detect / scrub / block PII in HTTP requests."""
 
@@ -97,7 +103,7 @@ class PiiDetector(Middlebox):
     def inspect(self, packet: Packet, context: ProcessingContext) -> Verdict:
         request = packet.payload
         if not isinstance(request, HttpRequest):
-            return Verdict.passed("not an HTTP request")
+            return _NOT_A_REQUEST
         self.requests_seen += 1
 
         if request.https and not context.trusted_execution:
@@ -109,7 +115,7 @@ class PiiDetector(Middlebox):
                     self.tunnel_encrypted_to,
                     reason="encrypted payload needs trusted execution",
                 )
-            return Verdict.passed("encrypted; uninspectable here")
+            return _ENCRYPTED
 
         # Body and path are scanned separately: concatenating them
         # would let a match span the boundary and defeat scrubbing.
@@ -117,7 +123,7 @@ class PiiDetector(Middlebox):
         path_hits = self.scan(request.path.encode())
         hits = body_hits + path_hits
         if not hits:
-            return Verdict.passed("no PII")
+            return _NO_PII
 
         self.requests_with_pii += 1
         for pii_type, value in hits:

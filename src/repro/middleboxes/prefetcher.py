@@ -23,6 +23,12 @@ from repro.netsim.packet import Packet
 from repro.nfv.middlebox import Middlebox, ProcessingContext, Verdict
 
 
+#: Constant verdicts, built once instead of per packet.
+_NOT_HTTP = Verdict.passed("not HTTP")
+_CACHE_MISS = Verdict.passed("cache miss")
+_CACHED_AND_PREFETCHED = Verdict.passed("cached and prefetched")
+
+
 class LruCache:
     """A byte-bounded LRU object cache."""
 
@@ -132,13 +138,13 @@ class Prefetcher(Middlebox):
             return self._on_request(packet, payload)
         if isinstance(payload, HttpResponse):
             return self._on_response(packet, payload)
-        return Verdict.passed("not HTTP")
+        return _NOT_HTTP
 
     def _on_request(self, packet: Packet, request: HttpRequest) -> Verdict:
         cached = self.cache.get(request.url)
         if cached is None:
             self.misses += 1
-            return Verdict.passed("cache miss")
+            return _CACHE_MISS
         self.hits += 1
         self.bytes_served_from_cache += len(cached)
         packet.metadata["served_from_cache"] = True
@@ -161,4 +167,4 @@ class Prefetcher(Middlebox):
                 if body is not None:
                     self.cache.put(link, body)
                     self.prefetch_bytes += len(body)
-        return Verdict.passed("cached and prefetched")
+        return _CACHED_AND_PREFETCHED

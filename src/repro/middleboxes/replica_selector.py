@@ -34,6 +34,11 @@ class ReplicaState:
         self.samples += 1
 
 
+#: Constant verdicts, built once instead of per packet.
+_UNMANAGED_DESTINATION = Verdict.passed("not a managed destination")
+_AT_BEST_REPLICA = Verdict.passed("already at the best replica")
+
+
 class ReplicaSelector(Middlebox):
     """Rewrites flow destinations to the measured-best replica.
 
@@ -90,7 +95,7 @@ class ReplicaSelector(Middlebox):
         from repro.netproto.addresses import ip_in_subnet
 
         if not ip_in_subnet(packet.dst, self.service_cidr):
-            return Verdict.passed("not a managed destination")
+            return _UNMANAGED_DESTINATION
         if self.rng.random() < self.explore_probability:
             self.explorations += 1
             choice = sorted(self.replicas)[
@@ -99,7 +104,7 @@ class ReplicaSelector(Middlebox):
         else:
             choice = self.best_replica()
         if choice == packet.dst:
-            return Verdict.passed("already at the best replica")
+            return _AT_BEST_REPLICA
         packet.metadata["original_dst"] = packet.dst
         packet.dst = choice
         self.redirected += 1

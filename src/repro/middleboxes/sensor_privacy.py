@@ -57,6 +57,11 @@ class SubjectPolicy:
     zones: tuple[ProtectedZone, ...] = ()
 
 
+#: Constant verdicts, built once instead of per packet.
+_NOT_AN_UPLOAD = Verdict.passed("not an HTTP upload")
+_NO_PROTECTED_SUBJECT = Verdict.passed("no protected subject captured")
+
+
 class SensorPrivacyGuard(Middlebox):
     """Blurs IoT uploads that capture registered subjects."""
 
@@ -110,11 +115,11 @@ class SensorPrivacyGuard(Middlebox):
     def inspect(self, packet: Packet, context: ProcessingContext) -> Verdict:
         request = packet.payload
         if not isinstance(request, HttpRequest):
-            return Verdict.passed("not an HTTP upload")
+            return _NOT_AN_UPLOAD
         self.uploads_seen += 1
         policy = self._matching_policy(request.body)
         if policy is None:
-            return Verdict.passed("no protected subject captured")
+            return _NO_PROTECTED_SUBJECT
         request.body = self._blur(request.body)
         self.uploads_blurred += 1
         return Verdict.rewritten("protected subject blurred",

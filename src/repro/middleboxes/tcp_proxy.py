@@ -23,6 +23,10 @@ from repro.netsim.tcp import (
 from repro.nfv.middlebox import Middlebox, ProcessingContext, Verdict
 
 
+#: Constant verdicts, built once instead of per packet.
+_NOT_TCP = Verdict.passed("not TCP")
+
+
 class SplitTcpProxy(Middlebox):
     """Terminates client TCP connections and re-originates upstream."""
 
@@ -41,7 +45,7 @@ class SplitTcpProxy(Middlebox):
 
     def inspect(self, packet: Packet, context: ProcessingContext) -> Verdict:
         if packet.protocol != "tcp":
-            return Verdict.passed("not TCP")
+            return _NOT_TCP
         if not packet.metadata.get("split_tcp"):
             packet.metadata["split_tcp"] = self.name
             self.flows_split += 1

@@ -23,6 +23,11 @@ MODE_BLOCK = "block"
 MODE_WARN = "warn"
 
 
+#: Constant verdicts, built once instead of per packet.
+_NOT_A_HANDSHAKE = Verdict.passed("not a TLS handshake")
+_CHAIN_VALID = Verdict.passed("chain valid")
+
+
 class TlsValidator(Middlebox):
     """Chain validation for every TLS handshake in the PVN."""
 
@@ -49,7 +54,7 @@ class TlsValidator(Middlebox):
     def inspect(self, packet: Packet, context: ProcessingContext) -> Verdict:
         handshake = packet.payload
         if not isinstance(handshake, TlsHandshake):
-            return Verdict.passed("not a TLS handshake")
+            return _NOT_A_HANDSHAKE
         self.handshakes_seen += 1
         result = self.trust_store.validate_chain(
             list(handshake.presented_chain),
@@ -58,7 +63,7 @@ class TlsValidator(Middlebox):
             check_revocation=self.check_revocation,
         )
         if result.valid:
-            return Verdict.passed("chain valid")
+            return _CHAIN_VALID
         if handshake.intercepted:
             self.mitm_caught += 1
         detail = ",".join(result.failures)

@@ -22,6 +22,11 @@ DEFAULT_BLOCKLIST = (
 )
 
 
+#: Constant verdicts, built once instead of per packet.
+_NOT_A_REQUEST = Verdict.passed("not an HTTP request")
+_NOT_A_TRACKER = Verdict.passed("not a tracker")
+
+
 class TrackerBlocker(Middlebox):
     """Domain-blocklist request filtering."""
 
@@ -47,9 +52,9 @@ class TrackerBlocker(Middlebox):
     def inspect(self, packet: Packet, context: ProcessingContext) -> Verdict:
         request = packet.payload
         if not isinstance(request, HttpRequest):
-            return Verdict.passed("not an HTTP request")
+            return _NOT_A_REQUEST
         if not self.is_tracker(request.host):
-            return Verdict.passed("not a tracker")
+            return _NOT_A_TRACKER
         self.blocked_requests += 1
         self.blocked_bytes += packet.size
         return Verdict.dropped(f"tracker domain {request.host}")

@@ -23,6 +23,12 @@ QUALITY_RATIOS = {
 }
 
 
+#: Constant verdicts, built once instead of per packet.
+_NOT_A_RESPONSE = Verdict.passed("not an HTTP response")
+_NOT_TRANSCODABLE = Verdict.passed("not transcodable media")
+_NO_TRANSCODING_REQUESTED = Verdict.passed("no transcoding requested")
+
+
 class Transcoder(Middlebox):
     """Shrinks video/image response bodies to a target quality."""
 
@@ -49,11 +55,11 @@ class Transcoder(Middlebox):
     def inspect(self, packet: Packet, context: ProcessingContext) -> Verdict:
         response = packet.payload
         if not isinstance(response, HttpResponse):
-            return Verdict.passed("not an HTTP response")
+            return _NOT_A_RESPONSE
         if response.header("content-type") not in (CONTENT_VIDEO, CONTENT_IMAGE):
-            return Verdict.passed("not transcodable media")
+            return _NOT_TRANSCODABLE
         if self.quality == "original" or not response.body:
-            return Verdict.passed("no transcoding requested")
+            return _NO_TRANSCODING_REQUESTED
 
         original_size = len(response.body)
         target_size = max(1, int(original_size * self.ratio))

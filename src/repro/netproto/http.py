@@ -23,7 +23,7 @@ def _normalise_headers(headers: dict[str, str]) -> dict[str, str]:
     return {name.lower(): value for name, value in headers.items()}
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class HttpRequest:
     """An HTTP/1.1 request."""
 
@@ -54,7 +54,7 @@ class HttpRequest:
         return line + hdrs + 2 + len(self.body)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class HttpResponse:
     """An HTTP/1.1 response."""
 

@@ -12,7 +12,7 @@ Public surface:
   over :class:`SoaTable` vectorized flow state.
 """
 
-from repro.netsim.events import Event, EventPriority
+from repro.netsim.events import EventPriority
 from repro.netsim.fluid import (
     MODE_FLUID,
     MODE_PACKET,
@@ -52,7 +52,6 @@ from repro.netsim.topology import (
 
 __all__ = [
     "AccessNetworkSpec",
-    "Event",
     "EventPriority",
     "Host",
     "HybridFlow",

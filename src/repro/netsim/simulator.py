@@ -1,7 +1,7 @@
 """The discrete-event simulation core.
 
-A :class:`Simulator` owns a priority queue of :class:`~repro.netsim.events.Event`
-records and a monotonically advancing clock.  All network components
+A :class:`Simulator` owns a priority queue of scheduled callbacks and a
+monotonically advancing clock.  All network components
 (links, nodes, middleboxes, protocols) schedule callbacks on a shared
 simulator instead of sleeping, so experiments are deterministic and run
 in milliseconds of wall-clock time.
@@ -10,8 +10,8 @@ Example
 -------
 >>> sim = Simulator()
 >>> fired = []
->>> _ = sim.schedule(2.0, fired.append, "b")
->>> _ = sim.schedule(1.0, fired.append, "a")
+>>> sim.schedule(2.0, fired.append, "b")
+>>> sim.schedule(1.0, fired.append, "a")
 >>> sim.run()
 >>> fired
 ['a', 'b']
@@ -23,15 +23,17 @@ import heapq
 from typing import Any, Callable
 
 from repro.errors import SchedulingInPastError, SimulationError
-from repro.netsim.events import Event, EventPriority
+from repro.netsim.events import EventPriority
 
 
-#: One heap entry.  The C ``heapq`` compares these tuples natively; the
-#: unique ``sequence`` decides every tie before the handle is reached.
-#: Both ``schedule`` methods build their entry in line, and pass the
-#: handle's fields positionally: a shared helper or a keyword call
-#: costs a tenth of an event's whole schedule-to-fire time.
-_Entry = tuple[float, int, int, Event]
+#: One heap entry: ``(time, priority, sequence, callback, args)``.  The
+#: C ``heapq`` compares these tuples natively, and the unique
+#: ``sequence`` decides every tie before ``callback`` or ``args`` is
+#: reached, so payloads need not be comparable.  There is no handle
+#: object: nothing reads one, and the entry is the event's only
+#: allocation.  Both ``schedule`` methods build their entry in line: a
+#: shared helper costs a tenth of an event's schedule-to-fire time.
+_Entry = tuple[float, int, int, Callable[..., None], tuple[Any, ...]]
 
 _INF = float("inf")
 _NORMAL = int(EventPriority.NORMAL)
@@ -78,7 +80,7 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         priority: int = _NORMAL,
-    ) -> Event:
+    ) -> None:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
         # One chained comparison rejects negative, NaN and infinite
         # delays alike (every comparison with NaN is false).
@@ -88,13 +90,10 @@ class Simulator:
                     f"negative delay {delay!r} at t={self._now}"
                 )
             raise SimulationError(f"non-finite delay {delay!r}")
-        time = float(self._now + delay)
         sequence = self._sequence
         self._sequence = sequence + 1
-        priority = int(priority)
-        event = Event(time, priority, sequence, callback, args)
-        heapq.heappush(self._queue, (time, priority, sequence, event))
-        return event
+        heapq.heappush(self._queue, (float(self._now + delay), int(priority),
+                                     sequence, callback, args))
 
     def schedule_at(
         self,
@@ -102,7 +101,7 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         priority: int = _NORMAL,
-    ) -> Event:
+    ) -> None:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
         if not self._now <= time < _INF:
             if time < self._now:
@@ -110,13 +109,10 @@ class Simulator:
                     f"cannot schedule at t={time} (now is t={self._now})"
                 )
             raise SimulationError(f"non-finite event time {time!r}")
-        time = float(time)
         sequence = self._sequence
         self._sequence = sequence + 1
-        priority = int(priority)
-        event = Event(time, priority, sequence, callback, args)
-        heapq.heappush(self._queue, (time, priority, sequence, event))
-        return event
+        heapq.heappush(self._queue, (float(time), int(priority), sequence,
+                                     callback, args))
 
     # -- execution -------------------------------------------------------
 
@@ -124,10 +120,10 @@ class Simulator:
         """Fire the next pending event.  Returns False if none remain."""
         if not self._queue:
             return False
-        event = heapq.heappop(self._queue)[3]
-        self._now = event.time
+        time, _, _, callback, args = heapq.heappop(self._queue)
+        self._now = time
         self._processed += 1
-        event.callback(*event.args)
+        callback(*args)
         return True
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
@@ -147,24 +143,24 @@ class Simulator:
                 queue = self._queue
                 pop = heapq.heappop
                 while queue:
-                    event = pop(queue)[3]
-                    self._now = event.time
+                    time, _, _, callback, args = pop(queue)
+                    self._now = time
                     self._processed += 1
-                    event.callback(*event.args)
+                    callback(*args)
                 return
             queue = self._queue
             fired = 0
             while queue:
                 if max_events is not None and fired >= max_events:
                     return
-                time, _, _, event = queue[0]
+                time = queue[0][0]
                 if until is not None and time > until:
                     break
-                heapq.heappop(queue)
+                _, _, _, callback, args = heapq.heappop(queue)
                 self._now = time
                 self._processed += 1
                 fired += 1
-                event.callback(*event.args)
+                callback(*args)
             if until is not None and until > self._now:
                 self._now = until
         finally:

@@ -101,7 +101,7 @@ class Middlebox:
 
     def inspect(self, packet: Packet, context: ProcessingContext) -> Verdict:
         """Decide what happens to ``packet``.  Default: pass."""
-        return Verdict.passed()
+        return _PASSED
 
     # -- checkpoint/restore ------------------------------------------------
 
@@ -126,6 +126,9 @@ class Middlebox:
         self.stats[_STAT_FOR_KIND[verdict.kind]] += 1
         return verdict
 
+
+#: The default verdict, built once instead of per packet.
+_PASSED = Verdict.passed()
 
 _STAT_FOR_KIND = {
     VerdictKind.PASS: "passed",

@@ -91,9 +91,13 @@ class PipelineStep:
         return {kind: f"{self.name}:{value}" for kind, value in _KIND_VALUES}
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class PipelineResult:
-    """What one :meth:`Pipeline.run` did to a packet."""
+    """What one :meth:`Pipeline.run` did to a packet.
+
+    Slotted, and built positionally: one is made per packet per
+    pipeline.
+    """
 
     packet: Packet | None          # None when dropped or tunneled
     verdicts: list[Verdict]
@@ -205,10 +209,7 @@ class Pipeline:
         terminal = verdicts[-1].kind if verdicts else VerdictKind.PASS
         if terminal is VerdictKind.REWRITE:
             terminal = VerdictKind.PASS
-        return PipelineResult(
-            packet=packet, verdicts=verdicts, labels=tuple(labels),
-            added_delay=delay, terminal_kind=terminal,
-        )
+        return PipelineResult(packet, verdicts, tuple(labels), delay, terminal)
 
     def _terminate(
         self,
@@ -221,16 +222,11 @@ class Pipeline:
         if verdict.kind is VerdictKind.DROP:
             self.packets_dropped += 1
             packet.mark_dropped(f"{verdict.reason}{self.drop_suffix}")
-            return PipelineResult(
-                packet=None, verdicts=verdicts, labels=tuple(labels),
-                added_delay=delay, terminal_kind=VerdictKind.DROP,
-            )
+            return PipelineResult(None, verdicts, tuple(labels), delay,
+                                  VerdictKind.DROP)
         self.packets_tunneled += 1
-        return PipelineResult(
-            packet=None, verdicts=verdicts, labels=tuple(labels),
-            added_delay=delay, terminal_kind=VerdictKind.TUNNEL,
-            tunnel_endpoint=verdict.tunnel_endpoint,
-        )
+        return PipelineResult(None, verdicts, tuple(labels), delay,
+                              VerdictKind.TUNNEL, verdict.tunnel_endpoint)
 
     # -- observability ------------------------------------------------------
 

@@ -64,6 +64,10 @@ _PERMITTED_KINDS = {
     for bits in range(Capability.all().value + 1)
 }
 
+#: The fail-open verdicts, built once instead of per packet.
+_KILLED = Verdict.passed(reason="sandbox killed; failing open to PASS")
+_DENIED = Verdict.passed(reason="capability denied; coerced to PASS")
+
 
 @dataclasses.dataclass(frozen=True)
 class ResourceBudget:
@@ -116,13 +120,13 @@ class Sandbox:
             raise SandboxViolation(self.violations[-1])
 
         if self.killed:
-            return Verdict.passed(reason="sandbox killed; failing open to PASS")
+            return _KILLED
 
         self.cpu_used += self.budget.per_packet_cpu
         if self.cpu_used > self.budget.cpu_seconds:
             self.killed = True
             self.violations.append("cpu budget exhausted; module killed")
-            return Verdict.passed(reason="sandbox killed; failing open to PASS")
+            return _KILLED
 
         verdict = self.middlebox.process(packet, context)
         if verdict.kind not in _PERMITTED_KINDS[self.capabilities]:
@@ -131,5 +135,5 @@ class Sandbox:
                 f"module returned {verdict.kind.value} without "
                 f"{required.name} capability"
             )
-            return Verdict.passed(reason="capability denied; coerced to PASS")
+            return _DENIED
         return verdict

@@ -68,13 +68,14 @@ DEFAULT_CAPACITY = 65536
 MASK_RESORT_INTERVAL = 512
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class CacheEntry:
     """One memoized lookup result.
 
     ``rule`` is ``None`` for a negative entry (table miss); ``closure``
     is then the punt/drop path.  ``generation`` records the table
-    generation the entry was filled under.
+    generation the entry was filled under.  Slotted, and built
+    positionally on the miss path.
     """
 
     rule: FlowRule | None
@@ -349,7 +350,7 @@ class MegaflowCache:
         generation: int,
     ) -> CacheEntry:
         """Memoize one classification under its derived mask."""
-        entry = CacheEntry(rule=rule, closure=closure, generation=generation)
+        entry = CacheEntry(rule, closure, generation)
         while len(self._lru) >= self.capacity:
             (old_mask, old_key), _ = self._lru.popitem(last=False)
             store = self._by_mask.get(old_mask)

@@ -20,6 +20,7 @@ cache entry (see :mod:`repro.sdn.flowcache`).
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 from repro.netproto.addresses import ip_in_subnet, ip_to_int
 from repro.netsim.packet import Packet
@@ -42,8 +43,7 @@ def _mask_ip(ip: str, prefix_len: int) -> int:
 EXACT_FIELDS = ("protocol", "src_port", "dst_port", "owner")
 
 
-@dataclasses.dataclass(frozen=True)
-class MatchMask:
+class MatchMask(NamedTuple):
     """Which classification fields a decision depended on.
 
     IP fields carry a prefix length (0 = fully wildcarded); exact
@@ -51,6 +51,9 @@ class MatchMask:
     joins the contribution of every rule ordered before the winner
     with the winner's own, yielding the *minimal* set of bits that
     pins the classification's outcome.
+
+    A tuple, so hashing and equality run in C: a megaflow lookup
+    hashes the mask it probes under, several times per packet.
     """
 
     src_plen: int = 0

@@ -1,11 +1,15 @@
 """Tests for attestation, path proofs, measurements, violations,
 and reputation."""
 
+import hmac
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.auditor import (
     AttestationVerifier,
     EvidenceLedger,
+    ProofStamp,
     ReputationSystem,
     TrustedPlatform,
     choose_provider,
@@ -16,10 +20,15 @@ from repro.core.auditor import (
     path_inflation_test,
     path_proof_ok,
     privacy_exposure_test,
-    stamp_keyed,
     verify_path,
 )
 from repro.core.auditor.measurements import MeasurementResult
+from repro.core.auditor.path_proof import (
+    HOPS_KEY,
+    PROOF_KEY,
+    key_schedule,
+    proof_chain,
+)
 from repro.errors import AttestationError, AuditError
 from repro.netsim import Packet
 
@@ -81,7 +90,7 @@ class TestPathProofs:
         keyring = make_keyring("alice/d1", ["classifier", "pii", "proxy"])
         packet = probe()
         for waypoint in ("classifier", "pii", "proxy"):
-            stamp_keyed(packet, waypoint, keyring.key_for(waypoint))
+            ProofStamp(waypoint, keyring.key_for(waypoint))(packet)
         verify_path(packet, keyring, ["classifier", "pii", "proxy"])
         assert path_proof_ok(packet, keyring, ["classifier", "pii", "proxy"])
 
@@ -89,14 +98,14 @@ class TestPathProofs:
         keyring = make_keyring("alice/d1", ["classifier", "pii"])
         packet = probe()
         # pii skipped
-        stamp_keyed(packet, "classifier", keyring.key_for("classifier"))
+        ProofStamp("classifier", keyring.key_for("classifier"))(packet)
         assert not path_proof_ok(packet, keyring, ["classifier", "pii"])
 
     def test_reordered_waypoints_detected(self):
         keyring = make_keyring("alice/d1", ["a", "b"])
         packet = probe()
-        stamp_keyed(packet, "b", keyring.key_for("b"))
-        stamp_keyed(packet, "a", keyring.key_for("a"))
+        ProofStamp("b", keyring.key_for("b"))(packet)
+        ProofStamp("a", keyring.key_for("a"))(packet)
         assert not path_proof_ok(packet, keyring, ["a", "b"])
 
     def test_forged_mac_detected(self):
@@ -104,14 +113,72 @@ class TestPathProofs:
         forged_ring = make_keyring("alice/OTHER", ["a", "b"])
         packet = probe()
         # The attacker lacks the real keys.
-        stamp_keyed(packet, "a", forged_ring.key_for("a"))
-        stamp_keyed(packet, "b", forged_ring.key_for("b"))
+        ProofStamp("a", forged_ring.key_for("a"))(packet)
+        ProofStamp("b", forged_ring.key_for("b"))(packet)
         assert not path_proof_ok(packet, keyring, ["a", "b"])
 
     def test_unknown_waypoint_key(self):
         keyring = make_keyring("alice/d1", ["a"])
         with pytest.raises(AuditError, match="no proof key"):
             keyring.key_for("ghost")
+
+    def test_waypoint_name_with_the_hop_separator_refused(self):
+        with pytest.raises(AuditError, match="hop separator"):
+            make_keyring("alice/d1", ["classifier", "pii,proxy"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.binary(min_size=0, max_size=200), message=st.binary())
+    def test_key_schedule_mac_is_the_truncated_hmac(self, key, message):
+        inner, outer = key_schedule(key)
+        inner = inner.copy()
+        inner.update(message)
+        outer = outer.copy()
+        outer.update(inner.digest())
+        assert outer.digest()[:16] == hmac.digest(key, message, "sha256")[:16]
+
+    @settings(max_examples=100, deadline=None)
+    @given(keys=st.lists(st.binary(min_size=0, max_size=200), min_size=1,
+                         max_size=3),
+           packet_id=st.integers(min_value=0, max_value=2**63))
+    def test_stamps_chain_the_truncated_hmac_for_any_key(self, keys,
+                                                         packet_id):
+        packet = Packet(src="10.0.0.1", dst="8.8.8.8", packet_id=packet_id)
+        expected, previous = [], b""
+        for i, key in enumerate(keys):
+            ProofStamp(f"w{i}", key)(packet)
+            previous = hmac.digest(
+                key, str(packet_id).encode() + previous, "sha256")[:16]
+            expected.append((f"w{i}", previous))
+        assert proof_chain(packet) == expected
+
+    def test_one_path_shares_one_hop_string(self):
+        keyring = make_keyring("alice/d1", ["classifier", "pii", "proxy"])
+        stamps = [ProofStamp(waypoint, keyring.key_for(waypoint))
+                  for waypoint in ("classifier", "pii", "proxy")]
+        packets = [probe(), probe()]
+        for packet in packets:
+            for stamp in stamps:
+                stamp(packet)
+        first, second = (packet.metadata for packet in packets)
+        assert first[HOPS_KEY] == "classifier,pii,proxy"
+        assert first[HOPS_KEY] is second[HOPS_KEY]
+        assert type(first[PROOF_KEY]) is bytes
+        assert len(first[PROOF_KEY]) == 3 * 16
+        assert [name for name, _ in proof_chain(packets[0])] == [
+            "classifier", "pii", "proxy"]
+        assert proof_chain(probe()) == []
+
+    def test_chain_whose_length_disagrees_with_its_hops_is_forged(self):
+        keyring = make_keyring("alice/d1", ["a", "b"])
+        for cut in (lambda chain: chain[:-1], lambda chain: chain + b"\0"):
+            packet = probe()
+            for waypoint in ("a", "b"):
+                ProofStamp(waypoint, keyring.key_for(waypoint))(packet)
+            verify_path(packet, keyring, ["a", "b"])
+            packet.metadata[PROOF_KEY] = cut(packet.metadata[PROOF_KEY])
+            with pytest.raises(AuditError,
+                               match="forged proof at waypoint 'b'"):
+                verify_path(packet, keyring, ["a", "b"])
 
 
 class TestMeasurements:

@@ -16,10 +16,12 @@ import hmac
 import pytest
 
 from repro.core.auditor.path_proof import (
+    HOPS_KEY,
     PROOF_KEY,
     ProofKeyring,
+    ProofStamp,
     make_keyring,
-    stamp_keyed,
+    proof_chain,
     verify_path,
 )
 from repro.core.deployment.manager import ACTION_DROP, ACTION_FORWARD
@@ -63,26 +65,33 @@ class TestProofBytes:
         by_ring, by_key = proof_packet(), proof_packet()
         previous = b""
         for waypoint in WAYPOINTS:
-            stamp_keyed(by_ring, waypoint, keyring.key_for(waypoint))
+            ProofStamp(waypoint, keyring.key_for(waypoint))(by_ring)
             # The key derived by hand, as the keyring documents it.
-            stamp_keyed(by_key, waypoint, hashlib.sha256(
-                f"proof:alice/pvn7:{waypoint}".encode()).digest())
+            ProofStamp(waypoint, hashlib.sha256(
+                f"proof:alice/pvn7:{waypoint}".encode()).digest())(by_key)
             previous = hmac.new(
                 keyring.key_for(waypoint), b"4242" + previous, hashlib.sha256,
             ).digest()[:16]
-            assert by_ring.metadata[PROOF_KEY][-1] == (waypoint, previous)
-        assert by_key.metadata[PROOF_KEY] == by_ring.metadata[PROOF_KEY]
-        assert [(w, mac.hex()) for w, mac in by_key.metadata[PROOF_KEY]] == (
+            assert proof_chain(by_ring)[-1] == (waypoint, previous)
+        assert proof_chain(by_key) == proof_chain(by_ring)
+        assert [(w, mac.hex()) for w, mac in proof_chain(by_key)] == (
             PARENT_PROOFS)
+        # Stored as two atomic values: the MACs end to end, the names
+        # joined.
+        assert by_key.metadata[PROOF_KEY] == b"".join(
+            bytes.fromhex(mac) for _, mac in PARENT_PROOFS)
+        assert by_key.metadata[HOPS_KEY] == ",".join(WAYPOINTS)
 
     def test_parent_stamped_chain_verifies_and_a_forged_middle_does_not(self):
         keyring = make_keyring("alice/pvn7", WAYPOINTS)
         packet = proof_packet()
-        packet.metadata[PROOF_KEY] = [
-            (waypoint, bytes.fromhex(mac)) for waypoint, mac in PARENT_PROOFS]
+        chain = b"".join(bytes.fromhex(mac) for _, mac in PARENT_PROOFS)
+        packet.metadata[PROOF_KEY] = chain
+        packet.metadata[HOPS_KEY] = ",".join(WAYPOINTS)
         verify_path(packet, keyring, WAYPOINTS)
-        waypoint, mac = packet.metadata[PROOF_KEY][1]
-        packet.metadata[PROOF_KEY][1] = (waypoint, bytes([mac[0] ^ 1]) + mac[1:])
+        # Flip one bit of the middle MAC.
+        packet.metadata[PROOF_KEY] = chain[:16] + bytes([chain[16] ^ 1]) + (
+            chain[17:])
         with pytest.raises(AuditError, match="forged proof at waypoint "
                                              "'tls_validator'"):
             verify_path(packet, keyring, WAYPOINTS)
@@ -93,7 +102,7 @@ class TestProofBytes:
         packet = alice_packet(payload=HttpRequest("GET", "x.example.com", "/"))
         outcome = deployment.datapath.process(packet, now=sim.now)
         assert outcome.action == ACTION_FORWARD
-        visited = [name for name, _ in packet.metadata[PROOF_KEY]]
+        visited = [name for name, _ in proof_chain(packet)]
         assert visited[0] == "classifier" and len(visited) > 1
         verify_path(packet, deployment.datapath.keyring, visited)
 
@@ -113,8 +122,7 @@ class TestCompileTimeResolution:
         # Refused while compiling the class's pipeline: nothing was
         # compiled, and no chain element past the classifier ran.
         assert datapath.pipeline_compiles == 0
-        assert [name for name, _ in packet.metadata[PROOF_KEY]] == [
-            "classifier"]
+        assert [name for name, _ in proof_chain(packet)] == ["classifier"]
 
     def test_capabilities_assigned_later_govern_the_next_packet(self):
         class Blocker(Middlebox):

@@ -430,7 +430,7 @@ class TestAutoscaleRebalancingProperties:
             elif op in ("load_low", "load_high") and current:
                 user = sorted(current)[pick % len(current)]
                 rate = 30.0 if op == "load_low" else 400.0
-                optimizer.report_load(current[user], rate, now=clock)
+                optimizer.report_load(current[user], rate)
                 rates[user] = rate
             elif op.startswith("tick") and current:
                 if op == "tick_crash":
@@ -455,8 +455,7 @@ class TestAutoscaleRebalancingProperties:
                         f"{user} lost their PVN during rebalancing"
                     )
                     current[user] = deployment.deployment_id
-                    optimizer.report_load(current[user], rates[user],
-                                          now=clock)
+                    optimizer.report_load(current[user], rates[user])
 
             # -- the invariants, after every op ---------------------------
             for host in manager.hosts.values():

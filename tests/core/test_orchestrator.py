@@ -49,6 +49,7 @@ from repro.nfv.container import ContainerSpec
 from repro.nfv.hypervisor import HostCapacity
 from repro.nfv.middlebox import Middlebox
 from repro.nfv.placement import PlacementRequest
+from repro.obs import runtime as obs_runtime
 
 SERVICES = ["tcp_proxy", "cache", "malware_detector", "tracker_blocker",
             "compressor"]
@@ -383,6 +384,44 @@ class TestSharedMiddleboxPool:
         with pytest.raises(EmbeddingError):
             SharedMiddleboxPool(max_members=0)
 
+    def test_fail_node_retires_in_place_and_names_the_orphans(self):
+        _, hosts, optimizer = shared_world(max_members=4)
+        pool = optimizer.pool
+        first = pool.spawn("svc", "nfv0", hosts, ContainerSpec())
+        second = pool.spawn("other", "nfv0", hosts, ContainerSpec())
+        gone = pool.spawn("svc", "nfv0", hosts, ContainerSpec())
+        survivor = pool.spawn("svc", "nfv1", hosts, ContainerSpec())
+        pool.join(first.instance_id, "b/pvn")
+        pool.join(first.instance_id, "a/pvn")
+        pool.join(second.instance_id, "c/pvn")
+        pool.join(survivor.instance_id, "d/pvn")
+        assert pool.retire(gone.instance_id, hosts)
+        retires = pool.retires
+
+        assert pool.fail_node("nfv0") == ["a/pvn", "b/pvn", "c/pvn"]
+        # Retired where they stood, members dropped, nothing else
+        # touched; an instance already retired is not counted twice.
+        for instance in (first, second):
+            assert instance.state is InstanceState.RETIRED
+            assert not instance.members
+        assert pool.retires == retires + 2
+        assert survivor.state is InstanceState.ACTIVE
+        assert survivor.members == {"d/pvn": 0.0}
+        assert pool.joinable("svc") == [survivor]
+        assert pool.memberships("a/pvn") == []
+        assert pool.fail_node("nfv0") == []
+        assert pool.stats() == {"instances": 1, "members": 1,
+                                "spawns": 4, "retires": retires + 2}
+
+    def test_instance_on_a_node_without_a_host_runs_and_stops_itself(self):
+        _, hosts, optimizer = shared_world()
+        pool = optimizer.pool
+        instance = pool.spawn("svc", "pmb_x", hosts, ContainerSpec(),
+                              now=2.0)
+        assert instance.container.state.value == "running"
+        assert pool.retire(instance.instance_id, hosts)
+        assert instance.container.state.value == "stopped"
+
 
 class TestCostModel:
     def test_contention_delay_monotone_and_capped(self):
@@ -540,6 +579,104 @@ class TestAutoscaler:
         # added an empty sibling, which is fine).
         for instance_id, members in members_before.items():
             assert optimizer.pool.instances[instance_id].members == members
+
+
+    def test_dead_hosts_and_strangers_are_never_placement_targets(self):
+        manager, optimizer, autoscaler = scaling_world(max_members=8)
+        placed = deploy_users(manager, 1)
+        (first,) = optimizer.pool.memberships(placed[0])
+        dead = first.node
+        manager.hosts[dead].crash(0.0)
+        # Hosts the topology does not know, or knows as no NFV node,
+        # are not spawn targets either.
+        optimizer.hosts["ghost"] = NfvHost("ghost")
+        optimizer.hosts["agg"] = NfvHost("agg")
+        placed.update(deploy_users(manager, 1, start=1))
+        (second,) = optimizer.pool.memberships(placed[1])
+        assert second is not first and second.node != dead
+        # Hot: the scale-up sibling lands on a live NFV host.
+        optimizer.report_load(placed[1], 950.0)
+        events = autoscaler.tick(1.0)
+        spawned = [e for e in events if e.action == "scale_up"]
+        assert spawned
+        for event in spawned:
+            node = optimizer.pool.instances[event.instance].node
+            assert node not in (dead, "ghost", "agg")
+            assert manager.hosts[node].alive
+
+    def test_actions_are_counted_in_the_metrics_registry(self):
+        manager, optimizer, autoscaler = scaling_world(max_members=8)
+        placed = deploy_users(manager, 8)
+        with obs_runtime.enabled() as obs:
+            for deployment_id in placed.values():
+                optimizer.report_load(deployment_id, 150.0)
+            events = autoscaler.tick(1.0)
+            for action in {e.action for e in events}:
+                assert obs.metrics.value(
+                    "repro_autoscale_actions", service="malware_detector",
+                    action=action,
+                ) == sum(e.action == action for e in events)
+
+    def test_vanished_member_is_skipped_not_migrated(self):
+        manager, optimizer, autoscaler = scaling_world(max_members=8)
+        placed = deploy_users(manager, 2)
+        (instance,) = optimizer.pool.memberships(placed[0])
+        optimizer.pool.join(instance.instance_id, "ghost/pvn")
+        optimizer.report_load("ghost/pvn", 900.0)   # heaviest: tried first
+        for deployment_id in placed.values():
+            optimizer.report_load(deployment_id, 50.0)
+        autoscaler.tick(1.0)
+        assert "ghost/pvn" in instance.members
+        assert autoscaler.failed_migrations == 0
+
+    def test_hot_instance_with_nowhere_to_go_stays_put(self):
+        manager, optimizer, autoscaler = scaling_world(max_members=4)
+        autoscaler.policy = AutoscalePolicy(max_instances_per_service=1)
+        placed = deploy_users(manager, 4)
+        for deployment_id in placed.values():
+            optimizer.report_load(deployment_id, 250.0)
+        assert autoscaler.tick(1.0) == []
+        assert autoscaler.migrations == autoscaler.failed_migrations == 0
+
+    def test_a_draining_service_is_left_to_retire(self):
+        manager, optimizer, autoscaler = scaling_world()
+        placed = deploy_users(manager, 1)
+        (instance,) = optimizer.pool.memberships(placed[0])
+        instance.state = InstanceState.DRAINING
+        # No ACTIVE instance left: nothing to scale, rebalance or drain;
+        # the member still holds its instance, so it is not retired.
+        assert autoscaler.tick(1.0) == []
+        manager.teardown(placed[0])
+        assert [e.action for e in autoscaler.tick(2.0)] == ["retire"]
+
+    def test_cold_instance_without_headroom_elsewhere_is_not_drained(self):
+        manager, optimizer, autoscaler = scaling_world(max_members=2)
+        placed = deploy_users(manager, 4)
+        instances = {i.instance_id for d in placed.values()
+                     for i in optimizer.pool.memberships(d)}
+        assert len(instances) == 2
+        for deployment_id in placed.values():
+            optimizer.report_load(deployment_id, 1.0)
+        assert autoscaler.tick(1.0) == []
+
+    def test_drain_stops_at_the_migration_budget(self):
+        manager, optimizer, autoscaler = scaling_world(max_members=4)
+        autoscaler.policy = AutoscalePolicy(max_migrations_per_tick=1)
+        placed = deploy_users(manager, 6)      # 4 + 2 members
+        (first,) = optimizer.pool.memberships(placed[0])
+        manager.teardown(placed[0])
+        manager.teardown(placed[1])             # now 2 + 2
+        for user, deployment_id in placed.items():
+            if user >= 2:
+                optimizer.report_load(deployment_id,
+                                      1.0 if user < 4 else 2.0)
+        events = autoscaler.tick(1.0)
+        assert [e.action for e in events] == ["drain"]
+        assert events[0].instance == first.instance_id
+        # Two members to move, budget for one.
+        assert autoscaler.migrations == 1
+        assert first.state is InstanceState.DRAINING
+        assert first.member_count == 1
 
 
 class TestTeardownAndMigrationMembership:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.auditor import make_keyring, path_proof_ok, stamp_keyed
+from repro.core.auditor import ProofStamp, make_keyring, path_proof_ok
 from repro.core.discovery import DiscoveryClient, DiscoveryService, PricingPolicy
 from repro.core.discovery.messages import DeploymentAck
 from repro.core.discovery.negotiation import plan_acceptance
@@ -158,9 +158,9 @@ class TestPathProofProperties:
         skipped = waypoints[skip_index % len(waypoints)]
         for waypoint in waypoints:
             if waypoint != skipped:
-                stamp_keyed(packet, waypoint, keyring.key_for(waypoint))
+                ProofStamp(waypoint, keyring.key_for(waypoint))(packet)
         complete = Packet(src="1.1.1.1", dst="2.2.2.2", owner="u")
         for waypoint in waypoints:
-            stamp_keyed(complete, waypoint, keyring.key_for(waypoint))
+            ProofStamp(waypoint, keyring.key_for(waypoint))(complete)
         assert path_proof_ok(complete, keyring, waypoints)
         assert not path_proof_ok(packet, keyring, waypoints)

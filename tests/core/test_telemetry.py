@@ -34,8 +34,8 @@ class _FakeOptimizer:
     def __init__(self):
         self.reports = []
 
-    def report_load(self, deployment_id, rate, now):
-        self.reports.append((deployment_id, rate, now))
+    def report_load(self, deployment_id, rate):
+        self.reports.append((deployment_id, rate))
 
 
 def _feed(**kwargs):
@@ -50,10 +50,10 @@ class TestRates:
     def test_delta_over_interval_is_exact(self):
         manager, optimizer, feed = _feed()
         manager.deployments["u0/pvn1"].datapath.packets_total = 12
-        rates = feed.tick(1.0)
+        rates = feed.tick()
         assert rates == {"u0/pvn1": 12.0, "u1/pvn2": 0.0}
         manager.deployments["u0/pvn1"].datapath.packets_total = 30
-        rates = feed.tick(2.0)
+        rates = feed.tick()
         assert rates["u0/pvn1"] == 18.0      # delta, not total
         assert feed.rate("u0/pvn1") == 18.0
         assert feed.rate("never-seen") == 0.0
@@ -61,23 +61,25 @@ class TestRates:
     def test_interval_scales_rates(self):
         manager, _, feed = _feed(interval=0.5)
         manager.deployments["u0/pvn1"].datapath.packets_total = 10
-        assert feed.tick(0.5)["u0/pvn1"] == 20.0
+        assert feed.tick()["u0/pvn1"] == 20.0
 
-    def test_reports_to_optimizer_with_timestamp(self):
+    def test_reports_rates_to_optimizer(self):
         manager, optimizer, feed = _feed()
         manager.deployments["u0/pvn1"].datapath.packets_total = 7
-        feed.tick(3.0)
-        assert ("u0/pvn1", 7.0, 3.0) in optimizer.reports
+        feed.tick()
         # Sorted iteration: deterministic report order.
-        assert [r[0] for r in optimizer.reports] == ["u0/pvn1", "u1/pvn2"]
+        assert optimizer.reports == [("u0/pvn1", 7.0), ("u1/pvn2", 0.0)]
+        manager.deployments["u1/pvn2"].datapath.packets_total = 4
+        feed.tick()
+        assert optimizer.reports[2:] == [("u0/pvn1", 0.0), ("u1/pvn2", 4.0)]
 
     def test_ewma_smoothing_damps_bursts(self):
         manager, _, feed = _feed(alpha=0.5)
         dp = manager.deployments["u0/pvn1"].datapath
         dp.packets_total = 10
-        assert feed.tick(1.0)["u0/pvn1"] == 10.0   # first sample: raw
+        assert feed.tick()["u0/pvn1"] == 10.0   # first sample: raw
         dp.packets_total = 30
-        assert feed.tick(2.0)["u0/pvn1"] == 15.0   # 0.5*20 + 0.5*10
+        assert feed.tick()["u0/pvn1"] == 15.0   # 0.5*20 + 0.5*10
 
     def test_default_alpha_reports_raw_deltas(self):
         # measured == reported exactly is what makes E22's digest
@@ -98,16 +100,16 @@ class TestLifecycle:
         manager, optimizer, feed = _feed()
         manager.deployments["u1/pvn2"].state = DeploymentState.SUPERSEDED
         manager.deployments["u1/pvn2"].datapath.packets_total = 99
-        rates = feed.tick(1.0)
+        rates = feed.tick()
         assert "u1/pvn2" not in rates
         assert all(r[0] != "u1/pvn2" for r in optimizer.reports)
 
     def test_marks_pruned_when_deployment_disappears(self):
         manager, _, feed = _feed()
         manager.deployments["u0/pvn1"].datapath.packets_total = 10
-        feed.tick(1.0)
+        feed.tick()
         del manager.deployments["u0/pvn1"]
-        feed.tick(2.0)
+        feed.tick()
         assert feed.rate("u0/pvn1") == 0.0
         assert "u0/pvn1" not in feed._marks
 
@@ -121,7 +123,7 @@ class TestLifecycle:
         manager = _FakeManager(d=_FakeDeployment())
         feed = TelemetryFeed(manager)          # no optimizer attr at all
         manager.deployments["d"].datapath.packets_total = 4
-        assert feed.tick(1.0) == {"d": 4.0}
+        assert feed.tick() == {"d": 4.0}
 
 
 class TestMetricsPublication:
@@ -130,7 +132,7 @@ class TestMetricsPublication:
         manager.deployments["u0/pvn1"].datapath.packets_total = 5
         switch = types.SimpleNamespace(packets_total=8)
         feed.watch_switch("ingress", switch)
-        feed.tick(1.0)
+        feed.tick()
         registry = feed._local_metrics
         assert registry.value(RATE_GAUGE, deployment="u0/pvn1") == 5.0
         assert registry.value(SWITCH_RATE_GAUGE, switch="ingress") == 8.0
@@ -141,9 +143,9 @@ class TestMetricsPublication:
         manager, _, feed = _feed()
         switch = types.SimpleNamespace(packets_total=8)
         feed.watch_switch("ingress", switch)
-        feed.tick(1.0)
+        feed.tick()
         switch.packets_total = 11
-        feed.tick(2.0)
+        feed.tick()
         assert feed._local_metrics.value(
             SWITCH_RATE_GAUGE, switch="ingress") == 3.0
 
@@ -164,13 +166,13 @@ class TestFluidTaps:
         engine = _FakeFluidEngine({0: 1500.0, 1: 250.0})
         feed.watch_fluid("pvn-cell-000", engine, 0)
         feed.watch_fluid("pvn-cell-001", engine, 1)
-        rates = feed.tick(4.0)
+        rates = feed.tick()
         # Direct rates, no delta-over-interval conversion: the fluid
         # model's state variable is already packets/second.
         assert rates["pvn-cell-000"] == 1500.0
         assert rates["pvn-cell-001"] == 250.0
-        assert ("pvn-cell-000", 1500.0, 4.0) in optimizer.reports
-        assert ("pvn-cell-001", 250.0, 4.0) in optimizer.reports
+        assert ("pvn-cell-000", 1500.0) in optimizer.reports
+        assert ("pvn-cell-001", 250.0) in optimizer.reports
         assert feed._local_metrics.value(
             FLUID_RATE_GAUGE, deployment="pvn-cell-000") == 1500.0
 
@@ -178,23 +180,23 @@ class TestFluidTaps:
         manager, optimizer, feed = _feed(interval=0.5)
         feed.watch_fluid("cell", _FakeFluidEngine({3: 100.0}), 3)
         # A counter tap at interval 0.5 would double; a rate must not.
-        assert feed.tick(1.0)["cell"] == 100.0
+        assert feed.tick()["cell"] == 100.0
 
     def test_fluid_rates_ewma_smoothed_like_counters(self):
         manager, _, feed = _feed(alpha=0.5)
         engine = _FakeFluidEngine({0: 10.0})
         feed.watch_fluid("cell", engine, 0)
-        assert feed.tick(1.0)["cell"] == 10.0     # first sample: raw
+        assert feed.tick()["cell"] == 10.0     # first sample: raw
         engine.rates[0] = 30.0
-        assert feed.tick(2.0)["cell"] == 20.0     # 0.5*30 + 0.5*10
+        assert feed.tick()["cell"] == 20.0     # 0.5*30 + 0.5*10
 
     def test_unwatch_fluid_stops_reports_and_is_idempotent(self):
         manager, optimizer, feed = _feed()
         feed.watch_fluid("cell", _FakeFluidEngine({0: 5.0}), 0)
-        feed.tick(1.0)
+        feed.tick()
         feed.unwatch_fluid("cell")
         feed.unwatch_fluid("cell")
-        rates = feed.tick(2.0)
+        rates = feed.tick()
         assert "cell" not in rates
         assert feed.rate("cell") == 0.0
 
@@ -202,7 +204,7 @@ class TestFluidTaps:
         manager, optimizer, feed = _feed()
         manager.deployments["u0/pvn1"].datapath.packets_total = 7
         feed.watch_fluid("pvn-cell-000", _FakeFluidEngine({0: 42.0}), 0)
-        rates = feed.tick(1.0)
+        rates = feed.tick()
         assert rates["u0/pvn1"] == 7.0
         assert rates["pvn-cell-000"] == 42.0
         reported = {r[0] for r in optimizer.reports}
@@ -221,7 +223,7 @@ class TestFluidTaps:
         _, optimizer, feed = _feed()
         for cell in range(engine.n_cells):
             feed.watch_fluid(f"cell-{cell:03d}", engine, cell)
-        rates = feed.tick(4.0)
+        rates = feed.tick()
         fluid_ids = [i for i in rates if i.startswith("cell-")]
         assert len(fluid_ids) == engine.n_cells
         reported = {r[0]: r[1] for r in optimizer.reports}

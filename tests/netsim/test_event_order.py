@@ -1,10 +1,10 @@
 """Ordering oracle for the event core, and a link differential.
 
-The simulator keeps ``(time, priority, sequence, event)`` tuples in a C
-heap and drains them in an inlined loop; a link schedules a bound
-``_deliver`` with per-direction state resolved at construction.  Both
-are checked here against references that share no code with them: a
-list-based simulator that finds the next event with ``min()``, and the
+The simulator keeps ``(time, priority, sequence, callback, args)``
+tuples in a C heap and drains them in an inlined loop; a link schedules
+a bound ``_deliver`` with per-direction state resolved at construction.
+Both are checked here against references that share no code with them:
+a list-based simulator that finds the next event with ``min()``, and the
 closed-form ``max(now, busy_until) + 8*size/bw + latency``.
 """
 
@@ -57,10 +57,12 @@ class RefSimulator:
                                 priority=priority)
 
     def schedule_at(self, time, callback, *args, priority=1):
-        event = RefEvent(time, priority, self.sequence, callback, args)
+        self.pending.append(
+            RefEvent(time, priority, self.sequence, callback, args))
         self.sequence += 1
-        self.pending.append(event)
-        return event
+
+    def pending_keys(self):
+        return sorted((*e.key, e.callback, e.args) for e in self.pending)
 
     def _head(self):
         return min(self.pending, key=lambda e: e.key)
@@ -128,7 +130,7 @@ class World:
 
     def __init__(self, sim):
         self.sim = sim
-        self.handles = []
+        self.scheduled = 0
         self.fired = []
         self.log = []
 
@@ -139,11 +141,12 @@ class World:
             self._schedule(self.sim.schedule, delay, priority, INERT)
 
     def _schedule(self, method, when, priority, spawn):
-        ident = len(self.handles)
-        self.handles.append(method(
+        ident = self.scheduled
+        self.scheduled += 1
+        assert method(
             when, self._fire, ident, {"ident": ident}, Unorderable(), spawn,
             priority=priority,
-        ))
+        ) is None
 
     def apply(self, op):
         sim = self.sim
@@ -170,8 +173,21 @@ class World:
             sim.pending_events,
         ))
 
-    def keys(self):
-        return [(h.time, h.priority, h.sequence) for h in self.handles]
+    def pending(self):
+        """``(time, priority, sequence, ident)`` of every queued event;
+        the real simulator's read off its heap entries, each of which
+        must be ``(time, priority, sequence, callback, args)``."""
+        sim = self.sim
+        if isinstance(sim, RefSimulator):
+            entries = sim.pending_keys()
+        else:
+            entries = sorted(sim._queue, key=lambda entry: entry[:3])
+            assert all(type(entry) is tuple and len(entry) == 5
+                       for entry in entries)
+        for *_, callback, args in entries:
+            assert callback == self._fire and type(args) is tuple
+        return [(time, priority, sequence, args[0])
+                for time, priority, sequence, _, args in entries]
 
 
 class TestOrderingOracle:
@@ -184,9 +200,9 @@ class TestOrderingOracle:
             real.apply(op)
             model.apply(op)
             assert real.log[-1] == model.log[-1], op
+            assert real.pending() == model.pending(), op
         assert real.log == model.log
         assert real.fired == model.fired
-        assert real.keys() == model.keys()
         assert real.sim.pending_events == 0
 
     @settings(max_examples=200, deadline=None)
@@ -195,10 +211,8 @@ class TestOrderingOracle:
     def test_fired_order_is_sorted_by_time_priority_sequence(self, events, how):
         sim = Simulator()
         fired = []
-        handles = [
+        for ident, (delay, priority) in enumerate(events):
             sim.schedule(delay, fired.append, ident, priority=priority)
-            for ident, (delay, priority) in enumerate(events)
-        ]
         if how == "run":
             sim.run()
         elif how == "until":
@@ -210,20 +224,24 @@ class TestOrderingOracle:
         else:
             while sim.step():
                 pass
+        # Scheduled at t=0 in order, so an event's time is its delay
+        # and its sequence number is its index.
         expected = sorted(
-            (h.time, h.priority, h.sequence, ident)
-            for ident, h in enumerate(handles)
+            (float(delay), priority, ident)
+            for ident, (delay, priority) in enumerate(events)
         )
         assert fired == [ident for *_, ident in expected]
         assert sim.processed_events == len(expected)
 
-    def test_handles_are_never_compared(self):
+    def test_schedule_returns_no_handle(self):
         sim = Simulator()
-        first = sim.schedule(1.0, lambda: None)
-        second = sim.schedule(1.0, lambda: None)
-        with pytest.raises(TypeError):
-            first < second
-        assert first != second and first == first
+        guard = Unorderable()
+        assert sim.schedule(1.0, print, guard) is None
+        assert sim.schedule_at(1.0, print, guard, priority=0) is None
+        # The heap holds the entries themselves, ordered on their first
+        # three fields; the callback and its arguments are payload.
+        assert sorted(sim._queue) == [(1.0, 0, 1, print, (guard,)),
+                                      (1.0, 1, 0, print, (guard,))]
 
 
 class TestNonFiniteTimes:

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.auditor import (
+    ProofStamp,
     make_keyring,
     middlebox_execution_test,
-    stamp_keyed,
 )
 from repro.core.deployment import admission_headroom
 from repro.core.provider import DishonestyProfile
@@ -31,7 +31,7 @@ class TestMiddleboxExecutionTest:
             probe = Packet(src="10.0.0.1", dst="8.8.8.8", owner="u")
             for waypoint in ("classifier", "pii"):
                 if waypoint not in skip:
-                    stamp_keyed(probe, waypoint, keyring.key_for(waypoint))
+                    ProofStamp(waypoint, keyring.key_for(waypoint))(probe)
             return probe
 
         return keyring, send_probe
