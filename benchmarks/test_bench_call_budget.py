@@ -1,12 +1,12 @@
-"""Call budgets: Python-level calls per forwarded packet, per attach
-and per PVNC parse.
+"""Call budgets: Python-level calls per forwarded packet, per attach,
+per PVNC parse and per PVNC bind.
 
 A host-independent gate on the two paths the benchmark times, and on
-the parse every world build runs per device: it counts the ``call``
-events ``sys.setprofile`` sees while a benchmark world runs (or while
-one PVNC parses).  The count is a pure function of the code and the seed, so it
-holds on any machine of the same Python minor version; a change that
-re-adds a wrapper or a property read to a hot path moves it.
+the PVNC front end: it counts the ``call`` events ``sys.setprofile``
+sees while a benchmark world runs (or while one PVNC parses or binds).
+The count is a pure function of the code and the seed, so it holds on
+any machine of the same Python minor version; a change that re-adds a
+wrapper or a property read to a hot path moves it.
 
 Measured with Python 3.11 at seed 0, scale 0.05, after one warm-up run
 (builtins and C functions raise ``c_call``, not ``call``, and are not
@@ -21,9 +21,10 @@ counted).
   the only telemetry sink), 71.95 and 77.16.  With no ``Event`` handle
   per scheduled event, path proofs stamped from a per-hop key schedule,
   prebuilt constant verdicts and ``MatchMask`` hashed in C, 64.67 and
-  63.73.  ``churn_reconfig``'s
-  figure includes the teardown/redeploy work of its reconfiguration
-  timer, amortised over its packets.
+  63.73.  With the pipeline calling a PVN hop's proof stamp itself
+  instead of through a wrapper closure, 62.04 and 62.29.
+  ``churn_reconfig``'s figure includes the teardown/redeploy work of
+  its reconfiguration timer, amortised over its packets.
 * **Per device** on ``attach_storm`` (``Device.attach`` +
   ``establish_pvn``: DHCP, discovery and negotiation, compile, embed,
   install, attest; then one audit and a teardown): the calls of the
@@ -35,12 +36,20 @@ counted).
   no per-deploy trace record and no per-verdict one in the audit
   probes, 643.7 (attach 469.0, audit 135.2, teardown 35.1); with no
   ``Event`` handle per scheduled event and proofs read through
-  ``proof_chain``, 640.7 (attach 464.0, audit 137.2, teardown 35.1).
-  The attach phase has its own bar.
-* **Per PVNC parse** (``default_pvnc(user)``: the §3.1 DSL front end
-  every world build runs once per device): the calls of one parse.
-  With ``shlex.split`` tokenizing the ``module`` lines it read 306
-  calls; with one precompiled-regex tokenizer, 86.
+  ``proof_chain``, 640.7 (attach 464.0, audit 137.2, teardown 35.1);
+  with ``default_pvnc`` binding a parsed template, a compile-cache key
+  built without ``json.dumps`` and a compiled hop that stamps its
+  proof without a wrapper closure, 606.3 (attach 443.7, audit 123.2,
+  teardown 35.1).  The attach phase has its own bar.
+* **Per PVNC parse** (``parse_pvnc`` of ``DEFAULT_PVNC_TEXT``: the §3.1
+  DSL front end): the calls of one parse.  With ``shlex.split``
+  tokenizing the ``module`` lines it read 306 calls; with one
+  precompiled-regex tokenizer, 86 (85 since, now that the parse is
+  timed on its own rather than through ``default_pvnc``).
+* **Per PVNC bind** (``default_pvnc(user)``, which every world build
+  runs once per device): the calls of one bind of the parsed default
+  template to a user.  Parsing per device, it was the parse's 86; as a
+  bind, 6.
 
     PYTHONPATH=src python -m pytest -q benchmarks/test_bench_call_budget.py
 """
@@ -54,22 +63,25 @@ import pytest
 
 from bench.harness import Probe
 from bench.workloads import attach_storm, churn_reconfig, steady_mix
-from repro.core.session import default_pvnc
+from repro.core.pvnc import parse_pvnc
+from repro.core.session import DEFAULT_PVNC_TEXT, default_pvnc
 
 SEED = 0
 SCALE = 0.05
 
 #: Upper bounds, calls per packet.
 PACKET_BUDGET = {
-    steady_mix: 66,
-    churn_reconfig: 65,
+    steady_mix: 63,
+    churn_reconfig: 63,
 }
 #: Upper bounds on ``attach_storm``, calls per device: over the whole
 #: run, and in the attach phase alone.
-DEVICE_BUDGET = 642
-ATTACH_BUDGET = 465
-#: Upper bound, calls per ``default_pvnc(user)``.
+DEVICE_BUDGET = 607
+ATTACH_BUDGET = 444
+#: Upper bound, calls per ``parse_pvnc`` of the default text.
 PARSE_BUDGET = 87
+#: Upper bound, calls per ``default_pvnc(user)``.
+BIND_BUDGET = 6
 
 
 def profiled_run(workload):
@@ -122,8 +134,8 @@ def test_calls_per_attach_within_budget():
         f"{per_phase['attach']} calls/attach, budget {ATTACH_BUDGET}")
 
 
-def test_calls_per_pvnc_parse_within_budget():
-    default_pvnc("warmup")
+def calls_of(function, *args) -> int:
+    """The Python ``call`` events of one ``function(*args)``."""
     calls = 0
 
     def count(frame, event, arg) -> None:
@@ -133,8 +145,22 @@ def test_calls_per_pvnc_parse_within_budget():
 
     sys.setprofile(count)
     try:
-        default_pvnc("alice")
+        function(*args)
     finally:
         sys.setprofile(None)
+    return calls
+
+
+def test_calls_per_pvnc_parse_within_budget():
+    text = DEFAULT_PVNC_TEXT.format(user="alice")
+    parse_pvnc(DEFAULT_PVNC_TEXT.format(user="warmup"))
+    calls = calls_of(parse_pvnc, text)
     assert calls <= PARSE_BUDGET, (
         f"{calls} calls/parse, budget {PARSE_BUDGET}")
+
+
+def test_calls_per_pvnc_bind_within_budget():
+    default_pvnc("warmup")
+    calls = calls_of(default_pvnc, "alice")
+    assert calls <= BIND_BUDGET, (
+        f"{calls} calls/bind, budget {BIND_BUDGET}")

@@ -56,7 +56,12 @@ from repro.obs import spans as obs_spans
 from repro.nfv.container import Container, ContainerSpec, ContainerState
 from repro.nfv.hypervisor import NfvHost
 from repro.nfv.middlebox import Middlebox, ProcessingContext, Verdict, VerdictKind
-from repro.nfv.pipeline import Pipeline, PipelineStep, labeled_verdict
+from repro.nfv.pipeline import (
+    Pipeline,
+    PipelineStep,
+    StepRunner,
+    labeled_verdict,
+)
 from repro.nfv.sandbox import Capability, Sandbox
 from repro.sdn.actions import ToChain
 from repro.sdn.controller import Controller
@@ -107,6 +112,35 @@ class DataPathOutcome:
     added_delay: float = 0.0
     traffic_class: str = ""
     verdict_reasons: tuple[str, ...] = ()
+
+
+class _CrashGate:
+    """A PVN hop's precheck: a crashed (or stopped) container drops
+    the packet as a service interruption, not a silent bypass, until
+    the recovery layer repairs the chain or degrades to tunneling.
+    The container is looked up per packet, so a repair that swaps it
+    applies without a flush.  The drop verdict is built on the first
+    crashed packet, not per compiled hop."""
+
+    __slots__ = ("service", "containers", "_crashed")
+
+    def __init__(self, service: str, containers: dict[str, Container]
+                 ) -> None:
+        self.service = service
+        self.containers = containers
+        self._crashed: Verdict | None = None
+
+    def __call__(self, packet: Packet, context: ProcessingContext
+                 ) -> Verdict | None:
+        container = self.containers.get(self.service)
+        if container is None or container.state not in _SERVICE_DOWN:
+            return None
+        if self._crashed is None:
+            self._crashed = labeled_verdict(
+                Verdict.dropped(f"middlebox {self.service} crashed"),
+                "crashed",
+            )
+        return self._crashed
 
 
 class PvnDataPath:
@@ -165,7 +199,7 @@ class PvnDataPath:
         # resolved terminal (action, tunnel endpoint); a compiled
         # classifier hop, redirect pipelines, one pooled context.
         self._pipelines: dict[str, tuple[Pipeline, str, str]] = {}
-        self._classifier_runner = None
+        self._classifier_hop: tuple[ProofStamp, StepRunner] | None = None
         self._redirect_pipeline: Pipeline | None = None
         self._pooled_context: ProcessingContext | None = None
         self.pipeline_compiles = 0
@@ -212,11 +246,11 @@ class PvnDataPath:
         routing mode or the epoch fence must flush compiled state so a
         superseded pipeline cannot serve another packet.
         """
-        if (self._pipelines or self._classifier_runner is not None
+        if (self._pipelines or self._classifier_hop is not None
                 or self._redirect_pipeline is not None):
             self.pipeline_invalidations += 1
         self._pipelines.clear()
-        self._classifier_runner = None
+        self._classifier_hop = None
         self._redirect_pipeline = None
 
     # -- compilation --------------------------------------------------------
@@ -232,39 +266,23 @@ class PvnDataPath:
             return pooled
         return pooled.reset(now, packet.owner)
 
+    def _hop(self, service: str) -> tuple[ProofStamp, StepRunner]:
+        """A hop's proof stamp, with its HMAC key schedule (a missing
+        key is an :class:`AuditError` here, once, not per packet), and
+        its sandboxed runner."""
+        sandbox = self.sandboxes.get(service)
+        return (ProofStamp(service, self.keyring.key_for(service)),
+                sandbox.process if sandbox is not None
+                else self.middleboxes[service].process)
+
     def _make_step(self, service: str) -> PipelineStep:
         """Compile one hop: everything that is constant for the life
-        of the pipeline — the sandboxed runner, the waypoint's proof
-        stamp with its HMAC key schedule (a missing key is an
-        :class:`AuditError` here, once, not per packet), the per-hop
-        delay — is resolved now."""
-        stamp = ProofStamp(service, self.keyring.key_for(service))
-        sandbox = self.sandboxes.get(service)
-        runner = (sandbox.process if sandbox is not None
-                  else self.middleboxes[service].process)
-        containers = self.containers
-        crashed = labeled_verdict(
-            Verdict.dropped(f"middlebox {service} crashed"), "crashed",
-        )
-
-        def precheck(packet: Packet, context: ProcessingContext):
-            # A crashed middlebox is a service interruption, not a
-            # silent bypass: the packet is lost until the recovery
-            # layer repairs the chain or degrades to tunneling.
-            # Checked at run time so repairs apply without a flush.
-            container = containers.get(service)
-            if container is not None and container.state in _SERVICE_DOWN:
-                return crashed
-            return None
-
-        def run(packet: Packet, context: ProcessingContext):
-            stamp(packet)
-            return runner(packet, context)
-
-        return PipelineStep(
-            name=service, runner=run,
-            delay=self.container_spec.per_packet_delay, precheck=precheck,
-        )
+        of the pipeline — the stamp and runner of :meth:`_hop`, the
+        crashed-container gate, the per-hop delay — is resolved now."""
+        stamp, runner = self._hop(service)
+        return PipelineStep(service, runner,
+                            self.container_spec.per_packet_delay,
+                            _CrashGate(service, self.containers), stamp)
 
     def _compile_class(self, traffic_class: str) -> tuple[Pipeline, str, str]:
         """Compile and cache ``(pipeline, terminal action, tunnel
@@ -400,10 +418,11 @@ class PvnDataPath:
                 return DataPathOutcome(ACTION_DROP, "", 0.0, "",
                                        ("classifier:crashed",))
             delay = self.container_spec.per_packet_delay
-            classify = self._classifier_runner
-            if classify is None:
-                classify = self._classifier_runner = (
-                    self._make_step("classifier").runner)
+            classifier = self._classifier_hop
+            if classifier is None:
+                classifier = self._classifier_hop = self._hop("classifier")
+            stamp, classify = classifier
+            stamp(packet)
             classify(packet, context)
         traffic_class = packet.metadata.get(CLASS_KEY, "other")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 
 from repro.core.auditor.attestation import AttestationVerifier
 from repro.core.auditor.measurements import (
@@ -101,8 +102,13 @@ class Device:
         self.ledger = EvidenceLedger()
         self.reputation = ReputationSystem()
         self.connection: PvnConnection | None = None
-        # Per-device seeded jitter stream for retry backoff.
-        self._retry_rng = RandomStreams(0).spawn(f"device:{user}").get("retry")
+
+    @functools.cached_property
+    def _retry_rng(self):
+        """Per-device seeded jitter stream for retry backoff, derived
+        on the first retry: an attach that never retries pays nothing
+        for it, and the draws are the same whenever it is derived."""
+        return RandomStreams(0).spawn(f"device:{self.user}").get("retry")
 
     # -- attach -----------------------------------------------------------
 
@@ -236,10 +242,12 @@ class Device:
 
     # -- audits ---------------------------------------------------------------
 
-    def audit(self, trials: int = 3) -> list[str]:
+    def audit(self, trials: int = 3) -> tuple[str, ...]:
         """Run the §3.1 measurement battery against the live PVN.
 
-        Returns the names of violated tests; evidence lands in the
+        Returns the names of violated tests, as a tuple (a clean audit
+        returns the shared empty tuple, so a caller that keeps one
+        result per device keeps nothing for it); evidence lands in the
         ledger and the provider's reputation is updated per test.
 
         With observability enabled each measurement runs inside a span
@@ -315,7 +323,7 @@ class Device:
             if audit_span is not None:
                 audit_span.set(violations=len(violated),
                                tests=len(results))
-            return violated
+            return tuple(violated)
 
     def rank_providers(
         self, quotes: list[tuple[str, float]], price_weight: float = 0.1

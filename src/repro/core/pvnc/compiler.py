@@ -17,7 +17,7 @@ maps a service name to a factory taking the :class:`ModuleSpec` and the
 user's :class:`UserEnvironment` (trust material, resolver set, etc.).
 
 Compilation is memoized through a content-addressed
-:class:`CompileCache`: the cache key hashes the *policy* — modules,
+:class:`CompileCache`: the cache key covers the *policy* — modules,
 class rules, constraints — plus every compile input that shapes the
 output (store services, store capability grants, the container spec)
 and the compiler/DSL revision, but **not** the user.  Two devices with
@@ -30,8 +30,6 @@ invalidates every cached entry.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import operator
 from typing import Callable
 
@@ -70,6 +68,13 @@ from repro.sdn.match import Match
 COMPILER_REVISION = 1
 
 _SERVICE_OF = operator.attrgetter("service")
+
+#: What an absent ``container_spec`` compiles with.
+_DEFAULT_CONTAINER = ContainerSpec()
+
+#: A :class:`CompileCache` key: the policy digest, then the compiler
+#: revisions, store services, store grants and container spec.
+CacheKey = tuple[bytes, tuple]
 
 
 @dataclasses.dataclass
@@ -307,7 +312,7 @@ class CompileCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        self._entries: dict[bytes, CompiledPvnc] = {}
+        self._entries: dict[CacheKey, CompiledPvnc] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -320,30 +325,29 @@ class CompileCache:
         store_services: set[str] | None,
         container_spec: ContainerSpec | None,
         store_capabilities: dict[str, Capability] | None,
-    ) -> bytes:
-        container = container_spec or ContainerSpec()
-        extras = json.dumps(
-            {
-                "revision": [COMPILER_REVISION, self.revision],
-                "store": sorted(store_services or ()),
-                "caps": sorted(
-                    (service, cap.value)
-                    for service, cap in (store_capabilities or {}).items()
-                ),
-                "container": [
-                    container.instantiation_time,
-                    container.per_packet_delay,
-                    container.memory_bytes,
-                    container.cpu_share,
-                ],
-            },
-            sort_keys=True,
-        ).encode()
-        return hashlib.sha256(policy_digest(pvnc) + extras).digest()
+    ) -> CacheKey:
+        """The policy digest beside a tuple of the other compile
+        inputs.  Keys never leave the process, so they are compared as
+        tuples, not serialised and hashed."""
+        container = container_spec or _DEFAULT_CONTAINER
+        environment = (
+            COMPILER_REVISION,
+            self.revision,
+            tuple(sorted(store_services)) if store_services else (),
+            tuple(sorted(
+                (service, cap.value)
+                for service, cap in store_capabilities.items()
+            )) if store_capabilities else (),
+            container.instantiation_time,
+            container.per_packet_delay,
+            container.memory_bytes,
+            container.cpu_share,
+        )
+        return policy_digest(pvnc), environment
 
     # -- lookup ------------------------------------------------------------
 
-    def get(self, key: bytes, pvnc: Pvnc) -> CompiledPvnc | None:
+    def get(self, key: CacheKey, pvnc: Pvnc) -> CompiledPvnc | None:
         """The cached artifact rebound to ``pvnc``'s user, or None."""
         skeleton = self._entries.get(key)
         if skeleton is None:
@@ -358,7 +362,7 @@ class CompileCache:
             skeleton, pvnc=pvnc, pvn_match=Match(owner=pvnc.user),
         )
 
-    def put(self, key: bytes, compiled: CompiledPvnc) -> None:
+    def put(self, key: CacheKey, compiled: CompiledPvnc) -> None:
         if len(self._entries) >= self.max_entries:
             # Size fence for unbounded policy churn: drop the oldest
             # entry (dict preserves insertion order).
@@ -476,7 +480,7 @@ def _compile_uncached(
 ) -> CompiledPvnc:
     """The real compiler body — validation plus artifact construction."""
     ensure_valid(pvnc, builtin_services(), store_services)
-    container = container_spec or ContainerSpec()
+    container = container_spec or _DEFAULT_CONTAINER
 
     used = pvnc.used_services()
     # The classifier is implicit: every PVN chain starts with it.

@@ -212,6 +212,18 @@ class Pvnc:
         return dataclasses.replace(self, modules=modules, class_rules=rules,
                                    constraints=constraints)
 
+    def for_user(self, user: str) -> "Pvnc":
+        """This policy bound to ``user``.
+
+        The copy shares this instance's modules, rules and constraints,
+        and carries its :attr:`policy_digest`, which does not cover the
+        user.  Any later ``dataclasses.replace`` builds a fresh
+        instance, so a carried digest never outlives its policy.
+        """
+        bound = dataclasses.replace(self, user=user)
+        bound.__dict__["policy_digest"] = self.policy_digest
+        return bound
+
     # -- digest ------------------------------------------------------------
 
     def digest(self) -> bytes:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import re
 
 from repro.core.device import Device, PvnConnection
 from repro.core.discovery.retry import RetryPolicy
@@ -49,9 +50,24 @@ max-latency 1 ms
 '''
 
 
+#: ``DEFAULT_PVNC_TEXT`` parsed once; :func:`default_pvnc` binds it to
+#: each user instead of parsing the same policy per device.
+_DEFAULT_TEMPLATE = parse_pvnc(DEFAULT_PVNC_TEXT.format(user="template"))
+#: A user the header's ``for (\S+)`` reads back exactly as written.
+_PLAIN_USER_RE = re.compile(r"[^\s#]+")
+
+
 def default_pvnc(user: str = "alice") -> Pvnc:
-    """The canonical Fig. 1(a)-shaped configuration."""
-    return parse_pvnc(DEFAULT_PVNC_TEXT.format(user=user))
+    """The canonical Fig. 1(a)-shaped configuration, for ``user``.
+
+    Equal, digests included, to parsing ``DEFAULT_PVNC_TEXT`` for
+    ``user``.  A user the header would not carry through unchanged
+    (empty, or holding whitespace or ``#``) is parsed, so it gets the
+    parser's own result or error.
+    """
+    if _PLAIN_USER_RE.fullmatch(user) is None:
+        return parse_pvnc(DEFAULT_PVNC_TEXT.format(user=user))
+    return _DEFAULT_TEMPLATE.for_user(user)
 
 
 @dataclasses.dataclass
@@ -274,7 +290,7 @@ class PvnSession:
                 return outcome
         return deployment.datapath.process(packet, now=self.sim.now)
 
-    def audit(self, trials: int = 3) -> list[str]:
+    def audit(self, trials: int = 3) -> tuple[str, ...]:
         """Run the device's audit battery; returns violated test names."""
         return self.device.audit(trials=trials)
 

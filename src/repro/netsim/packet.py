@@ -1,9 +1,11 @@
 """Simulated packets.
 
 A :class:`Packet` is a five-tuple plus a stack of protocol payloads
-(objects from :mod:`repro.netproto`) and bookkeeping used by the PVN
-auditor: every node a packet traverses appends itself to the packet's
-``trail``, which is what path proofs are checked against.
+(objects from :mod:`repro.netproto`) and bookkeeping: every node a
+packet traverses appends itself to the packet's ``trail``.  The PVN
+auditor does not check path proofs against the trail, which the
+provider writes; each middlebox waypoint stamps a keyed MAC into
+``metadata`` instead (:mod:`repro.core.auditor.path_proof`).
 """
 
 from __future__ import annotations

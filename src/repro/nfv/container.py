@@ -114,7 +114,17 @@ class ContainerState(enum.Enum):
 
 
 class Container:
-    """A running (or starting) instance of one middlebox."""
+    """A running (or starting) instance of one middlebox.
+
+    Slotted: an attach launches one per deployed service.
+    """
+
+    __slots__ = (
+        "container_id", "middlebox", "spec", "owner", "state",
+        "started_at", "running_at", "packets_processed", "busy_seconds",
+        "crashes", "crashed_at", "checkpoints_taken", "restored_from",
+        "_start_epoch", "_host",
+    )
 
     def __init__(
         self,
@@ -170,15 +180,16 @@ class Container:
         self._set_state(ContainerState.INSTANTIATING)
         self.started_at = sim.now
         self._start_epoch += 1
-        epoch = self._start_epoch
+        sim.schedule(self.spec.instantiation_time, self._booted, sim,
+                     self._start_epoch)
 
-        def _running() -> None:
-            if (self._start_epoch == epoch
-                    and self.state is ContainerState.INSTANTIATING):
-                self._set_state(ContainerState.RUNNING)
-                self.running_at = sim.now
-
-        sim.schedule(self.spec.instantiation_time, _running)
+    def _booted(self, sim: Simulator, epoch: int) -> None:
+        """The boot event :meth:`start` schedules: RUNNING, unless a
+        crash, stop or restart has moved the epoch on since."""
+        if (self._start_epoch == epoch
+                and self.state is ContainerState.INSTANTIATING):
+            self._set_state(ContainerState.RUNNING)
+            self.running_at = sim.now
 
     def start_immediately(self, now: float) -> None:
         """Synchronous start for non-event-driven experiments."""

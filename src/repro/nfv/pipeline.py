@@ -8,8 +8,9 @@ lookups for sandboxes, a fresh :class:`ProcessingContext` allocation —
 and none shared counters.
 
 A :class:`Pipeline` is the compiled form: a flat tuple of
-:class:`PipelineStep` whose runners are pre-resolved bound callables
-and whose per-hop delays are resolved at compile time.
+:class:`PipelineStep` whose runners (and optional proof stamps) are
+pre-resolved callables and whose per-hop delays are resolved at compile
+time.
 ``ServiceChain.compile()``, the PVN datapath (one pipeline per traffic
 class), and the degraded/bridged tunnel paths (:meth:`Pipeline.tunnel`)
 all execute through :meth:`Pipeline.run`.
@@ -23,7 +24,7 @@ crashed-container gate).  Per-step reason labels default to
 the ``pipeline_label`` annotation (how a crashed-container drop stays
 ``"{service}:crashed"``).  :meth:`Pipeline.run` calls no helper per
 step beyond the step's own callables: an unannotated verdict's label is
-read from the step's cached ``plain_labels``, the terminal test is by
+read from the step's prebuilt ``plain_labels``, the terminal test is by
 identity, and profiling handles are resolved only while observability
 is enabled.
 
@@ -35,7 +36,6 @@ at publish time.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import time
 from typing import Callable
 
@@ -69,7 +69,7 @@ def _label_of(step: "PipelineStep", verdict: Verdict) -> str:
     return step.plain_labels[verdict.kind]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class PipelineStep:
     """One compiled hop: a pre-resolved runner plus its charged delay.
 
@@ -77,18 +77,27 @@ class PipelineStep:
     verdict from it short-circuits the pipeline without the charge —
     the crashed-container gate uses this so a packet lost at hop *i*
     is charged only for hops ``0..i-1``, exactly as the loop it
-    replaced.
+    replaced.  ``stamp`` (optional) is called with the packet just
+    before ``runner``, inside the hop's timed region: the PVN datapath
+    puts the hop's path-proof stamp here.
+
+    Slotted, with its labels built at construction: a PVN datapath
+    compiles one per hop of every traffic class it serves.
     """
 
     name: str
     runner: StepRunner
     delay: float = 0.0
     precheck: StepPrecheck | None = None
+    stamp: Callable[[Packet], None] | None = None
+    #: The ``"{name}:{verdict-kind}"`` label per kind.
+    plain_labels: dict[VerdictKind, str] = dataclasses.field(
+        init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def plain_labels(self) -> dict[VerdictKind, str]:
-        """The ``"{name}:{verdict-kind}"`` label per kind, built once."""
-        return {kind: f"{self.name}:{value}" for kind, value in _KIND_VALUES}
+    def __post_init__(self) -> None:
+        name = self.name
+        object.__setattr__(self, "plain_labels", {
+            kind: f"{name}:{value}" for kind, value in _KIND_VALUES})
 
 
 @dataclasses.dataclass(slots=True)
@@ -191,9 +200,13 @@ class Pipeline:
                         packet, aborted, verdicts, labels, delay)
             delay += step.delay
             if handles is None:
+                if step.stamp is not None:
+                    step.stamp(packet)
                 verdict = step.runner(packet, context)
             else:
                 wall_start = time.perf_counter()
+                if step.stamp is not None:
+                    step.stamp(packet)
                 verdict = step.runner(packet, context)
                 # One verdict per step reached so far: this step's index.
                 handles[len(verdicts)].observe(

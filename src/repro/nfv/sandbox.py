@@ -87,7 +87,13 @@ DEFAULT_BUDGET = ResourceBudget()
 
 
 class Sandbox:
-    """A capability- and budget-enforcing wrapper around a middlebox."""
+    """A capability- and budget-enforcing wrapper around a middlebox.
+
+    Slotted: an attach builds one per deployed service.
+    """
+
+    __slots__ = ("middlebox", "owner", "capabilities", "budget",
+                 "cpu_used", "killed", "violations")
 
     def __init__(
         self,

@@ -25,9 +25,10 @@ from repro.core.session import PvnSession, default_pvnc
 from repro.netsim.topology import AccessNetworkSpec
 
 ATTACHES = 50
-#: Tracked objects 50 attaches leave behind (154.06 per attach), measured
-#: by this test; 8 003 before sandboxes shared one frozen default budget.
-PARENT_GROWTH = 7703
+#: Tracked objects 50 attaches leave behind (94.06 per attach), measured
+#: by this test; 8 003 before sandboxes shared one frozen default budget,
+#: 6 903 before ``default_pvnc`` bound one parsed template per user.
+PARENT_GROWTH = 4703
 
 
 def test_an_attach_allocates_no_more_tracked_objects_than_before():

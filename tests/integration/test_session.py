@@ -29,7 +29,7 @@ class TestHappyPath:
         assert "tls_validator" in connection.services
 
     def test_honest_provider_passes_all_audits(self, session):
-        assert session.audit() == []
+        assert session.audit() == ()
         assert session.device.reputation.score(session.provider.name) > 0.5
 
     def test_traffic_flows_through_datapath(self, session):

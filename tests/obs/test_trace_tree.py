@@ -148,6 +148,6 @@ class TestZeroCostDefault:
         session = _connected_session()
         session.send(Packet(src="10.0.0.1", dst="198.51.100.7",
                             dst_port=443, owner="alice"), traced=True)
-        assert session.audit(trials=1) == []
+        assert session.audit(trials=1) == ()
         assert session.migrate("dev_alice_2").committed
         assert obs_runtime.current() is None
