@@ -22,7 +22,9 @@ counted).
   per scheduled event, path proofs stamped from a per-hop key schedule,
   prebuilt constant verdicts and ``MatchMask`` hashed in C, 64.67 and
   63.73.  With the pipeline calling a PVN hop's proof stamp itself
-  instead of through a wrapper closure, 62.04 and 62.29.
+  instead of through a wrapper closure, 62.04 and 62.29.  With no
+  ``Packet.trail`` append per hop and one shared no-op span scope
+  (``repro.obs.runtime.span``), 61.53 and 61.87.
   ``churn_reconfig``'s figure includes the teardown/redeploy work of
   its reconfiguration timer, amortised over its packets.
 * **Per device** on ``attach_storm`` (``Device.attach`` +
@@ -40,6 +42,9 @@ counted).
   with ``default_pvnc`` binding a parsed template, a compile-cache key
   built without ``json.dumps`` and a compiled hop that stamps its
   proof without a wrapper closure, 606.3 (attach 443.7, audit 123.2,
+  teardown 35.1); with one shared no-op span scope in place of a
+  ``nullcontext`` built per phase, and the unset parameters and
+  write-only counters folded away, 592.3 (attach 436.7, audit 116.2,
   teardown 35.1).  The attach phase has its own bar.
 * **Per PVNC parse** (``parse_pvnc`` of ``DEFAULT_PVNC_TEXT``: the §3.1
   DSL front end): the calls of one parse.  With ``shlex.split``
@@ -71,13 +76,13 @@ SCALE = 0.05
 
 #: Upper bounds, calls per packet.
 PACKET_BUDGET = {
-    steady_mix: 63,
-    churn_reconfig: 63,
+    steady_mix: 62,
+    churn_reconfig: 62,
 }
 #: Upper bounds on ``attach_storm``, calls per device: over the whole
 #: run, and in the attach phase alone.
-DEVICE_BUDGET = 607
-ATTACH_BUDGET = 444
+DEVICE_BUDGET = 593
+ATTACH_BUDGET = 437
 #: Upper bound, calls per ``parse_pvnc`` of the default text.
 PARSE_BUDGET = 87
 #: Upper bound, calls per ``default_pvnc(user)``.

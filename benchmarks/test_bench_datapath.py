@@ -21,8 +21,12 @@ import time
 import pytest
 
 from repro.netsim import Packet, Simulator
-from repro.nfv import ChainHop, Container, Middlebox, ServiceChain
-from repro.sdn import Drop, FlowRule, Match, SdnSwitch
+from repro.nfv import ChainHop, Container, ServiceChain
+from repro.nfv.middlebox import Middlebox
+from repro.sdn.actions import Drop
+from repro.sdn.flowtable import FlowRule
+from repro.sdn.match import Match
+from repro.sdn import SdnSwitch
 
 PVN_COUNTS = (10, 100, 1000)
 FLOWS = 64

@@ -10,14 +10,12 @@ substrates, not to reproduce paper claims.
 import numpy as np
 
 from repro.middleboxes import PiiDetector, TrafficClassifier
-from repro.netsim import (
-    Packet,
-    PathCharacteristics,
-    Simulator,
-    simulate_transfer,
-)
+from repro.netsim import Packet, PathCharacteristics, Simulator
+from repro.netsim.tcp import simulate_transfer
 from repro.nfv import ChainHop, Container, ProcessingContext, ServiceChain
-from repro.sdn import Drop, FlowRule, FlowTable, Match, Output
+from repro.sdn.actions import Drop, Output
+from repro.sdn.flowtable import FlowRule, FlowTable
+from repro.sdn.match import Match
 
 
 def test_bench_micro_event_loop(benchmark):

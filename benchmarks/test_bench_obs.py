@@ -1,12 +1,11 @@
 """The observability layer's acceptance bars (ISSUE 4).
 
-Two claims, asserted against the E16 switch fast path:
+Asserted against the E16 switch fast path (observability has one
+enabled mode: spans, metrics and per-middlebox profiling together; the
+disabled path's cost is bounded by the datapath bench bars, which run
+with it off):
 
-* **obs off is free** — with observability disabled (the default),
-  throughput is within measurement noise of the PR 3 baseline.  The
-  instrumentation sites reduce to one module-global read and a None
-  test, and the bar allows generous noise.
-* **obs fully on costs <= ~10%** — with spans, metrics, and
+* **obs on costs <= ~10%** — with spans, metrics, and
   per-middlebox profiling all enabled, the same replay must keep at
   least 90% of the disabled throughput.  The data plane keeps plain
   int counters that fold into the registry only at publish time, and
@@ -33,47 +32,21 @@ ROUNDS = 5
 
 
 def _interleaved_pps():
-    """Best-of-N pps for (off, metrics-only, fully-on), interleaved."""
+    """Best-of-N pps for (off, fully-on), interleaved."""
     packets = packet_schedule(N_RULES)
-    off = metrics_only = full = 0.0
+    off = full = 0.0
     for _ in range(ROUNDS):
         obs_runtime.disable()
         off = max(off, replay_pps(build_switch(N_RULES), packets))
-        with obs_runtime.enabled(trace_spans=False,
-                                 profile_middleboxes=False):
-            metrics_only = max(
-                metrics_only,
-                replay_pps(build_switch(N_RULES), packets),
-            )
         with obs_runtime.enabled():
             full = max(full, replay_pps(build_switch(N_RULES), packets))
     obs_runtime.disable()
-    return off, metrics_only, full
-
-
-def test_obs_disabled_is_within_noise_of_baseline():
-    """Disabled observability must not tax the fast path.
-
-    The PR 3 baseline is this same replay before instrumentation; the
-    disabled path differs from it by one module-global read and a None
-    test per *publish* call (nothing per packet), so 'within noise' is
-    checked two ways: the datapath refactor's own bench bars
-    (``test_bench_datapath.py``) still hold with obs off, and turning
-    the registry on without spans/profiling — which adds publish-time
-    folding only — stays >= 80% of the disabled rate on shared CI
-    hardware.  A failure here means per-packet work leaked in.
-    """
-    off, metrics_only, _ = _interleaved_pps()
-    assert metrics_only >= 0.8 * off, (
-        f"metrics-only throughput {metrics_only:,.0f} pkts/s fell more "
-        f"than noise below disabled {off:,.0f} pkts/s — per-packet "
-        "metrics work leaked into the fast path"
-    )
+    return off, full
 
 
 def test_obs_fully_enabled_overhead_at_most_10pct():
     """The tentpole bar: spans+metrics+profiling <= ~10% overhead."""
-    off, _, full = _interleaved_pps()
+    off, full = _interleaved_pps()
     assert full >= 0.9 * off, (
         f"fully-enabled throughput {full:,.0f} pkts/s is more than 10% "
         f"below disabled {off:,.0f} pkts/s "

@@ -20,7 +20,7 @@ from repro.core.deployment.orchestrator import (
     reference_solve,
 )
 from repro.experiments import exp19_orchestration
-from repro.netsim import attach_device, build_access_network
+from repro.netsim.topology import attach_device, build_access_network
 from repro.nfv import NfvHost
 from repro.nfv.hypervisor import HostCapacity
 from repro.nfv.placement import PlacementRequest

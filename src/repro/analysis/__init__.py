@@ -1,6 +1,1 @@
 """Statistics and table rendering for experiment reports."""
-
-from repro.analysis.stats import Summary, fraction, speedup, summarize
-from repro.analysis.tables import render_table
-
-__all__ = ["Summary", "fraction", "render_table", "speedup", "summarize"]

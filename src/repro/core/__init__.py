@@ -1,23 +1,12 @@
 """The paper's contribution: PVNC, discovery, deployment, auditing,
 tunneling, the PVN Store, and device/provider/session orchestration."""
 
-from repro.core.device import Device, PvnConnection
-from repro.core.provider import AccessProvider, DishonestyProfile, HONEST
-from repro.core.session import (
-    DEFAULT_PVNC_TEXT,
-    PvnSession,
-    SessionOutcome,
-    default_pvnc,
-)
+from repro.core.provider import AccessProvider, DishonestyProfile
+from repro.core.session import PvnSession, default_pvnc
 
 __all__ = [
     "AccessProvider",
-    "DEFAULT_PVNC_TEXT",
-    "Device",
     "DishonestyProfile",
-    "HONEST",
-    "PvnConnection",
     "PvnSession",
-    "SessionOutcome",
     "default_pvnc",
 ]

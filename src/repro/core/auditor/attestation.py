@@ -86,9 +86,11 @@ class TrustedPlatform:
 class AttestationVerifier:
     """Device-side verification against trusted platform keys."""
 
-    def __init__(self, max_age: float = 300.0) -> None:
+    #: Seconds an attestation stays fresh.
+    max_age = 300.0
+
+    def __init__(self) -> None:
         self._platform_keys: dict[str, bytes] = {}
-        self.max_age = max_age
 
     def trust_platform(self, platform: str, key: bytes) -> None:
         self._platform_keys[platform] = key

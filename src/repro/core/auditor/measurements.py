@@ -40,23 +40,19 @@ class MeasurementResult:
 
 def differentiation_test(
     measure_throughput: Callable[[str], float],
-    shaped_kind: str = "video",
-    reference_kind: str = "random",
     trials: int = 5,
-    ratio_threshold: float = 0.7,
 ) -> MeasurementResult:
     """Glasnost-style [9] shaping detection.
 
     Runs paired transfers whose payloads differ only in apparent kind
-    (``shaped_kind`` looks like video; ``reference_kind`` looks like
-    noise).  If the shaped kind's median throughput is below
-    ``ratio_threshold`` of the reference's, the provider is
-    differentiating.
+    (``video``, and ``random``, which looks like noise).  If the video
+    transfers' median throughput is below 0.7 of the reference's, the
+    provider is differentiating.
     """
     if trials < 1:
         raise AuditError("differentiation test needs >= 1 trial")
-    shaped = [measure_throughput(shaped_kind) for _ in range(trials)]
-    reference = [measure_throughput(reference_kind) for _ in range(trials)]
+    shaped = [measure_throughput("video") for _ in range(trials)]
+    reference = [measure_throughput("random") for _ in range(trials)]
     shaped_median = statistics.median(shaped)
     reference_median = statistics.median(reference)
     if reference_median <= 0:
@@ -64,9 +60,8 @@ def differentiation_test(
     ratio = shaped_median / reference_median
     return MeasurementResult(
         test=TEST_DIFFERENTIATION,
-        violated=ratio < ratio_threshold,
-        detail=(f"{shaped_kind} vs {reference_kind} throughput ratio "
-                f"{ratio:.2f} (threshold {ratio_threshold})"),
+        violated=ratio < 0.7,
+        detail=f"video vs random throughput ratio {ratio:.2f} (threshold 0.7)",
         samples=tuple(shaped + reference),
     )
 
@@ -120,7 +115,6 @@ def path_inflation_test(
     measure_rtt: Callable[[], float],
     expected_rtt: float,
     trials: int = 5,
-    tolerance: float = 1.5,
 ) -> MeasurementResult:
     """Compare measured RTT against what the offered virtual topology
     implies (Zarifis et al. [45] path-inflation methodology)."""
@@ -131,10 +125,10 @@ def path_inflation_test(
     inflation = measured / expected_rtt
     return MeasurementResult(
         test=TEST_PATH_INFLATION,
-        violated=inflation > tolerance,
+        violated=inflation > 1.5,
         detail=(f"median RTT {measured * 1000:.1f}ms vs expected "
                 f"{expected_rtt * 1000:.1f}ms (x{inflation:.2f}, "
-                f"tolerance x{tolerance})"),
+                "tolerance x1.5)"),
         samples=tuple(samples),
     )
 

@@ -57,7 +57,6 @@ class EvidenceLedger:
 
     def __init__(self) -> None:
         self._records: list[ViolationRecord] = []
-        self.audits_run = 0
 
     def record_result(
         self,
@@ -68,7 +67,6 @@ class EvidenceLedger:
         evidence_spans: tuple[str, ...] = (),
     ) -> ViolationRecord | None:
         """Fold one measurement in; returns the record when violated."""
-        self.audits_run += 1
         if not result.violated:
             return None
         record = ViolationRecord(

@@ -153,7 +153,6 @@ def embed_pvn(
     topo: PhysicalTopology,
     hosts: dict[str, NfvHost],
     device_node: str,
-    gateway_node: str = "gw",
     prefer_reuse: bool = True,
     max_stretch: float = 4.0,
     index: EmbeddingIndex | None = None,
@@ -174,14 +173,14 @@ def embed_pvn(
         plan = index.place(
             compiled.placement_requests,
             src=device_node,
-            dst=gateway_node,
+            dst="gw",
             prefer_reuse=prefer_reuse,
         )
     elif optimizer is not None:
         plan = optimizer.place(
             compiled.placement_requests,
             src=device_node,
-            dst=gateway_node,
+            dst="gw",
             prefer_reuse=prefer_reuse,
         )
     else:
@@ -189,7 +188,7 @@ def embed_pvn(
             topo,
             list(compiled.placement_requests),
             src=device_node,
-            dst=gateway_node,
+            dst="gw",
             hosts=hosts,
             prefer_reuse=prefer_reuse,
         )
@@ -202,7 +201,7 @@ def embed_pvn(
     return EmbeddingResult(
         plan=plan,
         device_node=device_node,
-        gateway_node=gateway_node,
+        gateway_node="gw",
         expected_rtt=expected_rtt,
     )
 

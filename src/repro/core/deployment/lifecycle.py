@@ -202,7 +202,6 @@ def repair_deployment(
             new_embedding = embed_pvn(
                 deployment.compiled, manager.topo, live_hosts,
                 device_node=deployment.embedding.device_node,
-                gateway_node=deployment.embedding.gateway_node,
             )
         except ReproError as exc:
             return RepairResult(
@@ -263,7 +262,6 @@ def degrade_to_tunnel(
         manager.topo,
         device_node=deployment.embedding.device_node,
         endpoint_node=endpoint,
-        gateway_node=deployment.embedding.gateway_node,
     )
     if manager.controller is not None:
         manager.controller.remove_pvn(deployment_id)

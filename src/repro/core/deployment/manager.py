@@ -14,7 +14,6 @@ owner-scoped flow rules -> allocate the PVN subnet -> attest -> ACK.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import enum
 import functools
@@ -77,14 +76,6 @@ _PVN_SUBNETS = (250 - 200) * 256 - 1
 #: and not repaired yet.  Services without containers (reused physical
 #: middleboxes) never go down this way.
 _SERVICE_DOWN = (ContainerState.CRASHED, ContainerState.STOPPED)
-
-
-def _phase_span(tracer, name: str, now: float):
-    """A span scope over a synchronous deploy phase (no sim advance),
-    or a no-op scope when tracing is off."""
-    if tracer is None:
-        return contextlib.nullcontext()
-    return tracer.span(name, lambda: now)
 
 
 def _count_deploy(obs, provider: str, outcome: str) -> None:
@@ -370,7 +361,7 @@ class PvnDataPath:
         # Span synthesis is outside the fast path proper: its
         # arguments are only evaluated while spans are being traced.
         obs = obs_runtime.current()
-        if obs is not None and obs.trace_spans:
+        if obs is not None:
             self._record_packet_spans(obs, packet, now, outcome)
         return outcome
 
@@ -545,8 +536,6 @@ class DeploymentManager:
         dhcp: DhcpServer | None = None,
         platform: TrustedPlatform | None = None,
         container_spec: ContainerSpec | None = None,
-        ingress_switch: str = "agg",
-        gateway_node: str = "gw",
         store_services: set[str] | None = None,
         store_factories: dict[str, Callable[[], Middlebox]] | None = None,
         store_capabilities: dict[str, Capability] | None = None,
@@ -561,8 +550,9 @@ class DeploymentManager:
         self.dhcp = dhcp
         self.platform = platform
         self.container_spec = container_spec or ContainerSpec()
-        self.ingress_switch = ingress_switch
-        self.gateway_node = gateway_node
+        #: The access network's SDN ingress switch and egress gateway.
+        self.ingress_switch = "agg"
+        self.gateway_node = "gw"
         self.store_services = store_services or set()
         self.store_factories = store_factories or {}
         self.store_capabilities = store_capabilities or {}
@@ -598,21 +588,22 @@ class DeploymentManager:
     ) -> DeploymentAck | DeploymentNack:
         """Install a PVN; every failure becomes a NACK with a reason."""
         obs = obs_runtime.current()
-        tracer = obs.spans if obs is not None and obs.trace_spans else None
+        tracer = obs.spans if obs is not None else None
         deploy_span = (tracer.start_span("deployment.deploy", now,
                                          provider=self.provider,
                                          user=request.pvnc.user)
                        if tracer is not None else None)
         try:
-            with _phase_span(tracer, "deployment.compile", now):
+            clock = lambda: now  # noqa: E731  (the phases do not advance it)
+            with obs_runtime.span("deployment.compile", clock):
                 compiled = compile_pvnc(request.pvnc, self.store_services,
                                         self.container_spec,
                                         self.store_capabilities,
                                         cache=self.compile_cache)
-            with _phase_span(tracer, "deployment.embed", now):
+            with obs_runtime.span("deployment.embed", clock):
                 embedding = embed_pvn(
                     compiled, self.topo, self.hosts,
-                    device_node=device_node, gateway_node=self.gateway_node,
+                    device_node=device_node,
                     index=self.embedding_index,
                     optimizer=self.optimizer,
                 )
@@ -642,11 +633,7 @@ class DeploymentManager:
                             subnet=deployment.subnet)
         if obs is not None:
             _count_deploy(obs, self.provider, "ack")
-        return DeploymentAck(
-            deployment_id=deployment.deployment_id,
-            pvn_subnet=deployment.subnet,
-            attestation_available=deployment.attestation is not None,
-        )
+        return DeploymentAck(deployment_id=deployment.deployment_id)
 
     def _install(
         self,

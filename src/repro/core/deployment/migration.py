@@ -45,7 +45,6 @@ transactional handoff.  This module provides it, in four pieces:
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import enum
 import itertools
@@ -225,10 +224,7 @@ class MigrationResult:
     """
 
     deployment_id: str
-    old_stretch: float
     new_stretch: float
-    moved_services: tuple[str, ...]
-    source_deployment_id: str = ""
     committed: bool = True
     pending: bool = False          # COMMIT intent journaled, cutover open
     reason: str = ""
@@ -299,7 +295,7 @@ class MigrationTransaction:
 
     # -- phase 1: PREPARE --------------------------------------------------
 
-    def prepare(self, now: float | None = None) -> bool:
+    def prepare(self) -> bool:
         """Instantiate the target chain at the new attachment point.
 
         The source keeps serving throughout (make *before* break).  On
@@ -308,7 +304,6 @@ class MigrationTransaction:
         """
         if self.phase is not MigrationPhase.BEGUN:
             raise MigrationError(f"cannot prepare from {self.phase.value}")
-        self.clock = max(self.clock, now if now is not None else self.clock)
         source = self.source
         if source.state is not DeploymentState.ACTIVE:
             self.reason = f"source deployment is {source.state.value}"
@@ -325,7 +320,6 @@ class MigrationTransaction:
             self.target_embedding = embed_pvn(
                 source.compiled, self.manager.topo, live_hosts,
                 device_node=self.new_device_node,
-                gateway_node=source.embedding.gateway_node,
                 optimizer=self.manager.optimizer,
             )
         except ReproError as exc:
@@ -415,7 +409,7 @@ class MigrationTransaction:
 
     # -- phase 2: TRANSFER -------------------------------------------------
 
-    def transfer(self, now: float | None = None) -> bool:
+    def transfer(self) -> bool:
         """Checkpoint the source chain and ship state to the target.
 
         The source data path bridges through the tunneling fallback for
@@ -425,8 +419,6 @@ class MigrationTransaction:
         """
         if self.phase is not MigrationPhase.PREPARED:
             raise MigrationError(f"cannot transfer from {self.phase.value}")
-        if now is not None:
-            self.clock = max(self.clock, now)
         self.source.datapath.bridging_to = self.spec.bridge_endpoint
 
         source_hosts = {
@@ -502,7 +494,7 @@ class MigrationTransaction:
 
     # -- phase 3: COMMIT or ABORT ------------------------------------------
 
-    def commit(self, now: float | None = None) -> bool:
+    def commit(self) -> bool:
         """Atomic cutover to the target deployment.
 
         The COMMIT intent is journaled *before* any mutation — after
@@ -514,8 +506,6 @@ class MigrationTransaction:
         """
         if self.phase is not MigrationPhase.TRANSFERRED:
             raise MigrationError(f"cannot commit from {self.phase.value}")
-        if now is not None:
-            self.clock = max(self.clock, now)
         self.clock += self.spec.commit_overhead
         self.journal.append(self.clock, self.txn_id, REC_COMMIT_INTENT,
                             f"cutover {self.source.deployment_id} -> "
@@ -662,25 +652,13 @@ class MigrationTransaction:
         pending = (not committed
                    and self.phase is not MigrationPhase.ABORTED
                    and self.journal.has(self.txn_id, REC_COMMIT_INTENT))
-        old_nodes = {
-            d.service: d.node for d in self.source.embedding.plan.decisions
-        }
-        moved: tuple[str, ...] = ()
         new_stretch = self.source.embedding.stretch
-        if self.target_embedding is not None:
-            moved = tuple(
-                d.service for d in self.target_embedding.plan.decisions
-                if old_nodes.get(d.service) != d.node
-            )
+        if committed and self.target_embedding is not None:
             new_stretch = self.target_embedding.stretch
         surviving = self.target_id if committed else self.source.deployment_id
         return MigrationResult(
             deployment_id=surviving,
-            old_stretch=self.source.embedding.stretch,
-            new_stretch=new_stretch if committed else
-            self.source.embedding.stretch,
-            moved_services=moved if committed else (),
-            source_deployment_id=self.source.deployment_id,
+            new_stretch=new_stretch,
             committed=committed,
             pending=pending,
             reason=self.reason if not committed else "committed",
@@ -781,23 +759,21 @@ class MigrationCoordinator:
         obs = obs_runtime.current()
         clock = lambda: txn.clock  # noqa: E731
 
-        def phase_span(name):
-            if obs is None:
-                return contextlib.nullcontext()
-            return obs.span(name, clock, txn_id=txn.txn_id)
-
         try:
-            with phase_span("migration.prepare"):
+            with obs_runtime.span("migration.prepare", clock,
+                                  txn_id=txn.txn_id):
                 prepared = txn.prepare()
             if not prepared:
                 txn.abort()
             else:
-                with phase_span("migration.transfer"):
+                with obs_runtime.span("migration.transfer", clock,
+                                      txn_id=txn.txn_id):
                     transferred = txn.transfer()
                 if not transferred:
                     txn.abort()
                 else:
-                    with phase_span("migration.commit"):
+                    with obs_runtime.span("migration.commit", clock,
+                                          txn_id=txn.txn_id):
                         txn.commit()
         except MigrationError:
             pass    # pending: recover() rolls the intent forward
@@ -823,7 +799,6 @@ class MigrationCoordinator:
         deployment_id: str,
         now: float,
         replicas: dict[str, ContainerCheckpoint] | None = None,
-        device_node: str | None = None,
     ) -> MigrationResult:
         """Move a deployment off a crashed host, same journal, same
         fencing, same make-before-break discipline as a roaming
@@ -835,8 +810,7 @@ class MigrationCoordinator:
         fresh target chain, which still beats losing the policy.
         """
         source = self.manager.deployment(deployment_id)
-        node = device_node or source.embedding.device_node
-        txn = self.begin(deployment_id, node, now)
+        txn = self.begin(deployment_id, source.embedding.device_node, now)
         txn.replica_checkpoints = dict(replicas or {})
         return self.run(txn)
 

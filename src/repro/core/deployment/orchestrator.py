@@ -545,7 +545,6 @@ class ReferenceSolution:
 
     plan: PlacementPlan
     cost: float
-    explored: int       # search-tree nodes visited
 
 
 def reference_solve(
@@ -640,7 +639,7 @@ def reference_solve(
     if best_picks is None:
         return None
     return ReferenceSolution(plan=problem.plan(best_picks),
-                             cost=best_cost, explored=explored)
+                             cost=best_cost)
 
 
 # -- the online optimizer ----------------------------------------------------
@@ -673,8 +672,6 @@ class PlacementOptimizer:
         self.model = model or CostModel()
         self.pool = pool or SharedMiddleboxPool()
         self.container_spec = container_spec or ContainerSpec()
-        self.placements = 0
-        self.backtracks = 0
         self._local_metrics = MetricsRegistry()
 
     # -- placement ---------------------------------------------------------
@@ -707,7 +704,6 @@ class PlacementOptimizer:
                 + ",".join(r.service for r in requests)
             )
         picks = self._improve(problem, picks)
-        self.placements += 1
         return problem.plan(picks)
 
     def _greedy(self, problem: _PlacementProblem
@@ -751,7 +747,6 @@ class PlacementOptimizer:
                               residuals, joins)
                 if done is not None:
                     return done
-                self.backtracks += 1
                 picks.pop()
                 if candidate.kind in ("fresh", "fresh_shared"):
                     residuals.restore(candidate.node, saved)

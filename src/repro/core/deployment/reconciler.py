@@ -191,7 +191,6 @@ class StateReplicator:
 
     def __init__(self) -> None:
         self._replicas: dict[str, dict[str, ContainerCheckpoint]] = {}
-        self.snapshots = 0
 
     def snapshot(self, manager: DeploymentManager, now: float) -> int:
         """Checkpoint every live dedicated container of every ACTIVE
@@ -215,7 +214,6 @@ class StateReplicator:
         for deployment_id in list(self._replicas):
             if deployment_id not in active:
                 del self._replicas[deployment_id]
-        self.snapshots += 1
         return captured
 
     def replicas_for(self, deployment_id: str

@@ -9,7 +9,6 @@ ledger and provider reputations.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 
@@ -59,11 +58,6 @@ class PvnConnection:
     @property
     def deployment(self) -> Deployment:
         return self.provider.manager.deployment(self.deployment_id)
-
-
-def _null_scope():
-    """A no-op span scope (observability disabled)."""
-    return contextlib.nullcontext()
 
 
 def _span_path_evidence(obs, probe_span) -> tuple[str, ...]:
@@ -139,14 +133,11 @@ class Device:
             raise NegotiationError("no providers in range")
         now = providers[0].sim.now
         clock = lambda: providers[0].sim.now  # noqa: E731
-        obs = obs_runtime.current()
-        scope = (obs.span("device.establish_pvn", clock,
-                          user=self.user, providers=len(providers))
-                 if obs is not None else _null_scope())
-        with scope:
+        with obs_runtime.span("device.establish_pvn", clock, user=self.user,
+                              providers=len(providers)):
             compiled = compile_pvnc(pvnc)
-            with (obs.span("discovery.negotiate", clock, strategy=strategy)
-                  if obs is not None else _null_scope()) as nego_span:
+            with obs_runtime.span("discovery.negotiate", clock,
+                                  strategy=strategy) as nego_span:
                 if retry_policy is not None:
                     outcome = negotiate_with_retry(
                         self.discovery,
@@ -190,15 +181,13 @@ class Device:
                     f"deployment NACKed: {response.reason}")
 
             deployment = provider.manager.deployment(response.deployment_id)
-            with (obs.span("attestation.verify", clock)
-                  if obs is not None else _null_scope()) as att_span:
+            with obs_runtime.span("attestation.verify", clock) as att_span:
                 verified = self._verify_attestation(provider, deployment,
                                                     request)
                 if att_span is not None:
                     att_span.set(verified=verified)
 
-            with (obs.span("dhcp.refresh", clock)
-                  if obs is not None else _null_scope()):
+            with obs_runtime.span("dhcp.refresh", clock):
                 # Roaming onto a provider we discovered but never
                 # attached to (the §3.3 unavailability fallback) needs
                 # a lease there first.
@@ -266,12 +255,10 @@ class Device:
         obs = obs_runtime.current()
         results = []
 
-        audit_scope = (obs.span("audit.run", clock, user=self.user,
-                                deployment_id=deployment.deployment_id)
-                       if obs is not None else _null_scope())
-        with audit_scope as audit_span:
-            with (obs.span("audit.differentiation", clock)
-                  if obs is not None else _null_scope()):
+        with obs_runtime.span("audit.run", clock, user=self.user,
+                              deployment_id=deployment.deployment_id
+                              ) as audit_span:
+            with obs_runtime.span("audit.differentiation", clock):
                 results.append(differentiation_test(
                     lambda kind: provider.measure_throughput(
                         kind, self.node_name),
@@ -284,20 +271,19 @@ class Device:
                     url: hashlib.sha256(body).digest()
                     for url, body in provider.content.items()
                 }
-                with (obs.span("audit.content_modification", clock)
-                      if obs is not None else _null_scope()):
+                with obs_runtime.span("audit.content_modification",
+                                      clock):
                     results.append(content_modification_test(
                         provider.fetch_through_network, expected
                     ))
-            with (obs.span("audit.path_inflation", clock)
-                  if obs is not None else _null_scope()):
+            with obs_runtime.span("audit.path_inflation", clock):
                 results.append(path_inflation_test(
                     lambda: provider.measure_rtt(self.node_name),
                     expected_rtt=deployment.embedding.expected_rtt,
                     trials=trials,
                 ))
-            with (obs.span("audit.middlebox_execution", clock)
-                  if obs is not None else _null_scope()) as probe_span:
+            with obs_runtime.span("audit.middlebox_execution",
+                                  clock) as probe_span:
                 results.append(middlebox_execution_test(
                     lambda: self._send_probe(deployment, probe_span),
                     deployment.datapath.keyring,

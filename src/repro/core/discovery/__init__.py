@@ -1,62 +1,20 @@
 """PVN discovery & deployment protocol (§3.1) with negotiation (§3.3)."""
 
-from repro.core.discovery.messages import (
-    DeploymentAck,
-    DeploymentNack,
-    DeploymentRequest,
-    DiscoveryMessage,
-    Offer,
-    STANDARD_DOCKER,
-    STANDARD_OPENFLOW,
-)
+from repro.core.discovery.messages import DeploymentAck
 from repro.core.discovery.negotiation import (
     ALL_STRATEGIES,
-    AcceptancePlan,
-    NegotiationOutcome,
-    STRATEGY_ACCEPT_FIRST,
-    STRATEGY_BEST_OF_ZONE,
-    STRATEGY_FREE_ONLY,
-    STRATEGY_SUBSET_RETRY,
-    build_request,
     negotiate,
     negotiate_over_time,
-    negotiate_with_retry,
-    plan_acceptance,
 )
-from repro.core.discovery.pricing import DEFAULT_PRICES, PricingPolicy, surge
-from repro.core.discovery.retry import RetryPolicy, RetryTrace
-from repro.core.discovery.protocol import (
-    DiscoveryClient,
-    DiscoveryService,
-    check_ack,
-)
+from repro.core.discovery.pricing import PricingPolicy
+from repro.core.discovery.protocol import DiscoveryClient, DiscoveryService
 
 __all__ = [
     "ALL_STRATEGIES",
-    "AcceptancePlan",
-    "DEFAULT_PRICES",
     "DeploymentAck",
-    "DeploymentNack",
-    "DeploymentRequest",
     "DiscoveryClient",
-    "DiscoveryMessage",
     "DiscoveryService",
-    "NegotiationOutcome",
-    "Offer",
     "PricingPolicy",
-    "RetryPolicy",
-    "RetryTrace",
-    "STANDARD_DOCKER",
-    "STANDARD_OPENFLOW",
-    "STRATEGY_ACCEPT_FIRST",
-    "STRATEGY_BEST_OF_ZONE",
-    "STRATEGY_FREE_ONLY",
-    "STRATEGY_SUBSET_RETRY",
-    "build_request",
-    "check_ack",
     "negotiate",
     "negotiate_over_time",
-    "negotiate_with_retry",
-    "plan_acceptance",
-    "surge",
 ]

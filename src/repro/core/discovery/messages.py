@@ -31,7 +31,6 @@ class DiscoveryMessage:
     """A device's DM, broadcast on attach (or re-sent with a subset)."""
 
     device_id: str
-    sequence: int
     standards: tuple[str, ...]
     requested_services: tuple[str, ...]
     estimate: ResourceEstimate
@@ -48,7 +47,6 @@ class Offer:
     offered_services: tuple[str, ...]        # may be a subset of the DM's
     prices: tuple[tuple[str, float], ...]    # per-module cost
     expires_at: float
-    in_reply_to: int                         # DM sequence number
     offer_id: int = dataclasses.field(default_factory=lambda: next(_offer_ids))
     #: Service -> quoted price, the first quote of a service winning.
     price_map: dict[str, float] = dataclasses.field(
@@ -92,8 +90,6 @@ class DeploymentAck:
     """Success: the PVN is installed and routed."""
 
     deployment_id: str
-    pvn_subnet: str                 # triggers the DHCP refresh (§3.1)
-    attestation_available: bool = True
 
 
 @dataclasses.dataclass(frozen=True)

@@ -51,9 +51,7 @@ class NegotiationOutcome:
     offer: Offer | None = None
     plan: AcceptancePlan | None = None
     rounds: int = 0
-    offers_considered: int = 0
     reason: str = ""
-    accepted_at: float = 0.0      # simulation time of acceptance
     attempts: int = 1             # discovery attempts (retries included)
     waited: float = 0.0           # timeout + backoff seconds burned
 
@@ -125,8 +123,7 @@ def negotiate(
         raise NegotiationError(f"unknown strategy {strategy!r}")
 
     offers = client.flood(providers, pvnc, estimate, now)
-    outcome = NegotiationOutcome(accepted=False, rounds=1,
-                                 offers_considered=len(offers))
+    outcome = NegotiationOutcome(accepted=False, rounds=1)
     if not offers:
         outcome.reason = "no provider answered the discovery message"
         return outcome
@@ -160,7 +157,6 @@ def negotiate_with_retry(
     )
     outcome = NegotiationOutcome(
         accepted=False, rounds=trace.attempts,
-        offers_considered=len(offers),
         attempts=trace.attempts, waited=trace.waited,
     )
     if not offers:
@@ -299,7 +295,6 @@ def negotiate_over_time(
             return
         outcome.rounds += 1
         for offer in client.flood(providers, pvnc, estimate, now):
-            outcome.offers_considered += 1
             plan = plan_acceptance(offer, pvnc)
             if plan is None:
                 continue
@@ -326,7 +321,6 @@ def negotiate_over_time(
     outcome.provider = offer.provider
     outcome.offer = offer
     outcome.plan = plan
-    outcome.accepted_at = deadline
     outcome.reason = "accepted best offer seen before the deadline"
     return outcome
 

@@ -11,7 +11,6 @@ negotiation strategy.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Callable
 
 from repro.core.discovery.messages import (
@@ -77,18 +76,14 @@ class DiscoveryService:
     deployment_server: str = ""
     standards: tuple[str, ...] = (STANDARD_OPENFLOW, STANDARD_DOCKER)
     offer_lifetime: float = 30.0
-    dms_received: int = 0
-    offers_made: int = 0
     silent_until: float = 0.0     # fault injection: unresponsive until t
     drop_next_dms: int = 0        # fault injection: network eats N DMs
-    dms_unanswered: int = 0
     #: Optional overload protection (:class:`repro.health.overload.
     #: AdmissionController`): when set, DMs above the shedding floor
     #: for their priority class are refused up front instead of
     #: consuming a negotiation slot.  None (the default) keeps the
     #: seed behaviour: every DM is served.
     admission: object | None = None
-    dms_shed: int = 0
 
     def __post_init__(self) -> None:
         if not self.deployment_server:
@@ -116,7 +111,6 @@ class DiscoveryService:
         dropped (``drop_next_dms``) simply never answers, and the
         client's :class:`RetryPolicy` decides what happens next.
         """
-        self.dms_received += 1
         _count_discovery("dm_received", self.provider)
         if self.admission is not None and not self.admission.admit(
             now, getattr(dm, "priority", 2)
@@ -125,17 +119,13 @@ class DiscoveryService:
             # to protect in-flight work.  To the device it still looks
             # like a timeout (retry/backoff applies), but the provider
             # paid ~nothing for it.
-            self.dms_shed += 1
-            self.dms_unanswered += 1
             _count_discovery("dm_shed", self.provider)
             return None
         if self.drop_next_dms > 0:
             self.drop_next_dms -= 1
-            self.dms_unanswered += 1
             _count_discovery("dm_unanswered", self.provider)
             return None
         if not self.responsive(now):
-            self.dms_unanswered += 1
             _count_discovery("dm_unanswered", self.provider)
             return None
         if not self.supports_pvn:
@@ -153,9 +143,7 @@ class DiscoveryService:
             offered_services=offered,
             prices=self.pricing.quote(offered),
             expires_at=now + self.offer_lifetime,
-            in_reply_to=dm.sequence,
         )
-        self.offers_made += 1
         _count_discovery("offer_made", self.provider)
         self._live_offers[offer.offer_id] = offer
         return offer
@@ -181,22 +169,18 @@ class DiscoveryService:
 
 
 class DiscoveryClient:
-    """Device-side DM sender with sequence numbering."""
+    """Device-side DM sender."""
 
     def __init__(self, device_id: str,
                  standards: tuple[str, ...] = (STANDARD_OPENFLOW,
                                                STANDARD_DOCKER)) -> None:
         self.device_id = device_id
         self.standards = standards
-        self._sequence = itertools.count(1)
-        self.dms_sent = 0
 
     def make_dm(self, pvnc: Pvnc, estimate: ResourceEstimate
                 ) -> DiscoveryMessage:
-        self.dms_sent += 1
         return DiscoveryMessage(
             device_id=self.device_id,
-            sequence=next(self._sequence),
             standards=self.standards,
             requested_services=pvnc.used_services(),
             estimate=estimate,
@@ -251,7 +235,7 @@ class DiscoveryClient:
         plainly down, and outcomes feed back into the breaker.
         """
         delays = policy.backoff_schedule(rng)
-        trace = RetryTrace(delays=tuple(delays))
+        trace = RetryTrace()
         for attempt in range(policy.max_attempts):
             trace.attempts = attempt + 1
             if breaker is not None and not breaker.allow(now + trace.waited):
@@ -263,7 +247,6 @@ class DiscoveryClient:
                 continue
             offers = self.flood(services, pvnc, estimate, now + trace.waited)
             if offers:
-                trace.succeeded = True
                 if breaker is not None:
                     breaker.record_success(now + trace.waited)
                 return offers, trace

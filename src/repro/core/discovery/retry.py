@@ -134,5 +134,3 @@ class RetryTrace:
 
     attempts: int = 0
     waited: float = 0.0          # timeout + backoff seconds burned
-    delays: tuple[float, ...] = ()
-    succeeded: bool = False

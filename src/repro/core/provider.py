@@ -62,7 +62,6 @@ class AccessProvider:
         supports_pvn: bool = True,
         supported_services: tuple[str, ...] | None = None,
         dishonesty: DishonestyProfile = HONEST,
-        platform_key: bytes | None = None,
         seed: int = 0,
         nfv_capacity: HostCapacity | None = None,
     ) -> None:
@@ -86,7 +85,7 @@ class AccessProvider:
             pvn_server=f"pvn.{name}" if supports_pvn else "",
         )
         self.platform = (
-            TrustedPlatform(f"tpm.{name}", platform_key or f"pk:{name}".encode())
+            TrustedPlatform(f"tpm.{name}", f"pk:{name}".encode())
             if supports_pvn and not dishonesty.tamper_config
             else None
         )
@@ -112,7 +111,6 @@ class AccessProvider:
         )
         # Origin content the audit tests fetch through this network.
         self.content: dict[str, bytes] = {}
-        self.devices_attached: list[str] = []
 
     # -- attachment -------------------------------------------------------
 
@@ -121,7 +119,6 @@ class AccessProvider:
         """Wire a device host into the access topology."""
         attach_device(self.topo, device_node, ap=ap, spec=self.spec,
                       **wireless)
-        self.devices_attached.append(device_node)
 
     # -- deployment plumbing --------------------------------------------------
 
@@ -161,20 +158,17 @@ class AccessProvider:
             return body + b"<!-- injected-by-isp -->"
         return body
 
-    def measure_throughput(self, kind: str, device_node: str = "",
-                           base_bps: float | None = None) -> float:
+    def measure_throughput(self, kind: str, device_node: str = "") -> float:
         """Observed bulk throughput for traffic that looks like ``kind``."""
-        if base_bps is None:
-            base_bps = self.spec.wireless_bandwidth_bps
         rng = self.streams.get("throughput")
-        noisy = base_bps * float(rng.uniform(0.9, 1.0))
+        noisy = self.spec.wireless_bandwidth_bps * float(rng.uniform(0.9, 1.0))
         if kind == "video" and self.dishonesty.shape_video_to_bps > 0:
             return min(noisy, self.dishonesty.shape_video_to_bps)
         return noisy
 
-    def measure_rtt(self, device_node: str, target_node: str = "gw") -> float:
+    def measure_rtt(self, device_node: str) -> float:
         """Probed RTT, including any covert path inflation."""
         rng = self.streams.get("rtt")
-        base = self.topo.rtt(device_node, target_node)
+        base = self.topo.rtt(device_node, "gw")
         jitter = float(rng.uniform(0.0, 0.002))
         return base + jitter + self.dishonesty.inflate_path_by

@@ -1,53 +1,11 @@
 """PVNC: model, user-readable DSL, validation, and compiler."""
 
-from repro.core.pvnc.compiler import (
-    BUILTIN_REGISTRY,
-    CompileCache,
-    CompiledPvnc,
-    UserEnvironment,
-    build_middleboxes,
-    builtin_services,
-    compile_pvnc,
-    default_compile_cache,
-    policy_digest,
-    reset_compile_cache,
-)
+from repro.core.pvnc.compiler import UserEnvironment, compile_pvnc
 from repro.core.pvnc.dsl import parse_pvnc, render_pvnc
-from repro.core.pvnc.repository import PvncRepository, parse_uri, pvnc_uri
-from repro.core.pvnc.model import (
-    ClassRule,
-    Constraints,
-    ModuleSpec,
-    Pvnc,
-    ResourceEstimate,
-    TERMINAL_DROP,
-    TERMINAL_FORWARD,
-)
-from repro.core.pvnc.validation import ensure_valid, validate_pvnc
 
 __all__ = [
-    "BUILTIN_REGISTRY",
-    "ClassRule",
-    "CompileCache",
-    "CompiledPvnc",
-    "Constraints",
-    "ModuleSpec",
-    "Pvnc",
-    "PvncRepository",
-    "ResourceEstimate",
-    "TERMINAL_DROP",
-    "TERMINAL_FORWARD",
     "UserEnvironment",
-    "build_middleboxes",
-    "builtin_services",
     "compile_pvnc",
-    "default_compile_cache",
-    "ensure_valid",
     "parse_pvnc",
-    "parse_uri",
-    "policy_digest",
-    "pvnc_uri",
     "render_pvnc",
-    "reset_compile_cache",
-    "validate_pvnc",
 ]

@@ -526,7 +526,6 @@ def _compile_uncached(
     estimate = ResourceEstimate(
         containers=len(services),
         memory_bytes=len(services) * container.memory_bytes,
-        cpu_shares=len(services) * container.cpu_share,
     )
     return CompiledPvnc(
         pvnc=pvnc,

@@ -119,7 +119,6 @@ class ResourceEstimate:
 
     containers: int
     memory_bytes: int
-    cpu_shares: float
     bandwidth_bps: float = 50e6
 
 

@@ -49,7 +49,6 @@ class PvncRepository:
 
     def __init__(self) -> None:
         self._objects: dict[tuple[str, str], str] = {}
-        self.fetches = 0
 
     def publish(self, pvnc: Pvnc) -> str:
         """Store a configuration; returns its URI."""
@@ -63,7 +62,6 @@ class PvncRepository:
         its content digest no longer matches the URI (tampering).
         """
         user, name, digest_prefix = parse_uri(uri)
-        self.fetches += 1
         text = self._objects.get((user, name))
         if text is None:
             raise ConfigurationError(f"no PVNC stored for {uri!r}")

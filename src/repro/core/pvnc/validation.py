@@ -26,7 +26,6 @@ def validate_pvnc(
     pvnc: Pvnc,
     known_builtin_services: set[str],
     store_services: set[str] | None = None,
-    per_module_delay: float = 45e-6,
 ) -> list[str]:
     """Return a list of human-readable problems (empty = valid)."""
     problems: list[str] = []
@@ -77,7 +76,8 @@ def validate_pvnc(
     longest = max(
         (len(rule.pipeline) for rule in pvnc.class_rules), default=0
     )
-    worst_delay = (longest + 1) * per_module_delay  # +1 for the classifier
+    # 45 us per module, +1 module for the classifier.
+    worst_delay = (longest + 1) * 45e-6
     if worst_delay > pvnc.constraints.max_added_latency:
         problems.append(
             f"worst-case chain delay {worst_delay * 1e6:.0f}us exceeds "

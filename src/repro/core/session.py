@@ -13,7 +13,6 @@ True
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import re
 
@@ -163,13 +162,10 @@ class PvnSession:
         the paper's one-device-request trace tree.
         """
         providers = [self.provider, *self.extra_providers]
-        obs = obs_runtime.current()
         clock = lambda: self.sim.now  # noqa: E731
-        scope = (obs.span("session.connect", clock, user=self.device.user)
-                 if obs is not None else contextlib.nullcontext())
-        with scope as root:
-            with (obs.span("dhcp.attach", clock)
-                  if obs is not None else contextlib.nullcontext()) as att:
+        with obs_runtime.span("session.connect", clock,
+                              user=self.device.user) as root:
+            with obs_runtime.span("dhcp.attach", clock) as att:
                 supported = self.device.attach(self.provider)
                 if att is not None:
                     att.set(supports_pvn=supported)
@@ -243,13 +239,10 @@ class PvnSession:
             raise NegotiationError("connect() first")
         if not self.provider.topo.has_node(new_device_node):
             self.provider.attach_device(new_device_node, ap=ap, **wireless)
-        obs = obs_runtime.current()
         clock = lambda: self.sim.now  # noqa: E731
-        scope = (obs.span("session.migrate", clock,
-                          source=self.device.connection.deployment_id,
-                          target_node=new_device_node)
-                 if obs is not None else contextlib.nullcontext())
-        with scope as span:
+        with obs_runtime.span("session.migrate", clock,
+                              source=self.device.connection.deployment_id,
+                              target_node=new_device_node) as span:
             result = migrate_device(
                 self.provider.manager,
                 self.device.connection.deployment_id,
@@ -279,10 +272,10 @@ class PvnSession:
         deployment = self.device.connection.deployment
         if traced:
             obs = obs_runtime.current()
-            if obs is not None and obs.trace_spans:
+            if obs is not None:
                 clock = lambda: self.sim.now  # noqa: E731
-                with obs.span("session.send", clock,
-                              packet_id=packet.packet_id) as span:
+                with obs.spans.span("session.send", clock,
+                                    packet_id=packet.packet_id) as span:
                     obs_spans.inject(packet.metadata, span)
                     outcome = deployment.datapath.process(
                         packet, now=self.sim.now)

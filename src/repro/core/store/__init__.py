@@ -1,19 +1,9 @@
 """The PVN Store: signed middlebox module marketplace (§3.1)."""
 
-from repro.core.store.catalog import PvnStore, StoreListing, module_digest
-from repro.core.store.signing import (
-    ModuleSignatureBundle,
-    SigningKey,
-    sign_module,
-    verify_bundle,
-)
+from repro.core.store.catalog import PvnStore
+from repro.core.store.signing import SigningKey
 
 __all__ = [
-    "ModuleSignatureBundle",
     "PvnStore",
     "SigningKey",
-    "StoreListing",
-    "module_digest",
-    "sign_module",
-    "verify_bundle",
 ]

@@ -1,41 +1,20 @@
 """Tunneling: full-VPN baseline, selective redirection, endpoint selection."""
 
-from repro.core.tunneling.selection import (
-    EndpointCandidate,
-    EndpointScore,
-    SelectionResult,
-    select_endpoint,
-)
+from repro.core.tunneling.selection import EndpointCandidate, select_endpoint
 from repro.core.tunneling.selective import (
     RedirectRule,
     SelectiveRedirector,
-    is_sensitive_destination,
     needs_tls_interception,
 )
-from repro.core.tunneling.vpn import (
-    DEFAULT_ENCAP,
-    ENCAP_OVERHEAD_BYTES,
-    ENCAP_VARIANTS,
-    EncapSpec,
-    FullTunnel,
-    TunnelCosts,
-    direct_path,
-)
+from repro.core.tunneling.vpn import ENCAP_VARIANTS, FullTunnel, direct_path
 
 __all__ = [
-    "DEFAULT_ENCAP",
-    "ENCAP_OVERHEAD_BYTES",
     "ENCAP_VARIANTS",
-    "EncapSpec",
     "EndpointCandidate",
-    "EndpointScore",
     "FullTunnel",
     "RedirectRule",
-    "SelectionResult",
     "SelectiveRedirector",
-    "TunnelCosts",
     "direct_path",
-    "is_sensitive_destination",
     "needs_tls_interception",
     "select_endpoint",
 ]

@@ -57,19 +57,16 @@ class SelectionResult:
 
 def select_endpoint(
     candidates: list[EndpointCandidate],
-    trials: int = 3,
-    latency_weight: float = 1000.0,     # cost units per second of RTT
     price_weight: float = 1.0,
 ) -> SelectionResult:
-    """Probe every candidate and pick the lowest-cost reachable one.
+    """Probe every candidate three times and pick the lowest-cost
+    reachable one.
 
-    ``cost = latency_weight * median_rtt + price_weight * price``.
+    ``cost = 1000.0 * median_rtt + price_weight * price``.
     Raises :class:`TunnelError` if nothing is reachable.
     """
     if not candidates:
         raise TunnelError("no candidate endpoints to select among")
-    if trials < 1:
-        raise TunnelError("selection needs at least one probe trial")
 
     scores: list[EndpointScore] = []
     for candidate in candidates:
@@ -78,7 +75,7 @@ def select_endpoint(
                                         candidate.price, False, float("inf")))
             continue
         samples = []
-        for _ in range(trials):
+        for _ in range(3):
             try:
                 samples.append(candidate.probe())
             except TunnelError:
@@ -88,7 +85,7 @@ def select_endpoint(
                                         candidate.price, False, float("inf")))
             continue
         median_rtt = statistics.median(samples)
-        cost = latency_weight * median_rtt + price_weight * candidate.price
+        cost = 1000.0 * median_rtt + price_weight * candidate.price
         scores.append(EndpointScore(candidate.name, median_rtt,
                                     candidate.price, True, cost))
 

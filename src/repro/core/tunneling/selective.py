@@ -61,21 +61,15 @@ class SelectiveRedirector:
         self.rules = list(rules)
         self.redirected = 0
         self.kept_local = 0
-        self.redirected_bytes = 0
-        self.local_bytes = 0
-        self.per_rule_counts: dict[str, int] = {r.name: 0 for r in rules}
 
     def route(self, packet: Packet) -> str | None:
         """The tunnel endpoint for ``packet``, or None for the local path."""
         for rule in self.rules:
             if rule.predicate(packet):
                 self.redirected += 1
-                self.redirected_bytes += packet.size
-                self.per_rule_counts[rule.name] += 1
                 packet.metadata["redirected_via"] = rule.name
                 return rule.endpoint
         self.kept_local += 1
-        self.local_bytes += packet.size
         return None
 
     @property

@@ -56,17 +56,17 @@ class EncapSpec:
         return (self.cpu_us_per_packet
                 + self.cpu_us_per_kib * (payload_bytes / 1024.0)) * 1e-6
 
-    def crypto_bps(self, mtu: int = 1500) -> float:
-        """Payload throughput one encap core sustains at ``mtu``-sized
+    def crypto_bps(self) -> float:
+        """Payload throughput one encap core sustains at 1500-byte
         packets (the CPU-side bandwidth cap on tunneled traffic)."""
-        seconds = self.cpu_seconds(mtu)
+        seconds = self.cpu_seconds(1500)
         if seconds <= 0.0:
             return float("inf")
-        return mtu * 8.0 / seconds
+        return 1500 * 8.0 / seconds
 
-    def goodput_fraction(self, mtu: int = 1500) -> float:
-        """Payload fraction of wire bytes at ``mtu``-sized packets."""
-        payload = mtu - self.overhead_bytes
+    def goodput_fraction(self) -> float:
+        """Payload fraction of wire bytes at 1500-byte packets."""
+        payload = 1500 - self.overhead_bytes
         return payload / self.wire_bytes(payload)
 
 
@@ -112,11 +112,9 @@ class TunnelCosts:
     """The §3.2 cost model for one tunnel."""
 
     added_rtt: float                 # detour latency, round trip
-    encap_overhead_bytes: int = ENCAP_OVERHEAD_BYTES
     shaped_to_bps: float = 0.0       # 0 = no shaping of tunneled traffic
     port_blocked: bool = False       # VPN port blocked on this network
     cpu_us_per_packet: float = 0.0   # single-core encap cost at MTU
-    encap_name: str = DEFAULT_ENCAP.name
 
 
 class FullTunnel:
@@ -127,18 +125,17 @@ class FullTunnel:
         topo: PhysicalTopology,
         device_node: str,
         endpoint_node: str,
-        gateway_node: str = "gw",
         shaped_to_bps: float = 0.0,
         port_blocked: bool = False,
         encap: EncapSpec | str = DEFAULT_ENCAP,
     ) -> None:
-        for node in (device_node, endpoint_node, gateway_node):
+        for node in (device_node, endpoint_node):
             if not topo.has_node(node):
                 raise TunnelError(f"unknown topology node {node!r}")
         self.topo = topo
         self.device_node = device_node
         self.endpoint_node = endpoint_node
-        self.gateway_node = gateway_node
+        self.gateway_node = "gw"
         self.shaped_to_bps = shaped_to_bps
         self.port_blocked = port_blocked
         if isinstance(encap, str):
@@ -151,7 +148,7 @@ class FullTunnel:
                 ) from None
         self.encap = encap
 
-    def costs(self, mtu: int = 1500) -> TunnelCosts:
+    def costs(self) -> TunnelCosts:
         """Detour RTT vs the direct device->gateway path, plus the
         encap variant's per-packet size and CPU costs."""
         direct = self.topo.rtt(self.device_node, self.gateway_node)
@@ -161,11 +158,9 @@ class FullTunnel:
         )
         return TunnelCosts(
             added_rtt=max(0.0, via - direct),
-            encap_overhead_bytes=self.encap.overhead_bytes,
             shaped_to_bps=self.shaped_to_bps,
             port_blocked=self.port_blocked,
-            cpu_us_per_packet=self.encap.cpu_seconds(mtu) * 1e6,
-            encap_name=self.encap.name,
+            cpu_us_per_packet=self.encap.cpu_seconds(1500) * 1e6,
         )
 
     def effective_path(

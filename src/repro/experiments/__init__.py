@@ -32,7 +32,6 @@ from repro.experiments import (  # noqa: F401 (re-exported modules)
     fig1b,
     fig1c,
 )
-from repro.experiments.harness import ExperimentResult
 
 ALL_EXPERIMENTS = {
     "F1A": fig1a.run,
@@ -63,4 +62,6 @@ ALL_EXPERIMENTS = {
     "E23": exp23_population.run,
 }
 
-__all__ = ["ALL_EXPERIMENTS", "ExperimentResult"]
+__all__ = [
+    "ALL_EXPERIMENTS",
+]

@@ -56,9 +56,7 @@ def placement_ablation() -> ExperimentResult:
     )
 
 
-def audit_budget_ablation(seed: int = 0,
-                          budgets: tuple[int, ...] = (1, 3, 5, 9)
-                          ) -> ExperimentResult:
+def audit_budget_ablation(seed: int = 0) -> ExperimentResult:
     """A5: probes per audit round vs detecting a stealthy shaper.
 
     The shaper only throttles a fraction of flows; a single-probe audit
@@ -68,7 +66,7 @@ def audit_budget_ablation(seed: int = 0,
     rounds = 40
     rows = []
     metrics: dict[str, float] = {}
-    for budget in budgets:
+    for budget in (1, 3, 5, 9):
         rng = np.random.default_rng(seed + budget)
 
         def throughput(kind: str) -> float:

@@ -29,14 +29,14 @@ FULL = ("classifier", "tls_validator", "dns_validator", "pii_detector",
 PARTIAL = ("classifier", "tls_validator", "pii_detector")
 
 
-def _service(name, services, multiplier=1.0, free=("classifier",)):
+def _service(name, services, multiplier=1.0):
     return DiscoveryService(
         provider=name,
         supported_services=services,
-        pricing=PricingPolicy(load_multiplier=multiplier, free_tier=free),
+        pricing=PricingPolicy(load_multiplier=multiplier,
+                              free_tier=("classifier",)),
         deploy=lambda request: DeploymentAck(
-            deployment_id=f"{request.pvnc.user}/x",
-            pvn_subnet="10.200.9.0/24"),
+            deployment_id=f"{request.pvnc.user}/x"),
     )
 
 

@@ -134,7 +134,8 @@ def _exhaustion_trial(greedy_containers: int) -> tuple[int, bool]:
     return admitted, victim_ok
 
 
-def run(seed: int = 0, n_packets: int = 200) -> ExperimentResult:
+def run(seed: int = 0) -> ExperimentResult:
+    n_packets = 200
     offered, stolen = _snooping_trial(n_packets)
     survived, killed = _hog_trial(n_packets, budget_packets=50)
     censored = _censor_trial(n_packets)

@@ -87,8 +87,8 @@ def _linear_comparisons(table: FlowTable, packets: list[Packet]) -> int:
 
 def run(
     seed: int = 0,
-    rule_counts: tuple[int, ...] = (10, 100, 1000),
 ) -> ExperimentResult:
+    rule_counts = (10, 100, 1000)
     rows = []
     metrics: dict[str, float] = {}
     for n_rules in rule_counts:

@@ -160,9 +160,9 @@ def run(
     sweep: tuple[tuple[int, float], ...] = ((60, 6.0), (180, 8.0),
                                             (300, 10.0)),
     flash_crowd_users: int = 32,
-    flash_factor: float = 6.0,
     autoscale_ticks: int = 12,
 ) -> ExperimentResult:
+    flash_factor = 6.0
     model = CostModel()
     rows = []
     metrics: dict[str, float] = {}

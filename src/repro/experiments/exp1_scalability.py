@@ -32,10 +32,10 @@ TYPICAL_RTT = 0.030
 def run(
     seed: int = 0,
     subscriber_counts: tuple[int, ...] = (1, 10, 100, 500, 1000, 2000),
-    n_hosts: int = 2,
-    host_memory_bytes: int = 8_000_000_000,
-    host_cpu_cores: float = 400.0,
 ) -> ExperimentResult:
+    n_hosts = 2
+    host_memory_bytes = 8_000_000_000
+    host_cpu_cores = 400.0
     compiled = compile_pvnc(default_pvnc())
     spec = ContainerSpec(cpu_share=0.05)
     per_user_containers = compiled.estimate.containers

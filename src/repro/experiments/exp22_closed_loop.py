@@ -208,7 +208,7 @@ def _phase_incident(seed: int, users: int, base_rate: float,
     if obs is not None:
         engine, alerts, recorder = obs.slo, obs.alerts, obs.recorder
         registry = obs.metrics
-        tracer = obs.spans if obs.trace_spans else None
+        tracer = obs.spans
     else:
         from repro.obs.metrics import MetricsRegistry
         registry = MetricsRegistry()
@@ -217,20 +217,19 @@ def _phase_incident(seed: int, users: int, base_rate: float,
         recorder = FlightRecorder()
         tracer = SpanTracer()   # probe spans as evidence even headless
         attach(alerts, recorder, tracer=tracer)
+    # One chain round trip under the E19 SLO bar; offered packets that
+    # were forwarded.
     engine.register(SloSpec(
         name="chain_latency", objective=0.99, kind="latency",
-        threshold=SLO_LATENCY,
-        description="one chain round trip under the E19 SLO bar"))
-    engine.register(SloSpec(
-        name="delivery_availability", objective=0.999,
-        description="offered packets that were forwarded"))
+        threshold=SLO_LATENCY))
+    engine.register(SloSpec(name="delivery_availability", objective=0.999))
     alerts.burn_rate(engine, "chain_latency")
     alerts.burn_rate(engine, "delivery_availability")
     latency_mean = {"value": 0.0}
     alerts.anomaly(
         "latency_anomaly", lambda: latency_mean["value"],
         detector=EwmaDetector(alpha=0.3, warmup=4, std_floor=0.005),
-        z_fire=4.0, z_resolve=1.0, consecutive=1)
+        consecutive=1)
 
     # Burn-rate state drives the health plane: stricter admission floors
     # and a tripped discovery breaker while any alert fires.
@@ -349,16 +348,16 @@ def _phase_incident(seed: int, users: int, base_rate: float,
 def run(
     seed: int = 0,
     parity_users: int = 96,
-    parity_rate: float = 8.0,
     parity_flash: int = 24,
-    parity_flash_factor: float = 6.0,
     parity_ticks: int = 8,
     incident_users: int = 96,
-    incident_rate: float = 8.0,
     surge_tick: int = 8,
     surge_factor: float = 6.0,
     incident_horizon: int = 28,
 ) -> ExperimentResult:
+    parity_rate = 8.0
+    parity_flash_factor = 6.0
+    incident_rate = 8.0
     parity = _phase_parity(seed, parity_users, parity_rate, parity_flash,
                            parity_flash_factor, parity_ticks)
     incident, timeline = _phase_incident(seed, incident_users,

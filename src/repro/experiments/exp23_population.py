@@ -220,13 +220,13 @@ def _row(label: str, measured: dict) -> tuple:
 
 def run(
     seed: int = 0,
-    parity_devices: int = 2_000,
-    parity_horizon: float = 10.0,
-    sweep_devices: tuple[int, ...] = (10_000, 100_000),
-    sweep_horizon: float = 10.0,
 ) -> ExperimentResult:
     """The CLI-sized E23 (the full-scale sweep is driven by the bench
     recording in ``BENCH_population.json``; CI runs this smoke size)."""
+    sweep_horizon = 10.0
+    sweep_devices = (10_000, 100_000)
+    parity_horizon = 10.0
+    parity_devices = 2_000
     parity = parity_check(parity_devices, parity_horizon, seed)
     loads = fluid_telemetry(parity["fluid"]["engine"])
 

@@ -37,12 +37,12 @@ def _downstream(loss: float) -> PathCharacteristics:
 def run(
     seed: int = 0,
     loss_rates: tuple[float, ...] = (0.0001, 0.001, 0.005, 0.01, 0.02, 0.05),
-    bulk_bytes: int = 2_000_000,
-    small_bytes: int = 20_000,
     trials: int = 12,
 ) -> ExperimentResult:
     # A warm proxy has its splice ready (2ms); a cold one pays the
     # full container spin-up the paper cites (30ms) before splicing.
+    small_bytes = 20_000
+    bulk_bytes = 2_000_000
     warm = SplitTcpProxy(connection_setup=0.002, name="warm")
     cold = SplitTcpProxy(connection_setup=0.032, name="cold")
     rows = []

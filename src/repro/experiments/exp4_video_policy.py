@@ -27,13 +27,13 @@ from repro.netsim.queueing import TokenBucket
 BINGE_ON_BPS = 1_500_000.0
 
 
-def _shaped_rate(link_bps: float, shape_bps: float,
-                 duration: float = 30.0) -> float:
+def _shaped_rate(link_bps: float, shape_bps: float) -> float:
     """Long-run rate through a 1.5 Mbps token bucket on ``link_bps``.
 
     Verifies the shaper actually enforces the cap rather than assuming
     it: send segments as fast as the bucket allows and measure.
     """
+    duration = 30.0
     bucket = TokenBucket(rate_bps=shape_bps, burst_bytes=16_000)
     now, sent = 0.0, 0
     segment = 15_000
@@ -44,8 +44,9 @@ def _shaped_rate(link_bps: float, shape_bps: float,
     return min(link_bps, sent * 8.0 / now)
 
 
-def run(seed: int = 0, link_bps: float = 20e6,
-        session_seconds: float = 120.0) -> ExperimentResult:
+def run(seed: int = 0) -> ExperimentResult:
+    session_seconds = 120.0
+    link_bps = 20e6
     shaped = _shaped_rate(link_bps, BINGE_ON_BPS)
 
     schemes = {}

@@ -70,8 +70,8 @@ def _run_point(point: str, requests, detector_mode: str,
     }
 
 
-def run(seed: int = 0, n_requests: int = 400,
-        leak_probability: float = 0.35) -> ExperimentResult:
+def run(seed: int = 0, n_requests: int = 400) -> ExperimentResult:
+    leak_probability = 0.35
     rng = np.random.default_rng(seed)
     user = synth_user(rng, "alice")
     requests = synth_request_stream(user, rng, n_requests=n_requests,

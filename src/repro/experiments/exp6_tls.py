@@ -32,10 +32,10 @@ NOW = 1_000_000.0
 def run(
     seed: int = 0,
     n_connections: int = 600,
-    careless_fraction: float = 0.7,
-    mitm_fraction: float = 0.10,
-    bad_cert_fraction: float = 0.05,
 ) -> ExperimentResult:
+    mitm_fraction = 0.10
+    careless_fraction = 0.7
+    bad_cert_fraction = 0.05
     rng = np.random.default_rng(seed)
     root, store, servers = make_web_pki(NOW, ["bank.example.com"])
     server = servers["bank.example.com"]

@@ -57,8 +57,8 @@ def _world():
 def run(
     seed: int = 0,
     n_queries: int = 500,
-    forged_fraction: float = 0.3,
 ) -> ExperimentResult:
+    forged_fraction = 0.3
     rng = np.random.default_rng(seed)
     zones, anchor, signed_names, unsigned_names, truth = _world()
     all_names = signed_names + unsigned_names

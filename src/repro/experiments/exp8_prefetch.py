@@ -57,12 +57,12 @@ def _browse(rng: np.random.Generator, pages, links, n_clicks: int,
 
 def run(
     seed: int = 0,
-    n_pages: int = 60,
-    links_per_page: int = 4,
     n_clicks: int = 120,
-    follow_link_prob: float = 0.7,
-    object_bytes: int = 150_000,
 ) -> ExperimentResult:
+    n_pages = 60
+    object_bytes = 150_000
+    links_per_page = 4
+    follow_link_prob = 0.7
     rng = np.random.default_rng(seed)
     pages, links = _page_graph(rng, n_pages, links_per_page, object_bytes)
     clicks = _browse(np.random.default_rng(seed + 1), pages, links,

@@ -6,25 +6,12 @@ applied-fault trace digests identically across runs with the same
 seed.  See DESIGN.md §"Fault injection & robustness".
 """
 
-from repro.faults.events import (
-    AppliedFault,
-    FaultEvent,
-    FaultKind,
-    make_event,
-    normalise_ids,
-    render_event,
-)
+from repro.faults.events import FaultKind, make_event, normalise_ids
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, parse_fault_plan
 
 __all__ = [
-    "AppliedFault",
-    "FaultEvent",
     "FaultInjector",
     "FaultKind",
-    "FaultPlan",
     "make_event",
     "normalise_ids",
-    "parse_fault_plan",
-    "render_event",
 ]

@@ -51,7 +51,6 @@ class FaultInjector:
         self.provider = provider
         self.ledger = ledger
         self.applied: list[AppliedFault] = []
-        self.scheduled = 0
 
     # -- scheduling -------------------------------------------------------
 
@@ -73,7 +72,6 @@ class FaultInjector:
             self._check_hosts(event)
         for event in plan:
             self.sim.schedule_at(event.time, self._apply, event)
-            self.scheduled += 1
         return plan
 
     def inject_now(self, event: FaultEvent) -> AppliedFault:

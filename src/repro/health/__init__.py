@@ -29,11 +29,7 @@ from repro.health.overload import (
     PRIORITY_CRITICAL,
     PRIORITY_RENEW,
     AdmissionController,
-    BreakerState,
-    BurnRateCoupling,
-    CircuitBreaker,
     SheddingPolicy,
-    TokenBucket,
 )
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import PhysicalTopology
@@ -41,20 +37,12 @@ from repro.nfv.hypervisor import NfvHost
 
 __all__ = [
     "AdmissionController",
-    "BreakerState",
-    "BurnRateCoupling",
-    "CircuitBreaker",
-    "DetectorPolicy",
     "HealthService",
-    "HeartbeatMonitor",
-    "HeartbeatPolicy",
     "HostState",
     "PRIORITY_ATTACH",
     "PRIORITY_CRITICAL",
     "PRIORITY_RENEW",
-    "PhiAccrualDetector",
     "SheddingPolicy",
-    "TokenBucket",
     "ensure_health",
 ]
 
@@ -67,7 +55,6 @@ class HealthService:
         sim: Simulator,
         topo: PhysicalTopology,
         hosts: dict[str, NfvHost],
-        control_node: str = "gw",
         detector_policy: DetectorPolicy | None = None,
         heartbeat_policy: HeartbeatPolicy | None = None,
     ) -> None:
@@ -76,7 +63,7 @@ class HealthService:
         self.detector = PhiAccrualDetector(detector_policy)
         self.monitor = HeartbeatMonitor(
             sim, topo, hosts, self.detector,
-            control_node=control_node, policy=heartbeat_policy,
+            policy=heartbeat_policy,
         )
 
     def start(self) -> None:

@@ -57,14 +57,13 @@ class HeartbeatMonitor:
         topo: PhysicalTopology,
         hosts: dict[str, NfvHost],
         detector: PhiAccrualDetector,
-        control_node: str = "gw",
         policy: HeartbeatPolicy | None = None,
     ) -> None:
         self.sim = sim
         self.topo = topo
         self.hosts = hosts
         self.detector = detector
-        self.control_node = control_node
+        self.control_node = "gw"
         self.policy = policy or HeartbeatPolicy()
         self.delivered: dict[str, int] = {}
         self.dropped: dict[str, int] = {}       # host -> beats lost

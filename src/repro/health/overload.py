@@ -39,8 +39,7 @@ PRIORITY_ATTACH = 2     # brand-new attaches
 class TokenBucket:
     """A deterministic token bucket on the simulation clock."""
 
-    def __init__(self, capacity: float, refill_rate: float,
-                 now: float = 0.0) -> None:
+    def __init__(self, capacity: float, refill_rate: float) -> None:
         if capacity <= 0 or refill_rate <= 0:
             raise ConfigurationError(
                 "token bucket capacity and refill_rate must be positive"
@@ -48,7 +47,7 @@ class TokenBucket:
         self.capacity = float(capacity)
         self.refill_rate = float(refill_rate)
         self._level = float(capacity)
-        self._updated = now
+        self._updated = 0.0
 
     def _refill(self, now: float) -> None:
         if now > self._updated:
@@ -65,10 +64,10 @@ class TokenBucket:
     def fill_fraction(self, now: float) -> float:
         return self.level(now) / self.capacity
 
-    def try_take(self, now: float, tokens: float = 1.0) -> bool:
+    def try_take(self, now: float) -> bool:
         self._refill(now)
-        if self._level >= tokens:
-            self._level -= tokens
+        if self._level >= 1.0:
+            self._level -= 1.0
             return True
         return False
 
@@ -113,11 +112,10 @@ class AdmissionController:
     shift applies at or above :data:`PRIORITY_RENEW` only.
     """
 
-    def __init__(self, policy: SheddingPolicy | None = None,
-                 now: float = 0.0) -> None:
+    def __init__(self, policy: SheddingPolicy | None = None) -> None:
         self.policy = policy or SheddingPolicy()
         self.bucket = TokenBucket(self.policy.capacity,
-                                  self.policy.refill_rate, now)
+                                  self.policy.refill_rate)
         self.admitted: dict[int, int] = {}
         self.shed: dict[int, int] = {}
         self.pressure = 0
@@ -128,8 +126,7 @@ class AdmissionController:
             raise ConfigurationError("pressure shift cannot be negative")
         self.pressure = shift
 
-    def admit(self, now: float, priority: int = PRIORITY_ATTACH,
-              cost: float = 1.0) -> bool:
+    def admit(self, now: float, priority: int = PRIORITY_ATTACH) -> bool:
         """Admit or shed one control-plane operation."""
         effective = priority
         if self.pressure and priority >= PRIORITY_RENEW:
@@ -138,7 +135,7 @@ class AdmissionController:
         if fraction < self.policy.floor_for(effective):
             self.shed[priority] = self.shed.get(priority, 0) + 1
             return False
-        if not self.bucket.try_take(now, cost):
+        if not self.bucket.try_take(now):
             self.shed[priority] = self.shed.get(priority, 0) + 1
             return False
         self.admitted[priority] = self.admitted.get(priority, 0) + 1

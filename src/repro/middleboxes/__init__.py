@@ -1,39 +1,12 @@
 """The PVN middlebox catalogue (§4 of the paper)."""
 
-from repro.middleboxes.classifier import (
-    ALL_CLASSES,
-    CLASS_DNS,
-    CLASS_HTTPS,
-    CLASS_KEY,
-    CLASS_OTHER,
-    CLASS_VIDEO_IMAGE,
-    CLASS_WEB_TEXT,
-    TrafficClassifier,
-    classify,
-)
+from repro.middleboxes.classifier import TrafficClassifier
 from repro.middleboxes.compressor import CompressionProxy
-from repro.middleboxes.encryptor import (
-    DecryptionGateway,
-    EncryptionEverywhere,
-    seal,
-    unseal,
-)
+from repro.middleboxes.encryptor import DecryptionGateway, EncryptionEverywhere
 from repro.middleboxes.dns_validator import DnsValidator
-from repro.middleboxes.malware_detector import (
-    DEFAULT_SIGNATURES,
-    MalwareDetector,
-    MalwareSignature,
-)
-from repro.middleboxes.pii_detector import (
-    MODE_BLOCK,
-    MODE_DETECT,
-    MODE_SCRUB,
-    PII_PATTERNS,
-    PiiDetector,
-    PiiFinding,
-)
-from repro.middleboxes.prefetcher import LruCache, Prefetcher
-from repro.middleboxes.replica_selector import ReplicaSelector, ReplicaState
+from repro.middleboxes.malware_detector import MalwareDetector
+from repro.middleboxes.pii_detector import PiiDetector
+from repro.middleboxes.prefetcher import Prefetcher
 from repro.middleboxes.sensor_privacy import (
     ProtectedZone,
     SensorPrivacyGuard,
@@ -41,45 +14,23 @@ from repro.middleboxes.sensor_privacy import (
 )
 from repro.middleboxes.tcp_proxy import SplitTcpProxy
 from repro.middleboxes.tls_validator import TlsValidator
-from repro.middleboxes.tracker_blocker import DEFAULT_BLOCKLIST, TrackerBlocker
-from repro.middleboxes.transcoder import QUALITY_RATIOS, Transcoder
+from repro.middleboxes.tracker_blocker import TrackerBlocker
+from repro.middleboxes.transcoder import Transcoder
 
 __all__ = [
-    "ALL_CLASSES",
-    "CLASS_DNS",
-    "CLASS_HTTPS",
-    "CLASS_KEY",
-    "CLASS_OTHER",
-    "CLASS_VIDEO_IMAGE",
-    "CLASS_WEB_TEXT",
     "CompressionProxy",
     "DecryptionGateway",
-    "DEFAULT_BLOCKLIST",
-    "DEFAULT_SIGNATURES",
     "DnsValidator",
     "EncryptionEverywhere",
-    "LruCache",
-    "MODE_BLOCK",
-    "MODE_DETECT",
-    "MODE_SCRUB",
     "MalwareDetector",
-    "MalwareSignature",
-    "PII_PATTERNS",
     "PiiDetector",
-    "PiiFinding",
     "Prefetcher",
     "ProtectedZone",
-    "ReplicaSelector",
-    "ReplicaState",
     "SensorPrivacyGuard",
     "SubjectPolicy",
-    "QUALITY_RATIOS",
     "SplitTcpProxy",
     "TlsValidator",
     "TrackerBlocker",
     "TrafficClassifier",
     "Transcoder",
-    "classify",
-    "seal",
-    "unseal",
 ]

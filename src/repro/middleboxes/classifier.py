@@ -67,8 +67,8 @@ class TrafficClassifier(Middlebox):
 
     service = "classifier"
 
-    def __init__(self, name: str = "classifier") -> None:
-        super().__init__(name)
+    def __init__(self) -> None:
+        super().__init__("classifier")
         self.class_counts: dict[str, int] = {cls: 0 for cls in ALL_CLASSES}
 
     def inspect(self, packet: Packet, context: ProcessingContext) -> Verdict:

@@ -49,22 +49,16 @@ class DnsValidator(Middlebox):
         trust_anchor: TrustAnchor,
         open_resolvers: list[Resolver] | None = None,
         substitute_correct_answer: bool = True,
-        name: str = "dns_validator",
     ) -> None:
-        super().__init__(name)
+        super().__init__("dns_validator")
         self.trust_anchor = trust_anchor
         self.open_resolvers = list(open_resolvers or [])
         self.substitute_correct_answer = substitute_correct_answer
-        self.responses_seen = 0
-        self.forgeries_blocked = 0
-        self.forgeries_corrected = 0
-        self.cross_checks_run = 0
 
     def inspect(self, packet: Packet, context: ProcessingContext) -> Verdict:
         response = packet.payload
         if not isinstance(response, DnsResponse):
             return _NOT_A_DNS_RESPONSE
-        self.responses_seen += 1
         if response.nxdomain:
             return _NXDOMAIN
 
@@ -89,7 +83,6 @@ class DnsValidator(Middlebox):
     ) -> Verdict:
         if not self.open_resolvers:
             return _UNSIGNED_UNCHECKED
-        self.cross_checks_run += 1
         majority, _ = cross_check(
             DnsQuery(response.query.name, response.query.rtype),
             self.open_resolvers,
@@ -117,10 +110,8 @@ class DnsValidator(Middlebox):
             packet.payload = dataclasses.replace(
                 response, records=(corrected,)
             )
-            self.forgeries_corrected += 1
             return Verdict.rewritten(f"{reason}; substituted validated answer",
                                      corrected=corrected_value)
-        self.forgeries_blocked += 1
         return Verdict.dropped(reason)
 
     def _resolve_validated(self, query: DnsQuery) -> str | None:

@@ -58,13 +58,12 @@ class EncryptionEverywhere(Middlebox):
 
     service = "encryptor"
 
-    def __init__(self, key: bytes, name: str = "encryptor") -> None:
-        super().__init__(name)
+    def __init__(self, key: bytes) -> None:
+        super().__init__("encryptor")
         if not key:
             raise ValueError("encryptor needs a non-empty key")
         self._key = key
         self.sealed_count = 0
-        self.skipped_encrypted = 0
 
     def _nonce(self, packet: Packet) -> bytes:
         return packet.packet_id.to_bytes(8, "big")
@@ -73,7 +72,6 @@ class EncryptionEverywhere(Middlebox):
         payload = packet.payload
         if isinstance(payload, HttpRequest):
             if payload.https:
-                self.skipped_encrypted += 1
                 return _ALREADY_ENCRYPTED
             payload.body = seal(self._key, self._nonce(packet), payload.body)
         elif isinstance(payload, HttpResponse):
@@ -92,10 +90,9 @@ class DecryptionGateway(Middlebox):
 
     service = "decryptor"
 
-    def __init__(self, key: bytes, name: str = "decryptor") -> None:
-        super().__init__(name)
+    def __init__(self, key: bytes) -> None:
+        super().__init__("decryptor")
         self._key = key
-        self.unsealed_count = 0
 
     def inspect(self, packet: Packet, context: ProcessingContext) -> Verdict:
         if SEALED_KEY not in packet.metadata:
@@ -107,5 +104,4 @@ class DecryptionGateway(Middlebox):
         elif isinstance(payload, bytes):
             packet.payload = unseal(self._key, nonce, payload)
         del packet.metadata[SEALED_KEY]
-        self.unsealed_count += 1
         return Verdict.rewritten("payload unsealed")

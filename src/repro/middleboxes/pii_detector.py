@@ -14,7 +14,6 @@ module can flag them for selective tunneling to a trusted environment
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 from repro.netproto.http import HttpRequest
@@ -38,16 +37,6 @@ PII_PATTERNS: dict[str, re.Pattern[bytes]] = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class PiiFinding:
-    """One detected leak."""
-
-    pii_type: str
-    value: bytes
-    host: str
-    encrypted: bool
-
-
 #: Constant verdicts, built once instead of per packet.
 _NOT_A_REQUEST = Verdict.passed("not an HTTP request")
 _ENCRYPTED = Verdict.passed("encrypted; uninspectable here")
@@ -64,20 +53,14 @@ class PiiDetector(Middlebox):
         mode: str = MODE_SCRUB,
         custom_strings: list[bytes] | None = None,
         tunnel_encrypted_to: str = "",
-        name: str = "pii_detector",
     ) -> None:
-        super().__init__(name)
+        super().__init__("pii_detector")
         if mode not in (MODE_DETECT, MODE_SCRUB, MODE_BLOCK):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.custom_strings = list(custom_strings or [])
         self.tunnel_encrypted_to = tunnel_encrypted_to
-        self.findings: list[PiiFinding] = []
-        self.requests_seen = 0
-        self.requests_with_pii = 0
-        self.leaks_blocked = 0
         self.leaks_scrubbed = 0
-        self.encrypted_tunneled = 0
 
     # -- detection ------------------------------------------------------------
 
@@ -104,13 +87,11 @@ class PiiDetector(Middlebox):
         request = packet.payload
         if not isinstance(request, HttpRequest):
             return _NOT_A_REQUEST
-        self.requests_seen += 1
 
         if request.https and not context.trusted_execution:
             # Cannot inspect ciphertext here; optionally redirect to a
             # trusted enclave/cloud for limited interception (Fig. 1(c)).
             if self.tunnel_encrypted_to:
-                self.encrypted_tunneled += 1
                 return Verdict.tunneled(
                     self.tunnel_encrypted_to,
                     reason="encrypted payload needs trusted execution",
@@ -125,14 +106,7 @@ class PiiDetector(Middlebox):
         if not hits:
             return _NO_PII
 
-        self.requests_with_pii += 1
-        for pii_type, value in hits:
-            self.findings.append(
-                PiiFinding(pii_type, value, request.host, request.https)
-            )
-
         if self.mode == MODE_BLOCK:
-            self.leaks_blocked += 1
             return Verdict.dropped(
                 f"PII leak to {request.host}: "
                 + ",".join(sorted({t for t, _ in hits}))

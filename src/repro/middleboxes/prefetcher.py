@@ -84,9 +84,8 @@ class Prefetcher(Middlebox):
         cache: LruCache | None = None,
         fetch_callback=None,
         prefetch_depth: int = 8,
-        name: str = "prefetcher",
     ) -> None:
-        super().__init__(name)
+        super().__init__("prefetcher")
         self.cache = cache or LruCache()
         # fetch_callback(url) -> bytes | None; the deployment wires this
         # to the origin-facing side.  None = record intent only.

@@ -74,7 +74,6 @@ class ReplicaSelector(Middlebox):
         self.rng = rng
         self.explore_probability = explore_probability
         self.redirected = 0
-        self.explorations = 0
 
     # -- measurement feedback ------------------------------------------------
 
@@ -97,7 +96,6 @@ class ReplicaSelector(Middlebox):
         if not ip_in_subnet(packet.dst, self.service_cidr):
             return _UNMANAGED_DESTINATION
         if self.rng.random() < self.explore_probability:
-            self.explorations += 1
             choice = sorted(self.replicas)[
                 int(self.rng.integers(len(self.replicas)))
             ]

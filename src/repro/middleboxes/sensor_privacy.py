@@ -67,11 +67,9 @@ class SensorPrivacyGuard(Middlebox):
 
     service = "sensor_privacy"
 
-    def __init__(self, policies: list[SubjectPolicy] | None = None,
-                 name: str = "sensor_privacy") -> None:
-        super().__init__(name)
-        self.policies: list[SubjectPolicy] = list(policies or [])
-        self.uploads_seen = 0
+    def __init__(self) -> None:
+        super().__init__("sensor_privacy")
+        self.policies: list[SubjectPolicy] = []
         self.uploads_blurred = 0
 
     def register(self, policy: SubjectPolicy) -> None:
@@ -116,7 +114,6 @@ class SensorPrivacyGuard(Middlebox):
         request = packet.payload
         if not isinstance(request, HttpRequest):
             return _NOT_AN_UPLOAD
-        self.uploads_seen += 1
         policy = self._matching_policy(request.body)
         if policy is None:
             return _NO_PROTECTED_SUBJECT

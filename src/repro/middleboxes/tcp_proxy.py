@@ -35,12 +35,10 @@ class SplitTcpProxy(Middlebox):
     def __init__(
         self,
         connection_setup: float = 0.002,
-        per_round_delay: float = 45e-6,
         name: str = "tcp_proxy",
     ) -> None:
         super().__init__(name)
         self.connection_setup = connection_setup
-        self.per_round_delay = per_round_delay
         self.flows_split = 0
 
     def inspect(self, packet: Packet, context: ProcessingContext) -> Verdict:
@@ -75,7 +73,6 @@ class SplitTcpProxy(Middlebox):
             size_bytes, upstream, downstream,
             params=params, rng=rng,
             proxy_connection_setup=self.connection_setup,
-            proxy_per_round_delay=self.per_round_delay,
         )
 
     @staticmethod

@@ -38,24 +38,18 @@ class TlsValidator(Middlebox):
         trust_store: TrustStore,
         mode: str = MODE_BLOCK,
         check_revocation: bool = True,
-        name: str = "tls_validator",
     ) -> None:
-        super().__init__(name)
+        super().__init__("tls_validator")
         if mode not in (MODE_BLOCK, MODE_WARN):
             raise ValueError(f"mode must be block|warn, got {mode!r}")
         self.trust_store = trust_store
         self.mode = mode
         self.check_revocation = check_revocation
-        self.handshakes_seen = 0
-        self.invalid_blocked = 0
-        self.invalid_warned = 0
-        self.mitm_caught = 0
 
     def inspect(self, packet: Packet, context: ProcessingContext) -> Verdict:
         handshake = packet.payload
         if not isinstance(handshake, TlsHandshake):
             return _NOT_A_HANDSHAKE
-        self.handshakes_seen += 1
         result = self.trust_store.validate_chain(
             list(handshake.presented_chain),
             hostname=handshake.sni,
@@ -64,13 +58,9 @@ class TlsValidator(Middlebox):
         )
         if result.valid:
             return _CHAIN_VALID
-        if handshake.intercepted:
-            self.mitm_caught += 1
         detail = ",".join(result.failures)
         if self.mode == MODE_BLOCK:
-            self.invalid_blocked += 1
             return Verdict.dropped(f"invalid certificate chain: {detail}")
-        self.invalid_warned += 1
         packet.metadata["tls_warning"] = detail
         return Verdict.rewritten("warned about invalid chain",
                                  failures=detail)

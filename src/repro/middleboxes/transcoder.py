@@ -34,8 +34,8 @@ class Transcoder(Middlebox):
 
     service = "transcoder"
 
-    def __init__(self, quality: str = "medium", name: str = "transcoder") -> None:
-        super().__init__(name)
+    def __init__(self, quality: str = "medium") -> None:
+        super().__init__("transcoder")
         if quality not in QUALITY_RATIOS:
             raise ConfigurationError(
                 f"unknown quality {quality!r}; options: {sorted(QUALITY_RATIOS)}"

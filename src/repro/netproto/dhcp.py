@@ -34,11 +34,12 @@ class DhcpMessage:
     server_id: str = ""
     options: tuple[tuple[str, str], ...] = ()
 
-    def option(self, key: str, default: str = "") -> str:
+    def option(self, key: str) -> str:
+        """The option's value, or ``""`` when the message lacks it."""
         for name, value in self.options:
             if name == key:
                 return value
-        return default
+        return ""
 
 
 @dataclasses.dataclass
@@ -48,7 +49,6 @@ class Lease:
     client_mac: str
     ip: str
     expires_at: float
-    pvn_scoped: bool = False  # address allocated inside a PVN deployment
 
 
 class DhcpServer:
@@ -69,11 +69,10 @@ class DhcpServer:
         self,
         subnet: str,
         pvn_server: str = "",
-        lease_time: float = 3600.0,
     ) -> None:
         self._allocator = SubnetAllocator(subnet)
         self.pvn_server = pvn_server
-        self.lease_time = lease_time
+        self.lease_time = 3600.0
         self.leases: dict[str, Lease] = {}
         self._pvn_allocators: dict[str, SubnetAllocator] = {}
 
@@ -141,7 +140,6 @@ class DhcpServer:
             client_mac=client_mac,
             ip=ip,
             expires_at=now + self.lease_time,
-            pvn_scoped=True,
         )
         self.leases[client_mac] = lease
         return lease

@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import hmac
-import itertools
 from collections import Counter
 
 from repro.errors import ProtocolError
@@ -24,7 +23,6 @@ RTYPE_A = "A"
 RTYPE_AAAA = "AAAA"
 RTYPE_CNAME = "CNAME"
 
-_query_ids = itertools.count(1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,7 +45,6 @@ class DnsQuery:
 
     name: str
     rtype: str = RTYPE_A
-    query_id: int = dataclasses.field(default_factory=lambda: next(_query_ids))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,7 +53,6 @@ class DnsResponse:
 
     query: DnsQuery
     records: tuple[ResourceRecord, ...]
-    resolver_name: str = ""
 
     @property
     def nxdomain(self) -> bool:
@@ -124,12 +120,12 @@ class Zone:
         self.signer = signer
         self._records: dict[tuple[str, str], list[ResourceRecord]] = {}
 
-    def add(self, name: str, rtype: str, value: str, ttl: int = 300) -> None:
+    def add(self, name: str, rtype: str, value: str) -> None:
         if not name.endswith(self.origin):
             raise ProtocolError(
                 f"{name!r} is not inside zone {self.origin!r}"
             )
-        record = ResourceRecord(name, rtype, value, ttl)
+        record = ResourceRecord(name, rtype, value, 300)
         if self.signer is not None:
             record = self.signer.sign(record)
         self._records.setdefault((name, rtype), []).append(record)
@@ -144,13 +140,10 @@ class Resolver:
     def __init__(self, name: str, zones: list[Zone]) -> None:
         self.name = name
         self._zones = list(zones)
-        self.queries_served = 0
 
     def resolve(self, query: DnsQuery) -> DnsResponse:
-        self.queries_served += 1
         records = self._answer(query)
-        return DnsResponse(query=query, records=tuple(records),
-                           resolver_name=self.name)
+        return DnsResponse(query=query, records=tuple(records))
 
     def _answer(self, query: DnsQuery) -> list[ResourceRecord]:
         for zone in self._zones:
@@ -184,15 +177,11 @@ class ForgingResolver(Resolver):
         super().__init__(name, zones)
         self.forged = dict(forged)
         self.strip_signatures = strip_signatures
-        self.forgeries_served = 0
 
     def resolve(self, query: DnsQuery) -> DnsResponse:
         if query.name in self.forged and query.rtype == RTYPE_A:
-            self.queries_served += 1
-            self.forgeries_served += 1
             fake = ResourceRecord(query.name, RTYPE_A, self.forged[query.name])
-            return DnsResponse(query=query, records=(fake,),
-                               resolver_name=self.name)
+            return DnsResponse(query=query, records=(fake,))
         response = super().resolve(query)
         if self.strip_signatures:
             stripped = tuple(
@@ -203,18 +192,17 @@ class ForgingResolver(Resolver):
 
 
 def cross_check(
-    query: DnsQuery, resolvers: list[Resolver], quorum: int | None = None
+    query: DnsQuery, resolvers: list[Resolver]
 ) -> tuple[str | None, dict[str, int]]:
     """Resolve via several resolvers and majority-vote the answer.
 
-    Returns ``(winning_value_or_None, vote_counts)``.  ``quorum``
-    defaults to a strict majority of the resolvers asked.  This is the
+    Returns ``(winning_value_or_None, vote_counts)``; a value wins
+    with a strict majority of the resolvers asked.  This is the
     paper's "collection of open resolvers" defence for unsigned names.
     """
     if not resolvers:
         raise ProtocolError("cross_check requires at least one resolver")
-    if quorum is None:
-        quorum = len(resolvers) // 2 + 1
+    quorum = len(resolvers) // 2 + 1
     votes: Counter[str] = Counter()
     for resolver in resolvers:
         value = resolver.resolve(query).first_value()

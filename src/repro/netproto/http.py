@@ -69,8 +69,8 @@ class HttpResponse:
         self.headers = _normalise_headers(self.headers)
         self.headers.setdefault("content-type", self.content_type)
 
-    def header(self, name: str, default: str = "") -> str:
-        return self.headers.get(name.lower(), default)
+    def header(self, name: str) -> str:
+        return self.headers.get(name.lower(), "")
 
     @property
     def size_bytes(self) -> int:

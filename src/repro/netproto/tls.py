@@ -146,9 +146,9 @@ class ValidationResult:
 class TrustStore:
     """Root CAs trusted for verification plus an optional CRL."""
 
-    def __init__(self, crl: RevocationList | None = None) -> None:
+    def __init__(self) -> None:
         self._roots: dict[str, CertificateAuthority] = {}
-        self.crl = crl or RevocationList()
+        self.crl = RevocationList()
 
     def add_root(self, ca: CertificateAuthority) -> None:
         self._roots[ca.name] = ca
@@ -231,7 +231,6 @@ class TlsHandshake:
 
     sni: str
     presented_chain: tuple[Certificate, ...]
-    intercepted: bool = False
     interceptor: str = ""
 
 
@@ -260,25 +259,22 @@ class MitmInterceptor:
         self.name = name
         self.ca = ca
         self.now = now
-        self.intercepted_count = 0
 
     def intercept(self, upstream: TlsHandshake) -> TlsHandshake:
-        self.intercepted_count += 1
         forged_leaf = self.ca.issue(upstream.sni, now=self.now)
         forged_root = self.ca.self_signed(now=self.now)
         return TlsHandshake(
             sni=upstream.sni,
             presented_chain=(forged_leaf, forged_root),
-            intercepted=True,
             interceptor=self.name,
         )
 
 
 def make_web_pki(
-    now: float, hostnames: list[str], root_name: str = "RootCA"
+    now: float, hostnames: list[str]
 ) -> tuple[CertificateAuthority, TrustStore, dict[str, TlsServer]]:
     """Convenience: a root CA, a trust store, and servers for hostnames."""
-    root = CertificateAuthority(root_name, key=b"key:" + root_name.encode())
+    root = CertificateAuthority("RootCA", key=b"key:RootCA")
     store = TrustStore()
     store.add_root(root)
     servers = {

@@ -32,15 +32,10 @@ class WebPage:
         return sum(self.object_sizes)
 
 
-def synth_page(
-    rng: np.random.Generator,
-    n_objects: int = 20,
-    median_object_bytes: int = 24_000,
-) -> WebPage:
-    """A synthetic page with log-normally distributed object sizes."""
-    sizes = rng.lognormal(
-        mean=np.log(median_object_bytes), sigma=1.0, size=n_objects
-    )
+def synth_page(rng: np.random.Generator) -> WebPage:
+    """A synthetic page of 20 objects with log-normally distributed
+    sizes (median 24 kB)."""
+    sizes = rng.lognormal(mean=np.log(24_000), sigma=1.0, size=20)
     return WebPage(object_sizes=[max(400, int(s)) for s in sizes])
 
 
@@ -100,13 +95,11 @@ def stream_video(
     duration_seconds: float,
     available_bps: float,
     zero_rated: bool = False,
-    ladder: tuple[float, ...] = DEFAULT_BITRATE_LADDER_BPS,
-    safety_factor: float = 0.8,
 ) -> VideoSessionResult:
     """Model an ABR player streaming for ``duration_seconds``.
 
-    The player picks the highest ladder rung at or below
-    ``safety_factor * available_bps`` — a simple but standard
+    The player picks the highest rung of the default ladder at or below
+    ``0.8 * available_bps`` — a simple but standard
     rate-based ABR.  If even the lowest rung exceeds the available
     bandwidth, the session rebuffers periodically (one event per 10 s of
     playback, a coarse but monotone model).
@@ -119,7 +112,8 @@ def stream_video(
     if available_bps <= 0:
         raise ConfigurationError("available bandwidth must be positive")
 
-    target = safety_factor * available_bps
+    ladder = DEFAULT_BITRATE_LADDER_BPS
+    target = 0.8 * available_bps
     index = 0
     for rung, bitrate in enumerate(ladder):
         if bitrate <= target:

@@ -321,7 +321,6 @@ class HybridPopulationEngine:
         device_rate_bps: float = 2_000_000.0,
         tick: float = 0.1,
         mode: str = MODE_FLUID,
-        mtu: int = 1500,
         ledger: PolicyLedger | None = None,
         punt_hook: Callable[[Packet], None] | None = None,
     ) -> None:
@@ -345,8 +344,8 @@ class HybridPopulationEngine:
         self.device_rate_bps = float(device_rate_bps)
         self.tick = float(tick)
         self.mode = mode
-        self.mtu = int(mtu)
-        self._mtu_f = float(mtu)
+        self.mtu = 1500
+        self._mtu_f = 1500.0
         self.ledger = ledger if ledger is not None else PolicyLedger()
         self.punt_hook = punt_hook
 
@@ -389,8 +388,7 @@ class HybridPopulationEngine:
 
     # -- population operations (applied at tick boundaries) ---------------
 
-    def attach_many(self, devices: np.ndarray, cells: np.ndarray,
-                    ks: np.ndarray | None = None) -> None:
+    def attach_many(self, devices: np.ndarray, cells: np.ndarray) -> None:
         """Vectorized attach of a device batch to their cells."""
         if len(devices) == 0:
             return
@@ -401,11 +399,8 @@ class HybridPopulationEngine:
         self._attached[devices] = True
         self._device_cell[devices] = cells
         if self.ledger.keep_records:
-            ks_list = ([0] * len(devices) if ks is None
-                       else np.asarray(ks).tolist())
-            for device, cell, k in zip(devices.tolist(), cells.tolist(),
-                                       ks_list):
-                self.ledger.record("attach", device, k, cell)
+            for device, cell in zip(devices.tolist(), cells.tolist()):
+                self.ledger.record("attach", device, 0, cell)
         else:
             self.ledger.bump("attach", len(devices))
 
@@ -624,10 +619,8 @@ class HybridPopulationEngine:
         """
         return self._ticks_total * self.tick
 
-    def run(self, horizon: float, workload=None) -> None:
-        """Convenience: bind, start, and run the simulator to horizon."""
-        if workload is not None:
-            self.bind(workload)
+    def run(self, horizon: float) -> None:
+        """Convenience: start, and run the simulator to horizon."""
         self.start(horizon)
         self.sim.run(until=self.end_time())
 
@@ -831,7 +824,6 @@ class HybridPopulationEngine:
         """Fire one data packet: materialize, inspect if flagged, close."""
         self.packet_events += 1
         packet = self._materialize(spec, pkt_index)
-        packet.record_hop(f"cell{int(self._device_cell[spec.device])}")
         if spec.leak_packets and pkt_index in spec.leak_packets:
             self.policy_packets += 1
             leak_type = spec.leak_types[spec.leak_packets.index(pkt_index)]

@@ -76,7 +76,6 @@ class Link:
         bandwidth_bps: float = 100e6,
         loss_rate: float = 0.0,
         rng: np.random.Generator | None = None,
-        name: str = "",
         max_queue_delay: float | None = None,
     ) -> None:
         if latency < 0:
@@ -101,7 +100,7 @@ class Link:
         self.loss_rate = float(loss_rate)
         self.rng = rng
         self.max_queue_delay = max_queue_delay
-        self.name = name or f"{a.name}<->{b.name}"
+        self.name = f"{a.name}<->{b.name}"
         self.up = True
         self._from_a = _Direction(peer=b)
         self._from_b = _Direction(peer=a)

@@ -31,10 +31,6 @@ class Node:
         self.sim = sim
         self.name = name
         self.links: dict[str, "Link"] = {}
-        # Per-node throughput counter: every receive() increments it,
-        # giving datapath experiments a uniform packets-seen figure
-        # across hosts, routers, and SDN switches.
-        self.packets_seen = 0
 
     def attach_link(self, link: "Link") -> None:
         """Register a link whose far end is another node (Link calls this)."""
@@ -81,9 +77,6 @@ class Host(Node):
         self._default_handler = handler
 
     def receive(self, packet: Packet, link: "Link") -> None:
-        # Node.receive's bookkeeping, in line: this is a packet's last hop.
-        self.packets_seen += 1
-        packet.trail.append(self.name)
         packet.delivered_at = self.sim._now
         self.delivered.append(packet)
         handler = self._handlers.get(packet.dst_port, self._default_handler)
@@ -91,7 +84,6 @@ class Host(Node):
             handler(packet)
 
     def originate(self, packet: Packet, via: str) -> None:
-        """Stamp creation time/hop and transmit toward ``via``."""
+        """Stamp creation time and transmit toward ``via``."""
         packet.created_at = self.sim._now
-        packet.trail.append(self.name)
         self.send(packet, via)

@@ -1,11 +1,11 @@
 """Simulated packets.
 
 A :class:`Packet` is a five-tuple plus a stack of protocol payloads
-(objects from :mod:`repro.netproto`) and bookkeeping: every node a
-packet traverses appends itself to the packet's ``trail``.  The PVN
-auditor does not check path proofs against the trail, which the
-provider writes; each middlebox waypoint stamps a keyed MAC into
-``metadata`` instead (:mod:`repro.core.auditor.path_proof`).
+(objects from :mod:`repro.netproto`) and bookkeeping: creation and
+delivery times and a drop mark.  A packet keeps no record of the nodes
+it traverses; each middlebox waypoint stamps a keyed MAC into
+``metadata`` instead (:mod:`repro.core.auditor.path_proof`), and the
+links count what they carry (``Link.stats``).
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ class Packet:
     owner:
         Identifier of the subscriber/device whose traffic this is; PVN
         isolation is enforced and audited on this field.
-    trail:
-        Names of the nodes traversed, appended in order.
     metadata:
         Free-form annotations (middlebox verdicts, classifier labels,
         tunnel markers).  Never used for forwarding decisions by the
@@ -66,7 +64,6 @@ class Packet:
     delivered_at: float | None = None
     dropped: bool = False
     drop_reason: str = ""
-    trail: list[str] = dataclasses.field(default_factory=list)
     metadata: dict[str, Any] = dataclasses.field(default_factory=dict)
 
     def five_tuple(self) -> tuple[str, str, str, int, int]:
@@ -82,10 +79,6 @@ class Packet:
         """
         return (self.src, self.dst, self.protocol,
                 self.src_port, self.dst_port, self.owner)
-
-    def record_hop(self, node_name: str) -> None:
-        """Append a traversed node to the audit trail."""
-        self.trail.append(node_name)
 
     def mark_dropped(self, reason: str) -> None:
         """Mark the packet dropped with a reason for traces and audits."""

@@ -18,12 +18,9 @@ from repro.errors import ConfigurationError
 class QueueStats:
     """Counters a shaper exposes."""
 
-    enqueued: int = 0
-    dequeued: int = 0
     dropped: int = 0
     bytes_in: int = 0
     bytes_out: int = 0
-    bytes_dropped: int = 0
 
 
 class TokenBucket:
@@ -60,11 +57,9 @@ class TokenBucket:
         reservation).
         """
         self._refill(now)
-        self.stats.enqueued += 1
         self.stats.bytes_in += size_bytes
         if self._tokens >= size_bytes:
             self._tokens -= size_bytes
-            self.stats.dequeued += 1
             self.stats.bytes_out += size_bytes
             return 0.0
         deficit = size_bytes - self._tokens
@@ -72,6 +67,5 @@ class TokenBucket:
         wait = deficit * 8.0 / self.rate_bps
         # Account for the future send so back-to-back callers queue up.
         self._last_update = now + wait
-        self.stats.dequeued += 1
         self.stats.bytes_out += size_bytes
         return wait

@@ -74,7 +74,6 @@ class TransferResult:
     duration: float
     size_bytes: int
     rounds: int
-    retransmitted_segments: int
     timeline: list[tuple[float, int]]  # (time, cumulative bytes delivered)
 
     def bytes_available_at(self, time: float) -> int:
@@ -156,7 +155,6 @@ def simulate_transfer(
     now = start_time + params.handshake_rtts * path.rtt
     delivered = 0
     rounds = 0
-    retransmits = 0
     timeline: list[tuple[float, int]] = []
     total_segments = math.ceil(size_bytes / params.mss)
     remaining = total_segments
@@ -176,7 +174,6 @@ def simulate_transfer(
             delivered = min(size_bytes, (total_segments - remaining) * params.mss)
             timeline.append((now, delivered))
         if loss:
-            retransmits += lost_count
             state.on_loss()
         else:
             state.on_success()
@@ -185,7 +182,6 @@ def simulate_transfer(
         duration=now - start_time,
         size_bytes=size_bytes,
         rounds=rounds,
-        retransmitted_segments=retransmits,
         timeline=timeline,
     )
 
@@ -197,7 +193,6 @@ def simulate_split_transfer(
     params: TcpParams | None = None,
     rng: np.random.Generator | None = None,
     proxy_connection_setup: float = 0.002,
-    proxy_per_round_delay: float = 45e-6,
 ) -> TransferResult:
     """Simulate a split-TCP download through an in-network proxy.
 
@@ -209,8 +204,8 @@ def simulate_split_transfer(
     upstream timeline produces more data.
 
     ``proxy_connection_setup`` charges the proxy's splice/instantiation
-    cost; ``proxy_per_round_delay`` charges the per-packet forwarding
-    delay the paper cites from ClickOS (45 microseconds) once per round.
+    cost; each round also pays the per-packet forwarding delay the
+    paper cites from ClickOS (45 microseconds).
     """
     params = params or TcpParams()
     if rng is None:
@@ -228,7 +223,6 @@ def simulate_split_transfer(
     now = client_handshake_done
     delivered = 0  # bytes acked by the client; lost bytes stay buffered
     rounds = 0
-    retransmits = 0
     timeline: list[tuple[float, int]] = []
 
     while delivered < size_bytes:
@@ -249,7 +243,7 @@ def simulate_split_transfer(
             rng, downstream.loss_rate, window_segments
         )
         arrived = window_segments - lost_count
-        duration = state.round_duration(window_segments) + proxy_per_round_delay
+        duration = state.round_duration(window_segments) + 45e-6
         if loss and arrived == 0:
             duration = max(duration, params.min_rto)
         now += duration
@@ -260,7 +254,6 @@ def simulate_split_transfer(
                 delivered += chunk
                 timeline.append((now, delivered))
         if loss:
-            retransmits += lost_count
             state.on_loss()
         else:
             state.on_success()
@@ -269,7 +262,6 @@ def simulate_split_transfer(
         duration=now,
         size_bytes=size_bytes,
         rounds=rounds,
-        retransmitted_segments=retransmits,
         timeline=timeline,
     )
 

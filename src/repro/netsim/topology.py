@@ -413,19 +413,18 @@ def build_wide_area(
     access: PhysicalTopology,
     cloud_rtt: float = 0.040,
     home_rtt: float = 0.060,
-    server_rtt: float = 0.050,
-    wan_bandwidth_bps: float = 1e9,
 ) -> PhysicalTopology:
     """Extend an access network with cloud, home, and content servers.
 
     The RTT arguments are round-trip times from the access gateway, as
     in §3.2's "10s of ms for well connected networks"; they are split
-    into one-way latencies on the WAN edges.
+    into one-way latencies on 1 Gbit/s WAN edges.  The content origin
+    sits 50 ms away.
     """
     for name, rtt in (("cloud", cloud_rtt), ("home", home_rtt)):
         access.add_node(name, kind="nfv", cpu=64,
                         memory_bytes=64_000_000_000, wide_area=True)
-        access.add_link("gw", name, rtt / 2.0, wan_bandwidth_bps)
+        access.add_link("gw", name, rtt / 2.0, 1e9)
     access.add_node("origin", kind="server")
-    access.add_link("gw", "origin", server_rtt / 2.0, wan_bandwidth_bps)
+    access.add_link("gw", "origin", 0.050 / 2.0, 1e9)
     return access

@@ -1,44 +1,17 @@
 """NFV substrate: middleboxes, containers, sandboxes, chains, hosts."""
 
-from repro.nfv.chain import ChainHop, ChainResult, ServiceChain
-from repro.nfv.container import Container, ContainerSpec, ContainerState
-from repro.nfv.hypervisor import HostCapacity, NfvHost
-from repro.nfv.middlebox import (
-    Middlebox,
-    ProcessingContext,
-    Verdict,
-    VerdictKind,
-)
-from repro.nfv.pipeline import Pipeline, PipelineResult, PipelineStep
-from repro.nfv.placement import (
-    PlacementDecision,
-    PlacementPlan,
-    PlacementRequest,
-    place_chain,
-)
-from repro.nfv.sandbox import Capability, ResourceBudget, Sandbox
+from repro.nfv.chain import ChainHop, ServiceChain
+from repro.nfv.container import Container
+from repro.nfv.hypervisor import NfvHost
+from repro.nfv.middlebox import ProcessingContext
+from repro.nfv.sandbox import Capability, Sandbox
 
 __all__ = [
     "Capability",
     "ChainHop",
-    "ChainResult",
     "Container",
-    "ContainerSpec",
-    "ContainerState",
-    "HostCapacity",
-    "Middlebox",
     "NfvHost",
-    "Pipeline",
-    "PipelineResult",
-    "PipelineStep",
-    "PlacementDecision",
-    "PlacementPlan",
-    "PlacementRequest",
     "ProcessingContext",
-    "ResourceBudget",
     "Sandbox",
     "ServiceChain",
-    "Verdict",
-    "VerdictKind",
-    "place_chain",
 ]

@@ -40,7 +40,6 @@ class ChainHop:
         if self.sandbox is not None:
             # Charge container accounting, but let the sandbox gate the verdict.
             self.container.packets_processed += 1
-            self.container.busy_seconds += self.container.spec.per_packet_delay
             return self.sandbox.process(packet, context)
         return self.container.process(packet, context)
 

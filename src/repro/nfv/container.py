@@ -121,8 +121,7 @@ class Container:
 
     __slots__ = (
         "container_id", "middlebox", "spec", "owner", "state",
-        "started_at", "running_at", "packets_processed", "busy_seconds",
-        "crashes", "crashed_at", "checkpoints_taken", "restored_from",
+        "started_at", "packets_processed",
         "_start_epoch", "_host",
     )
 
@@ -138,13 +137,7 @@ class Container:
         self.owner = owner
         self.state = ContainerState.CREATED
         self.started_at: float | None = None
-        self.running_at: float | None = None
         self.packets_processed = 0
-        self.busy_seconds = 0.0
-        self.crashes = 0
-        self.crashed_at: float | None = None
-        self.checkpoints_taken = 0
-        self.restored_from: int | None = None   # source container id
         self._start_epoch = 0     # invalidates stale instantiation events
         # Back-reference set by the admitting NfvHost so state
         # transitions feed its incremental capacity counters.
@@ -189,13 +182,11 @@ class Container:
         if (self._start_epoch == epoch
                 and self.state is ContainerState.INSTANTIATING):
             self._set_state(ContainerState.RUNNING)
-            self.running_at = sim.now
 
     def start_immediately(self, now: float) -> None:
         """Synchronous start for non-event-driven experiments."""
         self._set_state(ContainerState.RUNNING)
         self.started_at = now
-        self.running_at = now + self.spec.instantiation_time
         self._start_epoch += 1
 
     def stop(self) -> None:
@@ -207,8 +198,6 @@ class Container:
         if self.state is ContainerState.STOPPED:
             return
         self._set_state(ContainerState.CRASHED)
-        self.crashes += 1
-        self.crashed_at = now
         self._start_epoch += 1
 
     def process(self, packet: Packet, context: ProcessingContext) -> Verdict:
@@ -218,7 +207,6 @@ class Container:
                 f"container {self.name} is {self.state.value}, not running"
             )
         self.packets_processed += 1
-        self.busy_seconds += self.spec.per_packet_delay
         return self.middlebox.process(packet, context)
 
     # -- checkpoint/restore ------------------------------------------------
@@ -235,7 +223,6 @@ class Container:
                 f"cannot checkpoint container {self.name} in "
                 f"{self.state.value}"
             )
-        self.checkpoints_taken += 1
         return ContainerCheckpoint.capture(self, now)
 
     def restore(self, checkpoint: ContainerCheckpoint) -> None:
@@ -251,4 +238,3 @@ class Container:
                 f"container running {self.middlebox.service!r}"
             )
         self.middlebox.import_state(checkpoint.state)
-        self.restored_from = checkpoint.container_id

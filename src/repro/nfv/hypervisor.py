@@ -63,7 +63,6 @@ class NfvHost:
         self.launches = 0
         self.rejections = 0
         self.alive = True
-        self.crashed = False   # abrupt death (no planned HOST_UP pair)
         self.failures = 0
         # Residual-capacity index: counters maintained by container
         # state transitions (O(1) per attach/detach/migrate) instead of
@@ -217,7 +216,6 @@ class NfvHost:
         CRASHED through their own references.
         """
         self.alive = False
-        self.crashed = True
         self.failures += 1
         evicted = 0
         for container in list(self._containers.values()):
@@ -234,4 +232,3 @@ class NfvHost:
         """The host comes back; crashed containers stay crashed until
         the deployment layer restarts them."""
         self.alive = True
-        self.crashed = False

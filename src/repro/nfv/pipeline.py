@@ -129,7 +129,6 @@ class Pipeline:
         self.steps = tuple(steps)
         self.drop_suffix = drop_suffix
         #: Full-traversal latency (every step's delay, pre-summed).
-        self.total_delay = sum(step.delay for step in self.steps)
         self.packets_in = 0
         self.packets_forwarded = 0
         self.packets_dropped = 0
@@ -144,12 +143,11 @@ class Pipeline:
 
     @classmethod
     def tunnel(cls, pipeline_id: str, endpoint: str,
-               label: str = "tunnel", delay: float = 0.0) -> "Pipeline":
-        """A terminal redirect pipeline (degraded/bridged/encap paths).
+               label: str = "tunnel") -> "Pipeline":
+        """A terminal redirect pipeline (degraded/bridged paths).
 
         Every packet yields a TUNNEL verdict toward ``endpoint`` whose
-        reason label is exactly ``label``; ``delay`` (e.g. an encap
-        variant's per-packet CPU cost) is charged per packet.
+        reason label is exactly ``label``, at no per-packet delay.
         """
         verdict = labeled_verdict(Verdict.tunneled(endpoint), label)
 
@@ -157,17 +155,14 @@ class Pipeline:
             return verdict
 
         return cls(pipeline_id,
-                   (PipelineStep(name="", runner=runner, delay=delay),))
+                   (PipelineStep(name="", runner=runner, delay=0.0),))
 
     # -- execution ----------------------------------------------------------
 
     def _profiling_handles(self, obs):
-        """Per-step wall-time histogram handles under ``obs``, or None
-        when it does not profile middleboxes.  Resolved once per
-        Observability instance so the per-packet cost is an index plus
-        one ``observe``."""
-        if not obs.profile_middleboxes:
-            return None
+        """Per-step wall-time histogram handles under ``obs``.  Resolved
+        once per Observability instance so the per-packet cost is an
+        index plus one ``observe``."""
         if self._profile_obs is not obs:
             histogram = obs.metrics.histogram(
                 "repro_middlebox_wall_seconds",

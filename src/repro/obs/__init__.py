@@ -23,10 +23,10 @@ Four pieces (see DESIGN.md §8):
 
 Quickstart::
 
-    from repro import obs
-    handle = obs.enable()
+    from repro.obs import export, runtime
+    handle = runtime.enable()
     ... run a session / experiment ...
-    obs.export.spans_to_chrome_trace(handle.spans.spans)
+    export.spans_to_chrome_trace(handle.spans.spans)
 
 or from the shell::
 
@@ -34,75 +34,10 @@ or from the shell::
     python -m repro obs metrics exp16  # Prometheus-style dump
 """
 
-from repro.obs import alerts, export, quantiles, recorder, runtime, slo
-from repro.obs.alerts import (
-    Alert,
-    AlertEvent,
-    AlertManager,
-    AnomalyAlert,
-    BurnRateAlert,
-    EwmaDetector,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.recorder import FlightRecorder, IncidentBundle
-from repro.obs.slo import SloEngine, SloSpec, SloStatus, SloTracker
-from repro.obs.profile import PhaseProfiler
-from repro.obs.quantiles import percentile
-from repro.obs.runtime import (
-    Observability,
-    current,
-    disable,
-    enable,
-    enabled,
-)
-from repro.obs.spans import (
-    SPAN_KEY,
-    Span,
-    SpanContext,
-    SpanTracer,
-    extract,
-    inject,
-)
+from repro.obs import export, recorder, runtime
 
 __all__ = [
-    "Alert",
-    "AlertEvent",
-    "AlertManager",
-    "AnomalyAlert",
-    "BurnRateAlert",
-    "Counter",
-    "EwmaDetector",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "IncidentBundle",
-    "MetricsRegistry",
-    "Observability",
-    "PhaseProfiler",
-    "SPAN_KEY",
-    "SloEngine",
-    "SloSpec",
-    "SloStatus",
-    "SloTracker",
-    "Span",
-    "SpanContext",
-    "SpanTracer",
-    "alerts",
-    "current",
-    "disable",
-    "enable",
-    "enabled",
     "export",
-    "extract",
-    "inject",
-    "percentile",
-    "quantiles",
     "recorder",
     "runtime",
-    "slo",
 ]

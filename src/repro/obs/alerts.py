@@ -135,10 +135,10 @@ class BurnRateAlert:
     ``resolve_burn``."""
 
     def __init__(self, engine: SloEngine, slo: str,
-                 name: str | None = None, severity: str = "page") -> None:
+                 severity: str = "page") -> None:
         self.engine = engine
         self.slo = slo
-        self.name = name or f"burn_rate:{slo}"
+        self.name = f"burn_rate:{slo}"
         self.severity = severity
 
     def _tracker(self) -> SloTracker:
@@ -165,12 +165,12 @@ class BurnRateAlert:
 
 class AnomalyAlert:
     """Fires when a probed scalar deviates from its EWMA baseline by
-    ``z_fire`` standard deviations for ``consecutive`` ticks; resolves
-    when the deviation falls below ``z_resolve``.
+    four standard deviations for ``consecutive`` ticks; resolves when
+    the deviation falls below one standard deviation.
 
     The probe is any zero-argument callable evaluated once per manager
     tick (a registry read, a closure over experiment state).  The
-    baseline is **robust**: samples at or beyond ``z_fire`` are scored
+    baseline is **robust**: samples at or beyond the firing bar are scored
     but not folded in (and nothing folds while firing), so neither a
     one-tick spike nor a sustained fault can be absorbed into "normal"
     and self-resolve spuriously.  Pass ``robust=False`` for a plain
@@ -179,7 +179,6 @@ class AnomalyAlert:
 
     def __init__(self, name: str, probe: Callable[[], float],
                  detector: EwmaDetector | None = None,
-                 z_fire: float = 4.0, z_resolve: float = 1.0,
                  consecutive: int = 2, robust: bool = True,
                  severity: str = "ticket") -> None:
         if consecutive < 1:
@@ -187,8 +186,8 @@ class AnomalyAlert:
         self.name = name
         self.probe = probe
         self.detector = detector if detector is not None else EwmaDetector()
-        self.z_fire = z_fire
-        self.z_resolve = z_resolve
+        self.z_fire = 4.0
+        self.z_resolve = 1.0
         self.consecutive = consecutive
         self.robust = robust
         self.severity = severity

@@ -100,14 +100,14 @@ def _run_experiment(experiment_id: str, seed: int,
         return ALL_EXPERIMENTS[experiment_id](seed=seed)
 
 
-def _render_tree(out=sys.stdout) -> None:
+def _render_tree() -> None:
     tracer = obs_runtime.current().spans
     for root in tracer.roots():
         for span, depth in _walk_depth(tracer, root, 0):
             duration = (f"{span.duration * 1e3:.3f}ms"
                         if span.end is not None else "open")
             print(f"{'  ' * depth}{span.name}  [{duration}] "
-                  f"{span.attributes or ''}", file=out)
+                  f"{span.attributes or ''}")
 
 
 def _walk_depth(tracer, span, depth):
@@ -116,28 +116,28 @@ def _walk_depth(tracer, span, depth):
         yield from _walk_depth(tracer, child, depth + 1)
 
 
-def _render_slo(statuses, out=sys.stdout) -> None:
+def _render_slo(statuses) -> None:
     if not statuses:
-        print("no SLOs registered by this run", file=out)
+        print("no SLOs registered by this run")
         return
     print(f"{'slo':<24} {'objective':>9} {'fast':>7} {'slow':>7} "
-          f"{'budget':>7} {'good':>9} {'bad':>6}", file=out)
+          f"{'budget':>7} {'good':>9} {'bad':>6}")
     for status in statuses:
         print(f"{status.name:<24} {status.objective:>9.4f} "
               f"{status.fast_burn:>7.2f} {status.slow_burn:>7.2f} "
               f"{status.budget_used:>7.2f} {int(status.good_total):>9} "
-              f"{int(status.bad_total):>6}", file=out)
+              f"{int(status.bad_total):>6}")
 
 
-def _render_alerts(timeline, incidents, out=sys.stdout) -> None:
+def _render_alerts(timeline, incidents) -> None:
     if not timeline:
-        print("no alert transitions recorded by this run", file=out)
+        print("no alert transitions recorded by this run")
     for entry in timeline:
         cause = ", ".join(f"{key}={value}" for key, value in
                           sorted(entry["cause"].items()))
         print(f"t={entry['now']:<8g} {entry['state'].upper():<8} "
-              f"{entry['name']} [{entry['severity']}]  {cause}", file=out)
-    print(f"{len(incidents)} incident bundle(s) frozen", file=out)
+              f"{entry['name']} [{entry['severity']}]  {cause}")
+    print(f"{len(incidents)} incident bundle(s) frozen")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -145,8 +145,8 @@ class Counter(_Metric):
     def _make_child(self) -> _CounterChild:
         return _CounterChild()
 
-    def inc(self, amount: float = 1.0) -> None:
-        self._child().inc(amount)
+    def inc(self) -> None:
+        self._child().inc()
 
 
 

@@ -1,11 +1,10 @@
 """Phase profiling for the experiment harness.
 
-A :class:`PhaseProfiler` charges wall time *and* sim time per named
-phase, so an experiment's report can say not only "setup took 1.2 sim
-seconds" but "the Python runtime spent 40 ms of wall time there".
-Phase timings also land in the metrics registry (when observability is
-enabled) as ``repro_phase_wall_seconds`` / ``repro_phase_sim_seconds``
-counters labelled by phase, which the Prometheus dump exposes.
+A :class:`PhaseProfiler` charges wall time per named phase, so an
+experiment's report can say "the Python runtime spent 40 ms of wall
+time in setup".  Phase timings also land in the metrics registry (when
+observability is enabled) as the ``repro_phase_wall_seconds`` counter
+labelled by phase, which the Prometheus dump exposes.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import time
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.obs import runtime
 
@@ -24,34 +23,24 @@ class PhaseTiming:
 
     phase: str
     wall_seconds: float = 0.0
-    sim_seconds: float = 0.0
     entries: int = 0
 
 
 class PhaseProfiler:
-    """Accumulates per-phase wall/sim durations.
+    """Accumulates per-phase wall durations."""
 
-    ``clock`` supplies sim time (``lambda: sim.now``); pass None for
-    wall-only profiling (experiments that build many simulators).
-    """
-
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
-        self.clock = clock
+    def __init__(self) -> None:
         self.phases: dict[str, PhaseTiming] = {}
 
     @contextlib.contextmanager
     def phase(self, name: str) -> Iterator[PhaseTiming]:
         timing = self.phases.setdefault(name, PhaseTiming(phase=name))
         wall_start = time.perf_counter()
-        sim_start = self.clock() if self.clock is not None else 0.0
         try:
             yield timing
         finally:
             wall = time.perf_counter() - wall_start
-            sim = ((self.clock() - sim_start)
-                   if self.clock is not None else 0.0)
             timing.wall_seconds += wall
-            timing.sim_seconds += sim
             timing.entries += 1
             obs = runtime.current()
             if obs is not None:
@@ -60,11 +49,6 @@ class PhaseProfiler:
                     "Wall time spent per profiled phase",
                     ("phase",),
                 ).labels(phase=name).inc(wall)
-                obs.metrics.counter(
-                    "repro_phase_sim_seconds",
-                    "Simulated time elapsed per profiled phase",
-                    ("phase",),
-                ).labels(phase=name).inc(sim)
 
     def report(self) -> list[PhaseTiming]:
         """Timings in descending wall-time order."""
@@ -74,7 +58,7 @@ class PhaseProfiler:
     def render(self) -> str:
         rows = [
             f"  {t.phase:<32} wall {t.wall_seconds * 1e3:9.3f} ms   "
-            f"sim {t.sim_seconds:9.6f} s   x{t.entries}"
+            f"x{t.entries}"
             for t in self.report()
         ]
         return "\n".join(["profile:"] + rows) if rows else "profile: (empty)"

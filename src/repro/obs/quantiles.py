@@ -14,8 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 
-def percentile(samples: Sequence[float], q: float,
-               presorted: bool = False) -> float:
+def percentile(samples: Sequence[float], q: float) -> float:
     """The ``q``-quantile (0 <= q <= 1) with linear interpolation.
 
     Matches ``numpy.percentile(samples, 100*q, method="linear")``:
@@ -26,11 +25,9 @@ def percentile(samples: Sequence[float], q: float,
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q!r}")
-    data = list(samples) if not presorted else samples
+    data = sorted(samples)
     if not data:
         raise ValueError("cannot take a percentile of an empty sample")
-    if not presorted:
-        data = sorted(data)
     if len(data) == 1:
         return float(data[0])
     rank = q * (len(data) - 1)

@@ -29,17 +29,16 @@ from repro.obs.alerts import AlertManager
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import SloEngine
-from repro.obs.spans import Span, SpanContext, SpanTracer
+from repro.obs.spans import SpanTracer
 
 
 class Observability:
-    """The live handles: spans + metrics + SLOs/alerts + feature flags."""
+    """The live handles: spans + metrics + SLOs/alerts + flight recorder.
 
-    def __init__(
-        self,
-        trace_spans: bool = True,
-        profile_middleboxes: bool = True,
-    ) -> None:
+    Enabled, it traces control-plane transactions and traced packets as
+    spans and profiles each middlebox hop's wall time."""
+
+    def __init__(self) -> None:
         self.spans = SpanTracer()
         self.metrics = MetricsRegistry()
         #: The judgment layer (all passive until specs/rules register):
@@ -50,23 +49,13 @@ class Observability:
         self.alerts = AlertManager(metrics=self.metrics)
         self.recorder = FlightRecorder()
         recorder_mod.attach(self.alerts, self.recorder, tracer=self.spans)
-        #: Create spans at instrumentation sites (control-plane
-        #: transactions and traced packets).
-        self.trace_spans = trace_spans
-        #: Per-middlebox wall-time profiling in pipeline execution.
-        self.profile_middleboxes = profile_middleboxes
-
-    # -- convenience forwarding -------------------------------------------
-
-    def span(self, name: str, clock,
-             parent: Span | SpanContext | None = None, **attributes):
-        """Span scope when tracing is on, else a no-op scope."""
-        if not self.trace_spans:
-            return contextlib.nullcontext()
-        return self.spans.span(name, clock, parent=parent, **attributes)
 
 
 _current: Observability | None = None
+
+#: The scope :func:`span` returns while observability is off: one shared
+#: ``nullcontext``, reusable and re-entrant, that yields None.
+_NULL_SCOPE = contextlib.nullcontext()
 
 
 def current() -> Observability | None:
@@ -74,16 +63,19 @@ def current() -> Observability | None:
     return _current
 
 
-def enable(trace_spans: bool = True,
-           profile_middleboxes: bool = True) -> Observability:
+def span(name: str, clock, **attributes):
+    """A span scope on the enabled tracer (it yields the span), or the
+    shared no-op scope (it yields None) while observability is off."""
+    if _current is None:
+        return _NULL_SCOPE
+    return _current.spans.span(name, clock, **attributes)
+
+
+def enable() -> Observability:
     """Turn observability on process-wide; idempotent (keeps state)."""
     global _current
     if _current is None:
-        _current = Observability(trace_spans=trace_spans,
-                                 profile_middleboxes=profile_middleboxes)
-    else:
-        _current.trace_spans = trace_spans
-        _current.profile_middleboxes = profile_middleboxes
+        _current = Observability()
     return _current
 
 
@@ -94,13 +86,11 @@ def disable() -> None:
 
 
 @contextlib.contextmanager
-def enabled(trace_spans: bool = True,
-            profile_middleboxes: bool = True) -> Iterator[Observability]:
+def enabled() -> Iterator[Observability]:
     """Scoped enable for tests and benches; restores the prior state."""
     global _current
     previous = _current
-    _current = Observability(trace_spans=trace_spans,
-                             profile_middleboxes=profile_middleboxes)
+    _current = Observability()
     try:
         yield _current
     finally:

@@ -60,7 +60,6 @@ class SloSpec:
 
     name: str
     objective: float                   # e.g. 0.99 => 1% error budget
-    description: str = ""
     kind: str = "availability"         # "availability" | "latency"
     threshold: float | None = None     # latency specs: good iff <= this
     fast_window: int = 5               # ticks

@@ -180,15 +180,14 @@ class SpanTracer:
                 self._stack.pop()
         return span
 
-    def span(self, name: str, clock, parent: Span | SpanContext | None = None,
-             **attributes: Any) -> "_SpanScope":
+    def span(self, name: str, clock, **attributes: Any) -> "_SpanScope":
         """Context manager: ``with tracer.span("x", lambda: sim.now):``.
 
         ``clock`` is a zero-argument callable sampled at entry and exit
         (sim time moves while the body runs).  An exception marks the
         span ``error`` and re-raises.
         """
-        return _SpanScope(self, name, clock, parent, attributes)
+        return _SpanScope(self, name, clock, attributes)
 
     # -- detached spans (synthesized after the fact) -----------------------
 
@@ -265,22 +264,19 @@ class SpanTracer:
 class _SpanScope:
     """The ``with`` adapter returned by :meth:`SpanTracer.span`."""
 
-    __slots__ = ("_tracer", "_name", "_clock", "_parent", "_attributes",
-                 "span")
+    __slots__ = ("_tracer", "_name", "_clock", "_attributes", "span")
 
     def __init__(self, tracer: SpanTracer, name: str, clock,
-                 parent, attributes: dict[str, Any]) -> None:
+                 attributes: dict[str, Any]) -> None:
         self._tracer = tracer
         self._name = name
         self._clock = clock
-        self._parent = parent
         self._attributes = attributes
         self.span: Span | None = None
 
     def __enter__(self) -> Span:
         self.span = self._tracer.start_span(
-            self._name, self._clock(), parent=self._parent,
-            **self._attributes,
+            self._name, self._clock(), **self._attributes,
         )
         return self.span
 

@@ -22,7 +22,6 @@ from repro.sdn.switch import SdnSwitch
 class InstalledRule:
     """Bookkeeping for one rule the controller pushed."""
 
-    switch_name: str
     rule_id: int
     pvn_id: str
 
@@ -30,8 +29,8 @@ class InstalledRule:
 class Controller:
     """Central control plane for a set of SDN switches."""
 
-    def __init__(self, name: str = "controller") -> None:
-        self.name = name
+    def __init__(self) -> None:
+        self.name = "controller"
         self._switches: dict[str, SdnSwitch] = {}
         # Rules pushed, per PVN ("" = non-PVN), in install order.
         self._installed: dict[str, list[InstalledRule]] = {}
@@ -89,8 +88,7 @@ class Controller:
         # generation counter.)
         switch.invalidate_cache()
         self._installed.setdefault(pvn_id, []).append(
-            InstalledRule(switch_name=switch_name, rule_id=rule.rule_id,
-                          pvn_id=pvn_id)
+            InstalledRule(rule_id=rule.rule_id, pvn_id=pvn_id)
         )
         return rule
 

@@ -98,9 +98,6 @@ class SdnSwitch(Node):
     # -- data plane ----------------------------------------------------------
 
     def receive(self, packet: Packet, link: "Link") -> None:
-        # Node.receive's bookkeeping, in line (one call fewer per hop).
-        self.packets_seen += 1
-        packet.trail.append(self.name)
         self.process(packet)
 
     def _classify(self, packet: Packet) -> CacheEntry:

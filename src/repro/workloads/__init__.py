@@ -1,93 +1,12 @@
 """Synthetic workloads, app models, adversaries, and device cost models."""
 
-from repro.workloads.adversary import (
-    ALL_DISHONEST_PROFILES,
-    Eavesdropper,
-    MitmScenario,
-    config_tampering_isp,
-    dns_forgery_scenario,
-    inflating_isp,
-    injecting_isp,
-    lazy_isp,
-    mitm_scenario,
-    shaping_isp,
-)
-from repro.workloads.apps import (
-    AppVerdict,
-    BrowserApp,
-    CarelessApp,
-    IotSensor,
-    LeakyApp,
-    handshake_for,
-)
-from repro.workloads.device_cost import (
-    DeviceCostReport,
-    EnergyModel,
-    RADIO_CELL,
-    RADIO_WIFI,
-    cloud_tunnel_enforcement_cost,
-    in_network_enforcement_cost,
-    on_device_enforcement_cost,
-)
-from repro.workloads.pii import (
-    DetectionScore,
-    LabelledRequest,
-    UserProfile,
-    score_detection,
-    synth_request_stream,
-    synth_user,
-)
-from repro.workloads.population import (
-    FLOW_KINDS,
-    FlowBatch,
-    PopulationSpec,
-    PopulationWorkload,
-    TickBatch,
-)
-from repro.workloads.traffic import (
-    DEFAULT_MIX,
-    FlowSpec,
-    flow_to_packet,
-    synth_flows,
-)
+from repro.workloads.adversary import Eavesdropper
+from repro.workloads.apps import IotSensor, LeakyApp
+from repro.workloads.pii import synth_user
 
 __all__ = [
-    "ALL_DISHONEST_PROFILES",
-    "AppVerdict",
-    "BrowserApp",
-    "CarelessApp",
-    "DEFAULT_MIX",
-    "DetectionScore",
-    "DeviceCostReport",
     "Eavesdropper",
-    "EnergyModel",
-    "FLOW_KINDS",
-    "FlowBatch",
-    "FlowSpec",
     "IotSensor",
-    "LabelledRequest",
     "LeakyApp",
-    "MitmScenario",
-    "PopulationSpec",
-    "PopulationWorkload",
-    "RADIO_CELL",
-    "RADIO_WIFI",
-    "TickBatch",
-    "UserProfile",
-    "cloud_tunnel_enforcement_cost",
-    "config_tampering_isp",
-    "dns_forgery_scenario",
-    "flow_to_packet",
-    "handshake_for",
-    "in_network_enforcement_cost",
-    "inflating_isp",
-    "injecting_isp",
-    "lazy_isp",
-    "mitm_scenario",
-    "on_device_enforcement_cost",
-    "score_detection",
-    "shaping_isp",
-    "synth_flows",
-    "synth_request_stream",
     "synth_user",
 ]

@@ -23,19 +23,16 @@ from repro.netsim.packet import Packet
 
 @dataclasses.dataclass
 class MitmScenario:
-    """An interceptor plus the CA it forges with."""
+    """An interceptor that forges with its own rogue CA."""
 
     interceptor: MitmInterceptor
-    rogue_ca: CertificateAuthority
 
 
-def mitm_scenario(now: float, name: str = "mitm-box") -> MitmScenario:
+def mitm_scenario(now: float) -> MitmScenario:
     """A §2.1-style unauthorized TLS interceptor."""
-    rogue_ca = CertificateAuthority("RogueCA", key=b"rogue:" + name.encode())
+    rogue_ca = CertificateAuthority("RogueCA", key=b"rogue:mitm-box")
     return MitmScenario(
-        interceptor=MitmInterceptor(name, rogue_ca, now=now),
-        rogue_ca=rogue_ca,
-    )
+        interceptor=MitmInterceptor("mitm-box", rogue_ca, now=now))
 
 
 def dns_forgery_scenario(

@@ -35,17 +35,15 @@ class AppVerdict:
 class BrowserApp:
     """Validates chains against the device trust store before use."""
 
-    def __init__(self, trust_store: TrustStore, owner: str = "alice") -> None:
+    def __init__(self, trust_store: TrustStore) -> None:
         self.trust_store = trust_store
-        self.owner = owner
-        self.connections_refused = 0
+        self.owner = "alice"
 
     def connect(self, handshake: TlsHandshake, now: float) -> AppVerdict:
         result = self.trust_store.validate_chain(
             list(handshake.presented_chain), handshake.sni, now=now
         )
         if not result.valid:
-            self.connections_refused += 1
             return AppVerdict(False, f"app refused: {result.failures}")
         return AppVerdict(True, "validated")
 
@@ -53,8 +51,8 @@ class BrowserApp:
 class CarelessApp:
     """Accepts any certificate (the widespread [23] failure mode)."""
 
-    def __init__(self, owner: str = "alice") -> None:
-        self.owner = owner
+    def __init__(self) -> None:
+        self.owner = "alice"
 
     def connect(self, handshake: TlsHandshake, now: float) -> AppVerdict:
         return AppVerdict(True, "app skipped validation")
@@ -63,20 +61,18 @@ class CarelessApp:
 class LeakyApp:
     """Posts analytics bodies embedding the user's PII."""
 
-    def __init__(self, user: UserProfile,
-                 analytics_host: str = "analytics.example") -> None:
+    def __init__(self, user: UserProfile) -> None:
         self.user = user
-        self.analytics_host = analytics_host
+        self.analytics_host = "analytics.example"
 
-    def telemetry_packet(self, rng: np.random.Generator,
-                         src: str = "10.10.0.2") -> Packet:
+    def telemetry_packet(self, rng: np.random.Generator) -> Packet:
         pii = self.user.pii_values()
         leak_type = sorted(pii)[int(rng.integers(len(pii)))]
         body = b"event=open&" + pii[leak_type]
         request = HttpRequest("POST", self.analytics_host, "/collect",
                               body=body)
         packet = Packet(
-            src=src, dst="203.0.113.80", dst_port=80,
+            src="10.10.0.2", dst="203.0.113.80", dst_port=80,
             owner=self.user.user_id, payload=request,
             size=request.size_bytes,
         )
@@ -87,15 +83,12 @@ class LeakyApp:
 class IotSensor:
     """A camera/sensor uploading readings in the clear (§2.3)."""
 
-    def __init__(self, sensor_id: str, owner: str,
-                 upload_interval: float = 30.0) -> None:
+    def __init__(self, sensor_id: str, owner: str) -> None:
         self.sensor_id = sensor_id
         self.owner = owner
-        self.upload_interval = upload_interval
         self.uploads = 0
 
-    def reading_packet(self, rng: np.random.Generator,
-                       src: str = "10.10.0.9") -> Packet:
+    def reading_packet(self, rng: np.random.Generator) -> Packet:
         self.uploads += 1
         reading = (f"sensor={self.sensor_id}&frame={self.uploads}"
                    f"&lat={rng.uniform(-90, 90):.4f}"
@@ -103,11 +96,11 @@ class IotSensor:
         request = HttpRequest("POST", "iot-hub.example", "/ingest",
                               body=reading)
         return Packet(
-            src=src, dst="203.0.113.90", dst_port=80, owner=self.owner,
+            src="10.10.0.9", dst="203.0.113.90", dst_port=80, owner=self.owner,
             payload=request, size=request.size_bytes,
         )
 
 
-def handshake_for(server: TlsServer, sni: str = "") -> TlsHandshake:
+def handshake_for(server: TlsServer) -> TlsHandshake:
     """Convenience wrapper: the handshake a client sees from ``server``."""
-    return server.respond(sni or server.hostname)
+    return server.respond(server.hostname)

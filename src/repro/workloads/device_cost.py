@@ -64,8 +64,6 @@ class EnergyModel:
 class DeviceCostReport:
     """Accumulated device-side costs for one scenario."""
 
-    radio_bytes: int = 0
-    inspected_bytes: int = 0
     radio_joules: float = 0.0
     cpu_joules: float = 0.0
 
@@ -77,38 +75,28 @@ class DeviceCostReport:
 def on_device_enforcement_cost(
     traffic_bytes: int,
     model: EnergyModel | None = None,
-    radio: str = RADIO_WIFI,
-    inspect_fraction: float = 1.0,
 ) -> DeviceCostReport:
     """Cost of running PVN-equivalent inspection on the device itself.
 
-    The device both moves the traffic *and* burns CPU inspecting
-    ``inspect_fraction`` of it.
+    The device both moves the traffic *and* burns CPU inspecting all
+    of it.
     """
     model = model or EnergyModel()
-    if not 0.0 <= inspect_fraction <= 1.0:
-        raise ConfigurationError("inspect_fraction must be in [0,1]")
-    inspected = int(traffic_bytes * inspect_fraction)
     return DeviceCostReport(
-        radio_bytes=traffic_bytes,
-        inspected_bytes=inspected,
-        radio_joules=model.radio_energy(traffic_bytes, radio),
-        cpu_joules=model.inspection_energy(inspected),
+        radio_joules=model.radio_energy(traffic_bytes),
+        cpu_joules=model.inspection_energy(traffic_bytes),
     )
 
 
 def in_network_enforcement_cost(
     traffic_bytes: int,
     model: EnergyModel | None = None,
-    radio: str = RADIO_WIFI,
 ) -> DeviceCostReport:
     """Device-side cost when the PVN does the inspection in-network:
     the device only pays to move its own traffic."""
     model = model or EnergyModel()
     return DeviceCostReport(
-        radio_bytes=traffic_bytes,
-        inspected_bytes=0,
-        radio_joules=model.radio_energy(traffic_bytes, radio),
+        radio_joules=model.radio_energy(traffic_bytes),
         cpu_joules=0.0,
     )
 
@@ -116,18 +104,12 @@ def in_network_enforcement_cost(
 def cloud_tunnel_enforcement_cost(
     traffic_bytes: int,
     model: EnergyModel | None = None,
-    radio: str = RADIO_WIFI,
-    encap_overhead: float = 0.05,
 ) -> DeviceCostReport:
     """Device-side cost of the VPN-to-cloud alternative: the same
-    traffic plus tunnel encapsulation overhead crosses the radio."""
+    traffic plus 5 % tunnel encapsulation overhead crosses the radio."""
     model = model or EnergyModel()
-    if encap_overhead < 0:
-        raise ConfigurationError("encap overhead must be >= 0")
-    moved = int(traffic_bytes * (1.0 + encap_overhead))
+    moved = int(traffic_bytes * 1.05)
     return DeviceCostReport(
-        radio_bytes=moved,
-        inspected_bytes=0,
-        radio_joules=model.radio_energy(moved, radio),
+        radio_joules=model.radio_energy(moved),
         cpu_joules=0.0,
     )

@@ -72,7 +72,6 @@ class LabelledRequest:
     body: bytes
     https: bool
     leaked_types: tuple[str, ...]     # empty = clean
-    to_third_party: bool
 
     @property
     def leaks(self) -> bool:
@@ -124,14 +123,13 @@ def synth_request_stream(
             requests.append(LabelledRequest(
                 host=host, body=body, https=https,
                 leaked_types=tuple(sorted(chosen)),
-                to_third_party=third_party,
             ))
         else:
             host = FIRST_PARTY_HOSTS[int(rng.integers(3))]
             body = CLEAN_BODIES[int(rng.integers(len(CLEAN_BODIES)))]
             requests.append(LabelledRequest(
                 host=host, body=body, https=https,
-                leaked_types=(), to_third_party=False,
+                leaked_types=(),
             ))
     return requests
 
@@ -143,7 +141,6 @@ class DetectionScore:
     true_positives: int = 0
     false_positives: int = 0
     false_negatives: int = 0
-    true_negatives: int = 0
 
     @property
     def recall(self) -> float:
@@ -168,6 +165,4 @@ def score_detection(
             score.false_negatives += 1
         elif not request.leaks and was_flagged:
             score.false_positives += 1
-        else:
-            score.true_negatives += 1
     return score

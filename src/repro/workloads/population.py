@@ -182,8 +182,6 @@ class PopulationWorkload:
                 "detach", idx, spec.detach_rate)
         else:
             detach_t = np.full(n, np.inf)
-        self.attach_t = attach_t
-        self.detach_t = detach_t
 
         live = attach_t < spec.horizon
         self._attaches = self._bucket_events(

@@ -50,7 +50,6 @@ def synth_flows(
     rng: np.random.Generator,
     n_flows: int = 100,
     mix: tuple[tuple[str, float], ...] = DEFAULT_MIX,
-    owner: str = "alice",
 ) -> list[FlowSpec]:
     """Draw flows from the mix with kind-appropriate size distributions."""
     kinds = [kind for kind, _ in mix]

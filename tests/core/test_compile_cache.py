@@ -11,19 +11,14 @@ import dataclasses
 
 import pytest
 
-from repro.core.pvnc import (
-    ClassRule,
+from repro.core.pvnc.model import ClassRule, Constraints, ModuleSpec, Pvnc
+from repro.core.pvnc.compiler import (
     CompileCache,
-    Constraints,
-    ModuleSpec,
-    Pvnc,
-    compile_pvnc,
     default_compile_cache,
-    parse_pvnc,
     policy_digest,
-    render_pvnc,
     reset_compile_cache,
 )
+from repro.core.pvnc import compile_pvnc, parse_pvnc, render_pvnc
 from repro.nfv.container import ContainerSpec
 from repro.nfv.sandbox import Capability
 from repro.obs import runtime as obs_runtime

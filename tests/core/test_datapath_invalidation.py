@@ -10,7 +10,7 @@ bridge, and the COMMIT cutover's switch-cache fence.
 
 import pytest
 
-from repro.core.deployment import LeaseTable, migrate_device
+from repro.core.deployment.lifecycle import LeaseTable, migrate_device
 from repro.core.deployment.manager import DeploymentManager
 from repro.core.discovery.messages import DeploymentAck, DeploymentRequest
 from repro.core.pvnc import UserEnvironment
@@ -18,9 +18,8 @@ from repro.core.session import default_pvnc
 from repro.netproto.dhcp import DhcpServer
 from repro.netproto.dns import Resolver, TrustAnchor, Zone, ZoneSigner
 from repro.netproto.tls import make_web_pki
-from repro.netsim import (
-    Packet,
-    Simulator,
+from repro.netsim import Packet, Simulator
+from repro.netsim.topology import (
     attach_device,
     build_access_network,
     build_wide_area,

@@ -2,18 +2,15 @@
 
 import pytest
 
-from repro.core.deployment import (
-    DeploymentState,
+from repro.core.deployment.manager import DeploymentManager, DeploymentState
+from repro.core.deployment.lifecycle import (
     LeaseTable,
-    estimate_max_subscribers,
     migrate_device,
-    probe_cross_user,
     refresh_address,
-    sweep_deployments,
     sweep_expired,
 )
-from repro.core.deployment.embedding import embed_pvn
-from repro.core.deployment.manager import DeploymentManager
+from repro.core.deployment.embedding import embed_pvn, estimate_max_subscribers
+from repro.core.deployment.isolation import probe_cross_user, sweep_deployments
 from repro.core.discovery.messages import (
     DeploymentAck,
     DeploymentNack,
@@ -26,14 +23,14 @@ from repro.errors import AdmissionError, DeploymentError
 from repro.netproto.dhcp import DhcpClient, DhcpServer
 from repro.netproto.dns import Resolver, TrustAnchor, Zone, ZoneSigner
 from repro.netproto.tls import TrustStore, make_web_pki
-from repro.netsim import (
-    Packet,
-    Simulator,
+from repro.netsim import Packet, Simulator
+from repro.netsim.topology import (
     attach_device,
     build_access_network,
     build_wide_area,
 )
-from repro.nfv import HostCapacity, NfvHost
+from repro.nfv.hypervisor import HostCapacity
+from repro.nfv import NfvHost
 
 
 def make_env():
@@ -109,7 +106,8 @@ class TestDeploymentManager:
         ack = manager.deploy(make_request(), make_env(), "dev_alice",
                              now=sim.now)
         assert isinstance(ack, DeploymentAck)
-        assert ack.pvn_subnet.startswith("10.200.")
+        assert manager.deployment(ack.deployment_id).subnet.startswith(
+            "10.200.")
         deployment = manager.deployment(ack.deployment_id)
         assert deployment.user == "alice"
         assert deployment.setup_latency == pytest.approx(0.030)
@@ -192,7 +190,7 @@ class TestDeploymentManager:
             ack = manager.deploy(make_request(), env, "dev_alice",
                                  now=sim.now)
             assert isinstance(ack, DeploymentAck), ack
-            subnets.append(ack.pvn_subnet)
+            subnets.append(manager.deployment(ack.deployment_id).subnet)
             manager.teardown(ack.deployment_id)
         assert subnets[:255] == [f"10.200.{n}.0/24" for n in range(1, 256)]
         assert subnets[255:258] == [
@@ -232,7 +230,8 @@ class TestDeploymentManager:
                                make_env(), "dev_bob", now=sim.now)
         assert isinstance(ack_a, DeploymentAck)
         assert isinstance(ack_b, DeploymentAck)
-        assert ack_a.pvn_subnet != ack_b.pvn_subnet
+        assert (manager.deployment(ack_a.deployment_id).subnet
+                != manager.deployment(ack_b.deployment_id).subnet)
         assert manager.active_count == 2
 
 
@@ -269,7 +268,6 @@ class TestLifecycle:
                              now=sim.now)
         lease = refresh_address(manager, dhcp, ack.deployment_id,
                                 client.mac, now=sim.now)
-        assert lease.pvn_scoped
         assert lease.ip.startswith("10.200.")
 
     def test_refresh_into_torn_down_deployment_rejected(self, world):
@@ -293,7 +291,6 @@ class TestLifecycle:
         # Migration is make-before-break: the cutover commits to a
         # *fresh* deployment id and fences the superseded source.
         assert result.committed
-        assert result.source_deployment_id == ack.deployment_id
         assert result.deployment_id != ack.deployment_id
         deployment = manager.deployment(result.deployment_id)
         assert deployment.embedding.device_node == "dev_alice2"

@@ -6,20 +6,21 @@ import pytest
 
 from repro.core.discovery import (
     DeploymentAck,
-    DeploymentNack,
     DiscoveryClient,
     DiscoveryService,
     PricingPolicy,
+    negotiate,
+)
+from repro.core.discovery.messages import DeploymentNack, Offer
+from repro.core.discovery.negotiation import (
     STRATEGY_ACCEPT_FIRST,
     STRATEGY_BEST_OF_ZONE,
     STRATEGY_FREE_ONLY,
     STRATEGY_SUBSET_RETRY,
     build_request,
-    negotiate,
     plan_acceptance,
-    surge,
 )
-from repro.core.discovery.messages import Offer
+from repro.core.discovery.pricing import surge
 from repro.core.pvnc import compile_pvnc
 from repro.core.pvnc.dsl import parse_pvnc
 from repro.core.session import default_pvnc
@@ -34,8 +35,7 @@ def make_service(name="isp", services=None, pricing=None, deploy=None):
         provider=name,
         supported_services=tuple(services),
         pricing=pricing or PricingPolicy(),
-        deploy=deploy or (lambda request: DeploymentAck(
-            deployment_id="d1", pvn_subnet="10.200.1.0/24")),
+        deploy=deploy or (lambda request: DeploymentAck(deployment_id="d1")),
     )
 
 
@@ -86,15 +86,13 @@ class TestDiscoveryService:
         offer = service.handle_dm(dm, now=100.0)
         assert offer is not None
         assert offer.expires_at == pytest.approx(130.0)
-        assert offer.in_reply_to == dm.sequence
         assert offer.total_price > 0
-        assert service.offers_made == 1
 
     def test_offer_prices_read_the_first_quote_and_sum_in_order(self):
         prices = (("a", 0.1), ("b", 0.2), ("a", 9.0), ("c", 0.3))
         offer = Offer(provider="isp", deployment_server="pvn.isp",
                       standards=(), offered_services=("a", "b", "c"),
-                      prices=prices, expires_at=1.0, in_reply_to=1)
+                      prices=prices, expires_at=1.0)
         assert offer.price_of("a") == 0.1
         assert offer.price_of("unquoted") == 0.0
         services = ("c", "a", "unquoted", "b", "a")
@@ -110,7 +108,6 @@ class TestDiscoveryService:
         service = make_service(services=())
         client = DiscoveryClient("alice:mac")
         assert service.handle_dm(client.make_dm(pvnc, estimate), 0.0) is None
-        assert service.dms_received == 1
 
     def test_no_shared_standard_silent(self, pvnc, estimate):
         service = make_service()
@@ -230,7 +227,6 @@ class TestNegotiation:
         outcome = self.run([pricey, cheap], pvnc, STRATEGY_BEST_OF_ZONE)
         assert outcome.accepted
         assert outcome.provider == "cheap"
-        assert outcome.offers_considered == 2
 
     def test_coverage_beats_price(self, pvnc):
         partial_cheap = make_service(
@@ -318,7 +314,6 @@ class TestWaitForBetter:
         assert outcome.accepted
         assert outcome.provider == "cheap"
         assert outcome.rounds == 2
-        assert outcome.accepted_at == 20.0
 
     def test_short_deadline_settles_for_the_early_offer(self, pvnc):
         negotiate_over_time, pricey, cheap, estimate = self.zone(pvnc)

@@ -14,9 +14,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.deployment import DeploymentState
+from repro.core.deployment.manager import DeploymentManager, DeploymentState
 from repro.core.deployment.embedding import EmbeddingIndex, embed_pvn
-from repro.core.deployment.manager import DeploymentManager
 from repro.core.deployment.lifecycle import migrate_device
 from repro.core.deployment.migration import ensure_coordinator
 from repro.core.deployment.orchestrator import (
@@ -33,16 +32,15 @@ from repro.core.session import default_pvnc
 from repro.errors import CapacityError, EmbeddingError, ReproError
 from repro.netproto.dns import Resolver, TrustAnchor, Zone, ZoneSigner
 from repro.netproto.tls import make_web_pki
-from repro.netsim import (
-    Packet,
-    Simulator,
+from repro.netsim import Packet, Simulator
+from repro.netsim.topology import (
     attach_device,
     build_access_network,
     build_wide_area,
 )
-from repro.nfv import Container, ContainerSpec, NfvHost
+from repro.nfv import Container, NfvHost
+from repro.nfv.container import ContainerSpec, ContainerState
 from repro.nfv.hypervisor import HostCapacity
-from repro.nfv.container import ContainerState
 from repro.nfv.middlebox import Middlebox
 
 
@@ -561,21 +559,21 @@ class TestMigrationWindowPacketConservation:
         txn = coordinator.begin(ack.deployment_id, "dev_a", 1.0)
 
         # PREPARE: make-before-break — the source serves untouched.
-        assert txn.prepare(1.0)
+        assert txn.prepare()
         outcome = send(source.datapath, 1.1)
         assert outcome.verdict_reasons != ("fencing:stale_epoch",)
         assert source.datapath.packets_processed == 1
 
         # TRANSFER: chain frozen for checkpointing, packets ride the
         # bridge — still processed (tunneled), never dropped.
-        assert txn.transfer(2.0)
+        assert txn.transfer()
         assert source.datapath.bridging_to != ""
         bridged = send(source.datapath, 2.1)
         assert "migrating:bridge" in bridged.verdict_reasons
         assert source.datapath.packets_processed == 2
 
         # COMMIT: the epoch fence flips ownership atomically.
-        assert txn.commit(3.0)
+        assert txn.commit()
         target = manager.deployment(txn.target_id)
         assert target.state is DeploymentState.ACTIVE
 

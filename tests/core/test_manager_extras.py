@@ -15,14 +15,15 @@ from repro.core.store import PvnStore, SigningKey
 from repro.errors import CapacityError, ProtocolError
 from repro.middleboxes import TrackerBlocker
 from repro.netproto.http import HttpRequest
-from repro.netsim import (
-    Packet,
-    Simulator,
+from repro.netsim import Packet, Simulator
+from repro.netsim.topology import (
     attach_device,
     build_access_network,
     build_wide_area,
 )
-from repro.nfv import Capability, Container, HostCapacity, Middlebox, NfvHost
+from repro.nfv import Capability, Container, NfvHost
+from repro.nfv.hypervisor import HostCapacity
+from repro.nfv.middlebox import Middlebox
 
 
 @pytest.fixture
@@ -172,7 +173,7 @@ class TestPerOwnerQuota:
 
 class TestProtocolHelpers:
     def test_check_ack_unwraps(self):
-        ack = DeploymentAck("d1", "10.200.0.0/24")
+        ack = DeploymentAck("d1")
         assert check_ack(ack) is ack
 
     def test_check_ack_raises_on_nack(self):

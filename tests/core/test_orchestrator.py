@@ -42,8 +42,11 @@ from repro.core.discovery.messages import DeploymentAck, DeploymentRequest
 from repro.core.pvnc.compiler import UserEnvironment
 from repro.core.pvnc.model import ClassRule, ModuleSpec, Pvnc
 from repro.errors import EmbeddingError
-from repro.netsim import attach_device, build_access_network
-from repro.netsim.topology import AccessNetworkSpec
+from repro.netsim.topology import (
+    AccessNetworkSpec,
+    attach_device,
+    build_access_network,
+)
 from repro.nfv import Container, NfvHost
 from repro.nfv.container import ContainerSpec
 from repro.nfv.hypervisor import HostCapacity

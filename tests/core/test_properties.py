@@ -6,21 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.auditor import ProofStamp, make_keyring, path_proof_ok
+from repro.core.auditor.path_proof import (
+    ProofStamp,
+    make_keyring,
+    path_proof_ok,
+)
 from repro.core.discovery import DiscoveryClient, DiscoveryService, PricingPolicy
 from repro.core.discovery.messages import DeploymentAck
 from repro.core.discovery.negotiation import plan_acceptance
-from repro.core.pvnc import (
-    ClassRule,
-    Constraints,
-    ModuleSpec,
-    Pvnc,
-    builtin_services,
-    compile_pvnc,
-    parse_pvnc,
-    render_pvnc,
-    validate_pvnc,
-)
+from repro.core.pvnc.model import ClassRule, Constraints, ModuleSpec, Pvnc
+from repro.core.pvnc.compiler import builtin_services
+from repro.core.pvnc import compile_pvnc, parse_pvnc, render_pvnc
+from repro.core.pvnc.validation import validate_pvnc
 from repro.netsim import Packet
 
 SERVICES = sorted(builtin_services() - {"classifier", "replica_selector"})

@@ -4,20 +4,15 @@ import dataclasses
 
 import pytest
 
+from repro.core.pvnc.model import ClassRule, Constraints, ModuleSpec, Pvnc
 from repro.core.pvnc import (
-    ClassRule,
-    Constraints,
-    ModuleSpec,
-    Pvnc,
     UserEnvironment,
-    build_middleboxes,
-    builtin_services,
     compile_pvnc,
-    ensure_valid,
     parse_pvnc,
     render_pvnc,
-    validate_pvnc,
 )
+from repro.core.pvnc.compiler import build_middleboxes, builtin_services
+from repro.core.pvnc.validation import ensure_valid, validate_pvnc
 from repro.core.session import DEFAULT_PVNC_TEXT, default_pvnc
 from repro.errors import CompilationError, ConfigurationError
 from repro.netproto.tls import TrustStore

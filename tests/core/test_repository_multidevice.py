@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import AccessProvider, PvnSession, default_pvnc
 from repro.core.device import Device
-from repro.core.pvnc import PvncRepository, parse_uri, pvnc_uri
+from repro.core.pvnc.repository import PvncRepository, parse_uri, pvnc_uri
 from repro.core.session import PvnSession as Session
 from repro.errors import ConfigurationError
 
@@ -36,7 +36,6 @@ class TestRepository:
         uri = repo.publish(pvnc)
         fetched = repo.fetch(uri)
         assert fetched.digest() == pvnc.digest()
-        assert repo.fetches == 1
         assert len(repo) == 1
 
     def test_missing_object(self):

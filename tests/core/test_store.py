@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.core.store import (
-    PvnStore,
-    SigningKey,
-    module_digest,
-    sign_module,
-    verify_bundle,
-)
+from repro.core.store import PvnStore, SigningKey
+from repro.core.store.catalog import module_digest
+from repro.core.store.signing import sign_module, verify_bundle
 from repro.errors import ModuleSignatureError, StoreError
 from repro.nfv.middlebox import Middlebox
 from repro.nfv.sandbox import Capability

@@ -4,14 +4,14 @@ import types
 
 import pytest
 
-from repro.core.deployment import TelemetryFeed
-from repro.core.deployment.manager import DeploymentState
 from repro.core.deployment.telemetry import (
     FLUID_RATE_GAUGE,
     RATE_GAUGE,
     SWITCH_RATE_GAUGE,
     TICKS_COUNTER,
+    TelemetryFeed,
 )
+from repro.core.deployment.manager import DeploymentState
 
 
 class _FakeDatapath:

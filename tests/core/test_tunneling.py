@@ -2,21 +2,25 @@
 
 import pytest
 
+from repro.core.tunneling.vpn import DEFAULT_ENCAP, EncapSpec
 from repro.core.tunneling import (
-    DEFAULT_ENCAP,
     ENCAP_VARIANTS,
-    EncapSpec,
     EndpointCandidate,
     FullTunnel,
     RedirectRule,
     SelectiveRedirector,
     direct_path,
-    is_sensitive_destination,
     needs_tls_interception,
     select_endpoint,
 )
+from repro.core.tunneling.selective import is_sensitive_destination
 from repro.errors import TunnelError
-from repro.netsim import Packet, attach_device, build_access_network, build_wide_area
+from repro.netsim import Packet
+from repro.netsim.topology import (
+    attach_device,
+    build_access_network,
+    build_wide_area,
+)
 
 
 @pytest.fixture
@@ -73,13 +77,13 @@ class TestFullTunnel:
 
 class TestEncapSpecs:
     def test_default_preserves_legacy_cost_model(self, topo):
-        costs = FullTunnel(topo, "dev", "cloud").costs()
-        assert costs.encap_overhead_bytes == 73
-        assert costs.encap_name == DEFAULT_ENCAP.name
+        tunnel = FullTunnel(topo, "dev", "cloud")
+        assert tunnel.encap.overhead_bytes == 73
+        assert tunnel.encap.name == DEFAULT_ENCAP.name
 
     def test_variant_selectable_by_name(self, topo):
         tunnel = FullTunnel(topo, "dev", "cloud", encap="aes-128-gcm")
-        assert tunnel.costs().encap_overhead_bytes == 52
+        assert tunnel.encap.overhead_bytes == 52
 
     def test_unknown_variant_rejected(self, topo):
         with pytest.raises(TunnelError, match="unknown encap"):
@@ -146,7 +150,6 @@ class TestSelectiveRedirection:
         for _ in range(9):
             assert redirector.route(pkt()) is None
         assert redirector.redirect_fraction == pytest.approx(0.1)
-        assert redirector.per_rule_counts["tls"] == 1
 
     def test_first_matching_rule_wins(self):
         redirector = SelectiveRedirector([

@@ -5,17 +5,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core import PvnSession, default_pvnc
 from repro.errors import ConfigurationError
-from repro.faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    make_event,
-    normalise_ids,
-    parse_fault_plan,
-)
-from repro.faults.events import HOST_KINDS, LINK_KINDS
-from repro.faults.plan import _VERBS
+from repro.faults.events import FaultEvent, HOST_KINDS, LINK_KINDS
+from repro.faults import FaultInjector, FaultKind, make_event, normalise_ids
+from repro.faults.plan import FaultPlan, _VERBS, parse_fault_plan
 
 SCRIPT = """
 # comments and blank lines are ignored
@@ -251,9 +243,10 @@ class TestScriptFuzz:
                      and not set(event.target) <= world]
         if strangers:
             refused = FaultInjector(session.sim, session.provider)
+            pending = session.sim.pending_events
             with pytest.raises(ConfigurationError, match="unknown NFV host"):
                 refused.schedule_plan(plan)
-            assert refused.scheduled == 0
+            assert session.sim.pending_events == pending
         injector = FaultInjector(session.sim, session.provider)
         for event in plan:
             if event in strangers:
@@ -272,9 +265,10 @@ class TestScriptFuzz:
 def test_host_outside_the_world_is_refused_when_scheduled(script):
     session = PvnSession.build(seed=0)
     injector = FaultInjector(session.sim, session.provider)
+    pending = session.sim.pending_events
     with pytest.raises(ConfigurationError, match="unknown NFV host"):
         injector.schedule_plan(script)
-    assert injector.scheduled == 0
+    assert session.sim.pending_events == pending
     with pytest.raises(ConfigurationError, match="unknown NFV host"):
         injector.inject_now(parse_fault_plan(script).events[0])
     assert injector.applied == []

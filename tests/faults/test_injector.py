@@ -6,7 +6,8 @@ from repro.core import PvnSession, default_pvnc
 from repro.core.deployment.manager import DeploymentState
 from repro.core.deployment.recovery import RecoveryPolicy
 from repro.errors import ConfigurationError
-from repro.faults import FaultKind, FaultPlan, make_event, normalise_ids
+from repro.faults import FaultKind, make_event, normalise_ids
+from repro.faults.plan import FaultPlan
 from repro.netsim.packet import Packet
 from repro.nfv.container import ContainerState
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.health import DetectorPolicy, HostState, PhiAccrualDetector
+from repro.health.detector import DetectorPolicy, PhiAccrualDetector
+from repro.health import HostState
 
 INTERVAL = 0.1
 

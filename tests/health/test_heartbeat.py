@@ -8,11 +8,8 @@ reconciler's defer/evacuate decisions rest on.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.health import (
-    HealthService,
-    HeartbeatPolicy,
-    HostState,
-)
+from repro.health import HealthService, HostState
+from repro.health.heartbeat import HeartbeatPolicy
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import (
     AccessNetworkSpec,

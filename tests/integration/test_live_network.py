@@ -18,7 +18,8 @@ from repro.netproto.tls import make_web_pki
 from repro.netsim import Host, Link, Packet, Simulator
 from repro.netsim.topology import PhysicalTopology
 from repro.nfv import NfvHost
-from repro.sdn import Controller, SdnSwitch, verify_all
+from repro.sdn import Controller, SdnSwitch
+from repro.sdn.verification import verify_all
 
 
 @pytest.fixture
@@ -92,7 +93,15 @@ class TestLiveDataPlane:
         sim.run()
         # Delivered at the gateway, scrubbed by the chain en route.
         assert packet.delivered_at is not None
-        assert packet.trail == ["dev_alice", "agg", "core", "gw"]
+        links = {link for node in (device, agg, core, gateway)
+                 for link in node.links.values()}
+        carried = {(end.name, link.other_end(end).name)
+                   for link in links for end in (link.a, link.b)
+                   if link.stats_from(end).delivered}
+        assert carried == {("dev_alice", "agg"), ("agg", "core"),
+                           ("core", "gw")}
+        assert all(link.stats_from(end).delivered <= 1
+                   for link in links for end in (link.a, link.b))
         assert b"[REDACTED]" in packet.payload.body
         datapath = manager.deployment(ack.deployment_id).datapath
         assert datapath.packets_processed == 1

@@ -68,7 +68,7 @@ class TestHappyPath:
         deployment_id = session.device.connection.deployment_id
         session.teardown()
         assert session.device.connection is None
-        from repro.core.deployment import DeploymentState
+        from repro.core.deployment.manager import DeploymentState
 
         deployment = session.provider.manager.deployment(deployment_id)
         assert deployment.state is DeploymentState.TORN_DOWN

@@ -5,22 +5,29 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.middleboxes import (
+from repro.middleboxes.classifier import (
     CLASS_HTTPS,
     CLASS_KEY,
     CLASS_VIDEO_IMAGE,
     CLASS_WEB_TEXT,
+    classify,
+)
+from repro.middleboxes import (
     CompressionProxy,
-    LruCache,
     PiiDetector,
     Prefetcher,
     SplitTcpProxy,
     TrafficClassifier,
     Transcoder,
-    classify,
 )
-from repro.netproto import HttpRequest, HttpResponse
-from repro.netproto.http import CONTENT_IMAGE, CONTENT_TEXT, CONTENT_VIDEO
+from repro.middleboxes.prefetcher import LruCache
+from repro.netproto.http import (
+    CONTENT_IMAGE,
+    CONTENT_TEXT,
+    CONTENT_VIDEO,
+    HttpRequest,
+    HttpResponse,
+)
 from repro.netsim import Packet, PathCharacteristics
 from repro.nfv import ProcessingContext
 from repro.nfv.middlebox import VerdictKind
@@ -73,7 +80,7 @@ class TestPiiDetector:
         verdict = detector.process(packet, ctx())
         assert verdict.kind is VerdictKind.REWRITE
         assert packet.payload.body == self.LEAKY_BODY  # untouched
-        types = {f.pii_type for f in detector.findings}
+        types = set(dict(verdict.annotations)["types"].split(","))
         assert "email" in types and "phone" in types
 
     def test_scrub_mode_redacts(self):
@@ -90,13 +97,11 @@ class TestPiiDetector:
         packet = pkt(HttpRequest("POST", "api.example", body=self.LEAKY_BODY))
         verdict = detector.process(packet, ctx())
         assert verdict.kind is VerdictKind.DROP
-        assert detector.leaks_blocked == 1
 
     def test_clean_requests_pass(self):
         detector = PiiDetector()
         packet = pkt(HttpRequest("GET", "example.com", body=b"q=weather"))
         assert detector.process(packet, ctx()).kind is VerdictKind.PASS
-        assert detector.requests_with_pii == 0
 
     def test_pii_in_path_detected(self):
         detector = PiiDetector(mode="scrub")
@@ -110,8 +115,8 @@ class TestPiiDetector:
     def test_custom_strings(self):
         detector = PiiDetector(custom_strings=[b"Jane Q. Doe"])
         packet = pkt(HttpRequest("POST", "x.example", body=b"name=Jane Q. Doe"))
-        detector.process(packet, ctx())
-        assert any(f.pii_type == "custom" for f in detector.findings)
+        verdict = detector.process(packet, ctx())
+        assert "custom" in dict(verdict.annotations)["types"].split(",")
 
     def test_https_uninspectable_without_enclave(self):
         detector = PiiDetector()
@@ -119,7 +124,6 @@ class TestPiiDetector:
                                  https=True))
         verdict = detector.process(packet, ctx())
         assert verdict.kind is VerdictKind.PASS
-        assert detector.findings == []
 
     def test_https_inspectable_with_trusted_execution(self):
         detector = PiiDetector(mode="block")
@@ -136,7 +140,6 @@ class TestPiiDetector:
         verdict = detector.process(packet, ctx())
         assert verdict.kind is VerdictKind.TUNNEL
         assert verdict.tunnel_endpoint == "cloud"
-        assert detector.encrypted_tunneled == 1
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):

@@ -5,22 +5,21 @@ import pytest
 from repro.middleboxes import (
     DnsValidator,
     MalwareDetector,
-    MalwareSignature,
     TlsValidator,
     TrackerBlocker,
 )
-from repro.netproto import (
-    CertificateAuthority,
+from repro.middleboxes.malware_detector import MalwareSignature
+from repro.netproto import CertificateAuthority, MitmInterceptor
+from repro.netproto.dns import (
     DnsQuery,
     ForgingResolver,
-    HttpRequest,
-    MitmInterceptor,
     Resolver,
     TrustAnchor,
     Zone,
     ZoneSigner,
-    make_web_pki,
 )
+from repro.netproto.http import HttpRequest
+from repro.netproto.tls import make_web_pki
 from repro.netsim import Packet
 from repro.nfv import ProcessingContext
 from repro.nfv.middlebox import VerdictKind
@@ -49,8 +48,6 @@ class TestTlsValidator:
         handshake = servers["bank.example.com"].respond("bank.example.com")
         verdict = validator.process(pkt(handshake), ctx())
         assert verdict.kind is VerdictKind.PASS
-        assert validator.handshakes_seen == 1
-        assert validator.invalid_blocked == 0
 
     def test_mitm_blocked_and_counted(self, pki):
         _, store, servers = pki
@@ -61,8 +58,6 @@ class TestTlsValidator:
         )
         verdict = validator.process(pkt(forged), ctx())
         assert verdict.kind is VerdictKind.DROP
-        assert validator.mitm_caught == 1
-        assert validator.invalid_blocked == 1
 
     def test_warn_mode_annotates_instead_of_blocking(self, pki):
         _, store, servers = pki
@@ -75,7 +70,6 @@ class TestTlsValidator:
         verdict = validator.process(packet, ctx())
         assert verdict.kind is VerdictKind.REWRITE
         assert "untrusted_root" in packet.metadata["tls_warning"]
-        assert validator.invalid_warned == 1
 
     def test_expired_cert_blocked(self, pki):
         root, store, _ = pki
@@ -92,7 +86,6 @@ class TestTlsValidator:
         validator = TlsValidator(store)
         verdict = validator.process(pkt(b"just bytes"), ctx())
         assert verdict.kind is VerdictKind.PASS
-        assert validator.handshakes_seen == 0
 
     def test_invalid_mode_rejected(self, pki):
         _, store, _ = pki
@@ -129,7 +122,6 @@ class TestDnsValidator:
         verdict = validator.process(packet, ctx())
         assert verdict.kind is VerdictKind.REWRITE
         assert packet.payload.first_value() == "93.184.216.34"
-        assert validator.forgeries_corrected == 1
 
     def test_forged_signed_name_blocked_without_substitution(self, world):
         zone, plain, anchor, _ = world
@@ -140,7 +132,6 @@ class TestDnsValidator:
             pkt(evil.resolve(DnsQuery("www.example.com"))), ctx()
         )
         assert verdict.kind is VerdictKind.DROP
-        assert validator.forgeries_blocked == 1
 
     def test_unsigned_name_cross_checked(self, world):
         zone, plain, anchor, opens = world
@@ -151,7 +142,6 @@ class TestDnsValidator:
         verdict = validator.process(packet, ctx())
         assert verdict.kind is VerdictKind.REWRITE
         assert packet.payload.first_value() == "198.51.100.7"
-        assert validator.cross_checks_run == 1
 
     def test_honest_unsigned_answer_passes(self, world):
         zone, plain, anchor, opens = world
@@ -172,7 +162,6 @@ class TestDnsValidator:
         _, _, anchor, opens = world
         validator = DnsValidator(anchor, opens)
         assert validator.process(pkt(b"raw"), ctx()).kind is VerdictKind.PASS
-        assert validator.responses_seen == 0
 
 
 class TestMalwareDetector:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import AddressError
-from repro.netproto import (
+from repro.netproto.addresses import (
     SubnetAllocator,
     int_to_ip,
     ip_in_subnet,

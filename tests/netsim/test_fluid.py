@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import obs
+from repro.obs import runtime as obs
 from repro.errors import ConfigurationError
 from repro.experiments.exp23_population import measure_mode
 from repro.netsim import Simulator
@@ -514,8 +514,8 @@ def run_mode(mode, spec, seed):
     engine = HybridPopulationEngine(
         Simulator(), spec.devices, spec.cells, 3e6,
         device_rate_bps=spec.device_rate_bps, tick=TICK, mode=mode)
-    workload = PopulationWorkload(spec, seed=seed, tick=TICK)
-    engine.run(spec.horizon, workload)
+    engine.bind(PopulationWorkload(spec, seed=seed, tick=TICK))
+    engine.run(spec.horizon)
     return engine
 
 

@@ -503,7 +503,8 @@ class TestObjectsBuilt:
             Simulator(), spec.devices, spec.cells, CELL_CAPACITY_BPS,
             tick=TICK, ledger=PolicyLedger(keep_records=False))
         workload = PopulationWorkload(spec, seed=4, tick=TICK)
-        engine.run(spec.horizon, workload)
+        engine.bind(workload)
+        engine.run(spec.horizon)
         leaky = int(workload._leaky.sum())
         assert 0 < leaky < engine.flows_opened == workload.counts()["flows"]
         assert len(built) == leaky

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.netsim import Host, Link, Packet, Simulator, link_rtt
+from repro.netsim import Host, Link, Packet, Simulator
+from repro.netsim.link import link_rtt
 
 
 def make_pair(sim, **link_kwargs):
@@ -110,14 +111,6 @@ class TestHost:
         a.originate(Packet(src=a.ip, dst=b.ip, dst_port=80), via="b")
         sim.run()
         assert [tag for tag, _ in got] == ["tls", "other"]
-
-    def test_trail_records_hops(self):
-        sim = Simulator()
-        a, b, _ = make_pair(sim)
-        pkt = Packet(src=a.ip, dst=b.ip)
-        a.originate(pkt, via="b")
-        sim.run()
-        assert pkt.trail == ["a", "b"]
 
     def test_unknown_neighbor_raises(self):
         sim = Simulator()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.netsim import TokenBucket
+from repro.netsim.queueing import TokenBucket
 
 
 class TestTokenBucket:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SchedulingInPastError, SimulationError
-from repro.netsim import EventPriority, Simulator
+from repro.netsim.events import EventPriority
+from repro.netsim import Simulator
 
 
 class TestScheduling:

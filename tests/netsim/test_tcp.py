@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.netsim import (
-    PathCharacteristics,
+from repro.netsim import PathCharacteristics
+from repro.netsim.tcp import (
     TcpParams,
     mathis_throughput_bps,
     simulate_split_transfer,

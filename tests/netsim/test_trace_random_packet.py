@@ -2,7 +2,8 @@
 
 from hypothesis import given, strategies as st
 
-from repro.netsim import Packet, RandomStreams, derive_seed
+from repro.netsim import Packet
+from repro.netsim.randomness import RandomStreams, derive_seed
 
 
 class TestRandomStreams:

@@ -4,15 +4,10 @@ import pytest
 
 from repro.errors import CapacityError, SimulationError
 from repro.netsim import Packet, Simulator
-from repro.nfv import (
-    Container,
-    ContainerSpec,
-    ContainerState,
-    HostCapacity,
-    Middlebox,
-    NfvHost,
-    ProcessingContext,
-)
+from repro.nfv import Container, NfvHost, ProcessingContext
+from repro.nfv.container import ContainerSpec, ContainerState
+from repro.nfv.hypervisor import HostCapacity
+from repro.nfv.middlebox import Middlebox
 
 
 def ctx(owner="alice"):
@@ -51,10 +46,11 @@ class TestContainerLifecycle:
         container = Container(Middlebox("mb"))
         container.start(sim)
         assert container.state is ContainerState.INSTANTIATING
+        sim.run(until=container.started_at + 0.029)
+        assert container.state is ContainerState.INSTANTIATING
         sim.run()
         assert container.state is ContainerState.RUNNING
-        assert (container.running_at - container.started_at
-                == pytest.approx(0.030))
+        assert sim.now - container.started_at == pytest.approx(0.030)
 
     def test_cannot_start_twice(self):
         sim = Simulator()
@@ -74,7 +70,6 @@ class TestContainerLifecycle:
         for _ in range(3):
             container.process(pkt(), ctx())
         assert container.packets_processed == 3
-        assert container.busy_seconds == pytest.approx(3 * 45e-6)
 
     def test_stop_and_restart(self):
         sim = Simulator()

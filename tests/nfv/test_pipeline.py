@@ -11,18 +11,9 @@ the next.
 import pytest
 
 from repro.netsim import Packet
-from repro.nfv import (
-    ChainHop,
-    Container,
-    Middlebox,
-    Pipeline,
-    PipelineStep,
-    ProcessingContext,
-    ServiceChain,
-    Verdict,
-)
-from repro.nfv.middlebox import VerdictKind
-from repro.nfv.pipeline import labeled_verdict
+from repro.nfv import ChainHop, Container, ProcessingContext, ServiceChain
+from repro.nfv.middlebox import Middlebox, Verdict, VerdictKind
+from repro.nfv.pipeline import Pipeline, PipelineStep, labeled_verdict
 from repro.obs import runtime as obs_runtime
 
 
@@ -84,7 +75,6 @@ class TestPipelineRun:
         assert result.terminal_kind is VerdictKind.DROP
         assert result.added_delay == pytest.approx(3.0)
         assert result.labels == ("a:pass", "b:drop")
-        assert pipeline.total_delay == pytest.approx(103.0)
         # No steps reached at all: forwarded, nothing charged.
         empty = Pipeline("empty", ())
         result = empty.run(pkt(), ctx())

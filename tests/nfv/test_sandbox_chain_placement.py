@@ -5,23 +5,21 @@ import dataclasses
 import pytest
 
 from repro.errors import EmbeddingError, SandboxViolation
-from repro.netsim import Packet, build_access_network, attach_device
+from repro.netsim import Packet
+from repro.netsim.topology import build_access_network, attach_device
 from repro.nfv import (
     Capability,
     ChainHop,
     Container,
-    ContainerSpec,
-    Middlebox,
     NfvHost,
-    PlacementRequest,
     ProcessingContext,
-    ResourceBudget,
     Sandbox,
     ServiceChain,
-    Verdict,
-    place_chain,
 )
-from repro.nfv.middlebox import VerdictKind
+from repro.nfv.container import ContainerSpec
+from repro.nfv.middlebox import Middlebox, Verdict, VerdictKind
+from repro.nfv.placement import PlacementRequest, place_chain
+from repro.nfv.sandbox import ResourceBudget
 
 
 class Blocker(Middlebox):
@@ -223,7 +221,7 @@ class TestPlacement:
 
     def test_capacity_exhaustion_raises(self, scenario):
         topo, _ = scenario
-        from repro.nfv import HostCapacity
+        from repro.nfv.hypervisor import HostCapacity
 
         tiny = {
             name: NfvHost(name, HostCapacity(memory_bytes=1_000, cpu_cores=0.01))

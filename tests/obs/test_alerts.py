@@ -105,7 +105,7 @@ class TestAnomalyAlert:
         rule = AnomalyAlert(
             "a", lambda: source["value"],
             detector=EwmaDetector(warmup=2, std_floor=0.01),
-            z_fire=4.0, consecutive=2)
+            consecutive=2)
         self._warm(rule)
         source["value"] = 10.0
         assert not rule.should_fire(6.0)     # streak 1 of 2

@@ -51,10 +51,6 @@ class TestPercentile:
     def test_unsorted_input_is_sorted_first(self):
         assert percentile([3.0, 1.0, 2.0], 0.5) == 2.0
 
-    def test_presorted_skips_sort(self):
-        data = sorted(random.Random(7).random() for _ in range(100))
-        assert percentile(data, 0.9, presorted=True) == percentile(data, 0.9)
-
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             percentile([], 0.5)

@@ -86,14 +86,6 @@ class TestTracedPackets:
                             dst_port=443, owner="alice"))
         assert len(obs.spans) == before
 
-    def test_tracing_off_disables_send_spans(self):
-        with obs_runtime.enabled(trace_spans=False) as obs:
-            session = _connected_session()
-            before = len(obs.spans)
-            session.send(Packet(src="10.0.0.1", dst="198.51.100.7",
-                                dst_port=443, owner="alice"), traced=True)
-            assert len(obs.spans) == before
-
 
 class TestAuditTree:
     def test_audit_probes_nest_under_audit_span(self, obs):

@@ -14,16 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim import Host, Link, Packet, Simulator
-from repro.sdn import (
-    Controller,
-    Drop,
-    FlowCache,
-    Match,
-    Output,
-    SdnSwitch,
-    ToChain,
-)
-from repro.sdn.flowcache import CacheEntry
+from repro.sdn import Controller, SdnSwitch
+from repro.sdn.actions import Drop, Output, ToChain
+from repro.sdn.flowcache import CacheEntry, FlowCache
+from repro.sdn.match import Match
 from repro.sdn.flowtable import FlowRule
 
 

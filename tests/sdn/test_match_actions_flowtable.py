@@ -5,14 +5,9 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.netsim import Packet
-from repro.sdn import (
-    MATCH_ANY,
-    Drop,
-    FlowRule,
-    FlowTable,
-    Match,
-    Output,
-)
+from repro.sdn.match import MATCH_ANY, Match
+from repro.sdn.actions import Drop, Output
+from repro.sdn.flowtable import FlowRule, FlowTable
 
 
 def pkt(**kwargs):

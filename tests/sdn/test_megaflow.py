@@ -20,10 +20,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim import Packet, Simulator
-from repro.sdn import Controller, Drop, Match, SdnSwitch
+from repro.sdn import Controller, SdnSwitch
+from repro.sdn.actions import Drop
+from repro.sdn.match import EMPTY_MASK, Match, MatchMask
 from repro.sdn.flowcache import MegaflowCache
 from repro.sdn.flowtable import FlowRule
-from repro.sdn.match import EMPTY_MASK, MatchMask
 
 from tests.sdn.test_flowcache import LinearSwitch
 

@@ -17,9 +17,9 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim import Packet
-from repro.sdn import Drop, Match
+from repro.sdn.actions import Drop
+from repro.sdn.match import Match, MatchMask, _prefix_len, ip_in_subnet
 from repro.sdn.flowtable import FlowRule, FlowTable
-from repro.sdn.match import MatchMask, _prefix_len, ip_in_subnet
 
 
 class CascadeTable:

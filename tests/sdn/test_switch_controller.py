@@ -3,23 +3,20 @@
 import pytest
 
 from repro.errors import ConfigurationError, IsolationError
-from repro.netsim import Host, Link, Packet, Simulator, build_access_network, attach_device
+from repro.netsim import Host, Link, Packet, Simulator
+from repro.netsim.topology import build_access_network, attach_device
 from repro.sdn.flowtable import FlowRule
-from repro.sdn import (
-    Controller,
-    Drop,
-    Match,
-    Output,
-    SdnSwitch,
-    ToChain,
+from repro.sdn import Controller, SdnSwitch
+from repro.sdn.actions import Drop, Output, ToChain
+from repro.sdn.match import Match
+from repro.sdn.verification import (
     check_isolation,
     check_loop_freedom,
     check_no_blackholes,
-    path_stretch,
     trace_forwarding,
     verify_all,
-    waypointed_path,
 )
+from repro.sdn.routing import path_stretch, waypointed_path
 
 
 @pytest.fixture
@@ -39,6 +36,15 @@ def fabric():
     return sim, a, b, sw1, sw2, ctrl
 
 
+def carried(*nodes):
+    """``{(from, to): packets delivered}`` for each direction of the
+    links among ``nodes`` that delivered any."""
+    links = {link for node in nodes for link in node.links.values()}
+    return {(end.name, link.other_end(end).name): link.stats_from(end).delivered
+            for link in links for end in (link.a, link.b)
+            if link.stats_from(end).delivered}
+
+
 def flow_pkt(owner="alice", **kwargs):
     defaults = dict(src="10.0.0.1", dst="10.0.1.1", protocol="tcp",
                     src_port=40000, dst_port=443, owner=owner, size=100)
@@ -54,7 +60,9 @@ class TestSwitchForwarding:
         packet = flow_pkt()
         a.originate(packet, via="sw1")
         sim.run()
-        assert packet.trail == ["a", "sw1", "sw2", "b"]
+        assert packet.delivered_at is not None
+        assert carried(a, b, sw1, sw2) == {
+            ("a", "sw1"): 1, ("sw1", "sw2"): 1, ("sw2", "b"): 1}
         assert sw1.packets_forwarded == 1
 
     def test_table_miss_goes_to_controller_and_drops(self, fabric):

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis import fraction, render_table, speedup, summarize
+from repro.analysis.stats import fraction, speedup, summarize
+from repro.analysis.tables import render_table
 from repro.errors import ReproError
 
 

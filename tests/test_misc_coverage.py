@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.core.auditor import (
-    ProofStamp,
-    make_keyring,
-    middlebox_execution_test,
-)
-from repro.core.deployment import admission_headroom
+from repro.core.auditor.path_proof import ProofStamp, make_keyring
+from repro.core.auditor.measurements import middlebox_execution_test
+from repro.core.deployment.embedding import admission_headroom
 from repro.core.provider import DishonestyProfile
 from repro.netproto.tls import RevocationList
-from repro.netsim import Packet, build_access_network
-from repro.nfv import Container, HostCapacity, Middlebox, NfvHost
-from repro.workloads import (
+from repro.netsim import Packet
+from repro.netsim.topology import build_access_network
+from repro.nfv import Container, NfvHost
+from repro.nfv.hypervisor import HostCapacity
+from repro.nfv.middlebox import Middlebox
+from repro.workloads.adversary import (
     ALL_DISHONEST_PROFILES,
     config_tampering_isp,
     dns_forgery_scenario,
@@ -95,7 +95,7 @@ class TestAdversaryFactories:
             assert profile != DishonestyProfile(), name
 
     def test_dns_forgery_scenario(self):
-        from repro.netproto import DnsQuery, Zone
+        from repro.netproto.dns import DnsQuery, Zone
 
         zone = Zone("z.example")
         zone.add("a.z.example", "A", "1.2.3.4")
